@@ -163,6 +163,8 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append(f"grid {name!r} not increasing")
+        if name == "R" and not all(v > 0 for v in grid):
+            errors.append("grid 'R' must be positive")
     for name in _REQUIRED_GRIDS.get(command, []):
         if name not in grids:
             errors.append(f"missing required grid {name!r} for command {command!r}")

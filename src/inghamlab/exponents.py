@@ -9,7 +9,6 @@ classes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,9 +28,6 @@ __all__ = [
     "estimate_density",
     "build_sharpness_partition",
     "generate_family",
-    "family_to_record",
-    "family_from_record",
-    "generate_from_record",
 ]
 
 
@@ -415,36 +411,3 @@ def generate_family(kind: str, **params) -> ExponentFamily:
 def _reject_extra(kind: str, params: dict) -> None:
     if params:
         raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(params)}")
-
-
-def family_to_record(family: ExponentFamily) -> dict:
-    return {
-        "label": family.label,
-        "first_index": family.first_index,
-        "exponents": [float(v) for v in family.exponents],
-    }
-
-
-def family_from_record(record: dict) -> ExponentFamily:
-    return ExponentFamily(
-        np.asarray(record["exponents"], dtype=float),
-        label=str(record.get("label", "")),
-        first_index=int(record.get("first_index", 0)),
-    )
-
-
-def generate_from_record(record: dict) -> ExponentFamily:
-    """Build a family from a generator description {kind, params, seed}."""
-    kind = record["kind"]
-    params = dict(record.get("params", {}))
-    if "seed" in record and kind == "perturbed-lattice":
-        params.setdefault("seed", record["seed"])
-    return generate_family(kind, **params)
-
-
-def family_to_json(family: ExponentFamily) -> str:
-    return json.dumps(family_to_record(family), sort_keys=True)
-
-
-def family_from_json(text: str) -> ExponentFamily:
-    return family_from_record(json.loads(text))

@@ -1,10 +1,13 @@
 """Inner products over a bounded interval and Gram machinery.
 
-All system functions handled here are of the form (scalar profile) x (fixed
-unit vector): plain exponentials, divided differences of exponentials, and
-the orthonormal Fourier-grid functions.  Exponential inner products use a
-cancellation-free closed form; divided-difference inner products use
-composite Gauss-Legendre panels sized against the fastest oscillation.
+Every system handled here is described once as f_k(t) = U_k [nodes_k](t):
+a fixed unit vector U_k times the divided difference of w -> exp(i*w*t)
+over a node set, divided by its L2(I) norm for normalized systems.  A plain
+exponential is a single node; an orthonormal Fourier-grid function is a
+normalized single node on a coordinate direction.  One kernel,
+``inner_matrix``, computes all inner products: the cancellation-free closed
+form when every function is a single node, otherwise composite
+Gauss-Legendre panels sized against the fastest oscillation.
 
 Gram entries follow the quadratic-form convention
 ``entries[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -14,9 +17,8 @@ and the dual (biorthogonal) coefficients are exactly the inverse Gram.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
@@ -33,18 +35,14 @@ __all__ = [
     "ExponentialSystem",
     "DividedDifferenceSystem",
     "exp_inner_closed_form",
-    "vector_inner",
-    "dd_inner_quadrature",
+    "inner_matrix",
     "assemble_gram",
-    "fourier_gram",
     "cross_inner_matrix",
     "projection_defect_norms",
     "energy_quadratic_form",
     "dual_family",
     "project_coefficients",
     "oscillation_panel_rule",
-    "gram_to_record",
-    "gram_from_record",
 ]
 
 SMALL_PHASE = 1e-8  # |theta| * |I| at or below this switches to the Taylor form
@@ -104,21 +102,6 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
     return complex(out) if np.isscalar(theta) else out
 
 
-def vector_inner(
-    k: int,
-    n: int,
-    family: ExponentFamily,
-    directions: DirectionAssignment,
-    interval: IntervalSpec,
-) -> complex:
-    """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I."""
-    wk = family.value(k)
-    wn = family.value(n)
-    Uk = directions.direction(k)
-    Un = directions.direction(n)
-    return complex(np.vdot(Un, Uk) * exp_inner_closed_form(wk - wn, interval))
-
-
 @dataclass
 class FourierGrid:
     """Frequencies 2*pi*n/|I| tensored with the coordinate directions E_1..E_d.
@@ -168,7 +151,6 @@ class GramMatrix:
     """Hermitian matrix of pairwise inner products of system functions."""
 
     entries: np.ndarray
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         G = np.asarray(self.entries, dtype=complex)
@@ -182,9 +164,6 @@ class GramMatrix:
 
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def spectral_norm_bound(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
 
 
 @dataclass
@@ -239,98 +218,85 @@ def oscillation_panel_rule(interval: IntervalSpec, rate: float, order: int = DEF
     return t, weights
 
 
-def _dd_profile_matrix(basis: DividedDifferenceBasis, t: np.ndarray) -> np.ndarray:
-    """Rows are the divided-difference profiles evaluated on the t grid."""
-    return np.stack([eval_divided_difference(desc.nodes, t) for desc in basis.descriptors])
+@dataclass(frozen=True)
+class _Functions:
+    """A system as f_i(t) = directions[i] * [nodes[i // copies]](t).
+
+    Each distinct node set (profile) appears once in ``nodes`` and serves
+    ``copies`` consecutive functions.  ``normalize`` divides every function
+    by the L2(I) norm of its profile.
+    """
+
+    nodes: list
+    directions: np.ndarray
+    normalize: bool = False
+    copies: int = 1
 
 
-def dd_inner_quadrature(
-    k: int,
-    n: int,
-    ddbasis: DividedDifferenceBasis,
-    directions: DirectionAssignment,
-    interval: IntervalSpec,
-    quad_order: int = DEFAULT_PANEL_ORDER,
-) -> complex:
-    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature."""
-    nodes_k = ddbasis.nodes_for(k)
-    nodes_n = ddbasis.nodes_for(n)
-    rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
-    t, w = oscillation_panel_rule(interval, rate, quad_order)
-    fk = eval_divided_difference(nodes_k, t)
-    fn = eval_divided_difference(nodes_n, t)
-    scalar = np.sum(w * fk * np.conj(fn))
-    return complex(np.vdot(directions.direction(n), directions.direction(k)) * scalar)
+def _functions(system) -> _Functions:
+    if isinstance(system, ExponentialSystem):
+        return _Functions(list(system.family.exponents[:, None]), system.directions.matrix)
+    if isinstance(system, DividedDifferenceSystem):
+        nodes = [desc.nodes for desc in system.basis.descriptors]
+        return _Functions(nodes, system.directions.matrix, system.normalize)
+    if isinstance(system, FourierGrid):
+        # the d directions of a frequency share its profile (n-major order)
+        n, d = system.n_values.size, system.d
+        directions = np.tile(np.eye(d, dtype=complex), (n, 1))
+        return _Functions(list(system.frequencies[:, None]), directions, True, d)
+    raise TypeError(f"unsupported system descriptor {type(system).__name__}")
 
 
-def _exponential_gram_entries(system: ExponentialSystem, interval: IntervalSpec) -> np.ndarray:
-    w = system.family.exponents
-    U = system.directions.matrix
-    theta = w[None, :] - w[:, None]  # theta[j, k] = w_k - w_j
-    C = exp_inner_closed_form(theta, interval)
-    overlap = U @ U.conj().T  # overlap[k, j] = (U_k, U_j)_H
-    return overlap.T * C
+def _profile_norms(fns: _Functions, F, w, interval: IntervalSpec) -> np.ndarray:
+    """L2(I) norm of each profile: sqrt|I| for single nodes, else from its samples F."""
+    if F is None:
+        return np.full(len(fns.nodes), math.sqrt(interval.length))
+    return np.sqrt(np.abs(F) ** 2 @ w)
 
 
-def _dd_gram_entries(
-    system: DividedDifferenceSystem, interval: IntervalSpec, quad_order: int
-) -> np.ndarray:
-    basis = system.basis
-    rate = 2.0 * basis.max_abs_node()
-    t, w = oscillation_panel_rule(interval, rate, quad_order)
-    F = _dd_profile_matrix(basis, t)
-    M = (F * w) @ F.conj().T  # M[k, j] = integral of f_k * conj(f_j)
-    U = system.directions.matrix
-    G = ((U @ U.conj().T) * M).T
-    if system.normalize:
-        scale = 1.0 / np.sqrt(np.real(np.diag(G)))
-        G = G * scale[:, None] * scale[None, :]
-    return G
+def inner_matrix(sources, targets, interval: IntervalSpec, quad_order: int = DEFAULT_PANEL_ORDER) -> np.ndarray:
+    """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for any two systems.
+
+    Single-node functions on both sides use the closed form; otherwise one
+    panel grid, sized by max|source node| + max|target node|, serves every
+    entry.  Each distinct profile is evaluated once (once in total when
+    ``targets is sources``), and normalized norms come from the same profiles.
+    """
+    src = _functions(sources)
+    tgt = src if targets is sources else _functions(targets)
+    ds, dt = src.directions.shape[1], tgt.directions.shape[1]
+    if ds != dt:
+        raise ValueError(f"source and target systems live in different direction spaces: C^{ds} and C^{dt}")
+    ws, wt = np.concatenate(src.nodes), np.concatenate(tgt.nodes)
+    Fs = Ft = w = None
+    if ws.size == len(src.nodes) and wt.size == len(tgt.nodes):
+        S = exp_inner_closed_form(ws[:, None] - wt[None, :], interval)
+    else:
+        rate = float(np.max(np.abs(ws)) + np.max(np.abs(wt)))
+        t, w = oscillation_panel_rule(interval, rate, quad_order)
+        Fs = np.stack([eval_divided_difference(x, t) for x in src.nodes])
+        Ft = Fs if tgt is src else np.stack([eval_divided_difference(x, t) for x in tgt.nodes])
+        S = (Fs * w) @ Ft.conj().T
+    # S[s, a] = (profile_s, profile_a); shared profiles expand by broadcasting
+    if src.normalize:
+        # a Gram holds the squared norms on its diagonal
+        ns = np.sqrt(np.real(np.diag(S))) if tgt is src else _profile_norms(src, Fs, w, interval)
+        S /= ns[:, None]
+    if tgt.normalize:
+        S /= (ns if tgt is src else _profile_norms(tgt, Ft, w, interval))[None, :]
+    K = src.directions @ tgt.directions.conj().T
+    blocks = K.reshape(len(src.nodes), src.copies, len(tgt.nodes), tgt.copies)
+    np.multiply(blocks, S[:, None, :, None], out=blocks)
+    return K.T
 
 
 def assemble_gram(system, interval: IntervalSpec, quad_order: int = DEFAULT_PANEL_ORDER) -> GramMatrix:
-    """Gram matrix of an exponential or divided-difference system over I.
+    """Gram matrix of an exponential, divided-difference or Fourier-grid system over I.
 
-    Exponential systems use the closed form; divided-difference systems use
-    panel quadrature on a grid shared by all entries (deterministic and
-    independent of evaluation order).
+    The grid is shared by all entries, so the result is deterministic and
+    independent of evaluation order.
     """
-    if isinstance(system, ExponentialSystem):
-        if system.size < 1:
-            raise ValueError("system must contain at least one function")
-        G = _exponential_gram_entries(system, interval)
-        descriptor = {
-            "system": "exponential",
-            "n": system.size,
-            "d": system.directions.d,
-            "interval": [interval.a, interval.b],
-            "label": system.family.label,
-        }
-    elif isinstance(system, DividedDifferenceSystem):
-        if system.size < 1:
-            raise ValueError("system must contain at least one function")
-        G = _dd_gram_entries(system, interval, quad_order)
-        descriptor = {
-            "system": "divided-difference",
-            "n": system.size,
-            "d": system.directions.d,
-            "interval": [interval.a, interval.b],
-            "normalized": system.normalize,
-            "label": system.basis.family.label,
-        }
-    else:
-        raise TypeError(f"unsupported system descriptor {type(system).__name__}")
-    return GramMatrix(entries=G, descriptor=descriptor)
-
-
-def fourier_gram(grid: FourierGrid) -> GramMatrix:
-    """Gram of the grid functions; identity up to machine rounding."""
-    L = grid.interval.length
-    gamma = grid.frequencies
-    theta = gamma[None, :] - gamma[:, None]
-    C = exp_inner_closed_form(theta, grid.interval) / L
-    G = np.kron(C, np.eye(grid.d))
-    return GramMatrix(entries=G, descriptor={"system": "fourier-grid", "n": grid.size})
+    return GramMatrix(entries=inner_matrix(system, system, interval, quad_order))
 
 
 def cross_inner_matrix(
@@ -339,11 +305,7 @@ def cross_inner_matrix(
     grid: FourierGrid,
 ) -> np.ndarray:
     """X[k, (n, j)] = (e_k, f_{n,j}), flattened n-major then direction index."""
-    L = grid.interval.length
-    theta = family.exponents[:, None] - grid.frequencies[None, :]
-    C = exp_inner_closed_form(theta, grid.interval)  # (nk, nn)
-    X = C[:, :, None] * directions.matrix[:, None, :] / math.sqrt(L)
-    return X.reshape(len(family), grid.size)
+    return inner_matrix(ExponentialSystem(family, directions), grid, grid.interval).T
 
 
 def projection_defect_norms(
@@ -419,87 +381,10 @@ def project_coefficients(target, sources, interval: IntervalSpec, quad_order: in
     products for an orthonormal target (a FourierGrid), Gram-inverse-weighted
     inner products otherwise.
     """
-    B = _cross_general(sources, target, interval, quad_order)
+    B = inner_matrix(sources, target, interval, quad_order)
     if isinstance(target, FourierGrid):
         return B
     Gt = assemble_gram(target, interval, quad_order)
     _spectral_gate(Gt)
     cho = cho_factor(Gt.entries, lower=False)
     return cho_solve(cho, B)
-
-
-def _profiles_and_vectors(system, interval: IntervalSpec):
-    """Unify systems as (list of node arrays, scale array, vector matrix)."""
-    if isinstance(system, ExponentialSystem):
-        nodes = [np.array([v]) for v in system.family.exponents]
-        scales = np.ones(len(nodes))
-        return nodes, scales, system.directions.matrix
-    if isinstance(system, DividedDifferenceSystem):
-        nodes = [desc.nodes for desc in system.basis.descriptors]
-        scales = np.ones(len(nodes))
-        if system.normalize:
-            rate = 2.0 * system.basis.max_abs_node()
-            t, w = oscillation_panel_rule(interval, rate, DEFAULT_PANEL_ORDER)
-            F = _dd_profile_matrix(system.basis, t)
-            scales = 1.0 / np.sqrt(np.real(np.sum(w * np.abs(F) ** 2, axis=1)))
-        return nodes, scales, system.directions.matrix
-    if isinstance(system, FourierGrid):
-        freqs = system.frequencies
-        nodes = []
-        vectors = []
-        for g in freqs:
-            for j in range(system.d):
-                nodes.append(np.array([g]))
-                e = np.zeros(system.d, dtype=complex)
-                e[j] = 1.0
-                vectors.append(e)
-        scale = np.full(len(nodes), 1.0 / math.sqrt(system.interval.length))
-        return nodes, scale, np.stack(vectors)
-    raise TypeError(f"unsupported system descriptor {type(system).__name__}")
-
-
-def _cross_general(sources, target, interval: IntervalSpec, quad_order: int) -> np.ndarray:
-    """B[alpha, s] = (source_s, target_alpha) in L2(I, H)."""
-    s_nodes, s_scale, s_vec = _profiles_and_vectors(sources, interval)
-    t_nodes, t_scale, t_vec = _profiles_and_vectors(target, interval)
-    if s_vec.shape[1] != t_vec.shape[1]:
-        raise ValueError("source and target systems live in different direction spaces")
-    all_single = all(x.size == 1 for x in s_nodes) and all(x.size == 1 for x in t_nodes)
-    if all_single:
-        ws = np.array([x[0] for x in s_nodes])
-        wt = np.array([x[0] for x in t_nodes])
-        M = exp_inner_closed_form(ws[:, None] - wt[None, :], interval)  # (s, alpha)
-    else:
-        rate = float(
-            max(np.max(np.abs(np.concatenate(s_nodes))), 0.0)
-            + max(np.max(np.abs(np.concatenate(t_nodes))), 0.0)
-        )
-        t, w = oscillation_panel_rule(interval, rate, quad_order)
-        Fs = np.stack([eval_divided_difference(x, t) for x in s_nodes])
-        Ft = np.stack([eval_divided_difference(x, t) for x in t_nodes])
-        M = (Fs * w) @ Ft.conj().T
-    overlap = (s_vec @ t_vec.conj().T) * s_scale[:, None] * t_scale[None, :]
-    return (overlap * M).T
-
-
-def gram_to_record(G: GramMatrix) -> dict:
-    """Structured-text export with complex entries as [re, im] pairs."""
-    return {
-        "descriptor": G.descriptor,
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in G.entries],
-    }
-
-
-def gram_from_record(record: dict) -> GramMatrix:
-    entries = np.array(
-        [[complex(re, im) for re, im in row] for row in record["entries"]], dtype=complex
-    )
-    return GramMatrix(entries=entries, descriptor=dict(record.get("descriptor", {})))
-
-
-def gram_to_json(G: GramMatrix) -> str:
-    return json.dumps(gram_to_record(G), sort_keys=True)
-
-
-def gram_from_json(text: str) -> GramMatrix:
-    return gram_from_record(json.loads(text))

@@ -3,12 +3,17 @@
 These deliberately avoid the code paths they are used to check: the counting
 oracle slides a window over explicit candidate anchors instead of trusting
 the left-endpoint argument, the quadrature oracle uses its own panel sizing,
-and the small linear-algebra oracles are written out by hand.
+and the small linear-algebra oracles are written out by hand.  The entrywise
+inner products evaluate one pair at a time, apart from the matrix kernel, and
+the majorant series is summed term by term, apart from its closed form.
 """
 
 import math
 
 import numpy as np
+
+from inghamlab.basisfuncs import eval_divided_difference
+from inghamlab.gram import DEFAULT_PANEL_ORDER, exp_inner_closed_form, oscillation_panel_rule
 
 
 def brute_count(exponents, r):
@@ -113,3 +118,33 @@ def parseval_tail_defect(omega, y, radius, interval_a, interval_b, n_span=200000
     gamma_span = 2.0 * math.pi * n_span / L
     remainder = 8.0 / (L * (gamma_span - abs(omega) - abs(y)))
     return math.sqrt(tail), math.sqrt(tail + remainder)
+
+
+def vector_inner(k, n, family, directions, interval):
+    """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I."""
+    wk = family.value(k)
+    wn = family.value(n)
+    Uk = directions.direction(k)
+    Un = directions.direction(n)
+    return complex(np.vdot(Un, Uk) * exp_inner_closed_form(wk - wn, interval))
+
+
+def dd_inner_quadrature(k, n, ddbasis, directions, interval, quad_order=DEFAULT_PANEL_ORDER):
+    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature."""
+    nodes_k = ddbasis.nodes_for(k)
+    nodes_n = ddbasis.nodes_for(n)
+    rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
+    t, w = oscillation_panel_rule(interval, rate, quad_order)
+    fk = eval_divided_difference(nodes_k, t)
+    fn = eval_divided_difference(nodes_n, t)
+    scalar = np.sum(w * fk * np.conj(fn))
+    return complex(np.vdot(directions.direction(n), directions.direction(k)) * scalar)
+
+
+def defect_majorant_series(d, length, R, n_terms=10**6):
+    """8 d |I|^-1 sum_{n>=0} (2 pi n / |I| + R)^-2: n_terms explicit terms plus the integral tail."""
+    a = 2.0 * math.pi / length
+    n = np.arange(n_terms, dtype=float)
+    series = float(np.sum(1.0 / (a * n + R) ** 2))
+    tail = 1.0 / (a * (a * n_terms + R))
+    return 8.0 * d / length * (series + tail)

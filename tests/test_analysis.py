@@ -32,10 +32,11 @@ from inghamlab.gram import (
     IntervalSpec,
     NearSingularGramError,
     assemble_gram,
+    dual_family,
     exp_inner_closed_form,
 )
 
-from oracles import hermitian_2x2_eigs, power_extremes
+from oracles import defect_majorant_series, hermitian_2x2_eigs, power_extremes
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,6 +214,16 @@ class TestTraceExperiment:
             assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
             assert exp.card_omega_r == int(np.sum(np.abs(fam.exponents - y) < r))
 
+    def test_dual_norms_match_dual_family(self):
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-30, 30], seed=7)
+        dirs = DirectionAssignment.random(fam, 2, seed=3)
+        exp = run_trace_experiment(fam, dirs, self.I, 0.0, 8.0, 20.0)
+        inside = np.flatnonzero(np.abs(fam.exponents) < 8.0)
+        sub = fam.slice_positions(int(inside[0]), int(inside[-1]))
+        GV = assemble_gram(ExponentialSystem(sub, dirs.subset(sub.indices)), self.I)
+        assert np.array_equal(exp.dual_norms, dual_family(GV).norms)
+
     def test_degenerate_span_rejected(self):
         fam = ExponentFamily(np.array([0.0, 0.0, 1.0]))
         dirs = DirectionAssignment.constant(fam, 1)
@@ -267,6 +278,23 @@ class TestDefectDecay:
 
                     defects = projection_defect_norms(sub, dirs.subset(sub.indices), grid)
                     assert float(np.max(defects)) ** 2 <= defect_majorant(1, self.I, R)
+
+    def test_majorant_closed_form_matches_series(self):
+        for length in (TWO_PI, 8.0, 1.3):
+            interval = IntervalSpec(0.0, length)
+            for R in (0.5, 1.0, 16.0, 200.0):
+                for d in (1, 2):
+                    series = defect_majorant_series(d, length, R)
+                    assert defect_majorant(d, interval, R) == pytest.approx(series, rel=1e-9)
+
+    def test_nonpositive_R_rejected(self):
+        for R in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="R must be positive"):
+                defect_majorant(1, self.I, R)
+        fam = generate_family("lattice", spacing=1.0, window=[-10, 10])
+        dirs = DirectionAssignment.constant(fam, 1)
+        with pytest.raises(ValueError, match="positive"):
+            defect_decay_fit(fam, dirs, self.I, 0.0, 3.0, [-0.5, 8.0, 16.0, 32.0])
 
     def test_majorant_series_value(self):
         # 8/(2 pi) * sum_{n>=0} 1/(n+R)^2 for |I| = 2 pi; check against the

@@ -241,6 +241,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err
 
+    def test_nonpositive_R_grid_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "decay.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "command": "defect-decay",
+                    "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
+                    "interval": [0.0, TWO_PI],
+                    "grids": {"R": [-0.5, 8.0, 16.0, 32.0]},
+                    "params": {"y": 0.5, "r": 3.0},
+                    "output": {"path": str(tmp_path / "out.csv"), "format": "csv"},
+                }
+            )
+        )
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "grid 'R' must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_numerical_exit_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "singular.json"
         out = tmp_path / "out.csv"

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,12 +9,7 @@ from inghamlab.exponents import (
     counting_function,
     detect_chains,
     estimate_density,
-    family_from_json,
-    family_from_record,
-    family_to_json,
-    family_to_record,
     generate_family,
-    generate_from_record,
     validate_gaps,
 )
 
@@ -259,32 +253,6 @@ class TestGenerateFamily:
             generate_family("lattice", spacing=-1.0, window=[0, 4])
         with pytest.raises(ValueError):
             generate_family("clustered-pairs", spacing=1.0, delta=2.0, window=[0, 4])
-
-
-class TestSerialization:
-    def test_record_round_trip(self):
-        fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 6])
-        rec = family_to_record(fam)
-        back = family_from_record(json.loads(json.dumps(rec)))
-        assert np.array_equal(back.exponents, fam.exponents)
-        assert back.label == fam.label
-        assert back.first_index == fam.first_index
-
-    def test_json_round_trip(self):
-        fam = ExponentFamily(np.array([0.0, 0.25, 1.75]), label="probe", first_index=-1)
-        back = family_from_json(family_to_json(fam))
-        assert np.array_equal(back.exponents, fam.exponents)
-        assert back.first_index == -1
-
-    def test_generator_record(self):
-        rec = {
-            "kind": "perturbed-lattice",
-            "params": {"spacing": 1.0, "max_perturbation": 0.1, "window": [-8, 8]},
-            "seed": 3,
-        }
-        fam = generate_from_record(rec)
-        assert len(fam) == 17
-        assert np.array_equal(fam.exponents, generate_from_record(rec).exponents)
 
 
 class TestFamilyInvariants:

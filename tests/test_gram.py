@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -21,21 +20,20 @@ from inghamlab.gram import (
     assemble_gram,
     biorthogonality_residual,
     cross_inner_matrix,
-    dd_inner_quadrature,
     dual_family,
     energy_quadratic_form,
     exp_inner_closed_form,
-    fourier_gram,
-    gram_from_json,
-    gram_from_record,
-    gram_to_json,
-    gram_to_record,
     project_coefficients,
     projection_defect_norms,
-    vector_inner,
 )
 
-from oracles import composite_gl_exp_integral, dense_panel_rule, invert_2x2
+from oracles import (
+    composite_gl_exp_integral,
+    dd_inner_quadrature,
+    dense_panel_rule,
+    invert_2x2,
+    vector_inner,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,7 +139,7 @@ class TestFourierGrid:
     def test_orthonormal(self):
         I = IntervalSpec(0.7, 0.7 + 1.9)
         grid = FourierGrid.centered(I, 3, y=0.0, radius=40.0)
-        G = fourier_gram(grid)
+        G = assemble_gram(grid, I)
         assert np.max(np.abs(G.entries - np.eye(grid.size))) < 1e-12
 
     def test_size_counts_directions(self):
@@ -339,7 +337,7 @@ class TestProjections:
         dirs = DirectionAssignment.constant(fam, 1)
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=12.0)
         coef = project_coefficients(grid, ExponentialSystem(fam, dirs), self.I)
-        again = fourier_gram(grid).entries @ coef
+        again = assemble_gram(grid, self.I).entries @ coef
         assert np.max(np.abs(again - coef)) < 1e-12
 
     def test_reconstruction_error_shrinks_with_grid(self):
@@ -420,19 +418,3 @@ class TestProjections:
             bound = 2.0 / (math.sqrt(L) * abs(omega - gamma))
             assert np.all(np.abs(X) <= bound + 1e-12)
 
-
-class TestGramSerialization:
-    def test_record_round_trip(self):
-        fam = ExponentFamily(np.array([0.0, 0.4, 1.1]))
-        dirs = DirectionAssignment.constant(fam, 1)
-        G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(0, 2.0))
-        rec = gram_to_record(G)
-        assert rec["entries"][0][0] == [pytest.approx(2.0), 0.0]
-        back = gram_from_record(json.loads(json.dumps(rec)))
-        assert np.array_equal(back.entries, G.entries)
-        assert back.descriptor == G.descriptor
-
-    def test_json_round_trip(self):
-        G = GramMatrix(entries=np.array([[2.0, 1j], [-1j, 3.0]]), descriptor={"system": "probe"})
-        back = gram_from_json(gram_to_json(G))
-        assert np.array_equal(back.entries, G.entries)
