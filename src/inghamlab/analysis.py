@@ -142,34 +142,31 @@ def _stability_verdict(sizes, lmins, lmaxs) -> str:
     return "indeterminate"
 
 
-def _centered_slice(family: ExponentFamily, N: int) -> ExponentFamily:
-    n = len(family)
-    if 2 * N + 1 > n:
-        raise ValueError(f"family window of {n} exponents cannot supply 2N+1 = {2 * N + 1}")
-    mid = n // 2
-    return family.slice_positions(mid - N, mid + N)
-
-
 def frame_bound_sequence(
     family: ExponentFamily,
-    directions_rule,
+    directions: DirectionAssignment,
     interval: IntervalSpec,
     N_grid,
 ) -> FrameBoundReport:
     """Extreme Gram eigenvalues of the 2N+1 centered functions for each N.
 
-    ``directions_rule`` maps a subfamily to its DirectionAssignment (for
-    example ``lambda fam: DirectionAssignment.constant(fam, 1)``).
+    ``directions`` assigns one vector per family index.  The Gram is
+    assembled once at the largest N; each smaller truncation is its centered
+    principal submatrix, so the sections interlace.
     """
     sizes = [int(N) for N in N_grid]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("N_grid must be strictly increasing")
+    N_max, n = sizes[-1], len(family)
+    if 2 * N_max + 1 > n:
+        raise GridPointFailure(f"at N={N_max}: family window of {n} exponents cannot supply 2N+1 = {2 * N_max + 1}")
+    sub = family.slice_positions(n // 2 - N_max, n // 2 + N_max)
+    G = assemble_gram(ExponentialSystem(sub, directions.subset(sub.indices)), interval).entries
     lmins, lmaxs = [], []
     for N in sizes:
+        block = slice(N_max - N, N_max + N + 1)
         try:
-            sub = _centered_slice(family, N)
-            system = ExponentialSystem(sub, directions_rule(sub))
-            lo, hi = extreme_eigenvalues(assemble_gram(system, interval))
+            lo, hi = extreme_eigenvalues(G[block, block])
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at N={N}: {exc}") from exc
         lmins.append(lo)
@@ -222,7 +219,7 @@ def _run_grid(jobs, threads: int):
 
 def threshold_sweep(
     family: ExponentFamily,
-    directions_rule,
+    directions: DirectionAssignment,
     lengths,
     N_max: int = 128,
     start: float = 0.0,
@@ -246,9 +243,7 @@ def threshold_sweep(
     def job_for(L):
         def job():
             try:
-                return frame_bound_sequence(
-                    family, directions_rule, IntervalSpec.of_length(L, start), N_grid
-                )
+                return frame_bound_sequence(family, directions, IntervalSpec.of_length(L, start), N_grid)
             except GridPointFailure as exc:
                 raise GridPointFailure(f"at interval_length={L:.6g}: {exc}") from exc
 
@@ -323,6 +318,15 @@ def default_trace_geometry(family: ExponentFamily, margin: int = 1) -> tuple[flo
     return float(y), float(r)
 
 
+def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r: float):
+    """The subfamily of exponents with |w_k - y| < r, and its directions."""
+    inside = np.flatnonzero(np.abs(family.exponents - y) < r)
+    if inside.size == 0:
+        raise ValueError("no exponents inside the window: V_r is empty")
+    sub = family.slice_positions(int(inside[0]), int(inside[-1]))
+    return sub, directions.subset(sub.indices)
+
+
 def run_trace_experiment(
     family: ExponentFamily,
     directions: DirectionAssignment,
@@ -340,12 +344,7 @@ def run_trace_experiment(
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
-    x = family.exponents
-    inside = np.flatnonzero(np.abs(x - y) < r)
-    if inside.size == 0:
-        raise ValueError("no exponents inside the window: V_r is empty")
-    sub = family.slice_positions(int(inside[0]), int(inside[-1]))
-    sdirs = directions.subset(sub.indices)
+    sub, sdirs = _window(family, directions, y, r)
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
     GV = assemble_gram(ExponentialSystem(sub, sdirs), interval)
     _spectral_gate(GV)
@@ -367,7 +366,7 @@ def run_trace_experiment(
         card_gamma=int(grid.n_values.size),
         trace_S=trace_direct,
         trace_decomposed=trace_decomposed,
-        defect_norms=projection_defect_norms(sub, sdirs, grid),
+        defect_norms=projection_defect_norms(X, interval),
         dual_norms=np.sqrt(np.real(np.diag(C))),
         lemma2_bound=float(directions.d * grid.n_values.size),
     )
@@ -398,8 +397,10 @@ def defect_decay_fit(
 ) -> DefectDecayFit:
     """Log-log fit of the worst grid-projection defect against R.
 
-    The fitted quantity is max over k in the window of ||(Q_{r+R} - Id) e_k||;
-    exactly representable families (defect at rounding level) short-circuit
+    The fitted quantity is max over k in the window of ||(Q_{r+R} - Id) e_k||.
+    The grids for increasing R are nested and centered on y, so one cross
+    matrix at r + max(R) serves every R through a contiguous column block.
+    Exactly representable families (defect at rounding level) short-circuit
     to the degenerate-zero-defect flag instead of fitting noise.
     """
     Rs = np.asarray(R_grid, dtype=float)
@@ -409,19 +410,21 @@ def defect_decay_fit(
         raise ValueError("R grid must be strictly increasing")
     if not np.all(Rs > 0):
         raise ValueError("R grid must be positive")
-    x = family.exponents
-    inside = np.flatnonzero(np.abs(x - y) < r)
-    if inside.size == 0:
-        raise ValueError("no exponents inside the window")
-    sub = family.slice_positions(int(inside[0]), int(inside[-1]))
-    sdirs = directions.subset(sub.indices)
+    sub, sdirs = _window(family, directions, y, r)
+    try:
+        grid = FourierGrid.centered(interval, directions.d, y, r + Rs[-1])
+    except ValueError as exc:  # every smaller grid is empty too
+        raise GridPointFailure(f"at R={Rs[0]:.6g}: {exc}") from exc
+    X = cross_inner_matrix(sub, sdirs, grid)
+    gamma = grid.frequencies
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
-        try:
-            grid = FourierGrid.centered(interval, directions.d, y, r + R)
-            maxima[i] = projection_defect_norms(sub, sdirs, grid).max()
-        except ValueError as exc:
-            raise GridPointFailure(f"at R={R:.6g}: {exc}") from exc
+        # the same test FourierGrid.centered applies at radius r + R
+        cols = np.flatnonzero(np.abs(gamma - y) < r + R)
+        if cols.size == 0:
+            raise GridPointFailure(f"at R={R:.6g}: no grid frequencies inside the window")
+        block = X[:, cols[0] * grid.d : (cols[-1] + 1) * grid.d]
+        maxima[i] = projection_defect_norms(block, interval).max()
     if np.all(maxima <= 1e-7 * math.sqrt(interval.length)):
         return DefectDecayFit(R_grid=Rs, max_defects=maxima, slope=float("nan"),
                               intercept=float("nan"), degenerate_zero_defect=True)

@@ -71,13 +71,9 @@ class DirectionAssignment:
         return cls(d=d, matrix=U, indices=family.indices)
 
     @classmethod
-    def from_partition(cls, partition, family: ExponentFamily | None = None) -> "DirectionAssignment":
-        """U_k = E_j for indices of class j (orthonormal coordinate directions).
-
-        ``family`` may be a slice of the partitioned family; its index labels
-        look up their classes in the parent partition.
-        """
-        fam = partition.family if family is None else family
+    def from_partition(cls, partition) -> "DirectionAssignment":
+        """U_k = E_j for indices of class j (orthonormal coordinate directions)."""
+        fam = partition.family
         U = np.zeros((len(fam), partition.d), dtype=complex)
         for pos, index in enumerate(fam.indices):
             U[pos, partition.class_of[int(index)] - 1] = 1.0
@@ -321,6 +317,3 @@ class DividedDifferenceBasis:
     def evaluate(self, index: int, t):
         """f_index(t); scalar or array t."""
         return eval_divided_difference(self.nodes_for(index), t)
-
-    def max_abs_node(self) -> float:
-        return max(float(np.max(np.abs(d.nodes))) for d in self.descriptors)

@@ -91,6 +91,11 @@ _REQUIRED_PARAMS = {
 _NEEDS_INTERVAL = ("gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
 
 
+def _finite(value) -> bool:
+    """A JSON number other than a bool, Infinity or NaN."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Validate a JSON config document, collecting every error."""
     errors: list[str] = []
@@ -119,7 +124,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("family.params must be an object")
 
     seed = raw.get("seed", family.get("seed", 0) if isinstance(family, dict) else 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         errors.append("seed must be a nonnegative integer")
         seed = 0
 
@@ -132,7 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if rule not in DIRECTION_RULES:
             errors.append(f"directions.rule must be one of {', '.join(DIRECTION_RULES)}, got {rule!r}")
         d = directions.get("d", 1)
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             errors.append("directions.d must be a positive integer")
         if rule == "partition" and "alpha" not in directions:
             errors.append("directions.rule 'partition' requires directions.alpha")
@@ -142,9 +147,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if (
             not isinstance(interval, (list, tuple))
             or len(interval) != 2
-            or not all(isinstance(v, (int, float)) for v in interval)
+            or not all(_finite(v) for v in interval)
         ):
-            errors.append("interval must be a pair [a, b] of numbers")
+            errors.append("interval must be a pair [a, b] of finite numbers")
         elif not interval[1] > interval[0]:
             errors.append("interval must satisfy b > a")
     if command in _NEEDS_INTERVAL and interval is None:
@@ -158,8 +163,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(grid, list) or not grid:
             errors.append(f"grid {name!r} must be a nonempty list")
             continue
-        if not all(isinstance(v, (int, float)) for v in grid):
-            errors.append(f"grid {name!r} must contain numbers only")
+        if not all(_finite(v) for v in grid):
+            errors.append(f"grid {name!r} must contain finite numbers only")
             continue
         if any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append(f"grid {name!r} not increasing")
@@ -176,6 +181,11 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in _REQUIRED_PARAMS.get(command, []):
         if name not in params:
             errors.append(f"missing required parameter {name!r} for command {command!r}")
+    for name, value in params.items():
+        if type(value) is float and not math.isfinite(value):
+            errors.append(f"parameter {name!r} must be finite")
+    if "N_max" in params and not (type(params["N_max"]) is int and params["N_max"] >= 1):
+        errors.append("parameter 'N_max' must be a positive integer")
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -186,9 +196,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"output.format must be 'csv' or 'json', got {output_format!r}")
     output_path = output.get("path", "experiment." + (output_format if output_format in ("csv", "json") else "csv"))
 
-    if errors:
-        raise ConfigError(errors)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         command=command,
         family=family,
         seed=seed,
@@ -199,6 +207,17 @@ def parse_config(text: str) -> ExperimentConfig:
         output_path=str(output_path),
         output_format=output_format,
     )
+    # build the family once to validate its parameters (dd-condition builds its own families)
+    if command != "dd-condition" and family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
+        try:
+            _build_family(config)
+        except KeyError as exc:
+            errors.append(f"family.params is missing {exc.args[0]!r}")
+        except (ValueError, TypeError) as exc:
+            errors.append(f"family.params: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
 def _build_family(config: ExperimentConfig):
@@ -209,20 +228,18 @@ def _build_family(config: ExperimentConfig):
     return generate_family(kind, **params)
 
 
-def _directions_rule(config: ExperimentConfig, family):
+def _directions(config: ExperimentConfig, family) -> DirectionAssignment:
+    """One direction per family index; experiments on subfamilies take subsets."""
     options = config.directions
     rule = options.get("rule", "constant")
     d = int(options.get("d", 1))
     if rule == "constant":
-        axis = int(options.get("axis", 0))
-        return lambda fam: DirectionAssignment.constant(fam, d, axis=axis)
+        return DirectionAssignment.constant(family, d, axis=int(options.get("axis", 0)))
     if rule == "partition":
         partition = build_sharpness_partition(family, d, float(options["alpha"]), options.get("period_count"))
-        return lambda fam: DirectionAssignment.from_partition(partition, fam)
-    if rule == "random":
-        seed = int(options.get("seed", config.seed))
-        return lambda fam: DirectionAssignment.random(fam, d, seed=seed)
-    raise ConfigError([f"unknown directions rule {rule!r}"])
+        return DirectionAssignment.from_partition(partition)
+    # parse_config admits only the three rules
+    return DirectionAssignment.random(family, d, seed=int(options.get("seed", config.seed)))
 
 
 def _fmt(value) -> str:
@@ -252,9 +269,8 @@ def _run_density(config: ExperimentConfig):
 
 def _run_gram(config: ExperimentConfig):
     family = _build_family(config)
-    rule = _directions_rule(config, family)
     interval = IntervalSpec(*config.interval)
-    G = assemble_gram(ExponentialSystem(family, rule(family)), interval)
+    G = assemble_gram(ExponentialSystem(family, _directions(config, family)), interval)
     lo, hi = extreme_eigenvalues(G)
     rows = [
         {"row": j, "col": k, "re": float(G.entries[j, k].real), "im": float(G.entries[j, k].imag)}
@@ -267,11 +283,11 @@ def _run_gram(config: ExperimentConfig):
 
 def _run_bounds_sweep(config: ExperimentConfig):
     family = _build_family(config)
-    rule = _directions_rule(config, family)
+    directions = _directions(config, family)
     lengths = config.grids["lengths"]
-    N_max = int(config.params.get("N_max", 128))
+    N_max = config.params.get("N_max", 128)
     start = float(config.interval[0])
-    sweep = threshold_sweep(family, rule, lengths, N_max=N_max, start=start, threads=config.threads)
+    sweep = threshold_sweep(family, directions, lengths, N_max=N_max, start=start, threads=config.threads)
     rows = sweep.to_rows()
     summary = {
         "transition_bracket": sweep.metadata["transition_bracket"],
@@ -280,37 +296,25 @@ def _run_bounds_sweep(config: ExperimentConfig):
     return rows, summary
 
 
-def _run_trace(config: ExperimentConfig):
+def _window_args(config: ExperimentConfig):
+    """(family, directions, interval, y, r): the window arguments of trace and defect-decay."""
     family = _build_family(config)
-    rule = _directions_rule(config, family)
-    interval = IntervalSpec(*config.interval)
     y = float(config.params.get("y", 0.5 * (family.exponents[0] + family.exponents[-1])))
-    r = float(config.params["r"])
-    R = float(config.params["R"])
-    exp = run_trace_experiment(family, rule(family), interval, y, r, R)
+    return family, _directions(config, family), IntervalSpec(*config.interval), y, float(config.params["r"])
+
+
+def _run_trace(config: ExperimentConfig):
+    exp = run_trace_experiment(*_window_args(config), float(config.params["R"]))
     return [exp.to_row()], {"card_omega_r": exp.card_omega_r, "card_gamma": exp.card_gamma}
 
 
 def _run_defect_decay(config: ExperimentConfig):
-    family = _build_family(config)
-    rule = _directions_rule(config, family)
-    interval = IntervalSpec(*config.interval)
-    y = float(config.params.get("y", 0.5 * (family.exponents[0] + family.exponents[-1])))
-    r = float(config.params["r"])
-    d = int(config.directions.get("d", 1))
-    fit = defect_decay_fit(family, rule(family), interval, y, r, config.grids["R"])
+    family, directions, interval, y, r = _window_args(config)
+    fit = defect_decay_fit(family, directions, interval, y, r, config.grids["R"])
     rows = []
-    for R, defect in zip(fit.R_grid, fit.max_defects):
-        majorant = defect_majorant(d, interval, float(R))
-        rows.append(
-            {
-                "R": float(R),
-                "max_defect": float(defect),
-                "defect_squared": float(defect**2),
-                "majorant": majorant,
-                "below_majorant": bool(defect**2 <= majorant),
-            }
-        )
+    for row in fit.to_rows():
+        majorant = defect_majorant(directions.d, interval, row["R"])
+        rows.append({**row, "majorant": majorant, "below_majorant": row["defect_squared"] <= majorant})
     summary = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -498,10 +502,7 @@ def main(argv=None) -> int:
         config.output_format = args.format
     try:
         return run(config, out_path=args.out)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (NumericalFailure, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -308,19 +308,15 @@ def cross_inner_matrix(
     return inner_matrix(ExponentialSystem(family, directions), grid, grid.interval).T
 
 
-def projection_defect_norms(
-    family: ExponentFamily,
-    directions: DirectionAssignment,
-    grid: FourierGrid,
-) -> np.ndarray:
-    """Per-index norm of (Q - Id) e_k for Q the grid projection.
+def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray:
+    """Per-index norm of (Q - Id) e_k for Q the projection onto the grid of X.
 
+    ``X`` is a cross matrix (rows e_k, columns orthonormal grid functions).
     Parseval on the full grid gives ||e_k||^2 = |I|, so the defect is the
     complement of the captured coefficient energy.
     """
-    X = cross_inner_matrix(family, directions, grid)
     captured = np.sum(np.abs(X) ** 2, axis=1)
-    return np.sqrt(np.clip(grid.interval.length - captured, 0.0, None))
+    return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 
 def energy_quadratic_form(G: GramMatrix, coeffs) -> float:

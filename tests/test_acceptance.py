@@ -67,10 +67,6 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def constant_rule(d=1):
-    return lambda fam: DirectionAssignment.constant(fam, d)
-
-
 def test_criterion_01_parseval_baseline():
     started = time.perf_counter()
     fam = generate_family("lattice", spacing=1.0, window=[-64, 64])
@@ -78,7 +74,7 @@ def test_criterion_01_parseval_baseline():
     I = IntervalSpec(0, TWO_PI)
     G = assemble_gram(ExponentialSystem(fam, dirs), I)
     entry_residual = float(np.max(np.abs(G.entries - TWO_PI * np.eye(len(fam)))))
-    rep = frame_bound_sequence(fam, constant_rule(), I, [8, 16, 32, 64])
+    rep = frame_bound_sequence(fam, dirs, I, [8, 16, 32, 64])
     bounds_ok = all(
         abs(lo - TWO_PI) < 1e-10 and abs(hi - TWO_PI) < 1e-10
         for lo, hi in zip(rep.lambda_min, rep.lambda_max)
@@ -94,7 +90,8 @@ def test_criterion_01_parseval_baseline():
 
 def test_criterion_02_supercritical_stability():
     fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
-    rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec.of_length(2.2 * math.pi), [16, 32, 64, 128])
+    dirs = DirectionAssignment.constant(fam, 1)
+    rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [16, 32, 64, 128])
     positive = all(v > 0 for v in rep.lambda_min)
     rel_change = abs(rep.lambda_min[-1] - rep.lambda_min[-2]) / rep.lambda_min[-2]
     _report(
@@ -107,7 +104,8 @@ def test_criterion_02_supercritical_stability():
 
 def test_criterion_03_subcritical_degeneration():
     fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
-    rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec.of_length(1.8 * math.pi), [16, 32, 64, 128])
+    dirs = DirectionAssignment.constant(fam, 1)
+    rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [16, 32, 64, 128])
     floor = EIGEN_FLOOR_RTOL * max(rep.lambda_max)
     # strictly decreasing until both neighbors sit at the double-precision floor
     decreasing = all(
@@ -138,8 +136,7 @@ def test_criterion_04_vectorial_sharpness_block_identity():
     pos1 = [fam.position(i) for i in part.class_indices(1)]
     pos2 = [fam.position(i) for i in part.class_indices(2)]
     residual = max(residual, float(np.max(np.abs(G.entries[np.ix_(pos1, pos2)]))))
-    rule = lambda sub: DirectionAssignment.from_partition(part, sub)
-    sweep = threshold_sweep(fam, rule, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
+    sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
     verdicts = [r.verdict for r in sweep.results]
     _report(
         4,

@@ -5,6 +5,7 @@ import pytest
 
 from inghamlab.analysis import (
     DefectDecayFit,
+    GridPointFailure,
     SweepResult,
     conditioning_comparison,
     dd_threshold_check,
@@ -32,8 +33,10 @@ from inghamlab.gram import (
     IntervalSpec,
     NearSingularGramError,
     assemble_gram,
+    cross_inner_matrix,
     dual_family,
     exp_inner_closed_form,
+    projection_defect_norms,
 )
 
 from oracles import defect_majorant_series, hermitian_2x2_eigs, power_extremes
@@ -43,10 +46,6 @@ TWO_PI = 2.0 * math.pi
 # measured with the eigensolve oracle at delta = 1e-3, I = (0, 2pi),
 # pair spacing 2, window [0, 8], normalized divided-difference Gram
 MEASURED_CONDITIONING_RATIO = 5.42e4
-
-
-def constant_rule(d=1):
-    return lambda fam: DirectionAssignment.constant(fam, d)
 
 
 class TestExtremeEigenvalues:
@@ -87,7 +86,8 @@ class TestExtremeEigenvalues:
 class TestFrameBoundSequence:
     def test_parseval_baseline_exact(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec(0, TWO_PI), [8, 16, 32, 64])
+        dirs = DirectionAssignment.constant(fam, 1)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16, 32, 64])
         for lo, hi in zip(rep.lambda_min, rep.lambda_max):
             assert lo == pytest.approx(TWO_PI, abs=1e-10)
             assert hi == pytest.approx(TWO_PI, abs=1e-10)
@@ -95,13 +95,15 @@ class TestFrameBoundSequence:
 
     def test_supercritical_stable(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec.of_length(2.2 * math.pi), [8, 16, 32, 64])
+        dirs = DirectionAssignment.constant(fam, 1)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [8, 16, 32, 64])
         assert all(v > 1.0 for v in rep.lambda_min)
         assert rep.verdict == "stable"
 
     def test_subcritical_degenerating(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec.of_length(1.8 * math.pi), [8, 16, 32, 64])
+        dirs = DirectionAssignment.constant(fam, 1)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [8, 16, 32, 64])
         assert rep.verdict == "degenerating"
         floor = rep.floor()
         above = [v for v in rep.lambda_min if v > floor]
@@ -110,13 +112,32 @@ class TestFrameBoundSequence:
     def test_interlacing(self):
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.15,
                               window=[-80, 80], seed=3)
-        rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec.of_length(2.3 * math.pi), [4, 8, 16, 32])
+        dirs = DirectionAssignment.constant(fam, 1)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.3 * math.pi), [4, 8, 16, 32])
         assert all(b <= a + 1e-10 for a, b in zip(rep.lambda_min, rep.lambda_min[1:]))
         assert all(b >= a - 1e-10 for a, b in zip(rep.lambda_max, rep.lambda_max[1:]))
 
+    @pytest.mark.parametrize("family_seed", [3, 5])
+    def test_random_directions_interlace(self, family_seed):
+        # one direction per family index: every truncation is a principal
+        # submatrix of the largest, so Cauchy interlacing must hold
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-64, 64], seed=family_seed)
+        dirs = DirectionAssignment.random(fam, 2, seed=5)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(5.0), [8, 16, 32, 64])
+        tol = 1e-12 * max(rep.lambda_max)
+        assert all(b <= a + tol for a, b in zip(rep.lambda_min, rep.lambda_min[1:]))
+        assert all(b >= a - tol for a, b in zip(rep.lambda_max, rep.lambda_max[1:]))
+
+    def test_short_family_names_grid_point(self):
+        fam = generate_family("lattice", spacing=1.0, window=[-20, 20])
+        with pytest.raises(GridPointFailure, match="at N=32: family window of 41 exponents"):
+            frame_bound_sequence(fam, DirectionAssignment.constant(fam, 1), IntervalSpec(0, TWO_PI), [8, 16, 32])
+
     def test_rows_serialize(self):
         fam = generate_family("lattice", spacing=1.0, window=[-40, 40])
-        rep = frame_bound_sequence(fam, constant_rule(), IntervalSpec(0, TWO_PI), [8, 16])
+        dirs = DirectionAssignment.constant(fam, 1)
+        rep = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16])
         rows = rep.to_rows()
         assert len(rows) == 2
         assert set(rows[0]) == {"interval_length", "N", "lambda_min", "lambda_max", "verdict"}
@@ -126,7 +147,8 @@ class TestThresholdSweep:
     def test_scalar_transition(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         lengths = [1.6 * math.pi, 1.8 * math.pi, 2.2 * math.pi, 2.4 * math.pi]
-        sweep = threshold_sweep(fam, constant_rule(), lengths, N_max=64)
+        dirs = DirectionAssignment.constant(fam, 1)
+        sweep = threshold_sweep(fam, dirs, lengths, N_max=64)
         assert [r.verdict for r in sweep.results] == [
             "degenerating", "degenerating", "stable", "stable",
         ]
@@ -137,15 +159,15 @@ class TestThresholdSweep:
     def test_even_odd_vector_transition(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         part = build_sharpness_partition(fam, d=2, alpha=0.5)
-        rule = lambda sub: DirectionAssignment.from_partition(part, sub)
-        sweep = threshold_sweep(fam, rule, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
+        dirs = DirectionAssignment.from_partition(part)
+        sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
         assert [r.verdict for r in sweep.results] == ["degenerating", "stable"]
 
     def test_single_class_reduces_to_scalar(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         part = build_sharpness_partition(fam, d=2, alpha=1.0)
-        rule = lambda sub: DirectionAssignment.from_partition(part, sub)
-        sweep = threshold_sweep(fam, rule, [1.8 * math.pi, 2.2 * math.pi], N_max=64)
+        dirs = DirectionAssignment.from_partition(part)
+        sweep = threshold_sweep(fam, dirs, [1.8 * math.pi, 2.2 * math.pi], N_max=64)
         assert [r.verdict for r in sweep.results] == ["degenerating", "stable"]
 
     def test_eq4_reduction_to_class_extremes(self):
@@ -153,7 +175,7 @@ class TestThresholdSweep:
         part = build_sharpness_partition(fam, d=2, alpha=0.5)
         I = IntervalSpec.of_length(1.3 * math.pi)
         sub = fam.slice_positions(len(fam) // 2 - 24, len(fam) // 2 + 24)
-        vec = assemble_gram(ExponentialSystem(sub, DirectionAssignment.from_partition(part, sub)), I)
+        vec = assemble_gram(ExponentialSystem(sub, DirectionAssignment.from_partition(part).subset(sub.indices)), I)
         lo_v, hi_v = extreme_eigenvalues(vec)
         los, his = [], []
         for j in (1, 2):
@@ -257,6 +279,30 @@ class TestDefectDecay:
         for R, defect in zip(fit.R_grid, fit.max_defects):
             assert defect**2 <= defect_majorant(1, self.I, float(R))
 
+    def test_maxima_match_per_R_cross_matrices(self):
+        # the column blocks of the one cross matrix at r + max(R) reproduce,
+        # bit for bit, a cross matrix built on FourierGrid.centered per R
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-60, 60], seed=2)
+        dirs = DirectionAssignment.random(fam, 2, seed=1)
+        I, y, r = IntervalSpec(0.0, 8.0), 0.3, 25.0
+        Rs = [5.0, 10.0, 20.0, 40.0, 80.0]
+        fit = defect_decay_fit(fam, dirs, I, y, r, Rs)
+        inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+        sub = fam.slice_positions(int(inside[0]), int(inside[-1]))
+        sdirs = dirs.subset(sub.indices)
+        for R, got in zip(Rs, fit.max_defects):
+            X = cross_inner_matrix(sub, sdirs, FourierGrid.centered(I, 2, y, r + R))
+            assert got == projection_defect_norms(X, I).max()
+
+    @pytest.mark.parametrize("Rs", [[1.0, 2.0, 3.0, 4.0], [0.25, 0.5, 1.0, 2.0]])
+    def test_empty_grid_names_first_R(self, Rs):
+        # on |I| = 1 the grid frequencies are 2 pi n, all at distance pi from y
+        fam = generate_family("explicit", exponents=[3.0, 3.1, 3.2])
+        dirs = DirectionAssignment.constant(fam, 1)
+        with pytest.raises(GridPointFailure, match=f"at R={Rs[0]:.6g}: no grid frequencies"):
+            defect_decay_fit(fam, dirs, IntervalSpec(0.0, 1.0), math.pi, 0.5, Rs)
+
     def test_grid_validation(self):
         fam = generate_family("lattice", spacing=1.0, window=[-10, 10])
         dirs = DirectionAssignment.constant(fam, 1)
@@ -274,9 +320,8 @@ class TestDefectDecay:
                     grid = FourierGrid.centered(self.I, 1, y, r + R)
                     inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
                     sub = fam.slice_positions(int(inside[0]), int(inside[-1]))
-                    from inghamlab.gram import projection_defect_norms
-
-                    defects = projection_defect_norms(sub, dirs.subset(sub.indices), grid)
+                    X = cross_inner_matrix(sub, dirs.subset(sub.indices), grid)
+                    defects = projection_defect_norms(X, self.I)
                     assert float(np.max(defects)) ** 2 <= defect_majorant(1, self.I, R)
 
     def test_majorant_closed_form_matches_series(self):

@@ -83,6 +83,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{nope")
 
+    @pytest.mark.parametrize("family", [
+        {"kind": "lattice", "params": {"spacing": -1.0, "window": [0, 4]}},
+        {"kind": "perturbed-lattice", "params": {"window": [0, 4]}},
+        {"kind": "lattice", "params": {"window": 4}},
+    ])
+    def test_family_built_at_parse_time(self, family):
+        raw = density_config("out.csv")
+        raw["family"] = family
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert [e for e in err.value.errors if e.startswith("family.params")]
+
+    @pytest.mark.parametrize("N_max", [0, True, 16.0])
+    def test_N_max_must_be_positive_integer(self, N_max):
+        raw = density_config("out.csv")
+        raw["params"] = {"N_max": N_max}
+        with pytest.raises(ConfigError, match="'N_max' must be a positive integer"):
+            parse_config(json.dumps(raw))
+
 
 class TestRunArtifacts:
     def test_density_csv_deterministic(self, tmp_path):
@@ -258,6 +277,50 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert "grid 'R' must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_bool_integers_rejected(self, tmp_path, capsys):
+        raw = density_config(tmp_path / "out.csv")
+        raw["seed"] = True
+        raw["directions"] = {"rule": "constant", "d": True}
+        cfg_path = tmp_path / "bools.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer" in err
+        assert "directions.d must be a positive integer" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys):
+        raw = trace_config(tmp_path / "out.csv")
+        raw["interval"] = [0.0, math.inf]
+        raw["params"]["R"] = math.nan
+        raw["grids"] = {"r": [1.0, -math.inf]}
+        cfg_path = tmp_path / "inf.json"
+        cfg_path.write_text(json.dumps(raw))  # written as Infinity / NaN
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "interval must be a pair [a, b] of finite numbers" in err
+        assert "parameter 'R' must be finite" in err
+        assert "grid 'r' must contain finite numbers only" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_family_parameter_errors_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        raw = {
+            "command": "bounds-sweep",
+            "family": {"kind": "lattice", "params": {"spcing": 1.0, "window": [-40, 40]}},
+            "interval": [0.0, 1.0],
+            "grids": {"lengths": [5.0, 7.0]},
+            "params": {"N_max": "abc"},
+            "output": {"path": str(out), "format": "csv"},
+        }
+        cfg_path = tmp_path / "family.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: family.params: unexpected parameters for kind 'lattice': ['spcing']" in err
+        assert "config error: parameter 'N_max' must be a positive integer" in err
+        assert not out.exists()
 
     def test_numerical_exit_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "singular.json"

@@ -221,7 +221,8 @@ class TestDividedDifferenceGram:
         assert dd_inner_quadrature(0, 1, basis, dirs, self.I) == 0.0
 
     def test_entry_against_denser_quadrature(self):
-        t, w = dense_panel_rule(self.I.a, self.I.b, rate=2 * self.basis.max_abs_node())
+        rate = 2 * max(float(np.max(np.abs(d.nodes))) for d in self.basis.descriptors)
+        t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for k, n in ((1, 1), (1, 3), (0, 3)):
             fk = eval_divided_difference(self.basis.nodes_for(k), t)
             fn = eval_divided_difference(self.basis.nodes_for(n), t)
@@ -346,7 +347,7 @@ class TestProjections:
         defects = []
         for radius in (4.0, 16.0, 64.0):
             grid = FourierGrid.centered(self.I, 1, y=0.0, radius=radius)
-            defects.append(projection_defect_norms(fam, dirs, grid)[0])
+            defects.append(projection_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0])
         assert defects[0] > defects[1] > defects[2]
         assert defects[2] < 0.15
 
@@ -357,7 +358,7 @@ class TestProjections:
         dirs = DirectionAssignment.constant(fam, 1)
         for radius in (6.0, 20.0):
             grid = FourierGrid.centered(self.I, 1, y=0.0, radius=radius)
-            defect = projection_defect_norms(fam, dirs, grid)[0]
+            defect = projection_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0]
             lower, upper = parseval_tail_defect(0.5, 0.0, radius, self.I.a, self.I.b)
             assert lower - 1e-9 <= defect <= upper + 1e-9
 
@@ -379,7 +380,8 @@ class TestProjections:
         assert coef.shape == (grid.size, len(basis))
         # oracle: direct dense-panel quadrature of (f_s, f_alpha)
         L = self.I.length
-        rate = basis.max_abs_node() + float(np.max(np.abs(grid.frequencies)))
+        max_node = max(float(np.max(np.abs(d.nodes))) for d in basis.descriptors)
+        rate = max_node + float(np.max(np.abs(grid.frequencies)))
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for s in (1, 3):
             fs = eval_divided_difference(basis.nodes_for(int(basis.indices[s])), t)
