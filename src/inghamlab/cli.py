@@ -88,12 +88,40 @@ _REQUIRED_PARAMS = {
     "defect-decay": ["r"],
     "sharpness": ["alpha", "d"],
 }
+_INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
+_NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
+DEFAULT_N_MAX = 128
 _NEEDS_INTERVAL = ("gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
 
 
 def _finite(value) -> bool:
     """A JSON number other than a bool, Infinity or NaN."""
     return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _dd_family_errors(family: dict) -> list[str]:
+    """dd-condition builds one clustered-pairs family per delta from spacing and window only."""
+    errors = []
+    if family.get("kind") != "clustered-pairs":
+        errors.append(f"dd-condition needs family.kind 'clustered-pairs', got {family.get('kind')!r}")
+    fparams = family.get("params", {})
+    if not isinstance(fparams, dict):
+        return errors
+    extra = sorted(set(fparams) - {"spacing", "window"})
+    if extra:
+        errors.append(f"family.params: unexpected parameters for dd-condition: {extra}")
+    if "spacing" in fparams and not (_finite(fparams["spacing"]) and fparams["spacing"] > 0):
+        errors.append("family.params.spacing must be a positive number")
+    window = fparams.get("window")
+    if "window" in fparams and not (
+        isinstance(window, list) and len(window) == 2 and all(_finite(v) for v in window) and window[0] <= window[1]
+    ):
+        errors.append("family.params.window must be a pair [lo, hi] of finite numbers with lo <= hi")
+    return errors
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -141,6 +169,15 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("directions.d must be a positive integer")
         if rule == "partition" and "alpha" not in directions:
             errors.append("directions.rule 'partition' requires directions.alpha")
+        if "seed" in directions and not (type(directions["seed"]) is int and directions["seed"] >= 0):
+            errors.append("directions.seed must be a nonnegative integer")
+        axis = directions.get("axis", 0)
+        if not (type(axis) is int and 0 <= axis and (type(d) is not int or axis < d)):
+            errors.append("directions.axis must be an integer in 0..d-1")
+        if "alpha" in directions and not _finite(directions["alpha"]):
+            errors.append("directions.alpha must be a finite number")
+        if "period_count" in directions and not _positive_int(directions["period_count"]):
+            errors.append("directions.period_count must be a positive integer")
 
     interval = raw.get("interval")
     if interval is not None:
@@ -184,8 +221,12 @@ def parse_config(text: str) -> ExperimentConfig:
     for name, value in params.items():
         if type(value) is float and not math.isfinite(value):
             errors.append(f"parameter {name!r} must be finite")
-    if "N_max" in params and not (type(params["N_max"]) is int and params["N_max"] >= 1):
-        errors.append("parameter 'N_max' must be a positive integer")
+        elif name in _INTEGER_PARAMS and not _positive_int(value):
+            errors.append(f"parameter {name!r} must be a positive integer")
+        elif name in _NUMBER_PARAMS and not _finite(value):
+            errors.append(f"parameter {name!r} must be a number")
+        elif name == "normalize_dd" and type(value) is not bool:
+            errors.append("parameter 'normalize_dd' must be true or false")
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -207,14 +248,23 @@ def parse_config(text: str) -> ExperimentConfig:
         output_path=str(output_path),
         output_format=output_format,
     )
-    # build the family once to validate its parameters (dd-condition builds its own families)
-    if command != "dd-condition" and family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
+    if command == "dd-condition":
+        errors.extend(_dd_family_errors(family))
+    elif family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
+        # build the family once to validate its parameters
         try:
-            _build_family(config)
+            built = _build_family(config)
         except KeyError as exc:
             errors.append(f"family.params is missing {exc.args[0]!r}")
         except (ValueError, TypeError) as exc:
             errors.append(f"family.params: {exc}")
+        else:
+            N_max = params.get("N_max", DEFAULT_N_MAX)
+            if command == "bounds-sweep" and _positive_int(N_max) and 2 * N_max + 1 > len(built):
+                errors.append(
+                    f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
+                    f"the family has {len(built)}"
+                )
     if errors:
         raise ConfigError(errors)
     return config
@@ -285,7 +335,7 @@ def _run_bounds_sweep(config: ExperimentConfig):
     family = _build_family(config)
     directions = _directions(config, family)
     lengths = config.grids["lengths"]
-    N_max = config.params.get("N_max", 128)
+    N_max = config.params.get("N_max", DEFAULT_N_MAX)
     start = float(config.interval[0])
     sweep = threshold_sweep(family, directions, lengths, N_max=N_max, start=start, threads=config.threads)
     rows = sweep.to_rows()
@@ -430,6 +480,17 @@ def _write_csv(path: Path, config: ExperimentConfig, rows: list[dict], summary: 
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_value(value):
+    """RFC 8259 JSON has no NaN or Infinity: undefined values are written as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, config: ExperimentConfig, rows: list[dict], summary: dict) -> None:
     document = {
         "tool_version": __version__,
@@ -438,7 +499,7 @@ def _write_json(path: Path, config: ExperimentConfig, rows: list[dict], summary:
         "summary": summary,
         "rows": rows,
     }
-    path.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(_json_value(document), sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def read_artifact_config(path) -> ExperimentConfig:

@@ -45,7 +45,7 @@ __all__ = [
     "oscillation_panel_rule",
 ]
 
-SMALL_PHASE = 1e-8  # |theta| * |I| at or below this switches to the Taylor form
+SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
 PANEL_PHASE_SPAN = math.pi / 4  # max radians of the fastest phase per quadrature panel
 DEFAULT_PANEL_ORDER = 16
@@ -86,20 +86,22 @@ class NearSingularGramError(ValueError):
 def exp_inner_closed_form(theta, interval: IntervalSpec):
     """Integral of exp(i*theta*t) over the interval, cancellation-free.
 
-    Uses exp(i*theta*a) * (sin(x) + 2i*sin(x/2)^2) / theta with x = theta*|I|,
-    which is exact to machine precision for all phase sizes; below the
-    SMALL_PHASE switch the first-order Taylor form |I|*(1 + i*theta*(a+b)/2)
-    takes over to avoid the 0/0 lane.
+    Uses the midpoint-phase form exp(i*theta*c) * |I| * sin(x)/x with
+    c = (a+b)/2 and x = theta*|I|/2, exact to machine precision for all phase
+    sizes; for |x| <= SMALL_PHASE the ratio sin(x)/x is 1 to rounding and is
+    set to 1.  On an interval centered at 0 every value is exactly real.
     """
-    th = np.asarray(theta, dtype=float)
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
     L = interval.length
-    x = th * L
+    x = th * (0.5 * L)
     small = np.abs(x) <= SMALL_PHASE
-    th_safe = np.where(small, 1.0, th)
-    general = np.exp(1j * th * interval.a) * (np.sin(x) + 2j * np.sin(0.5 * x) ** 2) / th_safe
-    taylor = L * (1.0 + 0.5j * th * (interval.a + interval.b))
-    out = np.where(small, taylor, general)
-    return complex(out) if np.isscalar(theta) else out
+    ratio = np.divide(np.sin(x), x, out=x, where=~small)  # in place: x is not needed again
+    ratio[small] = 1.0
+    ratio *= L
+    out = th * (0.5j * (interval.a + interval.b))
+    np.exp(out, out=out)
+    out *= ratio
+    return complex(out[0]) if np.isscalar(theta) else out.reshape(np.shape(theta))
 
 
 @dataclass

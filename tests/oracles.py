@@ -4,8 +4,10 @@ These deliberately avoid the code paths they are used to check: the counting
 oracle slides a window over explicit candidate anchors instead of trusting
 the left-endpoint argument, the quadrature oracle uses its own panel sizing,
 and the small linear-algebra oracles are written out by hand.  The entrywise
-inner products evaluate one pair at a time, apart from the matrix kernel, and
-the majorant series is summed term by term, apart from its closed form.
+inner products evaluate one pair at a time, apart from the matrix kernel,
+with the left-endpoint-phase closed form, apart from the kernel's
+midpoint-phase one, and the majorant series is summed term by term, apart
+from its closed form.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from inghamlab.basisfuncs import eval_divided_difference
-from inghamlab.gram import DEFAULT_PANEL_ORDER, exp_inner_closed_form, oscillation_panel_rule
+from inghamlab.gram import DEFAULT_PANEL_ORDER, SMALL_PHASE, oscillation_panel_rule
 
 
 def brute_count(exponents, r):
@@ -120,13 +122,29 @@ def parseval_tail_defect(omega, y, radius, interval_a, interval_b, n_span=200000
     return math.sqrt(tail), math.sqrt(tail + remainder)
 
 
+def exp_inner_closed_form_offset(theta, interval):
+    """Integral of exp(i*theta*t) over (a, b) with the phase carried from the left endpoint.
+
+    exp(i*theta*a) * (sin(x) + 2i*sin(x/2)^2) / theta with x = theta*|I|; for
+    |x| <= SMALL_PHASE the first-order Taylor form |I|*(1 + i*theta*(a+b)/2).
+    """
+    th = np.asarray(theta, dtype=float)
+    L = interval.length
+    x = th * L
+    small = np.abs(x) <= SMALL_PHASE
+    th_safe = np.where(small, 1.0, th)
+    general = np.exp(1j * th * interval.a) * (np.sin(x) + 2j * np.sin(0.5 * x) ** 2) / th_safe
+    taylor = L * (1.0 + 0.5j * th * (interval.a + interval.b))
+    return np.where(small, taylor, general)
+
+
 def vector_inner(k, n, family, directions, interval):
     """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I."""
     wk = family.value(k)
     wn = family.value(n)
     Uk = directions.direction(k)
     Un = directions.direction(n)
-    return complex(np.vdot(Un, Uk) * exp_inner_closed_form(wk - wn, interval))
+    return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
 def dd_inner_quadrature(k, n, ddbasis, directions, interval, quad_order=DEFAULT_PANEL_ORDER):

@@ -213,6 +213,32 @@ class TestRunArtifacts:
             assert row["density"] == pytest.approx(0.5, abs=0.05)
             assert row["threshold_length"] == pytest.approx(math.pi, abs=0.4)
 
+    @pytest.mark.parametrize("command, params, grids", [
+        ("sharpness", {"alpha": 0.5, "d": 3}, {}),
+        ("defect-decay", {"y": 0.0, "r": 3.0}, {"R": [8.0, 16.0, 32.0, 64.0]}),
+    ])
+    def test_json_artifact_is_strict_json(self, tmp_path, command, params, grids):
+        # a class too small for a density estimate, and an exactly representable
+        # family's decay fit, are undefined: null, never a bare NaN
+        out = tmp_path / "strict.json"
+        raw = {
+            "command": command,
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-6, 6]}},
+            "directions": {"rule": "constant", "d": 3},
+            "interval": [0.0, TWO_PI],
+            "params": params,
+            "grids": grids,
+            "output": {"path": str(out), "format": "json"},
+        }
+        assert run(parse_config(json.dumps(raw))) == 0
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} is not JSON")
+
+        document = json.loads(out.read_text(), parse_constant=reject)
+        values = [*document["summary"].values(), *(v for row in document["rows"] for v in row.values())]
+        assert None in values
+
     def test_dd_condition_rows(self, tmp_path):
         out = tmp_path / "cond.csv"
         raw = {
@@ -320,6 +346,54 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error: family.params: unexpected parameters for kind 'lattice': ['spcing']" in err
         assert "config error: parameter 'N_max' must be a positive integer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"directions": {"rule": "random", "d": 2, "seed": "abc"}}, "directions.seed must be a nonnegative integer"),
+        ({"params": {"y": 0.0, "r": "five", "R": 10.0}}, "parameter 'r' must be a number"),
+        ({"command": "bounds-sweep", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
+          "grids": {"lengths": [5.0]}, "params": {"N_max": 64}},
+         "parameter 'N_max' = 64 needs 2*N_max+1 = 129 exponents, the family has 41"),
+        ({"command": "bounds-sweep", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
+          "grids": {"lengths": [5.0]}}, "parameter 'N_max' = 128 needs"),
+        ({"command": "sharpness", "params": {"alpha": 0.5, "d": 2.0}}, "parameter 'd' must be a positive integer"),
+        ({"directions": {"rule": "constant", "d": 2, "axis": 2}}, "directions.axis must be an integer in 0..d-1"),
+        ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
+          "grids": {"delta": [1e-3]}, "params": {"normalize_dd": "yes"}},
+         "parameter 'normalize_dd' must be true or false"),
+    ])
+    def test_mistyped_values_exit_two(self, tmp_path, capsys, change, message):
+        out = tmp_path / "out.csv"
+        raw = {**trace_config(out), **change}
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, message", [
+        ({"kind": "clustered-pairs", "params": {"spcing": 3.0, "window": [0, 8]}},
+         "family.params: unexpected parameters for dd-condition: ['spcing']"),
+        ({"kind": "lattice", "params": {"spacing": 2.0, "window": [0, 8]}},
+         "dd-condition needs family.kind 'clustered-pairs', got 'lattice'"),
+        ({"kind": "clustered-pairs", "params": {"spacing": "2", "window": [8, 0]}},
+         "family.params.spacing must be a positive number"),
+        ({"kind": "clustered-pairs", "params": {"window": [8, 0]}},
+         "family.params.window must be a pair [lo, hi] of finite numbers with lo <= hi"),
+    ])
+    def test_dd_condition_family_errors_exit_two(self, tmp_path, capsys, family, message):
+        out = tmp_path / "out.csv"
+        raw = {
+            "command": "dd-condition",
+            "family": family,
+            "interval": [0.0, TWO_PI],
+            "grids": {"delta": [1e-3]},
+            "output": {"path": str(out), "format": "csv"},
+        }
+        cfg_path = tmp_path / "dd.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_exit_three(self, tmp_path, capsys):

@@ -1,12 +1,18 @@
-"""Property tests of the one inner-product kernel over every system kind."""
+"""Property tests of the one inner-product kernel over every system kind,
+and of the translation invariance the real-symmetric spectral core relies on."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inghamlab import analysis
+from inghamlab.analysis import EIGEN_RESIDUAL_RTOL, extreme_eigenvalues
 from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis
-from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
+from inghamlab.exponents import ExponentFamily, build_sharpness_partition, detect_chains, generate_family
 from inghamlab.gram import (
     DividedDifferenceSystem,
     ExponentialSystem,
@@ -14,8 +20,11 @@ from inghamlab.gram import (
     IntervalSpec,
     assemble_gram,
     cross_inner_matrix,
+    exp_inner_closed_form,
     inner_matrix,
 )
+
+from oracles import exp_inner_closed_form_offset
 
 KINDS = ("exponential", "divided-difference", "grid")
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
@@ -89,3 +98,100 @@ def test_mismatched_direction_spaces_named():
     grid = FourierGrid.centered(IntervalSpec(0.0, 2.0), 2, y=0.0, radius=20.0)
     with pytest.raises(ValueError, match=r"different direction spaces: C\^1 and C\^2"):
         cross_inner_matrix(fam, DirectionAssignment.constant(fam, 1), grid)
+
+
+REAL_RULES = ("constant", "partition", "real")
+RULES = (*REAL_RULES, "random")
+
+
+@st.composite
+def exponential_systems(draw, rule, d):
+    """An exponential system in C^d; every rule but ``random`` gives real directions."""
+    if rule == "partition":
+        # sharpness partitions need a periodic family
+        spacing = draw(st.floats(0.5, 2.0))
+        start = draw(st.floats(-8.0, 8.0))
+        fam = generate_family("lattice", spacing=spacing, window=[start, start + spacing * draw(st.integers(3, 11))])
+        alpha = draw(st.floats(1.0 / d, 1.0)) / spacing
+        return ExponentialSystem(fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha)))
+    exps = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+    fam = ExponentFamily(np.sort(exps))
+    seed = draw(st.integers(0, 10**6))
+    if rule == "constant":
+        dirs = DirectionAssignment.constant(fam, d, axis=draw(st.integers(0, d - 1)))
+    elif rule == "real":
+        Z = np.random.default_rng(seed).normal(size=(len(fam), d))
+        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True), fam.indices)
+    else:
+        dirs = DirectionAssignment.random(fam, d, seed=seed)
+    return ExponentialSystem(fam, dirs)
+
+
+def centered(interval):
+    return IntervalSpec.of_length(interval.length, -0.5 * interval.length)
+
+
+@SETTINGS
+@given(data=st.data(), rule=st.sampled_from(RULES), interval=intervals, shift=st.floats(-10.0, 10.0),
+       d=st.integers(1, 3))
+def test_translation_leaves_extreme_eigenvalues(data, rule, interval, shift, d):
+    system = data.draw(exponential_systems(rule, d))
+    lo, hi = extreme_eigenvalues(assemble_gram(system, interval))
+    for moved in (IntervalSpec.of_length(interval.length, interval.a + shift), centered(interval)):
+        lo2, hi2 = extreme_eigenvalues(assemble_gram(system, moved))
+        assert abs(lo2 - lo) <= 1e-13 * hi
+        assert abs(hi2 - hi) <= 1e-13 * hi
+
+
+@SETTINGS
+@given(data=st.data(), rule=st.sampled_from(REAL_RULES), interval=intervals, d=st.integers(1, 3))
+def test_centered_gram_with_real_directions_is_real(data, rule, interval, d):
+    G = assemble_gram(data.draw(exponential_systems(rule, d)), centered(interval)).entries
+    assert not np.any(G.imag)
+
+
+@SETTINGS
+@given(data=st.data(), rule=st.sampled_from(REAL_RULES), interval=intervals, d=st.integers(1, 3))
+def test_real_path_meets_residual_contract(data, rule, interval, d):
+    G = assemble_gram(data.draw(exponential_systems(rule, d)), centered(interval))
+    solves = []
+
+    def recording_eigh(A, **options):
+        vals, vecs = scipy.linalg.eigh(A, **options)
+        solves.append((A, options, vals, vecs))
+        return vals, vecs
+
+    with mock.patch.object(analysis, "eigh", recording_eigh):
+        lo, hi = extreme_eigenvalues(G)
+    [(A, options, vals, vecs)] = solves
+    assert A.dtype == np.float64 and options == {"driver": "evd"}
+    assert (lo, hi) == (vals[0], vals[-1])
+    gnorm = max(abs(vals[0]), abs(vals[-1]))
+    for pos in (0, -1):
+        # the real eigenpairs are eigenpairs of the complex Gram itself
+        residual = np.linalg.norm(G.entries @ vecs[:, pos] - vals[pos] * vecs[:, pos])
+        assert residual <= EIGEN_RESIDUAL_RTOL * gnorm
+
+
+def test_real_path_enforces_residual_contract():
+    fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
+    interval = IntervalSpec(-2.5, 2.5)
+    G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), interval)
+
+    def swapped_vectors(A, **options):
+        vals, vecs = scipy.linalg.eigh(A, **options)
+        return vals, vecs[:, ::-1]
+
+    with mock.patch.object(analysis, "eigh", swapped_vectors), pytest.raises(ArithmeticError, match="residual"):
+        extreme_eigenvalues(G)
+
+
+@SETTINGS
+@given(thetas=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=20), interval=intervals)
+def test_closed_form_matches_offset_form(thetas, interval):
+    th = np.array(thetas)
+    new = exp_inner_closed_form(th, interval)
+    assert new.shape == th.shape
+    assert np.max(np.abs(new - exp_inner_closed_form_offset(th, interval))) <= 1e-14 * interval.length
+    assert exp_inner_closed_form(thetas[0], interval) == new[0]
+    assert not np.any(exp_inner_closed_form(th, centered(interval)).imag)
