@@ -32,6 +32,7 @@ from .gram import (
 )
 
 __all__ = [
+    "DEFAULT_N_MAX",
     "FrameBoundReport",
     "TraceExperiment",
     "SweepResult",
@@ -55,6 +56,7 @@ EIGEN_RESIDUAL_RTOL = 1e-8
 # computed eigenvalues at or below this fraction of the spectral norm are
 # indistinguishable from zero in double precision
 EIGEN_FLOOR_RTOL = 1e-12
+DEFAULT_N_MAX = 128  # largest truncation of a threshold sweep
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
 
@@ -66,9 +68,10 @@ class GridPointFailure(ArithmeticError):
 def extreme_eigenvalues(G) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian Gram matrix, residual-verified.
 
-    Uses the dense divide-and-conquer symmetric eigensolver, in real
-    arithmetic when the imaginary part is exactly zero; both extreme
-    eigenpairs are checked against the residual contract
+    When the imaginary part is exactly zero the solve runs in real
+    arithmetic with the divide-and-conquer driver (``evd``); a complex
+    matrix keeps scipy's default driver, which is the faster one there.
+    Both extreme eigenpairs are checked against the residual contract
     ||G v - lambda v|| <= 1e-8 ||G||.
     """
     A = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=complex)
@@ -76,9 +79,11 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     herm = float(np.max(np.abs(A - A.conj().T)))
     if herm > HERMITICITY_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
-    if not np.any(A.imag):
+    if np.any(A.imag):
+        vals, vecs = eigh(A)
+    else:
         A = A.real
-    vals, vecs = eigh(A, driver="evd")
+        vals, vecs = eigh(A, driver="evd")
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     for pos in (0, -1):
         residual = np.linalg.norm(A @ vecs[:, pos] - vals[pos] * vecs[:, pos])
@@ -157,9 +162,10 @@ def frame_bound_sequence(
     ``directions`` assigns one vector per family index.  The Gram is
     assembled once at the largest N; each smaller truncation is its centered
     principal submatrix, so the sections interlace.  Only spectra are read,
-    and translating the interval is a diagonal unitary similarity, so the
-    Gram is assembled on the interval of the same length centered at 0,
-    where it is real symmetric whenever the directions are real.
+    and translating the interval is a diagonal unitary similarity, so only
+    ``interval.length`` is used: the Gram is assembled on the interval of
+    that length centered at 0, where it is real symmetric whenever the
+    directions are real.
     """
     sizes = [int(N) for N in N_grid]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -229,8 +235,7 @@ def threshold_sweep(
     family: ExponentFamily,
     directions: DirectionAssignment,
     lengths,
-    N_max: int = 128,
-    start: float = 0.0,
+    N_max: int = DEFAULT_N_MAX,
     threads: int = 1,
 ) -> SweepResult:
     """Frame-bound reports across interval lengths; brackets the transition.
@@ -251,7 +256,7 @@ def threshold_sweep(
     def job_for(L):
         def job():
             try:
-                return frame_bound_sequence(family, directions, IntervalSpec.of_length(L, start), N_grid)
+                return frame_bound_sequence(family, directions, IntervalSpec.of_length(L), N_grid)
             except GridPointFailure as exc:
                 raise GridPointFailure(f"at interval_length={L:.6g}: {exc}") from exc
 

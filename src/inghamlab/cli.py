@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_N_MAX,
     conditioning_comparison,
     defect_decay_fit,
     defect_majorant,
@@ -90,8 +91,7 @@ _REQUIRED_PARAMS = {
 }
 _INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
 _NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
-DEFAULT_N_MAX = 128
-_NEEDS_INTERVAL = ("gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
+_NEEDS_INTERVAL = ("gram", "trace", "defect-decay", "dd-condition", "sharpness")
 
 
 def _finite(value) -> bool:
@@ -336,8 +336,7 @@ def _run_bounds_sweep(config: ExperimentConfig):
     directions = _directions(config, family)
     lengths = config.grids["lengths"]
     N_max = config.params.get("N_max", DEFAULT_N_MAX)
-    start = float(config.interval[0])
-    sweep = threshold_sweep(family, directions, lengths, N_max=N_max, start=start, threads=config.threads)
+    sweep = threshold_sweep(family, directions, lengths, N_max=N_max, threads=config.threads)
     rows = sweep.to_rows()
     summary = {
         "transition_bracket": sweep.metadata["transition_bracket"],

@@ -46,11 +46,20 @@ class TestParseConfig:
 
     def test_missing_interval_named(self):
         raw = density_config("out.csv")
-        raw["command"] = "bounds-sweep"
-        raw["grids"] = {"lengths": [5.0, 6.0]}
+        raw["command"] = "gram"
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(raw))
-        assert any("interval" in e and "bounds-sweep" in e for e in err.value.errors)
+        assert any("interval" in e and "gram" in e for e in err.value.errors)
+
+    def test_bounds_sweep_needs_no_interval(self):
+        # a bounds-sweep takes its interval lengths from grids.lengths
+        raw = density_config("out.csv")
+        raw["command"] = "bounds-sweep"
+        raw["grids"] = {"lengths": [5.0, 6.0]}
+        raw["params"] = {"N_max": 32}
+        assert parse_config(json.dumps(raw)).interval is None
+        raw["interval"] = [0.0, 1.0]
+        assert parse_config(json.dumps(raw)).interval == [0.0, 1.0]
 
     def test_non_increasing_grid(self):
         raw = density_config("out.csv")
@@ -178,6 +187,22 @@ class TestRunArtifacts:
         assert run(parse_config(json.dumps(raw))) == 0
         text = out.read_text()
         assert "degenerating" in text and "stable" in text
+
+    def test_bounds_sweep_rows_ignore_interval(self, tmp_path):
+        raw = {
+            "command": "bounds-sweep",
+            "family": {"kind": "perturbed-lattice", "params": {"spacing": 1.0, "window": [-40, 40], "max_perturbation": 0.2}},
+            "grids": {"lengths": [5.0, 8.0]},
+            "params": {"N_max": 16},
+        }
+        rows = []
+        for k, interval in enumerate([None, [0.0, 1.0], [-3.0, 7.5]]):
+            cfg = dict(raw, output={"path": str(tmp_path / f"s{k}.json"), "format": "json"})
+            if interval is not None:
+                cfg["interval"] = interval
+            assert run(parse_config(json.dumps(cfg))) == 0
+            rows.append(json.loads((tmp_path / f"s{k}.json").read_text())["rows"])
+        assert rows[0] == rows[1] == rows[2]
 
     def test_threaded_sweep_matches_serial(self, tmp_path):
         raw = {

@@ -173,6 +173,21 @@ def test_real_path_meets_residual_contract(data, rule, interval, d):
         assert residual <= EIGEN_RESIDUAL_RTOL * gnorm
 
 
+def test_complex_path_keeps_default_driver():
+    fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
+    G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1)), IntervalSpec(-2.5, 2.5))
+    assert np.any(G.entries.imag)
+    solves = []
+
+    def recording_eigh(A, **options):
+        solves.append((A.dtype, options))
+        return scipy.linalg.eigh(A, **options)
+
+    with mock.patch.object(analysis, "eigh", recording_eigh):
+        extreme_eigenvalues(G)
+    assert solves == [(np.complex128, {})]
+
+
 def test_real_path_enforces_residual_contract():
     fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
     interval = IntervalSpec(-2.5, 2.5)
