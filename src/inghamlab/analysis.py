@@ -13,20 +13,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_solve, eigh
 
 from .basisfuncs import DirectionAssignment, DividedDifferenceBasis
 from .exponents import ExponentFamily, detect_chains, generate_family
 from .gram import (
-    DEFAULT_PANEL_ORDER,
     DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
-    GramMatrix,
     IntervalSpec,
-    _spectral_gate,
     assemble_gram,
     cross_inner_matrix,
+    gated_cho_factor,
+    hermiticity_residual,
     inner_matrix,
     projection_defect_norms,
 )
@@ -68,22 +67,21 @@ class GridPointFailure(ArithmeticError):
 def extreme_eigenvalues(G) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian Gram matrix, residual-verified.
 
-    When the imaginary part is exactly zero the solve runs in real
-    arithmetic with the divide-and-conquer driver (``evd``); a complex
-    matrix keeps scipy's default driver, which is the faster one there.
-    Both extreme eigenpairs are checked against the residual contract
-    ||G v - lambda v|| <= 1e-8 ||G||.
+    When the imaginary part is exactly zero the Hermiticity check and the
+    solve run in real arithmetic, the solve with the divide-and-conquer
+    driver (``evd``); a complex matrix keeps scipy's default driver, which
+    is the faster one there.  Both extreme eigenpairs are checked against
+    the residual contract ||G v - lambda v|| <= 1e-8 ||G||.
     """
-    A = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=complex)
+    A = np.asarray(G, dtype=complex)
+    real = not np.any(A.imag)
+    if real:
+        A = A.real
     scale = max(1.0, float(np.max(np.abs(A))))
-    herm = float(np.max(np.abs(A - A.conj().T)))
+    herm = hermiticity_residual(A)
     if herm > HERMITICITY_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
-    if np.any(A.imag):
-        vals, vecs = eigh(A)
-    else:
-        A = A.real
-        vals, vecs = eigh(A, driver="evd")
+    vals, vecs = eigh(A, driver="evd") if real else eigh(A)
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     for pos in (0, -1):
         residual = np.linalg.norm(A @ vecs[:, pos] - vals[pos] * vecs[:, pos])
@@ -175,7 +173,7 @@ def frame_bound_sequence(
         raise GridPointFailure(f"at N={N_max}: family window of {n} exponents cannot supply 2N+1 = {2 * N_max + 1}")
     sub = family.slice_positions(n // 2 - N_max, n // 2 + N_max)
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
-    G = assemble_gram(ExponentialSystem(sub, directions.subset(sub.indices)), centered).entries
+    G = assemble_gram(ExponentialSystem(sub, directions.subset(sub.indices)), centered)
     lmins, lmaxs = [], []
     for N in sizes:
         block = slice(N_max - N, N_max + N + 1)
@@ -359,14 +357,12 @@ def run_trace_experiment(
         raise ValueError("r and R must be positive")
     sub, sdirs = _window(family, directions, y, r)
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
-    GV = assemble_gram(ExponentialSystem(sub, sdirs), interval)
-    _spectral_gate(GV)
+    cho = gated_cho_factor(assemble_gram(ExponentialSystem(sub, sdirs), interval))
     X = cross_inner_matrix(sub, sdirs, grid)
     B = (X @ X.conj().T).T  # B[m, k] = (Q e_k, e_m)
-    cho = cho_factor(GV.entries, lower=False)
     S = cho_solve(cho, B)
     trace_direct = complex(np.trace(S))
-    C = cho_solve(cho, np.eye(GV.n, dtype=complex))
+    C = cho_solve(cho, np.eye(len(sub), dtype=complex))
     Y = X.T @ C  # Y[alpha, k] = (phi_k, f_alpha)
     corrections = np.einsum("ka,ak->k", X, Y.conj()) - 1.0
     trace_decomposed = complex(len(sub) + np.sum(corrections))
@@ -472,7 +468,6 @@ def dd_threshold_check(
     ddbasis: DividedDifferenceBasis,
     interval: IntervalSpec,
     gamma_sample,
-    quad_order: int = DEFAULT_PANEL_ORDER,
 ) -> ThresholdCheckReport:
     """Empirical constant of the decay bound for divided-difference coefficients.
 
@@ -485,7 +480,7 @@ def dd_threshold_check(
     sample = ExponentFamily(np.sort(gammas))
     sources = DividedDifferenceSystem(ddbasis, DirectionAssignment.constant(ddbasis.family, 1))
     targets = ExponentialSystem(sample, DirectionAssignment.constant(sample, 1))
-    A = inner_matrix(sources, targets, interval, quad_order).T  # A[k, n] = (f_k, exp(i gamma_n t))
+    A = inner_matrix(sources, targets, interval).T  # A[k, n] = (f_k, exp(i gamma_n t))
     omegas = np.array([ddbasis.family.value(desc.index) for desc in ddbasis.descriptors])
     sep = np.abs(omegas[:, None] - sample.exponents[None, :])
     prod = np.abs(A) * sep
@@ -511,7 +506,6 @@ def conditioning_comparison(
     gamma_prime: float = 0.5,
     M: int = 2,
     normalize_dd: bool = True,
-    quad_order: int = DEFAULT_PANEL_ORDER,
     threads: int = 1,
 ) -> SweepResult:
     """Condition numbers of raw-exponential vs divided-difference Grams per delta.
@@ -538,7 +532,7 @@ def conditioning_comparison(
                 chains = detect_chains(fam, gamma_prime, M)
                 basis = DividedDifferenceBasis.from_chains(fam, chains)
                 dd_system = DividedDifferenceSystem(basis, dirs, normalize=normalize_dd)
-                lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval, quad_order))
+                lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
             except (ValueError, ArithmeticError) as exc:
                 raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
             return {

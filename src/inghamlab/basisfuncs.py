@@ -88,8 +88,13 @@ class DirectionAssignment:
         return cls(d=d, matrix=Z, indices=family.indices)
 
     def subset(self, indices) -> "DirectionAssignment":
+        """The directions of the given indices, in that order; IndexError names a missing one."""
         idx = np.asarray(list(indices), dtype=int)
-        rows = [int(np.flatnonzero(self.indices == i)[0]) for i in idx]
+        order = np.argsort(self.indices, kind="stable")
+        rows = order[np.searchsorted(self.indices, idx, sorter=order).clip(max=order.size - 1)]
+        missing = self.indices[rows] != idx
+        if np.any(missing):
+            raise IndexError(f"no direction assigned to index {idx[missing][0]}")
         return DirectionAssignment(d=self.d, matrix=self.matrix[rows], indices=idx)
 
 
@@ -115,12 +120,6 @@ class CoefficientVector:
     def from_dict(cls, mapping: dict[int, complex]) -> "CoefficientVector":
         idx = np.array(sorted(mapping), dtype=int)
         return cls(indices=idx, values=np.array([mapping[int(i)] for i in idx]))
-
-    @classmethod
-    def unit(cls, family: ExponentFamily, index: int) -> "CoefficientVector":
-        vals = np.zeros(len(family), dtype=complex)
-        vals[family.position(index)] = 1.0
-        return cls(indices=family.indices, values=vals)
 
 
 def eval_exponential(omega: float, U: np.ndarray, t: float) -> np.ndarray:

@@ -27,12 +27,13 @@ from .analysis import (
     threshold_sweep,
 )
 from .basisfuncs import DirectionAssignment
-from .exponents import build_sharpness_partition, estimate_density, generate_family
+from .exponents import ExponentFamily, Partition, build_sharpness_partition, estimate_density, generate_family
 from .gram import (
     ExponentialSystem,
     IntervalSpec,
     NearSingularGramError,
     assemble_gram,
+    hermiticity_residual,
 )
 
 COMMANDS = ("density", "gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
@@ -54,6 +55,10 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  ``parse_config`` builds what the run reads from
+    these fields, so change a config by parsing again (``seed=`` overrides
+    the seed), not by assigning to its fields."""
+
     command: str
     family: dict
     seed: int = 0
@@ -64,6 +69,11 @@ class ExperimentConfig:
     output_path: str = "experiment.csv"
     output_format: str = "csv"
     threads: int = field(default=1, compare=False)  # execution detail, not identity
+    # built once by parse_config and read by the runners; derived, so not identity
+    exponent_family: ExponentFamily | None = field(default=None, init=False, compare=False, repr=False)
+    direction_assignment: DirectionAssignment | None = field(default=None, init=False, compare=False, repr=False)
+    partition: Partition | None = field(default=None, init=False, compare=False, repr=False)
+    interval_spec: IntervalSpec | None = field(default=None, init=False, compare=False, repr=False)
 
     def canonical(self) -> dict:
         return {
@@ -92,6 +102,7 @@ _REQUIRED_PARAMS = {
 _INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
 _NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
 _NEEDS_INTERVAL = ("gram", "trace", "defect-decay", "dd-condition", "sharpness")
+_USES_DIRECTIONS = ("gram", "bounds-sweep", "trace", "defect-decay", "sharpness")
 
 
 def _finite(value) -> bool:
@@ -124,8 +135,14 @@ def _dd_family_errors(family: dict) -> list[str]:
     return errors
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document, collecting every error."""
+def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
+    """Validate a JSON config document, collecting every error.
+
+    Validation builds what the runner reads (the family, the direction
+    assignment or sharpness partition, the interval), so a ValueError from
+    any build is a config error.  ``seed``, when given, overrides the
+    config's seed before anything is built.
+    """
     errors: list[str] = []
     try:
         raw = json.loads(text)
@@ -151,11 +168,17 @@ def parse_config(text: str) -> ExperimentConfig:
         if not isinstance(family.get("params", {}), dict):
             errors.append("family.params must be an object")
 
-    seed = raw.get("seed", family.get("seed", 0) if isinstance(family, dict) else 0)
-    if type(seed) is not int or seed < 0:
+    config_seed = raw.get("seed", family.get("seed", 0))
+    if type(config_seed) is not int or config_seed < 0:
         errors.append("seed must be a nonnegative integer")
+        config_seed = 0
+    if seed is None:
+        seed = config_seed
+    elif type(seed) is not int or seed < 0:
+        errors.append("seed override must be a nonnegative integer")
         seed = 0
 
+    n_errors = len(errors)
     directions = raw.get("directions", {"rule": "constant", "d": 1})
     if not isinstance(directions, dict):
         errors.append("directions must be an object")
@@ -178,8 +201,10 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("directions.alpha must be a finite number")
         if "period_count" in directions and not _positive_int(directions["period_count"]):
             errors.append("directions.period_count must be a positive integer")
+    directions_ok = len(errors) == n_errors
 
     interval = raw.get("interval")
+    interval_spec = None
     if interval is not None:
         if (
             not isinstance(interval, (list, tuple))
@@ -189,6 +214,8 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("interval must be a pair [a, b] of finite numbers")
         elif not interval[1] > interval[0]:
             errors.append("interval must satisfy b > a")
+        else:
+            interval_spec = IntervalSpec(*interval)
     if command in _NEEDS_INTERVAL and interval is None:
         errors.append(f"missing required field 'interval' for command {command!r}")
 
@@ -211,6 +238,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in grids:
             errors.append(f"missing required grid {name!r} for command {command!r}")
 
+    n_errors = len(errors)
     params = raw.get("params", {})
     if not isinstance(params, dict):
         errors.append("params must be an object")
@@ -227,6 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"parameter {name!r} must be a number")
         elif name == "normalize_dd" and type(value) is not bool:
             errors.append("parameter 'normalize_dd' must be true or false")
+    params_ok = len(errors) == n_errors
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -248,12 +277,12 @@ def parse_config(text: str) -> ExperimentConfig:
         output_path=str(output_path),
         output_format=output_format,
     )
+    config.interval_spec = interval_spec
     if command == "dd-condition":
         errors.extend(_dd_family_errors(family))
     elif family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
-        # build the family once to validate its parameters
         try:
-            built = _build_family(config)
+            built = config.exponent_family = _build_family(config)
         except KeyError as exc:
             errors.append(f"family.params is missing {exc.args[0]!r}")
         except (ValueError, TypeError) as exc:
@@ -265,6 +294,13 @@ def parse_config(text: str) -> ExperimentConfig:
                     f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
                     f"the family has {len(built)}"
                 )
+            # sharpness partitions by its params, the other commands follow directions
+            where, ready = ("params", params_ok) if command == "sharpness" else ("directions", directions_ok)
+            if command in _USES_DIRECTIONS and ready:
+                try:
+                    config.direction_assignment, config.partition = _directions(config, built)
+                except ValueError as exc:
+                    errors.append(f"{where}: {exc}")
     if errors:
         raise ConfigError(errors)
     return config
@@ -278,18 +314,20 @@ def _build_family(config: ExperimentConfig):
     return generate_family(kind, **params)
 
 
-def _directions(config: ExperimentConfig, family) -> DirectionAssignment:
-    """One direction per family index; experiments on subfamilies take subsets."""
-    options = config.directions
-    rule = options.get("rule", "constant")
+def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, Partition | None]:
+    """One direction per family index, and the sharpness partition it comes from, if any.
+
+    Experiments on subfamilies take subsets.
+    """
+    options = config.params if config.command == "sharpness" else config.directions
+    rule = "partition" if config.command == "sharpness" else options.get("rule", "constant")
     d = int(options.get("d", 1))
     if rule == "constant":
-        return DirectionAssignment.constant(family, d, axis=int(options.get("axis", 0)))
-    if rule == "partition":
-        partition = build_sharpness_partition(family, d, float(options["alpha"]), options.get("period_count"))
-        return DirectionAssignment.from_partition(partition)
-    # parse_config admits only the three rules
-    return DirectionAssignment.random(family, d, seed=int(options.get("seed", config.seed)))
+        return DirectionAssignment.constant(family, d, axis=int(options.get("axis", 0))), None
+    if rule == "random":
+        return DirectionAssignment.random(family, d, seed=int(options.get("seed", config.seed))), None
+    partition = build_sharpness_partition(family, d, float(options["alpha"]), options.get("period_count"))
+    return DirectionAssignment.from_partition(partition), partition
 
 
 def _fmt(value) -> str:
@@ -301,7 +339,7 @@ def _fmt(value) -> str:
 
 
 def _run_density(config: ExperimentConfig):
-    family = _build_family(config)
+    family = config.exponent_family
     est = estimate_density(family, config.grids["r"])
     rows = [
         {"r": float(r), "count": int(c)}
@@ -318,25 +356,22 @@ def _run_density(config: ExperimentConfig):
 
 
 def _run_gram(config: ExperimentConfig):
-    family = _build_family(config)
-    interval = IntervalSpec(*config.interval)
-    G = assemble_gram(ExponentialSystem(family, _directions(config, family)), interval)
+    G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), config.interval_spec)
     lo, hi = extreme_eigenvalues(G)
+    n = G.shape[0]
     rows = [
-        {"row": j, "col": k, "re": float(G.entries[j, k].real), "im": float(G.entries[j, k].imag)}
-        for j in range(G.n)
-        for k in range(G.n)
+        {"row": j, "col": k, "re": float(G[j, k].real), "im": float(G[j, k].imag)}
+        for j in range(n)
+        for k in range(n)
     ]
-    summary = {"n": G.n, "lambda_min": lo, "lambda_max": hi, "hermiticity_residual": G.hermiticity_residual()}
+    summary = {"n": n, "lambda_min": lo, "lambda_max": hi, "hermiticity_residual": hermiticity_residual(G)}
     return rows, summary
 
 
 def _run_bounds_sweep(config: ExperimentConfig):
-    family = _build_family(config)
-    directions = _directions(config, family)
-    lengths = config.grids["lengths"]
     N_max = config.params.get("N_max", DEFAULT_N_MAX)
-    sweep = threshold_sweep(family, directions, lengths, N_max=N_max, threads=config.threads)
+    sweep = threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"],
+                            N_max=N_max, threads=config.threads)
     rows = sweep.to_rows()
     summary = {
         "transition_bracket": sweep.metadata["transition_bracket"],
@@ -347,9 +382,9 @@ def _run_bounds_sweep(config: ExperimentConfig):
 
 def _window_args(config: ExperimentConfig):
     """(family, directions, interval, y, r): the window arguments of trace and defect-decay."""
-    family = _build_family(config)
+    family = config.exponent_family
     y = float(config.params.get("y", 0.5 * (family.exponents[0] + family.exponents[-1])))
-    return family, _directions(config, family), IntervalSpec(*config.interval), y, float(config.params["r"])
+    return family, config.direction_assignment, config.interval_spec, y, float(config.params["r"])
 
 
 def _run_trace(config: ExperimentConfig):
@@ -373,18 +408,11 @@ def _run_defect_decay(config: ExperimentConfig):
 
 
 def _run_dd_condition(config: ExperimentConfig):
-    interval = IntervalSpec(*config.interval)
-    fparams = dict(config.family.get("params", {}))
-    sweep = conditioning_comparison(
-        interval,
-        config.grids["delta"],
-        spacing=float(fparams.get("spacing", 2.0)),
-        window=tuple(fparams.get("window", (0.0, 8.0))),
-        gamma_prime=float(config.params.get("gamma_prime", 0.5)),
-        M=int(config.params.get("M", 2)),
-        normalize_dd=bool(config.params.get("normalize_dd", True)),
-        threads=config.threads,
-    )
+    # only the values the config gives: the defaults live in conditioning_comparison
+    fparams = config.family.get("params", {})
+    options = {name: fparams[name] for name in ("spacing", "window") if name in fparams}
+    options.update((k, v) for k, v in config.params.items() if k in ("gamma_prime", "M", "normalize_dd"))
+    sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], threads=config.threads, **options)
     rows = []
     for row in sweep.results:
         cond_raw = row["cond_raw"]
@@ -404,28 +432,23 @@ def _run_dd_condition(config: ExperimentConfig):
 
 
 def _run_sharpness(config: ExperimentConfig):
-    family = _build_family(config)
-    interval = IntervalSpec(*config.interval)
-    alpha = float(config.params["alpha"])
-    d = int(config.params["d"])
-    partition = build_sharpness_partition(family, d, alpha, config.params.get("period_count"))
-    directions = DirectionAssignment.from_partition(partition)
-    G = assemble_gram(ExponentialSystem(family, directions), interval)
+    family, partition, interval = config.exponent_family, config.partition, config.interval_spec
+    G = assemble_gram(ExponentialSystem(family, config.direction_assignment), interval)
     rows = []
     max_density = 0.0
     block_residual = 0.0
-    for j in range(1, d + 1):
+    for j in range(1, partition.d + 1):
         sub = partition.class_family(j)
         if sub is None:
             rows.append({"class": j, "size": 0, "density": 0.0, "threshold_length": 0.0,
                          "lambda_min": float("nan"), "lambda_max": float("nan")})
             continue
         positions = [family.position(i) for i in partition.class_indices(j)]
-        block = G.entries[np.ix_(positions, positions)]
+        block = G[np.ix_(positions, positions)]
         scalar = assemble_gram(
             ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), interval
         )
-        block_residual = max(block_residual, float(np.max(np.abs(block - scalar.entries))))
+        block_residual = max(block_residual, float(np.max(np.abs(block - scalar))))
         if len(sub) >= 8:
             span = sub.span
             r_grid = np.linspace(max(1.0, span / 16), span, 12)
@@ -445,7 +468,7 @@ def _run_sharpness(config: ExperimentConfig):
             }
         )
     summary = {
-        "target_alpha": alpha,
+        "target_alpha": partition.target_alpha,
         "block_identity_residual": block_residual,
         "max_class_density": max_density,
         "period_exponent_count": partition.period_exponent_count,
@@ -544,7 +567,7 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        config = parse_config(Path(args.config).read_text())
+        config = parse_config(Path(args.config).read_text(), seed=args.seed)
         config.threads = args.threads
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
@@ -553,11 +576,6 @@ def main(argv=None) -> int:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be nonnegative", file=sys.stderr)
-            return 2
-        config.seed = args.seed
     if args.format is not None:
         config.output_format = args.format
     try:

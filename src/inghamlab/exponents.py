@@ -279,9 +279,6 @@ class Partition:
             raise ValueError(f"class label must be in 1..{self.d}")
         return [k for k, c in self.class_of.items() if c == j]
 
-    def class_sizes(self) -> list[int]:
-        return [len(self.class_indices(j)) for j in range(1, self.d + 1)]
-
     def class_family(self, j: int) -> ExponentFamily | None:
         """Subfamily of class j, or None when the class is empty."""
         idx = self.class_indices(j)

@@ -10,7 +10,7 @@ form when every function is a single node, otherwise composite
 Gauss-Legendre panels sized against the fastest oscillation.
 
 Gram entries follow the quadratic-form convention
-``entries[j, k] = (f_k, f_j)`` (second argument conjugated), so
+``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
 ``coef.conj() @ G @ coef`` is the squared L2(I, H) norm of ``sum_k coef_k f_k``
 and the dual (biorthogonal) coefficients are exactly the inverse Gram.
 """
@@ -29,7 +29,6 @@ from .exponents import ExponentFamily
 __all__ = [
     "IntervalSpec",
     "FourierGrid",
-    "GramMatrix",
     "BiorthogonalFamily",
     "NearSingularGramError",
     "ExponentialSystem",
@@ -37,9 +36,11 @@ __all__ = [
     "exp_inner_closed_form",
     "inner_matrix",
     "assemble_gram",
+    "hermiticity_residual",
     "cross_inner_matrix",
     "projection_defect_norms",
     "energy_quadratic_form",
+    "gated_cho_factor",
     "dual_family",
     "project_coefficients",
     "oscillation_panel_rule",
@@ -48,7 +49,7 @@ __all__ = [
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
 PANEL_PHASE_SPAN = math.pi / 4  # max radians of the fastest phase per quadrature panel
-DEFAULT_PANEL_ORDER = 16
+PANEL_ORDER = 16  # Gauss-Legendre points per quadrature panel
 
 
 @dataclass(frozen=True)
@@ -149,26 +150,6 @@ class FourierGrid:
 
 
 @dataclass
-class GramMatrix:
-    """Hermitian matrix of pairwise inner products of system functions."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        G = np.asarray(self.entries, dtype=complex)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("Gram entries must form a square matrix")
-        self.entries = G
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def hermiticity_residual(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-
-@dataclass
 class ExponentialSystem:
     """The vector exponentials U_k exp(i*w_k*t) over a family window."""
 
@@ -205,13 +186,11 @@ class DividedDifferenceSystem:
         return len(self.basis)
 
 
-def oscillation_panel_rule(interval: IntervalSpec, rate: float, order: int = DEFAULT_PANEL_ORDER):
+def oscillation_panel_rule(interval: IntervalSpec, rate: float):
     """Composite Gauss-Legendre nodes/weights with <= pi/4 phase per panel."""
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
     L = interval.length
     n_panels = max(2, math.ceil(L * max(rate, 0.0) / PANEL_PHASE_SPAN))
-    u, w = np.polynomial.legendre.leggauss(order)
+    u, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     edges = np.linspace(interval.a, interval.b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -256,7 +235,7 @@ def _profile_norms(fns: _Functions, F, w, interval: IntervalSpec) -> np.ndarray:
     return np.sqrt(np.abs(F) ** 2 @ w)
 
 
-def inner_matrix(sources, targets, interval: IntervalSpec, quad_order: int = DEFAULT_PANEL_ORDER) -> np.ndarray:
+def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for any two systems.
 
     Single-node functions on both sides use the closed form; otherwise one
@@ -275,7 +254,7 @@ def inner_matrix(sources, targets, interval: IntervalSpec, quad_order: int = DEF
         S = exp_inner_closed_form(ws[:, None] - wt[None, :], interval)
     else:
         rate = float(np.max(np.abs(ws)) + np.max(np.abs(wt)))
-        t, w = oscillation_panel_rule(interval, rate, quad_order)
+        t, w = oscillation_panel_rule(interval, rate)
         Fs = np.stack([eval_divided_difference(x, t) for x in src.nodes])
         Ft = Fs if tgt is src else np.stack([eval_divided_difference(x, t) for x in tgt.nodes])
         S = (Fs * w) @ Ft.conj().T
@@ -292,13 +271,18 @@ def inner_matrix(sources, targets, interval: IntervalSpec, quad_order: int = DEF
     return K.T
 
 
-def assemble_gram(system, interval: IntervalSpec, quad_order: int = DEFAULT_PANEL_ORDER) -> GramMatrix:
-    """Gram matrix of an exponential, divided-difference or Fourier-grid system over I.
+def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
+    """Gram matrix (complex ndarray) of an exponential, divided-difference or Fourier-grid system over I.
 
     The grid is shared by all entries, so the result is deterministic and
     independent of evaluation order.
     """
-    return GramMatrix(entries=inner_matrix(system, system, interval, quad_order))
+    return inner_matrix(system, system, interval)
+
+
+def hermiticity_residual(G: np.ndarray) -> float:
+    """max |G - G^H|, in the dtype of G."""
+    return float(np.max(np.abs(G - G.conj().T)))
 
 
 def cross_inner_matrix(
@@ -321,12 +305,12 @@ def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 
-def energy_quadratic_form(G: GramMatrix, coeffs) -> float:
+def energy_quadratic_form(G: np.ndarray, coeffs) -> float:
     """The quadratic form coef^H G coef (the L2(I, H) energy of the sum)."""
     values = np.asarray(getattr(coeffs, "values", coeffs), dtype=complex)
-    if values.shape != (G.n,):
-        raise ValueError(f"coefficient vector of length {values.size} does not match Gram of size {G.n}")
-    q = values.conj() @ G.entries @ values
+    if values.shape != (G.shape[0],):
+        raise ValueError(f"coefficient vector of length {values.size} does not match Gram of size {G.shape[0]}")
+    q = values.conj() @ G @ values
     return float(np.real(q))
 
 
@@ -342,36 +326,35 @@ class BiorthogonalFamily:
         return self.coefficients.shape[0]
 
 
-def _spectral_gate(G: GramMatrix) -> tuple[float, float]:
-    evals = eigvalsh(G.entries)
-    gnorm = float(np.max(np.abs(evals)))
-    emin = float(evals[0])
-    if emin <= NEAR_SINGULAR_RTOL * gnorm:
-        raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
-    return emin, gnorm
-
-
-def dual_family(G: GramMatrix) -> BiorthogonalFamily:
-    """Biorthogonal coefficients: the inverse Gram, after a spectral gate.
+def gated_cho_factor(G: np.ndarray):
+    """Cholesky factor of a Gram (``cho_factor`` form), after a spectral gate.
 
     Raises NearSingularGramError (carrying the offending eigenvalue) when the
     smallest eigenvalue is at or below 1e-10 times the spectral norm; that
     failure mode is itself the measurement of a degenerating system.
     """
-    _spectral_gate(G)
-    cho = cho_factor(G.entries, lower=False)
-    C = cho_solve(cho, np.eye(G.n, dtype=complex))
+    evals = eigvalsh(G)
+    gnorm = float(np.max(np.abs(evals)))
+    emin = float(evals[0])
+    if emin <= NEAR_SINGULAR_RTOL * gnorm:
+        raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
+    return cho_factor(G, lower=False)
+
+
+def dual_family(G: np.ndarray) -> BiorthogonalFamily:
+    """Biorthogonal coefficients: the inverse Gram, behind ``gated_cho_factor``."""
+    C = cho_solve(gated_cho_factor(G), np.eye(G.shape[0], dtype=complex))
     C = 0.5 * (C + C.conj().T)
     return BiorthogonalFamily(coefficients=C, norms=np.sqrt(np.real(np.diag(C))))
 
 
-def biorthogonality_residual(G: GramMatrix, dual: BiorthogonalFamily) -> float:
+def biorthogonality_residual(G: np.ndarray, dual: BiorthogonalFamily) -> float:
     """max |(e_j, phi_k) - delta_jk| over the span."""
-    R = G.entries @ dual.coefficients - np.eye(G.n)
+    R = G @ dual.coefficients - np.eye(G.shape[0])
     return float(np.max(np.abs(R)))
 
 
-def project_coefficients(target, sources, interval: IntervalSpec, quad_order: int = DEFAULT_PANEL_ORDER) -> np.ndarray:
+def project_coefficients(target, sources, interval: IntervalSpec) -> np.ndarray:
     """Coefficients of the orthogonal projection of each source function.
 
     Returns ``coef`` with ``coef[alpha, s]`` the coefficient of target
@@ -379,10 +362,7 @@ def project_coefficients(target, sources, interval: IntervalSpec, quad_order: in
     products for an orthonormal target (a FourierGrid), Gram-inverse-weighted
     inner products otherwise.
     """
-    B = inner_matrix(sources, target, interval, quad_order)
+    B = inner_matrix(sources, target, interval)
     if isinstance(target, FourierGrid):
         return B
-    Gt = assemble_gram(target, interval, quad_order)
-    _spectral_gate(Gt)
-    cho = cho_factor(Gt.entries, lower=False)
-    return cho_solve(cho, B)
+    return cho_solve(gated_cho_factor(assemble_gram(target, interval)), B)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from inghamlab.basisfuncs import eval_divided_difference
-from inghamlab.gram import DEFAULT_PANEL_ORDER, SMALL_PHASE, oscillation_panel_rule
+from inghamlab.gram import SMALL_PHASE, oscillation_panel_rule
 
 
 def brute_count(exponents, r):
@@ -147,12 +147,12 @@ def vector_inner(k, n, family, directions, interval):
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
-def dd_inner_quadrature(k, n, ddbasis, directions, interval, quad_order=DEFAULT_PANEL_ORDER):
+def dd_inner_quadrature(k, n, ddbasis, directions, interval):
     """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature."""
     nodes_k = ddbasis.nodes_for(k)
     nodes_n = ddbasis.nodes_for(n)
     rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
-    t, w = oscillation_panel_rule(interval, rate, quad_order)
+    t, w = oscillation_panel_rule(interval, rate)
     fk = eval_divided_difference(nodes_k, t)
     fn = eval_divided_difference(nodes_n, t)
     scalar = np.sum(w * fk * np.conj(fn))

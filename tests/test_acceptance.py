@@ -73,7 +73,7 @@ def test_criterion_01_parseval_baseline():
     dirs = DirectionAssignment.constant(fam, 1)
     I = IntervalSpec(0, TWO_PI)
     G = assemble_gram(ExponentialSystem(fam, dirs), I)
-    entry_residual = float(np.max(np.abs(G.entries - TWO_PI * np.eye(len(fam)))))
+    entry_residual = float(np.max(np.abs(G - TWO_PI * np.eye(len(fam)))))
     rep = frame_bound_sequence(fam, dirs, I, [8, 16, 32, 64])
     bounds_ok = all(
         abs(lo - TWO_PI) < 1e-10 and abs(hi - TWO_PI) < 1e-10
@@ -132,10 +132,10 @@ def test_criterion_04_vectorial_sharpness_block_identity():
         pos = [fam.position(i) for i in part.class_indices(j)]
         sub = part.class_family(j)
         scalar = assemble_gram(ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), I)
-        residual = max(residual, float(np.max(np.abs(G.entries[np.ix_(pos, pos)] - scalar.entries))))
+        residual = max(residual, float(np.max(np.abs(G[np.ix_(pos, pos)] - scalar))))
     pos1 = [fam.position(i) for i in part.class_indices(1)]
     pos2 = [fam.position(i) for i in part.class_indices(2)]
-    residual = max(residual, float(np.max(np.abs(G.entries[np.ix_(pos1, pos2)]))))
+    residual = max(residual, float(np.max(np.abs(G[np.ix_(pos1, pos2)]))))
     sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
     verdicts = [r.verdict for r in sweep.results]
     _report(
@@ -281,7 +281,7 @@ def test_criterion_09_conditioning_payoff():
     fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 8])
     dirs = DirectionAssignment.constant(fam, 1)
     Graw = assemble_gram(ExponentialSystem(fam, dirs), I)
-    olo, ohi = power_extremes(Graw.entries)
+    olo, ohi = power_extremes(Graw)
     oracle_ok = abs(ohi / olo - row["cond_raw"]) <= 1e-3 * row["cond_raw"]
     measured_ok = ratio == pytest.approx(MEASURED_CONDITIONING_RATIO, rel=0.05)
     # the substantive claim: raw degenerates like delta^-2 while the

@@ -226,6 +226,18 @@ class TestDirectionAssignment:
         sub = dirs.subset([1, 3])
         assert np.array_equal(sub.indices, [1, 3])
 
+    def test_subset_follows_requested_order(self):
+        dirs = DirectionAssignment(d=1, matrix=np.array([[1.0], [1j], [-1.0]]), indices=[5, 2, 8])
+        sub = dirs.subset([8, 5, 2])
+        assert np.array_equal(sub.indices, [8, 5, 2])
+        assert np.array_equal(sub.matrix, dirs.matrix[[2, 0, 1]])
+
+    @pytest.mark.parametrize("missing", [-1, 3, 9])
+    def test_subset_names_missing_index(self, missing):
+        dirs = DirectionAssignment(d=1, matrix=np.ones((3, 1)), indices=[0, 2, 4])
+        with pytest.raises(IndexError, match=f"no direction assigned to index {missing}$"):
+            dirs.subset([2, missing, 4])
+
     def test_random_unit_rows_deterministic(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 9])
         a = DirectionAssignment.random(fam, 2, seed=5)

@@ -3,9 +3,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inghamlab.cli import (
+    COMMANDS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -421,6 +425,29 @@ class TestMainEntry:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"command": "bounds-sweep", "grids": {"lengths": [5.0]}, "params": {"N_max": 8},
+          "directions": {"rule": "partition", "d": 2, "alpha": 3.0}},
+         "config error: directions: alpha=3.0 outside [D+/d, D+] = [0.5, 1]"),
+        ({"command": "sharpness", "params": {"alpha": 3.0, "d": 2}},
+         "config error: params: alpha=3.0 outside [D+/d, D+] = [0.5, 1]"),
+        # steps 1, 2, 1, 2, ...: pattern period 2
+        ({"command": "gram",
+          "family": {"kind": "explicit", "params": {"exponents": [3 * k + j for k in range(8) for j in (0, 1)]}},
+          "directions": {"rule": "partition", "d": 2, "alpha": 0.5, "period_count": 3}},
+         "config error: directions: period_count must be a positive multiple of the pattern period 2"),
+        ({"command": "sharpness", "params": {"alpha": 0.5, "d": 2},
+          "family": {"kind": "perturbed-lattice", "params": {"window": [-30, 30], "max_perturbation": 0.2}}},
+         "config error: params: construction requires periodic family"),
+    ])
+    def test_partition_errors_exit_two(self, tmp_path, capsys, change, message):
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "partition.json"
+        cfg_path.write_text(json.dumps({**trace_config(out), **change}))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_exit_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "singular.json"
         out = tmp_path / "out.csv"
@@ -466,6 +493,32 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path), "--seed", "42"]) == 0
         assert "# seed=42" in out.read_text()
 
+    def test_seed_override_matches_config_seed(self, tmp_path):
+        # the seed draws both the perturbation and the random directions
+        raw = {
+            "command": "bounds-sweep",
+            "family": {"kind": "perturbed-lattice", "params": {"window": [-40, 40], "max_perturbation": 0.2}},
+            "directions": {"rule": "random", "d": 2},
+            "grids": {"lengths": [5.0, 8.0]},
+            "params": {"N_max": 16},
+            "output": {"path": "sweep.json", "format": "json"},
+        }
+        (tmp_path / "plain.json").write_text(json.dumps(raw))
+        (tmp_path / "seeded.json").write_text(json.dumps({**raw, "seed": 7}))
+        runs = {"override": ["plain.json", "--seed", "7"], "config": ["seeded.json"], "default": ["plain.json"]}
+        for name, (config, *extra) in runs.items():
+            assert main(["--config", str(tmp_path / config), "--out", str(tmp_path / name), *extra]) == 0
+        assert (tmp_path / "override").read_bytes() == (tmp_path / "config").read_bytes()
+        assert (tmp_path / "override").read_bytes() != (tmp_path / "default").read_bytes()
+
+    def test_negative_seed_override_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(density_config(out)))
+        assert main(["--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "config error: seed override must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_format_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "out.any"
@@ -489,6 +542,74 @@ class TestMainEntry:
         assert out.exists()
 
 
+ECHO_KEYS = {"command", "family", "seed", "directions", "interval", "grids", "params", "output"}
+positives = st.floats(0.01, 50.0)
+
+
+def increasing(values, min_size=1):
+    return st.lists(values, min_size=min_size, max_size=5, unique=True).map(sorted)
+
+
+def alphas(density, d):
+    """Target class densities a sharpness partition admits: [D/d, D]."""
+    return st.floats(0.0, 1.0).map(lambda t: density / d + t * (density - density / d))
+
+
+@st.composite
+def valid_configs(draw, command):
+    """A config document ``parse_config`` accepts, for the given command."""
+    spacing = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    window = [-draw(st.integers(12, 30)), draw(st.integers(12, 30))]
+    families = [
+        {"kind": "lattice", "params": {"spacing": spacing, "window": window}},
+        {"kind": "perturbed-lattice", "params": {"spacing": spacing, "window": window, "max_perturbation": 0.2}},
+        {"kind": "perturbed-lattice", "params": {"window": window, "max_perturbation": 0.1, "seed": 3}},
+        {"kind": "explicit", "params": {"exponents": [float(k) for k in range(window[0], window[1])]}},
+    ]
+    if command == "sharpness":
+        families = families[:1]  # sharpness partitions need a periodic family
+    if command == "dd-condition":
+        family = {"kind": "clustered-pairs", "params": draw(st.fixed_dictionaries({}, optional={
+            "spacing": st.floats(1.0, 3.0), "window": st.just([0.0, 8.0])}))}
+    else:
+        family = draw(st.sampled_from(families))
+    density, d = 1.0 / spacing, draw(st.integers(1, 3))
+    rules = ["constant", "random", *(["partition"] if family["kind"] == "lattice" else [])]
+    directions = {"rule": draw(st.sampled_from(rules)), "d": d}
+    if directions["rule"] == "constant":
+        directions["axis"] = draw(st.integers(0, d - 1))
+    elif directions["rule"] == "random" and draw(st.booleans()):
+        directions["seed"] = draw(st.integers(0, 1000))
+    elif directions["rule"] == "partition":
+        directions["alpha"] = draw(alphas(density, d))
+    a = draw(st.floats(-10.0, 10.0))
+    raw = {
+        "command": command,
+        "family": family,
+        "directions": directions,
+        "interval": [a, a + draw(st.floats(0.5, 12.0))],
+        "output": {"path": draw(st.sampled_from(["a.csv", "b.json"])),
+                   "format": draw(st.sampled_from(["csv", "json"]))},
+    }
+    if draw(st.booleans()):
+        raw["seed"] = draw(st.integers(0, 10**6))
+    grids = {"density": "r", "bounds-sweep": "lengths", "defect-decay": "R", "dd-condition": "delta"}
+    if command in grids:
+        raw["grids"] = {grids[command]: draw(increasing(positives, min_size=4 if command == "defect-decay" else 1))}
+    if command in ("trace", "defect-decay"):
+        raw["params"] = {"r": draw(positives), "y": draw(st.floats(-5.0, 5.0))}
+        if command == "trace":
+            raw["params"]["R"] = draw(positives)
+    elif command == "bounds-sweep":
+        raw["params"] = {"N_max": draw(st.integers(1, 6))}  # the smallest family has 13 exponents
+    elif command == "sharpness":
+        raw["params"] = {"d": d, "alpha": draw(alphas(density, d))}
+    elif command == "dd-condition":
+        raw["params"] = draw(st.fixed_dictionaries({}, optional={
+            "M": st.integers(1, 3), "gamma_prime": st.floats(0.1, 1.0), "normalize_dd": st.booleans()}))
+    return raw
+
+
 class TestConfigEquality:
     def test_dataclass_round_trip_equality(self):
         text = json.dumps(trace_config("t.csv"))
@@ -496,3 +617,21 @@ class TestConfigEquality:
         b = parse_config(json.dumps(a.canonical()))
         assert a == b
         assert isinstance(a, ExperimentConfig)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(COMMANDS).flatmap(valid_configs))
+    def test_canonical_round_trip(self, raw):
+        config = parse_config(json.dumps(raw))
+        echo = config.canonical()
+        # the echo is plain JSON: no built family, direction or interval object leaks in
+        assert set(echo) == ECHO_KEYS
+        assert json.loads(json.dumps(echo, allow_nan=False)) == echo
+        back = parse_config(json.dumps(echo))
+        assert back == config
+        assert back.canonical() == echo
+        # and it rebuilds the same objects
+        if config.exponent_family is not None:
+            assert np.array_equal(back.exponent_family.exponents, config.exponent_family.exponents)
+        if config.direction_assignment is not None:
+            assert np.array_equal(back.direction_assignment.matrix, config.direction_assignment.matrix)
+        assert back.interval_spec == config.interval_spec
