@@ -26,7 +26,6 @@ from .gram import (
     cross_inner_matrix,
     gated_cho_factor,
     hermiticity_residual,
-    inner_matrix,
     projection_defect_norms,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "TraceExperiment",
     "SweepResult",
     "DefectDecayFit",
-    "DensityChainReport",
     "GridPointFailure",
     "extreme_eigenvalues",
     "frame_bound_sequence",
@@ -44,10 +42,7 @@ __all__ = [
     "run_trace_experiment",
     "defect_decay_fit",
     "defect_majorant",
-    "dd_threshold_check",
     "conditioning_comparison",
-    "density_chain_check",
-    "default_trace_geometry",
 ]
 
 HERMITICITY_RTOL = 1e-10
@@ -101,9 +96,6 @@ class FrameBoundReport:
     lambda_max: list[float]
     interval_length: float
     verdict: str = "indeterminate"
-
-    def floor(self) -> float:
-        return EIGEN_FLOOR_RTOL * max(self.lambda_max)
 
     def to_rows(self) -> list[dict]:
         return [
@@ -207,15 +199,8 @@ class SweepResult:
             raise ValueError("sweep grid must be strictly increasing")
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for value, result in zip(self.grid, self.results):
-            if hasattr(result, "to_rows"):
-                rows.extend(result.to_rows())
-            elif isinstance(result, dict):
-                rows.append({self.parameter: value, **{k: v for k, v in result.items() if k != self.parameter}})
-            else:
-                rows.append({self.parameter: value, "value": result})
-        return rows
+        """The rows of every per-point report, in grid order."""
+        return [row for result in self.results for row in result.to_rows()]
 
 
 def _run_grid(jobs, threads: int):
@@ -315,18 +300,6 @@ class TraceExperiment:
             "trace_agreement": self.trace_agreement,
             "max_defect": float(np.max(self.defect_norms)),
         }
-
-
-def default_trace_geometry(family: ExponentFamily, margin: int = 1) -> tuple[float, float]:
-    """Window-center y and an r that keeps ``margin`` exponents off each edge."""
-    if margin < 1:
-        raise ValueError("margin must be at least 1")
-    x = family.exponents
-    if x.size < 2 * margin + 3:
-        raise ValueError("family too small for the requested edge margin")
-    y = 0.5 * (x[0] + x[-1])
-    r = min(y - x[margin - 1], x[-margin] - y) * (1.0 - 1e-12)
-    return float(y), float(r)
 
 
 def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r: float):
@@ -456,48 +429,6 @@ def defect_majorant(d: int, interval: IntervalSpec, R: float) -> float:
     return 8.0 * d / interval.length * float(polygamma(1, R / a)) / a**2
 
 
-@dataclass
-class ThresholdCheckReport:
-    empirical_C: float
-    pairs_evaluated: int
-    max_by_separation_decade: dict
-    gamma_sample: np.ndarray
-
-
-def dd_threshold_check(
-    ddbasis: DividedDifferenceBasis,
-    interval: IntervalSpec,
-    gamma_sample,
-) -> ThresholdCheckReport:
-    """Empirical constant of the decay bound for divided-difference coefficients.
-
-    Measures max over (k, n) of |integral of f_k(t) exp(-i gamma_n t)| times
-    |w_k - gamma_n| and summarizes it by separation decade so any blow-up
-    with tightening clusters or growing separation is visible.
-    """
-    gammas = np.asarray(gamma_sample, dtype=float)
-    # every summary below is invariant under reordering the sample
-    sample = ExponentFamily(np.sort(gammas))
-    sources = DividedDifferenceSystem(ddbasis, DirectionAssignment.constant(ddbasis.family, 1))
-    targets = ExponentialSystem(sample, DirectionAssignment.constant(sample, 1))
-    A = inner_matrix(sources, targets, interval).T  # A[k, n] = (f_k, exp(i gamma_n t))
-    omegas = np.array([ddbasis.family.value(desc.index) for desc in ddbasis.descriptors])
-    sep = np.abs(omegas[:, None] - sample.exponents[None, :])
-    prod = np.abs(A) * sep
-    by_decade: dict[int, float] = {}
-    nonzero = sep > 0
-    decades = np.floor(np.log10(sep, where=nonzero, out=np.zeros_like(sep))).astype(int)
-    for dec in np.unique(decades[nonzero]):
-        sel = nonzero & (decades == dec)
-        by_decade[int(dec)] = float(prod[sel].max())
-    return ThresholdCheckReport(
-        empirical_C=float(prod.max()),
-        pairs_evaluated=int(prod.size),
-        max_by_separation_decade=by_decade,
-        gamma_sample=gammas,
-    )
-
-
 def conditioning_comparison(
     interval: IntervalSpec,
     delta_grid,
@@ -552,66 +483,3 @@ def conditioning_comparison(
         results=rows,
         metadata={"spacing": spacing, "window": list(window), "normalized_dd": normalize_dd},
     )
-
-
-@dataclass
-class DensityChainReport:
-    rows: list
-    all_hold: bool
-    d: int
-    R: float
-
-    def to_rows(self) -> list[dict]:
-        return [dict(row) for row in self.rows]
-
-
-def density_chain_check(
-    family: ExponentFamily,
-    d: int,
-    interval: IntervalSpec,
-    r_grid,
-    R: float,
-    y: float | None = None,
-    directions: DirectionAssignment | None = None,
-) -> DensityChainReport:
-    """Counting inequality Card(window set) <= (d + eps(R)) Card(grid set).
-
-    eps(R) is instantiated from the measured defects: the correction term of
-    the trace decomposition is bounded by sum_k defect_k * ||phi_k||, so
-    eps(R) = that bound divided by Card(grid).  Also reports the implied
-    lower bound on the interval length per grid radius.
-    """
-    if directions is None:
-        directions = DirectionAssignment.constant(family, d)
-    if directions.d != d:
-        raise ValueError("directions dimension does not match d")
-    if y is None:
-        y = 0.5 * (family.exponents[0] + family.exponents[-1])
-    rows = []
-    all_hold = True
-    for r in [float(v) for v in r_grid]:
-        try:
-            exp = run_trace_experiment(family, directions, interval, y, r, R)
-        except (ValueError, ArithmeticError) as exc:
-            raise GridPointFailure(f"at r={r:.6g}: {exc}") from exc
-        correction_bound = float(np.sum(exp.defect_norms * exp.dual_norms))
-        eps_R = correction_bound / exp.card_gamma
-        lhs = exp.card_omega_r
-        rhs = (d + eps_R) * exp.card_gamma
-        holds = lhs <= rhs + 1e-9
-        all_hold = all_hold and holds
-        implied_length = (
-            math.pi * (exp.card_omega_r / (d + eps_R) - 1.0) / (r + R)
-        )
-        rows.append(
-            {
-                "r": r,
-                "card_omega_r": exp.card_omega_r,
-                "card_gamma": exp.card_gamma,
-                "eps_R": eps_R,
-                "holds": holds,
-                "ratio": lhs / exp.card_gamma,
-                "implied_length_lower": implied_length,
-            }
-        )
-    return DensityChainReport(rows=rows, all_hold=all_hold, d=d, R=float(R))

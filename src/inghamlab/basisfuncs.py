@@ -4,7 +4,6 @@ Divided differences of w -> exp(i*w*t) over a node chain are computed by the
 confluent Newton recurrence when the nodes are well separated, and by
 Gauss-Legendre quadrature of the iterated-integral (simplex) representation
 when they are clustered, where the recurrence cancels catastrophically.
-Both routes are exposed so they can cross-check each other.
 """
 
 from __future__ import annotations
@@ -21,14 +20,8 @@ __all__ = [
     "COALESCENCE_RTOL",
     "DEFAULT_SIMPLEX_ORDER",
     "DirectionAssignment",
-    "CoefficientVector",
     "DividedDifferenceBasis",
-    "eval_exponential",
-    "eval_sum",
     "eval_divided_difference",
-    "eval_dd_hermite_genocchi",
-    "dd_derivative",
-    "dd_derivative_bound",
 ]
 
 UNIT_NORM_TOL = 1e-12
@@ -36,7 +29,6 @@ UNIT_NORM_TOL = 1e-12
 # cancellation-dominated and the simplex quadrature takes over
 COALESCENCE_RTOL = 1e-4
 DEFAULT_SIMPLEX_ORDER = 16
-DERIVATIVE_STEP_RTOL = 1e-5
 
 
 @dataclass
@@ -56,12 +48,6 @@ class DirectionAssignment:
             raise ValueError("every direction vector must have unit norm within 1e-12")
         self.matrix = U
         self.indices = np.asarray(self.indices, dtype=int)
-
-    def direction(self, index: int) -> np.ndarray:
-        pos = np.flatnonzero(self.indices == index)
-        if pos.size == 0:
-            raise IndexError(f"no direction assigned to index {index}")
-        return self.matrix[pos[0]]
 
     @classmethod
     def constant(cls, family: ExponentFamily, d: int = 1, axis: int = 0) -> "DirectionAssignment":
@@ -96,57 +82,6 @@ class DirectionAssignment:
         if np.any(missing):
             raise IndexError(f"no direction assigned to index {idx[missing][0]}")
         return DirectionAssignment(d=self.d, matrix=self.matrix[rows], indices=idx)
-
-
-@dataclass
-class CoefficientVector:
-    """Complex coefficients aligned with a family's index window."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    square_sum: float = -1.0
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=int)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.indices.shape:
-            raise ValueError("values and indices must align")
-        ss = float(np.sum(np.abs(self.values) ** 2))
-        if self.square_sum >= 0 and abs(self.square_sum - ss) > 1e-12 * max(1.0, ss):
-            raise ValueError("cached square-sum does not match the coefficients")
-        self.square_sum = ss
-
-    @classmethod
-    def from_dict(cls, mapping: dict[int, complex]) -> "CoefficientVector":
-        idx = np.array(sorted(mapping), dtype=int)
-        return cls(indices=idx, values=np.array([mapping[int(i)] for i in idx]))
-
-
-def eval_exponential(omega: float, U: np.ndarray, t: float) -> np.ndarray:
-    """U * exp(i*omega*t) for a unit direction U."""
-    U = np.asarray(U, dtype=complex)
-    if abs(np.linalg.norm(U) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("direction vector must have unit norm")
-    return U * np.exp(1j * omega * t)
-
-
-def eval_sum(
-    family: ExponentFamily,
-    directions: DirectionAssignment,
-    coeffs: CoefficientVector,
-    t,
-) -> np.ndarray:
-    """The coefficient sum  sum_k x_k U_k exp(i*w_k*t).
-
-    Scalar t gives a (d,) vector; a 1-D t array gives shape (len(t), d).
-    """
-    if not np.array_equal(directions.indices, family.indices):
-        raise ValueError("direction index set does not match the family window")
-    if not np.array_equal(coeffs.indices, family.indices):
-        raise ValueError("coefficient index set does not match the family window")
-    tt = np.asarray(t, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(tt, family.exponents))  # (..., n)
-    return (phases * coeffs.values) @ directions.matrix
 
 
 def _dd_recurrence(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -221,53 +156,6 @@ def _hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray
     return (1j * tarr) ** q * integral
 
 
-def eval_dd_hermite_genocchi(nodes, t, quad_order: int = DEFAULT_SIMPLEX_ORDER):
-    """Iterated-integral (simplex) form of the divided difference.
-
-    Exact for one node; for r nodes integrates
-    (i t)^(r-1) * exp(i * phase(s) * t) over the ordered simplex via a
-    tensorized Gauss-Legendre rule with quad_order points per dimension.
-    Node order does not matter (the value is symmetric in the nodes).
-    """
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
-    x = np.atleast_1d(np.asarray(nodes, dtype=float))
-    if x.size == 0:
-        raise ValueError("nodes must be nonempty")
-    tt = np.asarray(t, dtype=float)
-    tarr = np.atleast_1d(tt)
-    out = _hermite_genocchi(x, tarr, quad_order)
-    return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
-
-
-def dd_derivative(nodes, t: float, h: float | None = None) -> complex:
-    """Central finite difference in t of the divided difference."""
-    if h is None:
-        h = DERIVATIVE_STEP_RTOL * max(1.0, abs(t))
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return (eval_divided_difference(nodes, t + h) - eval_divided_difference(nodes, t - h)) / (2.0 * h)
-
-
-def dd_derivative_bound(nodes, t: float) -> float:
-    """Growth bound for |d/dt [mu_1,...,mu_r](t)|, t >= 0.
-
-    (r-1) t^(r-2) / (r-1)!  +  (|mu_r - mu_{r-1}| + ... + |mu_2 - mu_1| + |mu_1|) t^(r-1) / (r-1)!
-    with mu_i the nodes as given (the first listed node enters as |mu_1|).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    mu = np.atleast_1d(np.asarray(nodes, dtype=float))
-    r = mu.size
-    if r == 0:
-        raise ValueError("nodes must be nonempty")
-    fact = math.factorial(r - 1)
-    walk = float(np.sum(np.abs(np.diff(mu))) + abs(mu[0]))
-    if r == 1:
-        return walk  # t^0 / 0! term only
-    return (r - 1) * t ** (r - 2) / fact + walk * t ** (r - 1) / fact
-
-
 @dataclass
 class DDescriptor:
     """One divided-difference basis function: nodes w_m..w_l of its chain prefix."""
@@ -275,10 +163,6 @@ class DDescriptor:
     index: int
     chain_start: int
     nodes: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size
 
 
 @dataclass
@@ -306,13 +190,3 @@ class DividedDifferenceBasis:
     @property
     def indices(self) -> np.ndarray:
         return np.array([desc.index for desc in self.descriptors], dtype=int)
-
-    def nodes_for(self, index: int) -> np.ndarray:
-        for desc in self.descriptors:
-            if desc.index == index:
-                return desc.nodes
-        raise IndexError(f"no basis function for index {index}")
-
-    def evaluate(self, index: int, t):
-        """f_index(t); scalar or array t."""
-        return eval_divided_difference(self.nodes_for(index), t)

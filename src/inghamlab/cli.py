@@ -27,7 +27,14 @@ from .analysis import (
     threshold_sweep,
 )
 from .basisfuncs import DirectionAssignment
-from .exponents import ExponentFamily, Partition, build_sharpness_partition, estimate_density, generate_family
+from .exponents import (
+    DensityEstimate,
+    ExponentFamily,
+    Partition,
+    build_sharpness_partition,
+    estimate_density,
+    generate_family,
+)
 from .gram import (
     ExponentialSystem,
     IntervalSpec,
@@ -53,11 +60,16 @@ class NumericalFailure(RuntimeError):
     """A downstream numerical error, annotated with the offending grid point."""
 
 
+# fixed once set: parse_config builds what the run reads from them
+_FIXED_FIELDS = ("command", "family", "seed", "directions", "interval", "grids", "params", "output_path")
+
+
 @dataclass
 class ExperimentConfig:
     """A validated config.  ``parse_config`` builds what the run reads from
-    these fields, so change a config by parsing again (``seed=`` overrides
-    the seed), not by assigning to its fields."""
+    these fields, so they are read-only: change a config by parsing again
+    (``seed=`` overrides the seed).  ``output_format`` and ``threads`` build
+    nothing and stay settable."""
 
     command: str
     family: dict
@@ -74,6 +86,12 @@ class ExperimentConfig:
     direction_assignment: DirectionAssignment | None = field(default=None, init=False, compare=False, repr=False)
     partition: Partition | None = field(default=None, init=False, compare=False, repr=False)
     interval_spec: IntervalSpec | None = field(default=None, init=False, compare=False, repr=False)
+    density_estimate: DensityEstimate | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __setattr__(self, name, value):
+        if name in _FIXED_FIELDS and name in self.__dict__:
+            raise AttributeError(f"{name!r} is fixed by parse_config; parse the config again to change it")
+        super().__setattr__(name, value)
 
     def canonical(self) -> dict:
         return {
@@ -88,6 +106,13 @@ class ExperimentConfig:
         }
 
 
+# The names a config may use: a command reads only some of them, but any
+# known name is accepted (and echoed), and any other one is a config error.
+_FIELDS = ("command", "family", "seed", "directions", "interval", "grids", "params", "output")
+_FAMILY_KEYS = ("kind", "params", "seed")
+_DIRECTION_KEYS = ("rule", "d", "seed", "axis", "alpha", "period_count")
+_OUTPUT_KEYS = ("path", "format")
+# every grid is required by the one command that reads it
 _REQUIRED_GRIDS = {
     "density": ["r"],
     "bounds-sweep": ["lengths"],
@@ -101,6 +126,7 @@ _REQUIRED_PARAMS = {
 }
 _INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
 _NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
+_BOOLEAN_PARAMS = ("normalize_dd",)
 _NEEDS_INTERVAL = ("gram", "trace", "defect-decay", "dd-condition", "sharpness")
 _USES_DIRECTIONS = ("gram", "bounds-sweep", "trace", "defect-decay", "sharpness")
 
@@ -112,6 +138,11 @@ def _finite(value) -> bool:
 
 def _positive_int(value) -> bool:
     return type(value) is int and value >= 1
+
+
+def _unknown(what: str, given: dict, known) -> list[str]:
+    """One error per name in ``given`` that no command reads."""
+    return [f"unknown {what} {name!r} (known: {', '.join(known)})" for name in given if name not in known]
 
 
 def _dd_family_errors(family: dict) -> list[str]:
@@ -139,9 +170,9 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     """Validate a JSON config document, collecting every error.
 
     Validation builds what the runner reads (the family, the direction
-    assignment or sharpness partition, the interval), so a ValueError from
-    any build is a config error.  ``seed``, when given, overrides the
-    config's seed before anything is built.
+    assignment or sharpness partition, the interval, a density estimate),
+    so a ValueError from any build is a config error.  ``seed``, when
+    given, overrides the config's seed before anything is built.
     """
     errors: list[str] = []
     try:
@@ -150,6 +181,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         raise ConfigError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
+    errors.extend(_unknown("field", raw, _FIELDS))
 
     command = raw.get("command")
     if command is None:
@@ -167,6 +199,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"family.kind must be one of {', '.join(FAMILY_KINDS)}, got {kind!r}")
         if not isinstance(family.get("params", {}), dict):
             errors.append("family.params must be an object")
+        errors.extend(_unknown("family key", family, _FAMILY_KEYS))
 
     config_seed = raw.get("seed", family.get("seed", 0))
     if type(config_seed) is not int or config_seed < 0:
@@ -184,6 +217,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         errors.append("directions must be an object")
         directions = {"rule": "constant", "d": 1}
     else:
+        errors.extend(_unknown("directions key", directions, _DIRECTION_KEYS))
         rule = directions.get("rule", "constant")
         if rule not in DIRECTION_RULES:
             errors.append(f"directions.rule must be one of {', '.join(DIRECTION_RULES)}, got {rule!r}")
@@ -219,10 +253,12 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     if command in _NEEDS_INTERVAL and interval is None:
         errors.append(f"missing required field 'interval' for command {command!r}")
 
+    n_errors = len(errors)
     grids = raw.get("grids", {})
     if not isinstance(grids, dict):
         errors.append("grids must be an object")
         grids = {}
+    errors.extend(_unknown("grid", grids, [name for names in _REQUIRED_GRIDS.values() for name in names]))
     for name, grid in grids.items():
         if not isinstance(grid, list) or not grid:
             errors.append(f"grid {name!r} must be a nonempty list")
@@ -237,12 +273,14 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     for name in _REQUIRED_GRIDS.get(command, []):
         if name not in grids:
             errors.append(f"missing required grid {name!r} for command {command!r}")
+    grids_ok = len(errors) == n_errors
 
     n_errors = len(errors)
     params = raw.get("params", {})
     if not isinstance(params, dict):
         errors.append("params must be an object")
         params = {}
+    errors.extend(_unknown("parameter", params, _INTEGER_PARAMS + _NUMBER_PARAMS + _BOOLEAN_PARAMS))
     for name in _REQUIRED_PARAMS.get(command, []):
         if name not in params:
             errors.append(f"missing required parameter {name!r} for command {command!r}")
@@ -253,14 +291,15 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"parameter {name!r} must be a positive integer")
         elif name in _NUMBER_PARAMS and not _finite(value):
             errors.append(f"parameter {name!r} must be a number")
-        elif name == "normalize_dd" and type(value) is not bool:
-            errors.append("parameter 'normalize_dd' must be true or false")
+        elif name in _BOOLEAN_PARAMS and type(value) is not bool:
+            errors.append(f"parameter {name!r} must be true or false")
     params_ok = len(errors) == n_errors
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
         errors.append("output must be an object")
         output = {}
+    errors.extend(_unknown("output key", output, _OUTPUT_KEYS))
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "json"):
         errors.append(f"output.format must be 'csv' or 'json', got {output_format!r}")
@@ -294,6 +333,11 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
                     f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
                     f"the family has {len(built)}"
                 )
+            if command == "density" and grids_ok:
+                try:
+                    config.density_estimate = estimate_density(built, grids["r"])
+                except ValueError as exc:
+                    errors.append(f"grid 'r': {exc}")
             # sharpness partitions by its params, the other commands follow directions
             where, ready = ("params", params_ok) if command == "sharpness" else ("directions", directions_ok)
             if command in _USES_DIRECTIONS and ready:
@@ -339,8 +383,7 @@ def _fmt(value) -> str:
 
 
 def _run_density(config: ExperimentConfig):
-    family = config.exponent_family
-    est = estimate_density(family, config.grids["r"])
+    family, est = config.exponent_family, config.density_estimate
     rows = [
         {"r": float(r), "count": int(c)}
         for r, c in zip(est.radii, est.counts)
@@ -522,17 +565,6 @@ def _write_json(path: Path, config: ExperimentConfig, rows: list[dict], summary:
         "rows": rows,
     }
     path.write_text(json.dumps(_json_value(document), sort_keys=True, indent=1, allow_nan=False) + "\n")
-
-
-def read_artifact_config(path) -> ExperimentConfig:
-    """Re-parse the config echoed into an artifact (CSV header or JSON field)."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return parse_config(json.dumps(json.loads(text)["config"]))
-    for line in text.splitlines():
-        if line.startswith("# config="):
-            return parse_config(line[len("# config=") :])
-    raise ValueError(f"no config echo found in {path}")
 
 
 def run(config: ExperimentConfig, out_path: str | None = None) -> int:

@@ -1,10 +1,9 @@
 """Exponent families on a finite index window.
 
-Construction and measurement of real exponent sequences: strict and
-M-step (weakened) gap conditions, decomposition into close-exponent
-chains, the sliding-window counting function, upper-density estimation
-by slope fitting, and periodic sharpness partitions into direction
-classes.
+Construction and measurement of real exponent sequences: decomposition
+into close-exponent chains under the M-step (weakened) gap condition, the
+sliding-window counting function, upper-density estimation by slope
+fitting, and periodic sharpness partitions into direction classes.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ import numpy as np
 
 __all__ = [
     "ExponentFamily",
-    "GapReport",
     "Chain",
     "ChainDecomposition",
     "DensityEstimate",
     "Partition",
-    "validate_gaps",
     "detect_chains",
     "counting_function",
     "estimate_density",
@@ -90,68 +87,6 @@ class ExponentFamily:
 
 
 @dataclass
-class GapReport:
-    """Result of gap validation over a finite window.
-
-    ``gamma`` is the exact infimum of consecutive differences (``inf`` for a
-    single-exponent window); ``gamma_prime`` is the best M-step constant
-    min_k (w_{k+M} - w_k)/M, or ``None`` when the window is shorter than
-    M+1 elements (``weak_gap_insufficient_data`` is then set).
-    """
-
-    gamma: float
-    satisfies_strict_gap: bool
-    gamma_prime: float | None
-    M: int
-    satisfies_weak_gap: bool | None
-    degenerate: bool = False
-    weak_gap_insufficient_data: bool = False
-
-    def weak_gap_holds_at(self, threshold: float) -> bool:
-        """Whether w_{k+M} - w_k >= M*threshold for all in-window k."""
-        if self.gamma_prime is None:
-            raise ValueError("insufficient data for weak gap check")
-        return self.gamma_prime >= threshold
-
-
-def validate_gaps(family: ExponentFamily, M: int) -> GapReport:
-    """Exact strict-gap and M-step gap infima over the finite window."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    x = family.exponents
-    n = x.size
-    if n == 1:
-        # no pairs: strict gap vacuously true under the gamma = +inf convention
-        return GapReport(
-            gamma=math.inf,
-            satisfies_strict_gap=True,
-            gamma_prime=None,
-            M=M,
-            satisfies_weak_gap=None,
-            degenerate=True,
-            weak_gap_insufficient_data=True,
-        )
-    gamma = float(np.min(np.diff(x)))
-    if n < M + 1:
-        return GapReport(
-            gamma=gamma,
-            satisfies_strict_gap=gamma > 0.0,
-            gamma_prime=None,
-            M=M,
-            satisfies_weak_gap=None,
-            weak_gap_insufficient_data=True,
-        )
-    gamma_prime = float(np.min(x[M:] - x[:-M]) / M)
-    return GapReport(
-        gamma=gamma,
-        satisfies_strict_gap=gamma > 0.0,
-        gamma_prime=gamma_prime,
-        M=M,
-        satisfies_weak_gap=gamma_prime > 0.0,
-    )
-
-
-@dataclass
 class Chain:
     """Index range [start, stop] (inclusive) of one close-exponent chain."""
 
@@ -169,15 +104,6 @@ class ChainDecomposition:
     chains: list[Chain]
     gamma_prime: float
     M: int
-
-    def chain_of(self, index: int) -> Chain:
-        for c in self.chains:
-            if c.start <= index <= c.stop:
-                return c
-        raise IndexError(f"index {index} not covered by any chain")
-
-    def covered_indices(self) -> np.ndarray:
-        return np.concatenate([np.arange(c.start, c.stop + 1) for c in self.chains])
 
 
 def detect_chains(family: ExponentFamily, gamma_prime: float, M: int) -> ChainDecomposition:

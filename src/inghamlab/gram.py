@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import cho_factor, eigvalsh
 
 from .basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
 from .exponents import ExponentFamily
@@ -29,7 +29,6 @@ from .exponents import ExponentFamily
 __all__ = [
     "IntervalSpec",
     "FourierGrid",
-    "BiorthogonalFamily",
     "NearSingularGramError",
     "ExponentialSystem",
     "DividedDifferenceSystem",
@@ -39,10 +38,7 @@ __all__ = [
     "hermiticity_residual",
     "cross_inner_matrix",
     "projection_defect_norms",
-    "energy_quadratic_form",
     "gated_cho_factor",
-    "dual_family",
-    "project_coefficients",
     "oscillation_panel_rule",
 ]
 
@@ -305,27 +301,6 @@ def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 
-def energy_quadratic_form(G: np.ndarray, coeffs) -> float:
-    """The quadratic form coef^H G coef (the L2(I, H) energy of the sum)."""
-    values = np.asarray(getattr(coeffs, "values", coeffs), dtype=complex)
-    if values.shape != (G.shape[0],):
-        raise ValueError(f"coefficient vector of length {values.size} does not match Gram of size {G.shape[0]}")
-    q = values.conj() @ G @ values
-    return float(np.real(q))
-
-
-@dataclass
-class BiorthogonalFamily:
-    """Dual basis within the span: phi_k = sum_j coefficients[j, k] e_j."""
-
-    coefficients: np.ndarray
-    norms: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.shape[0]
-
-
 def gated_cho_factor(G: np.ndarray):
     """Cholesky factor of a Gram (``cho_factor`` form), after a spectral gate.
 
@@ -339,30 +314,3 @@ def gated_cho_factor(G: np.ndarray):
     if emin <= NEAR_SINGULAR_RTOL * gnorm:
         raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
     return cho_factor(G, lower=False)
-
-
-def dual_family(G: np.ndarray) -> BiorthogonalFamily:
-    """Biorthogonal coefficients: the inverse Gram, behind ``gated_cho_factor``."""
-    C = cho_solve(gated_cho_factor(G), np.eye(G.shape[0], dtype=complex))
-    C = 0.5 * (C + C.conj().T)
-    return BiorthogonalFamily(coefficients=C, norms=np.sqrt(np.real(np.diag(C))))
-
-
-def biorthogonality_residual(G: np.ndarray, dual: BiorthogonalFamily) -> float:
-    """max |(e_j, phi_k) - delta_jk| over the span."""
-    R = G @ dual.coefficients - np.eye(G.shape[0])
-    return float(np.max(np.abs(R)))
-
-
-def project_coefficients(target, sources, interval: IntervalSpec) -> np.ndarray:
-    """Coefficients of the orthogonal projection of each source function.
-
-    Returns ``coef`` with ``coef[alpha, s]`` the coefficient of target
-    function alpha in the projection of source function s: plain inner
-    products for an orthonormal target (a FourierGrid), Gram-inverse-weighted
-    inner products otherwise.
-    """
-    B = inner_matrix(sources, target, interval)
-    if isinstance(target, FourierGrid):
-        return B
-    return cho_solve(gated_cho_factor(assemble_gram(target, interval)), B)

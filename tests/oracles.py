@@ -8,14 +8,40 @@ inner products evaluate one pair at a time, apart from the matrix kernel,
 with the left-endpoint-phase closed form, apart from the kernel's
 midpoint-phase one, and the majorant series is summed term by term, apart
 from its closed form.
+
+The second half holds references that the pipeline does not run but other
+tests compare against: the simplex (iterated-integral) form of a divided
+difference and its derivative bound, the decay-constant and counting-
+inequality checks, and the re-parse of an artifact's config echo.
 """
 
+import json
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from inghamlab.basisfuncs import eval_divided_difference
-from inghamlab.gram import SMALL_PHASE, oscillation_panel_rule
+from inghamlab.analysis import GridPointFailure, run_trace_experiment
+from inghamlab.basisfuncs import (
+    DEFAULT_SIMPLEX_ORDER,
+    DirectionAssignment,
+    DividedDifferenceBasis,
+    _hermite_genocchi,
+    eval_divided_difference,
+)
+from inghamlab.cli import ExperimentConfig, parse_config
+from inghamlab.exponents import ExponentFamily
+from inghamlab.gram import (
+    SMALL_PHASE,
+    DividedDifferenceSystem,
+    ExponentialSystem,
+    IntervalSpec,
+    inner_matrix,
+    oscillation_panel_rule,
+)
+
+DERIVATIVE_STEP_RTOL = 1e-5
 
 
 def brute_count(exponents, r):
@@ -138,25 +164,32 @@ def exp_inner_closed_form_offset(theta, interval):
     return np.where(small, taylor, general)
 
 
+def _position(indices, index) -> int:
+    """Array position of an index label."""
+    return int(np.flatnonzero(np.asarray(indices) == index)[0])
+
+
 def vector_inner(k, n, family, directions, interval):
     """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I."""
     wk = family.value(k)
     wn = family.value(n)
-    Uk = directions.direction(k)
-    Un = directions.direction(n)
+    Uk = directions.matrix[_position(directions.indices, k)]
+    Un = directions.matrix[_position(directions.indices, n)]
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
 def dd_inner_quadrature(k, n, ddbasis, directions, interval):
     """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature."""
-    nodes_k = ddbasis.nodes_for(k)
-    nodes_n = ddbasis.nodes_for(n)
+    nodes_k = ddbasis.descriptors[_position(ddbasis.indices, k)].nodes
+    nodes_n = ddbasis.descriptors[_position(ddbasis.indices, n)].nodes
     rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
     t, w = oscillation_panel_rule(interval, rate)
     fk = eval_divided_difference(nodes_k, t)
     fn = eval_divided_difference(nodes_n, t)
     scalar = np.sum(w * fk * np.conj(fn))
-    return complex(np.vdot(directions.direction(n), directions.direction(k)) * scalar)
+    Uk = directions.matrix[_position(directions.indices, k)]
+    Un = directions.matrix[_position(directions.indices, n)]
+    return complex(np.vdot(Un, Uk) * scalar)
 
 
 def defect_majorant_series(d, length, R, n_terms=10**6):
@@ -166,3 +199,166 @@ def defect_majorant_series(d, length, R, n_terms=10**6):
     series = float(np.sum(1.0 / (a * n + R) ** 2))
     tail = 1.0 / (a * (a * n_terms + R))
     return 8.0 * d / length * (series + tail)
+
+
+def eval_dd_hermite_genocchi(nodes, t, quad_order: int = DEFAULT_SIMPLEX_ORDER):
+    """Iterated-integral (simplex) form of the divided difference.
+
+    Exact for one node; for r nodes integrates
+    (i t)^(r-1) * exp(i * phase(s) * t) over the ordered simplex via a
+    tensorized Gauss-Legendre rule with quad_order points per dimension.
+    Node order does not matter (the value is symmetric in the nodes).
+    """
+    if quad_order < 2:
+        raise ValueError("quad_order must be at least 2")
+    x = np.atleast_1d(np.asarray(nodes, dtype=float))
+    if x.size == 0:
+        raise ValueError("nodes must be nonempty")
+    tt = np.asarray(t, dtype=float)
+    tarr = np.atleast_1d(tt)
+    out = _hermite_genocchi(x, tarr, quad_order)
+    return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
+
+
+def dd_derivative(nodes, t: float, h: float | None = None) -> complex:
+    """Central finite difference in t of the divided difference."""
+    if h is None:
+        h = DERIVATIVE_STEP_RTOL * max(1.0, abs(t))
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    return (eval_divided_difference(nodes, t + h) - eval_divided_difference(nodes, t - h)) / (2.0 * h)
+
+
+def dd_derivative_bound(nodes, t: float) -> float:
+    """Growth bound for |d/dt [mu_1,...,mu_r](t)|, t >= 0.
+
+    (r-1) t^(r-2) / (r-1)!  +  (|mu_r - mu_{r-1}| + ... + |mu_2 - mu_1| + |mu_1|) t^(r-1) / (r-1)!
+    with mu_i the nodes as given (the first listed node enters as |mu_1|).
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    mu = np.atleast_1d(np.asarray(nodes, dtype=float))
+    r = mu.size
+    if r == 0:
+        raise ValueError("nodes must be nonempty")
+    fact = math.factorial(r - 1)
+    walk = float(np.sum(np.abs(np.diff(mu))) + abs(mu[0]))
+    if r == 1:
+        return walk  # t^0 / 0! term only
+    return (r - 1) * t ** (r - 2) / fact + walk * t ** (r - 1) / fact
+
+
+@dataclass
+class ThresholdCheckReport:
+    empirical_C: float
+    pairs_evaluated: int
+    max_by_separation_decade: dict
+    gamma_sample: np.ndarray
+
+
+def dd_threshold_check(
+    ddbasis: DividedDifferenceBasis,
+    interval: IntervalSpec,
+    gamma_sample,
+) -> ThresholdCheckReport:
+    """Empirical constant of the decay bound for divided-difference coefficients.
+
+    Measures max over (k, n) of |integral of f_k(t) exp(-i gamma_n t)| times
+    |w_k - gamma_n| and summarizes it by separation decade so any blow-up
+    with tightening clusters or growing separation is visible.
+    """
+    gammas = np.asarray(gamma_sample, dtype=float)
+    # every summary below is invariant under reordering the sample
+    sample = ExponentFamily(np.sort(gammas))
+    sources = DividedDifferenceSystem(ddbasis, DirectionAssignment.constant(ddbasis.family, 1))
+    targets = ExponentialSystem(sample, DirectionAssignment.constant(sample, 1))
+    A = inner_matrix(sources, targets, interval).T  # A[k, n] = (f_k, exp(i gamma_n t))
+    omegas = np.array([ddbasis.family.value(desc.index) for desc in ddbasis.descriptors])
+    sep = np.abs(omegas[:, None] - sample.exponents[None, :])
+    prod = np.abs(A) * sep
+    by_decade: dict[int, float] = {}
+    nonzero = sep > 0
+    decades = np.floor(np.log10(sep, where=nonzero, out=np.zeros_like(sep))).astype(int)
+    for dec in np.unique(decades[nonzero]):
+        sel = nonzero & (decades == dec)
+        by_decade[int(dec)] = float(prod[sel].max())
+    return ThresholdCheckReport(
+        empirical_C=float(prod.max()),
+        pairs_evaluated=int(prod.size),
+        max_by_separation_decade=by_decade,
+        gamma_sample=gammas,
+    )
+
+
+@dataclass
+class DensityChainReport:
+    rows: list
+    all_hold: bool
+    d: int
+    R: float
+
+    def to_rows(self) -> list[dict]:
+        return [dict(row) for row in self.rows]
+
+
+def density_chain_check(
+    family: ExponentFamily,
+    d: int,
+    interval: IntervalSpec,
+    r_grid,
+    R: float,
+    y: float | None = None,
+    directions: DirectionAssignment | None = None,
+) -> DensityChainReport:
+    """Counting inequality Card(window set) <= (d + eps(R)) Card(grid set).
+
+    eps(R) is instantiated from the measured defects: the correction term of
+    the trace decomposition is bounded by sum_k defect_k * ||phi_k||, so
+    eps(R) = that bound divided by Card(grid).  Also reports the implied
+    lower bound on the interval length per grid radius.
+    """
+    if directions is None:
+        directions = DirectionAssignment.constant(family, d)
+    if directions.d != d:
+        raise ValueError("directions dimension does not match d")
+    if y is None:
+        y = 0.5 * (family.exponents[0] + family.exponents[-1])
+    rows = []
+    all_hold = True
+    for r in [float(v) for v in r_grid]:
+        try:
+            exp = run_trace_experiment(family, directions, interval, y, r, R)
+        except (ValueError, ArithmeticError) as exc:
+            raise GridPointFailure(f"at r={r:.6g}: {exc}") from exc
+        correction_bound = float(np.sum(exp.defect_norms * exp.dual_norms))
+        eps_R = correction_bound / exp.card_gamma
+        lhs = exp.card_omega_r
+        rhs = (d + eps_R) * exp.card_gamma
+        holds = lhs <= rhs + 1e-9
+        all_hold = all_hold and holds
+        implied_length = (
+            math.pi * (exp.card_omega_r / (d + eps_R) - 1.0) / (r + R)
+        )
+        rows.append(
+            {
+                "r": r,
+                "card_omega_r": exp.card_omega_r,
+                "card_gamma": exp.card_gamma,
+                "eps_R": eps_R,
+                "holds": holds,
+                "ratio": lhs / exp.card_gamma,
+                "implied_length_lower": implied_length,
+            }
+        )
+    return DensityChainReport(rows=rows, all_hold=all_hold, d=d, R=float(R))
+
+
+def read_artifact_config(path) -> ExperimentConfig:
+    """Re-parse the config echoed into an artifact (CSV header or JSON field)."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        return parse_config(json.dumps(json.loads(text)["config"]))
+    for line in text.splitlines():
+        if line.startswith("# config="):
+            return parse_config(line[len("# config=") :])
+    raise ValueError(f"no config echo found in {path}")

@@ -15,21 +15,13 @@ import pytest
 from inghamlab.analysis import (
     EIGEN_FLOOR_RTOL,
     conditioning_comparison,
-    dd_threshold_check,
     defect_decay_fit,
     defect_majorant,
     frame_bound_sequence,
     run_trace_experiment,
     threshold_sweep,
 )
-from inghamlab.basisfuncs import (
-    DirectionAssignment,
-    DividedDifferenceBasis,
-    dd_derivative,
-    dd_derivative_bound,
-    eval_dd_hermite_genocchi,
-    eval_divided_difference,
-)
+from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
 from inghamlab.cli import main as cli_main
 from inghamlab.exponents import (
     build_sharpness_partition,
@@ -45,7 +37,14 @@ from inghamlab.gram import (
     exp_inner_closed_form,
 )
 
-from oracles import composite_gl_exp_integral, power_extremes
+from oracles import (
+    composite_gl_exp_integral,
+    dd_derivative,
+    dd_derivative_bound,
+    dd_threshold_check,
+    eval_dd_hermite_genocchi,
+    power_extremes,
+)
 
 TWO_PI = 2.0 * math.pi
 

@@ -14,9 +14,10 @@ from inghamlab.cli import (
     ExperimentConfig,
     main,
     parse_config,
-    read_artifact_config,
     run,
 )
+
+from oracles import read_artifact_config
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,6 +92,16 @@ class TestParseConfig:
         assert "seed" in messages
         assert "output.format" in messages
         assert len(err.value.errors) >= 5
+
+    def test_identity_fields_read_only(self):
+        cfg = parse_config(json.dumps(trace_config("t.csv")))
+        for name, value in (("seed", 5), ("params", {}), ("command", "gram"), ("output_path", "u.csv")):
+            with pytest.raises(AttributeError, match=f"'{name}' is fixed by parse_config"):
+                setattr(cfg, name, value)
+        assert cfg.seed == 0
+        cfg.output_format = "json"
+        cfg.threads = 2
+        assert (cfg.output_format, cfg.threads) == ("json", 2)
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -448,6 +459,63 @@ class TestMainEntry:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("r_grid, message", [
+        (list(range(1, 11)), "config error: grid 'r': r_grid values must not exceed the family's window span"),
+        ([1.0, 2.0, 3.0, 4.0], "config error: grid 'r': fewer than 3 grid points in fit window"),
+    ])
+    def test_density_r_grid_errors_exit_two(self, tmp_path, capsys, r_grid, message):
+        out = tmp_path / "out.csv"
+        raw = density_config(out)
+        raw["family"] = {"kind": "lattice", "params": {"spacing": 1.0, "window": [-4, 4]}}
+        raw["grids"] = {"r": r_grid}
+        cfg_path = tmp_path / "density.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_misspelled_keys_exit_two(self, tmp_path, capsys):
+        # both misspellings used to be ignored: N_max 128 and constant d=1 directions ran instead
+        out = tmp_path / "out.csv"
+        raw = {
+            "command": "bounds-sweep",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-300, 300]}},
+            "direction": {"rule": "random", "d": 2},
+            "grids": {"lengths": [5.0, 8.0]},
+            "params": {"N_mx": 32},
+            "output": {"path": str(out), "format": "csv"},
+        }
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown field 'direction' (known: command, family, seed, directions," in err
+        assert "config error: unknown parameter 'N_mx' (known: N_max," in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"family": {"kind": "lattice", "sed": 3, "params": {"spacing": 1.0, "window": [-30, 30]}}},
+         "unknown family key 'sed'"),
+        ({"directions": {"rule": "constant", "d": 2, "axes": 1}}, "unknown directions key 'axes'"),
+        ({"grids": {"lenghts": [5.0]}}, "unknown grid 'lenghts'"),
+        ({"params": {"y": 0.0, "r": 5.5, "R": 10.0, "Y": 1.0}}, "unknown parameter 'Y'"),
+        ({"output": {"path": "out.csv", "fromat": "json"}}, "unknown output key 'fromat'"),
+    ])
+    def test_unknown_key_in_each_section_exit_two(self, tmp_path, capsys, change, message):
+        raw = {**trace_config(tmp_path / "out.csv"), **change}
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert f"config error: {message} (known: " in capsys.readouterr().err
+
+    def test_known_names_a_command_does_not_read_accepted(self, tmp_path):
+        # every command accepts (and echoes) any name some command reads
+        raw = {**trace_config(tmp_path / "out.csv"), "grids": {"delta": [1e-3]}}
+        raw["params"] = {**raw["params"], "N_max": 8, "normalize_dd": True}
+        raw["directions"] = {**raw["directions"], "alpha": 0.5, "period_count": 2}
+        config = parse_config(json.dumps(raw))
+        assert config.canonical()["params"]["N_max"] == 8
+
     def test_numerical_exit_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "singular.json"
         out = tmp_path / "out.csv"
@@ -595,7 +663,10 @@ def valid_configs(draw, command):
         raw["seed"] = draw(st.integers(0, 10**6))
     grids = {"density": "r", "bounds-sweep": "lengths", "defect-decay": "R", "dd-condition": "delta"}
     if command in grids:
-        raw["grids"] = {grids[command]: draw(increasing(positives, min_size=4 if command == "defect-decay" else 1))}
+        # a density fit needs 3 radii in the upper half of its grid, none past the family's span (>= 23)
+        values = st.floats(0.01, 20.0) if command == "density" else positives
+        sizes = {"defect-decay": 4, "density": 5}
+        raw["grids"] = {grids[command]: draw(increasing(values, min_size=sizes.get(command, 1)))}
     if command in ("trace", "defect-decay"):
         raw["params"] = {"r": draw(positives), "y": draw(st.floats(-5.0, 5.0))}
         if command == "trace":

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from inghamlab.exponents import (
     detect_chains,
     estimate_density,
     generate_family,
-    validate_gaps,
 )
 
 from oracles import brute_count
@@ -18,49 +15,6 @@ from oracles import brute_count
 
 def integers(lo=-8, hi=8):
     return generate_family("lattice", spacing=1.0, window=[lo, hi])
-
-
-class TestValidateGaps:
-    def test_unit_lattice_strict_gap(self):
-        rep = validate_gaps(integers(), M=1)
-        assert rep.gamma == 1.0
-        assert rep.satisfies_strict_gap
-        assert rep.gamma_prime == pytest.approx(1.0)
-        assert rep.satisfies_weak_gap
-
-    def test_clustered_pairs_weak_gap_thresholds(self):
-        # direct min over the window: pairwise 2-step gaps are
-        # {1.0, 0.95, 1.0, 1.15} / 2, so gamma' = 0.475
-        fam = ExponentFamily(np.array([0.0, 0.1, 1.0, 1.05, 2.0, 2.2]))
-        rep = validate_gaps(fam, M=2)
-        assert rep.gamma == pytest.approx(0.05)
-        assert rep.satisfies_strict_gap
-        assert rep.gamma_prime == pytest.approx(0.475)
-        assert rep.weak_gap_holds_at(0.45)
-        assert not rep.weak_gap_holds_at(0.5)
-
-    def test_single_exponent_degenerate(self):
-        rep = validate_gaps(ExponentFamily(np.array([0.0])), M=1)
-        assert rep.gamma == math.inf
-        assert rep.satisfies_strict_gap
-        assert rep.degenerate
-        assert rep.weak_gap_insufficient_data
-        assert rep.gamma_prime is None
-
-    def test_window_shorter_than_M_plus_one(self):
-        rep = validate_gaps(ExponentFamily(np.array([0.0, 1.0])), M=3)
-        assert rep.weak_gap_insufficient_data
-        assert rep.satisfies_weak_gap is None
-        assert rep.gamma == 1.0
-
-    def test_gamma_prime_matches_direct_min(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            x = np.sort(rng.uniform(0, 10, size=12))
-            M = int(rng.integers(1, 4))
-            rep = validate_gaps(ExponentFamily(x), M)
-            direct = min((x[k + M] - x[k]) / M for k in range(x.size - M))
-            assert rep.gamma_prime == pytest.approx(direct, abs=1e-14)
 
 
 class TestDetectChains:
@@ -97,7 +51,8 @@ class TestDetectChains:
             x = np.sort(rng.uniform(0, 20, size=15))
             fam = ExponentFamily(x, first_index=int(rng.integers(-5, 5)))
             dec = detect_chains(fam, gamma_prime=0.3, M=15)
-            assert np.array_equal(dec.covered_indices(), fam.indices)
+            covered = np.concatenate([np.arange(c.start, c.stop + 1) for c in dec.chains])
+            assert np.array_equal(covered, fam.indices)
 
 
 class TestCountingFunction:

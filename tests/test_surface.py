@@ -1,0 +1,41 @@
+"""The package exports only what its own pipeline uses.
+
+A name in an ``inghamlab`` module's ``__all__`` that no code in the package
+reads, apart from its definition and its ``__all__`` entry, is API that only
+tests reach: it belongs in the tests (``oracles.py`` holds the references
+they compare against) or nowhere.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import inghamlab
+
+PACKAGE = Path(inghamlab.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+
+def package_references() -> set[str]:
+    """Every name the package reads: a loaded name or an attribute access.
+
+    Definitions, assignment targets, imports and the string entries of
+    ``__all__`` are not reads, so a name used nowhere else is missing here.
+    """
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used_by_the_package(module):
+    exported = getattr(importlib.import_module(f"inghamlab.{module}"), "__all__", [])
+    unused = sorted(set(exported) - package_references())
+    assert not unused, f"inghamlab.{module} exports names that only tests reach: {unused}"
