@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, eigh
 
-from .basisfuncs import DirectionAssignment, DividedDifferenceBasis
+from .basisfuncs import DirectionAssignment
 from .exponents import ExponentFamily, detect_chains, generate_family
 from .gram import (
     DividedDifferenceSystem,
@@ -110,6 +110,12 @@ class FrameBoundReport:
         ]
 
 
+def _system(family: ExponentFamily, directions: DirectionAssignment, lo: int, hi: int) -> ExponentialSystem:
+    """The exponential system of family positions lo..hi (inclusive)."""
+    rows = DirectionAssignment(directions.d, directions.matrix[lo : hi + 1])
+    return ExponentialSystem(family.slice_positions(lo, hi), rows)
+
+
 def _stability_verdict(sizes, lmins, lmaxs) -> str:
     """Classify the lambda_min trend over the trailing truncation doublings.
 
@@ -149,7 +155,7 @@ def frame_bound_sequence(
 ) -> FrameBoundReport:
     """Extreme Gram eigenvalues of the 2N+1 centered functions for each N.
 
-    ``directions`` assigns one vector per family index.  The Gram is
+    ``directions`` assigns one vector per family position.  The Gram is
     assembled once at the largest N; each smaller truncation is its centered
     principal submatrix, so the sections interlace.  Only spectra are read,
     and translating the interval is a diagonal unitary similarity, so only
@@ -163,9 +169,8 @@ def frame_bound_sequence(
     N_max, n = sizes[-1], len(family)
     if 2 * N_max + 1 > n:
         raise GridPointFailure(f"at N={N_max}: family window of {n} exponents cannot supply 2N+1 = {2 * N_max + 1}")
-    sub = family.slice_positions(n // 2 - N_max, n // 2 + N_max)
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
-    G = assemble_gram(ExponentialSystem(sub, directions.subset(sub.indices)), centered)
+    G = assemble_gram(_system(family, directions, n // 2 - N_max, n // 2 + N_max), centered)
     lmins, lmaxs = [], []
     for N in sizes:
         block = slice(N_max - N, N_max + N + 1)
@@ -188,7 +193,6 @@ def frame_bound_sequence(
 class SweepResult:
     """One experiment value per point of a strictly increasing grid."""
 
-    parameter: str
     grid: list
     results: list
     metadata: dict = field(default_factory=dict)
@@ -252,12 +256,7 @@ def threshold_sweep(
     stables = [i for i, v in enumerate(verdicts) if v == "stable"]
     if degens and stables and degens[-1] < stables[0]:
         bracket = (lengths[degens[-1]], lengths[stables[0]])
-    return SweepResult(
-        parameter="interval_length",
-        grid=lengths,
-        results=reports,
-        metadata={"N_grid": N_grid, "transition_bracket": bracket, "family": family.label},
-    )
+    return SweepResult(grid=lengths, results=reports, metadata={"N_grid": N_grid, "transition_bracket": bracket})
 
 
 @dataclass
@@ -273,7 +272,6 @@ class TraceExperiment:
     trace_S: complex
     trace_decomposed: complex
     defect_norms: np.ndarray
-    dual_norms: np.ndarray  # ||phi_k||, the biorthogonal norms within V_r
     lemma2_bound: float
 
     @property
@@ -302,13 +300,12 @@ class TraceExperiment:
         }
 
 
-def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r: float):
-    """The subfamily of exponents with |w_k - y| < r, and its directions."""
+def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r: float) -> ExponentialSystem:
+    """The exponential system of the positions with |w_k - y| < r."""
     inside = np.flatnonzero(np.abs(family.exponents - y) < r)
     if inside.size == 0:
         raise ValueError("no exponents inside the window: V_r is empty")
-    sub = family.slice_positions(int(inside[0]), int(inside[-1]))
-    return sub, directions.subset(sub.indices)
+    return _system(family, directions, int(inside[0]), int(inside[-1]))
 
 
 def run_trace_experiment(
@@ -328,28 +325,28 @@ def run_trace_experiment(
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
-    sub, sdirs = _window(family, directions, y, r)
+    window = _window(family, directions, y, r)
+    n = len(window.family)
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
-    cho = gated_cho_factor(assemble_gram(ExponentialSystem(sub, sdirs), interval))
-    X = cross_inner_matrix(sub, sdirs, grid)
+    cho = gated_cho_factor(assemble_gram(window, interval))
+    X = cross_inner_matrix(window.family, window.directions, grid)
     B = (X @ X.conj().T).T  # B[m, k] = (Q e_k, e_m)
     S = cho_solve(cho, B)
     trace_direct = complex(np.trace(S))
-    C = cho_solve(cho, np.eye(len(sub), dtype=complex))
+    C = cho_solve(cho, np.eye(n, dtype=complex))
     Y = X.T @ C  # Y[alpha, k] = (phi_k, f_alpha)
     corrections = np.einsum("ka,ak->k", X, Y.conj()) - 1.0
-    trace_decomposed = complex(len(sub) + np.sum(corrections))
+    trace_decomposed = complex(n + np.sum(corrections))
     return TraceExperiment(
         y=float(y),
         r=float(r),
         R=float(R),
         d=directions.d,
-        card_omega_r=len(sub),
+        card_omega_r=n,
         card_gamma=int(grid.n_values.size),
         trace_S=trace_direct,
         trace_decomposed=trace_decomposed,
         defect_norms=projection_defect_norms(X, interval),
-        dual_norms=np.sqrt(np.real(np.diag(C))),
         lemma2_bound=float(directions.d * grid.n_values.size),
     )
 
@@ -392,12 +389,12 @@ def defect_decay_fit(
         raise ValueError("R grid must be strictly increasing")
     if not np.all(Rs > 0):
         raise ValueError("R grid must be positive")
-    sub, sdirs = _window(family, directions, y, r)
+    window = _window(family, directions, y, r)
     try:
         grid = FourierGrid.centered(interval, directions.d, y, r + Rs[-1])
     except ValueError as exc:  # every smaller grid is empty too
         raise GridPointFailure(f"at R={Rs[0]:.6g}: {exc}") from exc
-    X = cross_inner_matrix(sub, sdirs, grid)
+    X = cross_inner_matrix(window.family, window.directions, grid)
     gamma = grid.frequencies
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
@@ -461,8 +458,7 @@ def conditioning_comparison(
                 else:
                     cond_raw = hi / lo
                 chains = detect_chains(fam, gamma_prime, M)
-                basis = DividedDifferenceBasis.from_chains(fam, chains)
-                dd_system = DividedDifferenceSystem(basis, dirs, normalize=normalize_dd)
+                dd_system = DividedDifferenceSystem(fam, chains, dirs, normalize=normalize_dd)
                 lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
             except (ValueError, ArithmeticError) as exc:
                 raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
@@ -478,7 +474,6 @@ def conditioning_comparison(
 
     rows = _run_grid([job_for(d) for d in deltas], threads)
     return SweepResult(
-        parameter="delta",
         grid=deltas,
         results=rows,
         metadata={"spacing": spacing, "window": list(window), "normalized_dd": normalize_dd},

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ChainDecomposition, ExponentFamily
+from .exponents import ExponentFamily
 
 __all__ = [
     "UNIT_NORM_TOL",
     "COALESCENCE_RTOL",
     "DEFAULT_SIMPLEX_ORDER",
     "DirectionAssignment",
-    "DividedDifferenceBasis",
     "eval_divided_difference",
 ]
 
@@ -33,37 +32,34 @@ DEFAULT_SIMPLEX_ORDER = 16
 
 @dataclass
 class DirectionAssignment:
-    """Unit direction vectors in C^d, one per family index."""
+    """Unit direction vectors in C^d: row k is the direction of family position k."""
 
     d: int
     matrix: np.ndarray  # (n, d) complex, rows unit norm
-    indices: np.ndarray
 
     def __post_init__(self):
         U = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
-        if U.shape != (len(self.indices), self.d):
-            raise ValueError(f"direction matrix must have shape (n, d) = ({len(self.indices)}, {self.d})")
+        if U.ndim != 2 or U.shape[1] != self.d:
+            raise ValueError(f"direction matrix must have shape (n, d) with d = {self.d}, got {U.shape}")
         norms = np.linalg.norm(U, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             raise ValueError("every direction vector must have unit norm within 1e-12")
         self.matrix = U
-        self.indices = np.asarray(self.indices, dtype=int)
 
     @classmethod
     def constant(cls, family: ExponentFamily, d: int = 1, axis: int = 0) -> "DirectionAssignment":
-        """All indices on the same coordinate direction E_{axis+1}."""
+        """Every position on the same coordinate direction E_{axis+1}."""
         U = np.zeros((len(family), d), dtype=complex)
         U[:, axis] = 1.0
-        return cls(d=d, matrix=U, indices=family.indices)
+        return cls(d=d, matrix=U)
 
     @classmethod
     def from_partition(cls, partition) -> "DirectionAssignment":
-        """U_k = E_j for indices of class j (orthonormal coordinate directions)."""
-        fam = partition.family
-        U = np.zeros((len(fam), partition.d), dtype=complex)
-        for pos, index in enumerate(fam.indices):
-            U[pos, partition.class_of[int(index)] - 1] = 1.0
-        return cls(d=partition.d, matrix=U, indices=fam.indices)
+        """U_k = E_j for the positions k of class j (orthonormal coordinate directions)."""
+        classes = partition.class_of
+        U = np.zeros((classes.size, partition.d), dtype=complex)
+        U[np.arange(classes.size), classes - 1] = 1.0
+        return cls(d=partition.d, matrix=U)
 
     @classmethod
     def random(cls, family: ExponentFamily, d: int, seed: int = 0) -> "DirectionAssignment":
@@ -71,17 +67,7 @@ class DirectionAssignment:
         rng = np.random.default_rng(seed)
         Z = rng.normal(size=(len(family), d)) + 1j * rng.normal(size=(len(family), d))
         Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-        return cls(d=d, matrix=Z, indices=family.indices)
-
-    def subset(self, indices) -> "DirectionAssignment":
-        """The directions of the given indices, in that order; IndexError names a missing one."""
-        idx = np.asarray(list(indices), dtype=int)
-        order = np.argsort(self.indices, kind="stable")
-        rows = order[np.searchsorted(self.indices, idx, sorter=order).clip(max=order.size - 1)]
-        missing = self.indices[rows] != idx
-        if np.any(missing):
-            raise IndexError(f"no direction assigned to index {idx[missing][0]}")
-        return DirectionAssignment(d=self.d, matrix=self.matrix[rows], indices=idx)
+        return cls(d=d, matrix=Z)
 
 
 def _dd_recurrence(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -154,39 +140,3 @@ def _hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray
     phase = x[0] + S @ np.diff(x)  # (npts,)
     integral = np.einsum("p,pn->n", W, np.exp(1j * np.multiply.outer(phase, tarr)))
     return (1j * tarr) ** q * integral
-
-
-@dataclass
-class DDescriptor:
-    """One divided-difference basis function: nodes w_m..w_l of its chain prefix."""
-
-    index: int
-    chain_start: int
-    nodes: np.ndarray
-
-
-@dataclass
-class DividedDifferenceBasis:
-    """Per-chain divided differences f_l = [w_m, ..., w_l] of a family."""
-
-    family: ExponentFamily
-    chains: ChainDecomposition
-    descriptors: list[DDescriptor]
-
-    @classmethod
-    def from_chains(cls, family: ExponentFamily, chains: ChainDecomposition) -> "DividedDifferenceBasis":
-        descriptors = []
-        for chain in chains.chains:
-            for index in range(chain.start, chain.stop + 1):
-                nodes = np.array(
-                    [family.value(i) for i in range(chain.start, index + 1)]
-                )
-                descriptors.append(DDescriptor(index=index, chain_start=chain.start, nodes=nodes))
-        return cls(family=family, chains=chains, descriptors=descriptors)
-
-    def __len__(self) -> int:
-        return len(self.descriptors)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.array([desc.index for desc in self.descriptors], dtype=int)

@@ -2,7 +2,8 @@
 
 One command per experiment; identical config and seed produce byte-identical
 output.  Exit status 0 on success, 2 on configuration errors (all collected,
-not just the first), 3 on downstream numerical failures.
+not just the first) and on a config file that cannot be read or an output
+file that cannot be written, 3 on downstream numerical failures.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,22 +65,43 @@ class NumericalFailure(RuntimeError):
 
 # fixed once set: parse_config builds what the run reads from them
 _FIXED_FIELDS = ("command", "family", "seed", "directions", "interval", "grids", "params", "output_path")
+# JSON objects, stored read-only all the way down
+_NESTED_FIELDS = ("family", "directions", "grids", "params")
+
+
+def _frozen(value):
+    """A read-only copy of a JSON value: objects become mapping proxies, arrays tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _frozen(v) for key, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _plain(value):
+    """The JSON value a ``_frozen`` one was made from."""
+    if isinstance(value, Mapping):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass
 class ExperimentConfig:
     """A validated config.  ``parse_config`` builds what the run reads from
-    these fields, so they are read-only: change a config by parsing again
-    (``seed=`` overrides the seed).  ``output_format`` and ``threads`` build
-    nothing and stay settable."""
+    these fields, so they are read-only, and so are the objects ``family``,
+    ``directions``, ``grids`` and ``params`` hold: change a config by parsing
+    again (``seed=`` overrides the seed).  ``output_format`` and ``threads``
+    build nothing and stay settable."""
 
     command: str
-    family: dict
+    family: Mapping
     seed: int = 0
-    directions: dict = field(default_factory=lambda: {"rule": "constant", "d": 1})
+    directions: Mapping = field(default_factory=lambda: {"rule": "constant", "d": 1})
     interval: list | None = None
-    grids: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    grids: Mapping = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     output_path: str = "experiment.csv"
     output_format: str = "csv"
     threads: int = field(default=1, compare=False)  # execution detail, not identity
@@ -91,17 +115,17 @@ class ExperimentConfig:
     def __setattr__(self, name, value):
         if name in _FIXED_FIELDS and name in self.__dict__:
             raise AttributeError(f"{name!r} is fixed by parse_config; parse the config again to change it")
-        super().__setattr__(name, value)
+        super().__setattr__(name, _frozen(value) if name in _NESTED_FIELDS else value)
 
     def canonical(self) -> dict:
         return {
             "command": self.command,
-            "family": self.family,
+            "family": _plain(self.family),
             "seed": self.seed,
-            "directions": self.directions,
+            "directions": _plain(self.directions),
             "interval": self.interval,
-            "grids": self.grids,
-            "params": self.params,
+            "grids": _plain(self.grids),
+            "params": _plain(self.params),
             "output": {"path": self.output_path, "format": self.output_format},
         }
 
@@ -359,10 +383,7 @@ def _build_family(config: ExperimentConfig):
 
 
 def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, Partition | None]:
-    """One direction per family index, and the sharpness partition it comes from, if any.
-
-    Experiments on subfamilies take subsets.
-    """
+    """One direction per family position, and the sharpness partition it comes from, if any."""
     options = config.params if config.command == "sharpness" else config.directions
     rule = "partition" if config.command == "sharpness" else options.get("rule", "constant")
     d = int(options.get("d", 1))
@@ -475,8 +496,8 @@ def _run_dd_condition(config: ExperimentConfig):
 
 
 def _run_sharpness(config: ExperimentConfig):
-    family, partition, interval = config.exponent_family, config.partition, config.interval_spec
-    G = assemble_gram(ExponentialSystem(family, config.direction_assignment), interval)
+    partition, interval = config.partition, config.interval_spec
+    G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), interval)
     rows = []
     max_density = 0.0
     block_residual = 0.0
@@ -486,7 +507,7 @@ def _run_sharpness(config: ExperimentConfig):
             rows.append({"class": j, "size": 0, "density": 0.0, "threshold_length": 0.0,
                          "lambda_min": float("nan"), "lambda_max": float("nan")})
             continue
-        positions = [family.position(i) for i in partition.class_indices(j)]
+        positions = partition.class_indices(j)
         block = G[np.ix_(positions, positions)]
         scalar = assemble_gram(
             ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), interval
@@ -599,22 +620,31 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
-        config = parse_config(Path(args.config).read_text(), seed=args.seed)
-        config.threads = args.threads
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        print(f"error: cannot read config file {args.config}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return 2
+    try:
+        config = parse_config(text, seed=args.seed)
+        config.threads = args.threads
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
     if args.format is not None:
         config.output_format = args.format
+    out = Path(args.out if args.out is not None else config.output_path)
+    if not out.parent.is_dir():  # before the computation, not after it
+        print(f"error: cannot write output file {out}: no directory {out.parent}", file=sys.stderr)
+        return 2
     try:
-        return run(config, out_path=args.out)
+        return run(config, out_path=str(out))
     except (NumericalFailure, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write output file {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

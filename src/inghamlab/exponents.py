@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "ExponentFamily",
-    "Chain",
-    "ChainDecomposition",
     "DensityEstimate",
     "Partition",
     "detect_chains",
@@ -30,11 +28,10 @@ __all__ = [
 
 @dataclass
 class ExponentFamily:
-    """A finite, sorted window of real exponents indexed by consecutive integers."""
+    """A finite, sorted window of real exponents; a function is named by its array position."""
 
     exponents: np.ndarray
     label: str = ""
-    first_index: int = 0
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.exponents, dtype=float))
@@ -50,90 +47,45 @@ class ExponentFamily:
         return self.exponents.size
 
     @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.first_index, self.first_index + len(self))
-
-    @property
     def span(self) -> float:
         return float(self.exponents[-1] - self.exponents[0])
 
-    def position(self, index: int) -> int:
-        """Array position of an index label."""
-        pos = index - self.first_index
-        if not 0 <= pos < len(self):
-            raise IndexError(f"index {index} outside window {self.first_index}..{self.first_index + len(self) - 1}")
-        return pos
-
-    def value(self, index: int) -> float:
-        return float(self.exponents[self.position(index)])
-
     def slice_positions(self, lo: int, hi: int) -> "ExponentFamily":
-        """Subfamily over array positions lo..hi (inclusive), index labels preserved."""
+        """Subfamily over array positions lo..hi (inclusive)."""
         if not (0 <= lo <= hi < len(self)):
             raise IndexError("slice outside window")
-        return ExponentFamily(
-            np.array(self.exponents[lo : hi + 1]),
-            label=self.label,
-            first_index=self.first_index + lo,
-        )
+        return ExponentFamily(self.exponents[lo : hi + 1], label=self.label)
 
-    def subfamily(self, indices) -> "ExponentFamily":
-        """Subfamily over arbitrary index labels (loses index contiguity with the parent)."""
-        idx = sorted(int(i) for i in indices)
-        if not idx:
+    def subfamily(self, positions) -> "ExponentFamily":
+        """Subfamily over the given array positions, taken in increasing order."""
+        pos = np.sort(np.asarray(positions, dtype=int))
+        if pos.size == 0:
             raise ValueError("empty subfamily")
-        vals = [self.value(i) for i in idx]
-        return ExponentFamily(np.array(vals), label=self.label)
+        if pos[0] < 0 or pos[-1] >= len(self):
+            raise IndexError("subfamily position outside window")
+        return ExponentFamily(self.exponents[pos], label=self.label)
 
 
-@dataclass
-class Chain:
-    """Index range [start, stop] (inclusive) of one close-exponent chain."""
-
-    start: int
-    stop: int
-    boundary_incomplete: bool = False
-
-    @property
-    def length(self) -> int:
-        return self.stop - self.start + 1
-
-
-@dataclass
-class ChainDecomposition:
-    chains: list[Chain]
-    gamma_prime: float
-    M: int
-
-
-def detect_chains(family: ExponentFamily, gamma_prime: float, M: int) -> ChainDecomposition:
+def detect_chains(family: ExponentFamily, gamma_prime: float, M: int) -> list[tuple[int, int]]:
     """Unique maximal decomposition into chains with consecutive gaps < gamma_prime.
 
-    Splits exactly at consecutive differences >= gamma_prime.  The missing
-    neighbor condition at the two window edges is treated as satisfied and
-    the edge chains are flagged boundary-incomplete.
+    Splits exactly at consecutive differences >= gamma_prime and returns the
+    (first, last) positions of each chain, inclusive, in order.  The missing
+    neighbor condition at the two window edges is treated as satisfied.
     """
     if gamma_prime <= 0:
         raise ValueError("gamma_prime must be positive")
     if M < 1:
         raise ValueError("M must be a positive integer")
     x = family.exponents
-    idx = family.indices
     breaks = np.flatnonzero(np.diff(x) >= gamma_prime)  # break after position b
     starts = np.concatenate(([0], breaks + 1))
     stops = np.concatenate((breaks, [x.size - 1]))
-    chains = []
-    for s, e in zip(starts, stops):
-        length = e - s + 1
-        if length > M:
-            raise ValueError(
-                f"weak gap violated: chain of length {length} > M={M} "
-                f"at indices {idx[s]}..{idx[e]}"
-            )
-        chains.append(Chain(start=int(idx[s]), stop=int(idx[e])))
-    chains[0].boundary_incomplete = True
-    chains[-1].boundary_incomplete = True
-    return ChainDecomposition(chains=chains, gamma_prime=float(gamma_prime), M=M)
+    too_long = np.flatnonzero(stops - starts + 1 > M)
+    if too_long.size:
+        s, e = starts[too_long[0]], stops[too_long[0]]
+        raise ValueError(f"weak gap violated: chain of length {e - s + 1} > M={M} at indices {s}..{e}")
+    return list(zip(starts.tolist(), stops.tolist()))
 
 
 def counting_function(family: ExponentFamily, r: float) -> int:
@@ -192,25 +144,26 @@ def estimate_density(family: ExponentFamily, r_grid) -> DensityEstimate:
 
 @dataclass
 class Partition:
-    """Assignment of every in-window index to one of d direction classes."""
+    """Assignment of every family position to one of d direction classes."""
 
-    class_of: dict[int, int]
+    class_of: np.ndarray  # the class (1..d) of each position
     d: int
     target_alpha: float
     period_exponent_count: int
     family: ExponentFamily
 
-    def class_indices(self, j: int) -> list[int]:
+    def class_indices(self, j: int) -> np.ndarray:
+        """The positions of class j, increasing."""
         if not 1 <= j <= self.d:
             raise ValueError(f"class label must be in 1..{self.d}")
-        return [k for k, c in self.class_of.items() if c == j]
+        return np.flatnonzero(self.class_of == j)
 
     def class_family(self, j: int) -> ExponentFamily | None:
         """Subfamily of class j, or None when the class is empty."""
-        idx = self.class_indices(j)
-        if not idx:
+        positions = self.class_indices(j)
+        if positions.size == 0:
             return None
-        return self.family.subfamily(idx)
+        return self.family.subfamily(positions)
 
 
 def _difference_pattern_period(diffs: np.ndarray) -> int | None:
@@ -262,13 +215,9 @@ def build_sharpness_partition(
             raise ValueError(f"period_count must be a positive multiple of the pattern period {p}")
     run = round(beta * m)
     run = min(max(run, math.ceil(m / d)), m)  # keep classes 2..d no denser than class 1
-    class_of: dict[int, int] = {}
-    for pos, index in enumerate(family.indices):
-        offset = pos % m
-        if offset < run or d == 1:
-            class_of[int(index)] = 1
-        else:
-            class_of[int(index)] = 2 + (offset - run) % (d - 1)
+    offset = np.arange(x.size) % m
+    # d == 1 gives run == m, so every position is in class 1 (max() only avoids % 0)
+    class_of = np.where(offset < run, 1, 2 + (offset - run) % max(d - 1, 1))
     return Partition(
         class_of=class_of,
         d=d,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, eigvalsh
 
-from .basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
+from .basisfuncs import DirectionAssignment, eval_divided_difference
 from .exponents import ExponentFamily
 
 __all__ = [
@@ -145,41 +145,46 @@ class FourierGrid:
         return cls(interval=interval, d=d, n_values=candidates[keep])
 
 
+def _check_rows(directions: DirectionAssignment, n: int) -> None:
+    rows = directions.matrix.shape[0]
+    if rows != n:
+        raise ValueError(f"direction matrix has {rows} rows for {n} functions")
+
+
 @dataclass
 class ExponentialSystem:
-    """The vector exponentials U_k exp(i*w_k*t) over a family window."""
+    """The vector exponentials U_k exp(i*w_k*t), k over the family's positions."""
 
     family: ExponentFamily
     directions: DirectionAssignment
 
     def __post_init__(self):
-        if not np.array_equal(self.directions.indices, self.family.indices):
-            raise ValueError("direction index set does not match the family window")
-
-    @property
-    def size(self) -> int:
-        return len(self.family)
+        _check_rows(self.directions, len(self.family))
 
 
 @dataclass
 class DividedDifferenceSystem:
-    """Divided-difference profiles with one unit direction per index.
+    """Divided differences [w_first, ..., w_l] over every prefix of every chain.
 
-    ``normalize=True`` rescales each profile to unit L2(I) norm; the raw
-    (unnormalized) profiles are the default.
+    ``chains`` holds (first, last) family positions, as ``detect_chains``
+    returns them; the functions run chain by chain, l from first to last,
+    each with one unit direction.  ``normalize=True`` rescales each profile
+    to unit L2(I) norm; the raw (unnormalized) profiles are the default.
     """
 
-    basis: DividedDifferenceBasis
+    family: ExponentFamily
+    chains: list[tuple[int, int]]
     directions: DirectionAssignment
     normalize: bool = False
 
     def __post_init__(self):
-        if not np.array_equal(self.directions.indices, self.basis.indices):
-            raise ValueError("direction index set does not match the basis index set")
+        _check_rows(self.directions, sum(last - first + 1 for first, last in self.chains))
 
     @property
-    def size(self) -> int:
-        return len(self.basis)
+    def nodes(self) -> list[np.ndarray]:
+        """The node set of each function, in order."""
+        x = self.family.exponents
+        return [x[first : l + 1] for first, last in self.chains for l in range(first, last + 1)]
 
 
 def oscillation_panel_rule(interval: IntervalSpec, rate: float):
@@ -214,8 +219,7 @@ def _functions(system) -> _Functions:
     if isinstance(system, ExponentialSystem):
         return _Functions(list(system.family.exponents[:, None]), system.directions.matrix)
     if isinstance(system, DividedDifferenceSystem):
-        nodes = [desc.nodes for desc in system.basis.descriptors]
-        return _Functions(nodes, system.directions.matrix, system.normalize)
+        return _Functions(system.nodes, system.directions.matrix, system.normalize)
     if isinstance(system, FourierGrid):
         # the d directions of a frequency share its profile (n-major order)
         n, d = system.n_values.size, system.d
@@ -291,7 +295,7 @@ def cross_inner_matrix(
 
 
 def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray:
-    """Per-index norm of (Q - Id) e_k for Q the projection onto the grid of X.
+    """Per-function norm of (Q - Id) e_k for Q the projection onto the grid of X.
 
     ``X`` is a cross matrix (rows e_k, columns orthonormal grid functions).
     Parseval on the full grid gives ||e_k||^2 = |I|, so the defect is the

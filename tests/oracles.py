@@ -22,11 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
+from scipy.linalg import cho_solve
+
 from inghamlab.analysis import GridPointFailure, run_trace_experiment
 from inghamlab.basisfuncs import (
     DEFAULT_SIMPLEX_ORDER,
     DirectionAssignment,
-    DividedDifferenceBasis,
     _hermite_genocchi,
     eval_divided_difference,
 )
@@ -37,6 +38,8 @@ from inghamlab.gram import (
     DividedDifferenceSystem,
     ExponentialSystem,
     IntervalSpec,
+    assemble_gram,
+    gated_cho_factor,
     inner_matrix,
     oscillation_panel_rule,
 )
@@ -164,31 +167,26 @@ def exp_inner_closed_form_offset(theta, interval):
     return np.where(small, taylor, general)
 
 
-def _position(indices, index) -> int:
-    """Array position of an index label."""
-    return int(np.flatnonzero(np.asarray(indices) == index)[0])
-
-
 def vector_inner(k, n, family, directions, interval):
-    """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I."""
-    wk = family.value(k)
-    wn = family.value(n)
-    Uk = directions.matrix[_position(directions.indices, k)]
-    Un = directions.matrix[_position(directions.indices, n)]
+    """(e_k, e_n) = (U_k, U_n)_H * integral of exp(i*(w_k - w_n)*t) over I, k and n positions."""
+    wk = family.exponents[k]
+    wn = family.exponents[n]
+    Uk = directions.matrix[k]
+    Un = directions.matrix[n]
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
-def dd_inner_quadrature(k, n, ddbasis, directions, interval):
-    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature."""
-    nodes_k = ddbasis.descriptors[_position(ddbasis.indices, k)].nodes
-    nodes_n = ddbasis.descriptors[_position(ddbasis.indices, n)].nodes
+def dd_inner_quadrature(k, n, system, interval):
+    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature, for functions k, n of a DD system."""
+    nodes_k = system.nodes[k]
+    nodes_n = system.nodes[n]
     rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
     t, w = oscillation_panel_rule(interval, rate)
     fk = eval_divided_difference(nodes_k, t)
     fn = eval_divided_difference(nodes_n, t)
     scalar = np.sum(w * fk * np.conj(fn))
-    Uk = directions.matrix[_position(directions.indices, k)]
-    Un = directions.matrix[_position(directions.indices, n)]
+    Uk = system.directions.matrix[k]
+    Un = system.directions.matrix[n]
     return complex(np.vdot(Un, Uk) * scalar)
 
 
@@ -257,7 +255,8 @@ class ThresholdCheckReport:
 
 
 def dd_threshold_check(
-    ddbasis: DividedDifferenceBasis,
+    family: ExponentFamily,
+    chains,
     interval: IntervalSpec,
     gamma_sample,
 ) -> ThresholdCheckReport:
@@ -270,10 +269,10 @@ def dd_threshold_check(
     gammas = np.asarray(gamma_sample, dtype=float)
     # every summary below is invariant under reordering the sample
     sample = ExponentFamily(np.sort(gammas))
-    sources = DividedDifferenceSystem(ddbasis, DirectionAssignment.constant(ddbasis.family, 1))
+    sources = DividedDifferenceSystem(family, chains, DirectionAssignment.constant(family, 1))
     targets = ExponentialSystem(sample, DirectionAssignment.constant(sample, 1))
     A = inner_matrix(sources, targets, interval).T  # A[k, n] = (f_k, exp(i gamma_n t))
-    omegas = np.array([ddbasis.family.value(desc.index) for desc in ddbasis.descriptors])
+    omegas = np.array([nodes[-1] for nodes in sources.nodes])  # the exponent each f_k ends on
     sep = np.abs(omegas[:, None] - sample.exponents[None, :])
     prod = np.abs(A) * sep
     by_decade: dict[int, float] = {}
@@ -314,8 +313,9 @@ def density_chain_check(
 
     eps(R) is instantiated from the measured defects: the correction term of
     the trace decomposition is bounded by sum_k defect_k * ||phi_k||, so
-    eps(R) = that bound divided by Card(grid).  Also reports the implied
-    lower bound on the interval length per grid radius.
+    eps(R) = that bound divided by Card(grid).  The dual norms ||phi_k|| are
+    sqrt diag G^-1 of the V_r Gram, from a Cholesky factor of its own.  Also
+    reports the implied lower bound on the interval length per grid radius.
     """
     if directions is None:
         directions = DirectionAssignment.constant(family, d)
@@ -330,7 +330,13 @@ def density_chain_check(
             exp = run_trace_experiment(family, directions, interval, y, r, R)
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at r={r:.6g}: {exc}") from exc
-        correction_bound = float(np.sum(exp.defect_norms * exp.dual_norms))
+        inside = np.flatnonzero(np.abs(family.exponents - y) < r)
+        lo, hi = int(inside[0]), int(inside[-1])
+        window_dirs = DirectionAssignment(d, directions.matrix[lo : hi + 1])
+        window = ExponentialSystem(family.slice_positions(lo, hi), window_dirs)
+        C = cho_solve(gated_cho_factor(assemble_gram(window, interval)), np.eye(hi - lo + 1, dtype=complex))
+        dual_norms = np.sqrt(np.real(np.diag(C)))
+        correction_bound = float(np.sum(exp.defect_norms * dual_norms))
         eps_R = correction_bound / exp.card_gamma
         lhs = exp.card_omega_r
         rhs = (d + eps_R) * exp.card_gamma

@@ -21,7 +21,7 @@ from inghamlab.analysis import (
     run_trace_experiment,
     threshold_sweep,
 )
-from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
 from inghamlab.cli import main as cli_main
 from inghamlab.exponents import (
     build_sharpness_partition,
@@ -29,6 +29,7 @@ from inghamlab.exponents import (
     generate_family,
 )
 from inghamlab.gram import (
+    DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
     IntervalSpec,
@@ -128,12 +129,12 @@ def test_criterion_04_vectorial_sharpness_block_identity():
     G = assemble_gram(ExponentialSystem(fam, dirs), I)
     residual = 0.0
     for j in (1, 2):
-        pos = [fam.position(i) for i in part.class_indices(j)]
+        pos = part.class_indices(j)
         sub = part.class_family(j)
         scalar = assemble_gram(ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), I)
         residual = max(residual, float(np.max(np.abs(G[np.ix_(pos, pos)] - scalar))))
-    pos1 = [fam.position(i) for i in part.class_indices(1)]
-    pos2 = [fam.position(i) for i in part.class_indices(2)]
+    pos1 = part.class_indices(1)
+    pos2 = part.class_indices(2)
     residual = max(residual, float(np.max(np.abs(G[np.ix_(pos1, pos2)]))))
     sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
     verdicts = [r.verdict for r in sweep.results]
@@ -255,9 +256,9 @@ def test_criterion_08_divided_difference_consistency():
     ]
     for fam, M in zip(families, (2, 3)):
         chains = detect_chains(fam, gamma_prime=0.5, M=M)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
-        for desc in basis.descriptors:
-            shifted = desc.nodes - desc.nodes[-1]
+        system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
+        for nodes in system.nodes:
+            shifted = nodes - nodes[-1]
             for t in (0.25, 1.0, 3.0, 10.0):
                 h = 1e-5 * max(1.0, t)
                 deriv = dd_derivative(shifted, t, h=h)
@@ -308,9 +309,8 @@ def test_criterion_10_decay_constant_finiteness():
     for delta in (1e-2, 1e-3, 1e-4):
         fam = generate_family("clustered-pairs", spacing=2.0, delta=delta, window=[0, 8])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
         gammas = np.arange(-40, 41, dtype=float)
-        report = dd_threshold_check(basis, I, gammas)
+        report = dd_threshold_check(fam, chains, I, gammas)
         values.append(report.empirical_C)
     spread = max(values) / min(values)
     _report(

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
 from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
-from inghamlab.gram import ExponentialSystem
+from inghamlab.gram import DividedDifferenceSystem, ExponentialSystem
 
 from oracles import dd_derivative, dd_derivative_bound, eval_dd_hermite_genocchi
 
@@ -60,10 +60,11 @@ class TestEvalSum:
         assert np.allclose(coefficient_sum(fam, dirs, np.ones(5), 0.0), [5.0, 0.0])
 
     def test_index_mismatch_rejected(self):
+        # one direction row per position: a matrix for another family length is rejected
         fam = ExponentFamily(np.array([0.0, 1.0]))
-        other = ExponentFamily(np.array([0.0, 1.0]), first_index=5)
+        other = ExponentFamily(np.array([0.0, 1.0, 2.0]))
         dirs = DirectionAssignment.constant(other, 1)
-        with pytest.raises(ValueError, match="index set"):
+        with pytest.raises(ValueError, match="3 rows for 2 functions"):
             ExponentialSystem(fam, dirs)
 
 
@@ -168,11 +169,11 @@ class TestDerivative:
         # chain-relative convention: nodes shifted so the anchor is 0
         fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0, 4])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
+        system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
         h = 1e-5
-        for desc in basis.descriptors:
-            anchor = desc.nodes[-1]
-            shifted = desc.nodes - anchor
+        for nodes in system.nodes:
+            anchor = nodes[-1]
+            shifted = nodes - anchor
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):
                 deriv = dd_derivative(shifted, t, h=h * max(1.0, t))
                 bound = dd_derivative_bound(shifted, t)
@@ -191,26 +192,26 @@ class TestDerivative:
 
 
 class TestDividedDifferenceBasis:
+    """The node sets of a divided-difference system: one chain prefix per position."""
+
     def test_descriptors_follow_chain_prefixes(self):
         fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0, 2])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
-        assert len(basis) == len(fam)
-        for desc in basis.descriptors:
-            chain = next(c for c in chains.chains if c.start <= desc.index <= c.stop)
-            assert desc.chain_start == chain.start
-            assert desc.nodes.size == desc.index - chain.start + 1
-            expected_nodes = [fam.value(i) for i in range(chain.start, desc.index + 1)]
-            assert np.allclose(desc.nodes, expected_nodes)
+        nodes = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)).nodes
+        assert len(nodes) == len(fam)
+        for position, node_set in enumerate(nodes):
+            first = next(first for first, last in chains if first <= position <= last)
+            assert node_set.size == position - first + 1
+            assert np.allclose(node_set, fam.exponents[first : position + 1])
 
     def test_singleton_chain_is_plain_exponential(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 3])
         chains = detect_chains(fam, gamma_prime=0.5, M=1)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
+        nodes = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)).nodes
         t = 1.3
-        for desc in basis.descriptors:
-            assert eval_divided_difference(desc.nodes, t) == pytest.approx(
-                np.exp(1j * fam.value(desc.index) * t)
+        for position, node_set in enumerate(nodes):
+            assert eval_divided_difference(node_set, t) == pytest.approx(
+                np.exp(1j * fam.exponents[position] * t)
             )
 
 
@@ -218,21 +219,10 @@ class TestDirectionAssignment:
     def test_constant_and_subset(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 4])
         dirs = DirectionAssignment.constant(fam, 3, axis=1)
-        assert np.allclose(dirs.matrix[fam.position(2)], [0, 1, 0])
-        sub = dirs.subset([1, 3])
-        assert np.array_equal(sub.indices, [1, 3])
-
-    def test_subset_follows_requested_order(self):
-        dirs = DirectionAssignment(d=1, matrix=np.array([[1.0], [1j], [-1.0]]), indices=[5, 2, 8])
-        sub = dirs.subset([8, 5, 2])
-        assert np.array_equal(sub.indices, [8, 5, 2])
-        assert np.array_equal(sub.matrix, dirs.matrix[[2, 0, 1]])
-
-    @pytest.mark.parametrize("missing", [-1, 3, 9])
-    def test_subset_names_missing_index(self, missing):
-        dirs = DirectionAssignment(d=1, matrix=np.ones((3, 1)), indices=[0, 2, 4])
-        with pytest.raises(IndexError, match=f"no direction assigned to index {missing}$"):
-            dirs.subset([2, missing, 4])
+        assert np.allclose(dirs.matrix[2], [0, 1, 0])
+        # a subfamily's directions are the same rows of the matrix
+        sub = ExponentialSystem(fam.slice_positions(1, 3), DirectionAssignment(3, dirs.matrix[1:4]))
+        assert np.array_equal(sub.directions.matrix, dirs.matrix[1:4])
 
     def test_random_unit_rows_deterministic(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 9])
@@ -242,6 +232,5 @@ class TestDirectionAssignment:
         assert np.allclose(np.linalg.norm(a.matrix, axis=1), 1.0, atol=1e-12)
 
     def test_rejects_non_unit_rows(self):
-        fam = ExponentFamily(np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="unit norm"):
-            DirectionAssignment(d=1, matrix=np.array([[1.0], [2.0]]), indices=fam.indices)
+            DirectionAssignment(d=1, matrix=np.array([[1.0], [2.0]]))

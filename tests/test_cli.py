@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inghamlab import cli
 from inghamlab.cli import (
     COMMANDS,
     ConfigError,
@@ -102,6 +103,32 @@ class TestParseConfig:
         cfg.output_format = "json"
         cfg.threads = 2
         assert (cfg.output_format, cfg.threads) == ("json", 2)
+
+    def test_nested_values_read_only(self, tmp_path):
+        # the directions are drawn at parse time: an edited seed would echo 5 over seed-0 rows
+        raw = {
+            "command": "gram",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-3, 3]}},
+            "directions": {"rule": "random", "d": 2},
+            "interval": [0.0, 2.0],
+            "grids": {},
+            "params": {"y": 0.0},
+            "output": {"path": str(tmp_path / "g.csv"), "format": "csv"},
+        }
+        cfg = parse_config(json.dumps(raw))
+        edits = [
+            lambda: cfg.directions.__setitem__("seed", 5),
+            lambda: cfg.family["params"].__setitem__("spacing", 2.0),
+            lambda: cfg.family["params"]["window"].__setitem__(0, -4),
+            lambda: cfg.grids.__setitem__("lengths", [1.0]),
+            lambda: cfg.params.pop("y"),
+        ]
+        for edit in edits:
+            with pytest.raises((TypeError, AttributeError)):
+                edit()
+        # the echo is the config as given, in plain JSON types
+        assert cfg.canonical() == {**raw, "seed": 0}
+        assert run(cfg) == 0
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -596,6 +623,38 @@ class TestMainEntry:
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/cfg.json"]) == 2
+
+    def test_config_directory_exit_two(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot read config file {tmp_path}: ")
+
+    def test_missing_output_directory_exit_two(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(density_config(tmp_path / "out.csv")))
+        out = tmp_path / "missing" / "x.csv"
+
+        def computed(*args, **kwargs):
+            raise AssertionError("the run started before its output directory was checked")
+
+        monkeypatch.setattr(cli, "run", computed)
+        message = f"error: cannot write output file {out}: no directory {out.parent}\n"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        cfg_path.write_text(json.dumps(density_config(out)))  # the same path, from the config
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.parent.exists()
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(density_config(tmp_path / "out.csv")))
+        (tmp_path / "taken").mkdir()
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot write output file {tmp_path / 'taken'}: ")
 
     def test_console_script_runs(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -20,39 +20,32 @@ def integers(lo=-8, hi=8):
 class TestDetectChains:
     def test_integers_all_singletons(self):
         dec = detect_chains(integers(), gamma_prime=0.5, M=1)
-        assert all(c.length == 1 for c in dec.chains)
-        assert len(dec.chains) == 17
+        assert all(first == last for first, last in dec)
+        assert len(dec) == 17
 
     def test_clustered_pairs(self):
         fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0, 1])
         dec = detect_chains(fam, gamma_prime=0.5, M=2)
-        assert [(c.start, c.stop) for c in dec.chains] == [(0, 1), (2, 3)]
+        assert dec == [(0, 1), (2, 3)]
 
     def test_leading_triple(self):
         fam = ExponentFamily(np.array([0.0, 0.1, 0.2, 1.0]))
         dec = detect_chains(fam, gamma_prime=0.5, M=3)
-        assert [(c.start, c.stop) for c in dec.chains] == [(0, 2), (3, 3)]
+        assert dec == [(0, 2), (3, 3)]
 
     def test_chain_exceeding_M_rejected(self):
         fam = ExponentFamily(np.array([0.0, 0.1, 0.2, 1.0]))
-        with pytest.raises(ValueError, match="weak gap violated"):
+        with pytest.raises(ValueError, match=r"weak gap violated: chain of length 3 > M=2 at indices 0\.\.2$"):
             detect_chains(fam, gamma_prime=0.5, M=2)
-
-    def test_boundary_chains_flagged(self):
-        fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0, 2])
-        dec = detect_chains(fam, gamma_prime=0.5, M=2)
-        flags = [c.boundary_incomplete for c in dec.chains]
-        assert flags[0] and flags[-1]
-        assert not any(flags[1:-1])
 
     def test_concatenation_reproduces_window(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = np.sort(rng.uniform(0, 20, size=15))
-            fam = ExponentFamily(x, first_index=int(rng.integers(-5, 5)))
+            fam = ExponentFamily(x)
             dec = detect_chains(fam, gamma_prime=0.3, M=15)
-            covered = np.concatenate([np.arange(c.start, c.stop + 1) for c in dec.chains])
-            assert np.array_equal(covered, fam.indices)
+            covered = np.concatenate([np.arange(first, last + 1) for first, last in dec])
+            assert np.array_equal(covered, np.arange(len(fam)))
 
 
 class TestCountingFunction:
@@ -132,7 +125,7 @@ class TestSharpnessPartition:
         fam = integers(-64, 64)
         part = build_sharpness_partition(fam, d=2, alpha=0.5)
         classes = {j: part.class_indices(j) for j in (1, 2)}
-        values1 = sorted(fam.value(i) for i in classes[1])
+        values1 = sorted(fam.exponents[classes[1]])
         assert all(v % 2 == 0 for v in values1)
         for j in (1, 2):
             sub = part.class_family(j)
@@ -149,7 +142,7 @@ class TestSharpnessPartition:
         fam = integers(-32, 32)
         part = build_sharpness_partition(fam, d=2, alpha=0.75, period_count=4)
         first = part.class_family(1)
-        offsets = sorted({(i - fam.first_index) % 4 for i in part.class_indices(1)})
+        offsets = sorted({int(i) % 4 for i in part.class_indices(1)})
         assert offsets == [0, 1, 2]
         est = estimate_density(first, np.arange(2.0, 40.0))
         assert est.dplus_estimate == pytest.approx(0.75, abs=0.05)
@@ -159,7 +152,7 @@ class TestSharpnessPartition:
         for alpha, d in ((0.6, 2), (0.5, 3), (0.4, 3)):
             part = build_sharpness_partition(fam, d=d, alpha=alpha)
             covered = sorted(i for j in range(1, d + 1) for i in part.class_indices(j))
-            assert covered == list(fam.indices)
+            assert covered == list(range(len(fam)))
             for j in range(1, d + 1):
                 sub = part.class_family(j)
                 if sub is None or len(sub) < 8:
@@ -220,7 +213,16 @@ class TestFamilyInvariants:
             ExponentFamily(np.array([]))
 
     def test_slice_preserves_index_labels(self):
+        # position 0 of the slice is position 3 of the family; the family label stays
         fam = integers(-8, 8)
         sub = fam.slice_positions(3, 7)
-        assert list(sub.indices) == [3, 4, 5, 6, 7]
-        assert sub.value(3) == fam.value(3)
+        assert np.array_equal(sub.exponents, fam.exponents[3:8])
+        assert sub.exponents[0] == fam.exponents[3]
+        assert sub.label == fam.label
+
+    def test_subfamily_rejects_positions_outside_window(self):
+        fam = integers(0, 4)
+        assert np.array_equal(fam.subfamily([4, 0]).exponents, [0.0, 4.0])
+        for outside in ([-1], [2, 5]):
+            with pytest.raises(IndexError, match="outside window"):
+                fam.subfamily(outside)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
 from inghamlab.exponents import (
     ExponentFamily,
     build_sharpness_partition,
@@ -103,7 +103,7 @@ class TestVectorInner:
     def test_orthogonal_directions_vanish(self):
         fam = ExponentFamily(np.array([0.0, 0.3]))
         U = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        dirs = DirectionAssignment(d=2, matrix=U, indices=fam.indices)
+        dirs = DirectionAssignment(d=2, matrix=U)
         assert vector_inner(0, 1, fam, dirs, IntervalSpec(0, 1)) == 0.0
 
     def test_unit_gap_on_pi(self):
@@ -118,12 +118,10 @@ class TestVectorInner:
         dirs = DirectionAssignment.random(fam, 2, seed=6)
         I = IntervalSpec(0.5, 4.0)
         G = assemble_gram(ExponentialSystem(fam, dirs), I)
-        for k in fam.indices:
-            for n in fam.indices:
+        for k in range(len(fam)):
+            for n in range(len(fam)):
                 # entries[j, k] holds (e_k, e_j)
-                assert G[n, k] == pytest.approx(
-                    vector_inner(int(k), int(n), fam, dirs, I), abs=1e-13
-                )
+                assert G[n, k] == pytest.approx(vector_inner(k, n, fam, dirs, I), abs=1e-13)
 
 
 class TestFourierGrid:
@@ -169,8 +167,7 @@ class TestAssembleGram:
         I = IntervalSpec(0, TWO_PI)
         G = assemble_gram(ExponentialSystem(fam, dirs), I)
         for j in (1, 2):
-            idx = part.class_indices(j)
-            pos = [fam.position(i) for i in idx]
+            pos = part.class_indices(j)
             block = G[np.ix_(pos, pos)]
             sub = part.class_family(j)
             scalar = assemble_gram(
@@ -178,8 +175,8 @@ class TestAssembleGram:
             )
             assert np.max(np.abs(block - scalar)) < 1e-12
         # cross-class entries vanish exactly (orthogonal directions)
-        pos1 = [fam.position(i) for i in part.class_indices(1)]
-        pos2 = [fam.position(i) for i in part.class_indices(2)]
+        pos1 = part.class_indices(1)
+        pos2 = part.class_indices(2)
         assert np.max(np.abs(G[np.ix_(pos1, pos2)])) == 0.0
 
     def test_hermitian_psd(self):
@@ -198,35 +195,33 @@ class TestDividedDifferenceGram:
     def setup_method(self):
         self.I = IntervalSpec(0, TWO_PI)
         self.fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 4])
-        chains = detect_chains(self.fam, gamma_prime=0.5, M=2)
-        self.basis = DividedDifferenceBasis.from_chains(self.fam, chains)
+        self.chains = detect_chains(self.fam, gamma_prime=0.5, M=2)
         self.dirs = DirectionAssignment.constant(self.fam, 1)
+        self.system = DividedDifferenceSystem(self.fam, self.chains, self.dirs)
 
     def test_singleton_chain_reduces_to_exponential(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 3])
         chains = detect_chains(fam, gamma_prime=0.5, M=1)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
-        dirs = DirectionAssignment.constant(fam, 1)
-        assert dd_inner_quadrature(1, 1, basis, dirs, self.I) == pytest.approx(TWO_PI, abs=1e-10)
-        G = assemble_gram(DividedDifferenceSystem(basis, dirs), self.I)
+        system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
+        assert dd_inner_quadrature(1, 1, system, self.I) == pytest.approx(TWO_PI, abs=1e-10)
+        G = assemble_gram(system, self.I)
         assert np.max(np.abs(G - TWO_PI * np.eye(4))) < 1e-10
 
     def test_orthogonal_directions_vanish(self):
         fam = ExponentFamily(np.array([0.0, 1e-3]))
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
         U = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        dirs = DirectionAssignment(d=2, matrix=U, indices=fam.indices)
-        assert dd_inner_quadrature(0, 1, basis, dirs, self.I) == 0.0
+        system = DividedDifferenceSystem(fam, chains, DirectionAssignment(d=2, matrix=U))
+        assert dd_inner_quadrature(0, 1, system, self.I) == 0.0
 
     def test_entry_against_denser_quadrature(self):
-        rate = 2 * max(float(np.max(np.abs(d.nodes))) for d in self.basis.descriptors)
+        rate = 2 * max(float(np.max(np.abs(nodes))) for nodes in self.system.nodes)
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for k, n in ((1, 1), (1, 3), (0, 3)):
-            fk = eval_divided_difference(self.basis.descriptors[k].nodes, t)
-            fn = eval_divided_difference(self.basis.descriptors[n].nodes, t)
+            fk = eval_divided_difference(self.system.nodes[k], t)
+            fn = eval_divided_difference(self.system.nodes[n], t)
             oracle = np.sum(w * fk * np.conj(fn))
-            value = dd_inner_quadrature(k, n, self.basis, self.dirs, self.I)
+            value = dd_inner_quadrature(k, n, self.system, self.I)
             assert value == pytest.approx(oracle, abs=1e-10 * self.I.length)
 
     def test_pair_diagonal_confluent_limit(self):
@@ -237,23 +232,20 @@ class TestDividedDifferenceGram:
         for delta, tol in ((1e-3, 2e-2), (1e-5, 2e-4)):
             fam = ExponentFamily(np.array([0.0, delta]))
             chains = detect_chains(fam, gamma_prime=0.5, M=2)
-            basis = DividedDifferenceBasis.from_chains(fam, chains)
-            dirs = DirectionAssignment.constant(fam, 1)
-            val = dd_inner_quadrature(1, 1, basis, dirs, self.I)
+            system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
+            val = dd_inner_quadrature(1, 1, system, self.I)
             assert val.real == pytest.approx(target, rel=tol)
 
     def test_gram_matches_entrywise_assembly(self):
-        G = assemble_gram(DividedDifferenceSystem(self.basis, self.dirs), self.I)
-        for k in range(len(self.basis)):
-            for n in range(k, len(self.basis)):
-                entry = dd_inner_quadrature(
-                    int(self.basis.indices[k]), int(self.basis.indices[n]), self.basis, self.dirs, self.I
-                )
+        G = assemble_gram(self.system, self.I)
+        for k in range(len(self.fam)):
+            for n in range(k, len(self.fam)):
+                entry = dd_inner_quadrature(k, n, self.system, self.I)
                 # assembly stores (f_k, f_j) at [j, k]
                 assert G[n, k] == pytest.approx(entry, abs=1e-9)
 
     def test_normalized_diagonal(self):
-        G = assemble_gram(DividedDifferenceSystem(self.basis, self.dirs, normalize=True), self.I)
+        G = assemble_gram(DividedDifferenceSystem(self.fam, self.chains, self.dirs, normalize=True), self.I)
         assert np.allclose(np.diag(G).real, 1.0, atol=1e-12)
 
 
@@ -382,18 +374,17 @@ class TestProjections:
     def test_project_dd_system_onto_grid(self):
         fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 4])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
-        dirs = DirectionAssignment.constant(fam, 1)
+        system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=8.0)
-        coef = inner_matrix(DividedDifferenceSystem(basis, dirs), grid, self.I)
-        assert coef.shape == (grid.size, len(basis))
+        coef = inner_matrix(system, grid, self.I)
+        assert coef.shape == (grid.size, len(fam))
         # oracle: direct dense-panel quadrature of (f_s, f_alpha)
         L = self.I.length
-        max_node = max(float(np.max(np.abs(d.nodes))) for d in basis.descriptors)
+        max_node = max(float(np.max(np.abs(nodes))) for nodes in system.nodes)
         rate = max_node + float(np.max(np.abs(grid.frequencies)))
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for s in (1, 3):
-            fs = eval_divided_difference(basis.descriptors[s].nodes, t)
+            fs = eval_divided_difference(system.nodes[s], t)
             for alpha, gamma in enumerate(grid.frequencies):
                 oracle = np.sum(w * fs * np.exp(-1j * gamma * t)) / math.sqrt(L)
                 assert coef[alpha, s] == pytest.approx(oracle, abs=1e-10)
@@ -401,12 +392,11 @@ class TestProjections:
     def test_normalized_dd_projection_scales(self):
         fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 2])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        basis = DividedDifferenceBasis.from_chains(fam, chains)
         dirs = DirectionAssignment.constant(fam, 1)
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=5.0)
-        raw = inner_matrix(DividedDifferenceSystem(basis, dirs), grid, self.I)
-        unit = inner_matrix(DividedDifferenceSystem(basis, dirs, normalize=True), grid, self.I)
-        G = assemble_gram(DividedDifferenceSystem(basis, dirs), self.I)
+        raw = inner_matrix(DividedDifferenceSystem(fam, chains, dirs), grid, self.I)
+        unit = inner_matrix(DividedDifferenceSystem(fam, chains, dirs, normalize=True), grid, self.I)
+        G = assemble_gram(DividedDifferenceSystem(fam, chains, dirs), self.I)
         norms = np.sqrt(np.real(np.diag(G)))
         assert np.allclose(unit, raw / norms[None, :], atol=1e-12)
 

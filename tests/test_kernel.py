@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from inghamlab import analysis
 from inghamlab.analysis import EIGEN_RESIDUAL_RTOL, extreme_eigenvalues
-from inghamlab.basisfuncs import DirectionAssignment, DividedDifferenceBasis
+from inghamlab.basisfuncs import DirectionAssignment
 from inghamlab.exponents import ExponentFamily, build_sharpness_partition, detect_chains, generate_family
 from inghamlab.gram import (
     DividedDifferenceSystem,
@@ -58,9 +58,9 @@ def systems(draw, kind, interval, d):
     delta = draw(st.floats(1e-4, 0.3))
     start = draw(st.floats(-8.0, 8.0))
     fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=[start, start + 6.0])
-    basis = DividedDifferenceBasis.from_chains(fam, detect_chains(fam, gamma_prime=0.5, M=2))
+    chains = detect_chains(fam, gamma_prime=0.5, M=2)
     normalize = draw(st.booleans())
-    return DividedDifferenceSystem(basis, DirectionAssignment.random(fam, d, seed=seed), normalize=normalize)
+    return DividedDifferenceSystem(fam, chains, DirectionAssignment.random(fam, d, seed=seed), normalize=normalize)
 
 
 @SETTINGS
@@ -121,7 +121,7 @@ def exponential_systems(draw, rule, d):
         dirs = DirectionAssignment.constant(fam, d, axis=draw(st.integers(0, d - 1)))
     elif rule == "real":
         Z = np.random.default_rng(seed).normal(size=(len(fam), d))
-        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True), fam.indices)
+        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True))
     else:
         dirs = DirectionAssignment.random(fam, d, seed=seed)
     return ExponentialSystem(fam, dirs)
@@ -210,3 +210,52 @@ def test_closed_form_matches_offset_form(thetas, interval):
     assert np.max(np.abs(new - exp_inner_closed_form_offset(th, interval))) <= 1e-14 * interval.length
     assert exp_inner_closed_form(thetas[0], interval) == new[0]
     assert not np.any(exp_inner_closed_form(th, centered(interval)).imag)
+
+
+@st.composite
+def positioned_systems(draw, rule, d):
+    """A family of 9 to 41 exponents with one direction per position, by the given rule."""
+    count = draw(st.integers(4, 20)) * 2 + 1
+    spacing = draw(st.floats(0.5, 2.0))
+    start = draw(st.floats(-8.0, 8.0))
+    window = [start, start + spacing * (count - 1)]
+    seed = draw(st.integers(0, 10**6))
+    if rule == "partition":  # sharpness partitions need a periodic family
+        fam = generate_family("lattice", spacing=spacing, window=window)
+        alpha = draw(st.floats(1.0 / d, 1.0)) / spacing
+        return fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha))
+    fam = generate_family("perturbed-lattice", spacing=spacing, window=window,
+                          max_perturbation=0.2 * spacing, seed=seed)
+    if rule == "constant":
+        return fam, DirectionAssignment.constant(fam, d, axis=draw(st.integers(0, d - 1)))
+    return fam, DirectionAssignment.random(fam, d, seed=seed)
+
+
+@SETTINGS
+@given(data=st.data(), rule=st.sampled_from(("constant", "partition", "random")), interval=intervals,
+       d=st.integers(1, 3))
+def test_subsystems_keep_positions(data, rule, interval, d):
+    """A window or a truncation is the principal submatrix of the full Gram at the same positions."""
+    fam, dirs = data.draw(positioned_systems(rule, d))
+    n = len(fam)
+    full = assemble_gram(ExponentialSystem(fam, dirs), interval)
+    y = fam.exponents[data.draw(st.integers(0, n - 1))]
+    r = data.draw(st.floats(0.1, 2.0)) * fam.span
+    inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+    window = analysis._window(fam, dirs, y, r)
+    assert np.array_equal(assemble_gram(window, interval), full[np.ix_(inside, inside)])
+
+    sections = []
+
+    def recording_extremes(G):
+        sections.append(G)
+        return 1.0, 1.0
+
+    N_grid = sorted(data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+    with mock.patch.object(analysis, "extreme_eigenvalues", recording_extremes):
+        analysis.frame_bound_sequence(fam, dirs, interval, N_grid)
+    full = assemble_gram(ExponentialSystem(fam, dirs), centered(interval))
+    assert len(sections) == len(N_grid)
+    for N, section in zip(N_grid, sections):
+        block = slice(n // 2 - N, n // 2 + N + 1)
+        assert np.array_equal(section, full[block, block])
