@@ -207,30 +207,17 @@ class SweepResult:
         return [row for result in self.results for row in result.to_rows()]
 
 
-def _run_grid(jobs, threads: int):
-    """Evaluate per-point closures, optionally on a thread pool, in grid order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def threshold_sweep(
     family: ExponentFamily,
     directions: DirectionAssignment,
     lengths,
     N_max: int = DEFAULT_N_MAX,
-    threads: int = 1,
 ) -> SweepResult:
     """Frame-bound reports across interval lengths; brackets the transition.
 
     Truncations double up to N_max.  The metadata records the transition
     bracket (last degenerating length, first stable length) when the sweep
-    crosses one.  Grid points are independent; results are assembled in grid
-    order regardless of the worker count.
+    crosses one.
     """
     lengths = [float(v) for v in lengths]
     N_grid = []
@@ -240,16 +227,12 @@ def threshold_sweep(
         N *= 2
     N_grid.append(N_max)
 
-    def job_for(L):
-        def job():
-            try:
-                return frame_bound_sequence(family, directions, IntervalSpec.of_length(L), N_grid)
-            except GridPointFailure as exc:
-                raise GridPointFailure(f"at interval_length={L:.6g}: {exc}") from exc
-
-        return job
-
-    reports = _run_grid([job_for(L) for L in lengths], threads)
+    reports = []
+    for L in lengths:
+        try:
+            reports.append(frame_bound_sequence(family, directions, IntervalSpec.of_length(L), N_grid))
+        except GridPointFailure as exc:
+            raise GridPointFailure(f"at interval_length={L:.6g}: {exc}") from exc
     verdicts = [rep.verdict for rep in reports]
     bracket = None
     degens = [i for i, v in enumerate(verdicts) if v == "degenerating"]
@@ -434,7 +417,6 @@ def conditioning_comparison(
     gamma_prime: float = 0.5,
     M: int = 2,
     normalize_dd: bool = True,
-    threads: int = 1,
 ) -> SweepResult:
     """Condition numbers of raw-exponential vs divided-difference Grams per delta.
 
@@ -444,37 +426,16 @@ def conditioning_comparison(
     meaningless quotient.
     """
     deltas = [float(v) for v in delta_grid]
-
-    def job_for(delta):
-        def job():
-            try:
-                fam = generate_family(
-                    "clustered-pairs", spacing=spacing, delta=delta, window=list(window)
-                )
-                dirs = DirectionAssignment.constant(fam, 1)
-                lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), interval))
-                if lo <= EIGEN_FLOOR_RTOL * hi:
-                    cond_raw = "overflow"
-                else:
-                    cond_raw = hi / lo
-                chains = detect_chains(fam, gamma_prime, M)
-                dd_system = DividedDifferenceSystem(fam, chains, dirs, normalize=normalize_dd)
-                lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
-            except (ValueError, ArithmeticError) as exc:
-                raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
-            return {
-                "delta": delta,
-                "cond_raw": cond_raw,
-                "cond_dd": hi_dd / lo_dd,
-                "raw_lambda_min": lo,
-                "raw_lambda_max": hi,
-            }
-
-        return job
-
-    rows = _run_grid([job_for(d) for d in deltas], threads)
-    return SweepResult(
-        grid=deltas,
-        results=rows,
-        metadata={"spacing": spacing, "window": list(window), "normalized_dd": normalize_dd},
-    )
+    rows = []
+    for delta in deltas:
+        try:
+            fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=list(window))
+            dirs = DirectionAssignment.constant(fam, 1)
+            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), interval))
+            cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo
+            dd_system = DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime, M), dirs, normalize=normalize_dd)
+            lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
+        except (ValueError, ArithmeticError) as exc:
+            raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
+        rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": hi_dd / lo_dd})
+    return SweepResult(grid=deltas, results=rows, metadata={"normalized_dd": normalize_dd})

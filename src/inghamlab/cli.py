@@ -65,8 +65,8 @@ class NumericalFailure(RuntimeError):
 
 # fixed once set: parse_config builds what the run reads from them
 _FIXED_FIELDS = ("command", "family", "seed", "directions", "interval", "grids", "params", "output_path")
-# JSON objects, stored read-only all the way down
-_NESTED_FIELDS = ("family", "directions", "grids", "params")
+# JSON values, stored read-only all the way down
+_NESTED_FIELDS = ("family", "directions", "interval", "grids", "params")
 
 
 def _frozen(value):
@@ -90,21 +90,21 @@ def _plain(value):
 @dataclass
 class ExperimentConfig:
     """A validated config.  ``parse_config`` builds what the run reads from
-    these fields, so they are read-only, and so are the objects ``family``,
-    ``directions``, ``grids`` and ``params`` hold: change a config by parsing
-    again (``seed=`` overrides the seed).  ``output_format`` and ``threads``
-    build nothing and stay settable."""
+    these fields, so they are read-only, and so are the values ``family``,
+    ``directions``, ``interval``, ``grids`` and ``params`` hold: change a
+    config by parsing again (``seed=`` overrides the seed).
+    ``output_format`` builds nothing and stays settable; a name that is not
+    a field cannot be set."""
 
     command: str
     family: Mapping
     seed: int = 0
     directions: Mapping = field(default_factory=lambda: {"rule": "constant", "d": 1})
-    interval: list | None = None
+    interval: tuple | None = None
     grids: Mapping = field(default_factory=dict)
     params: Mapping = field(default_factory=dict)
     output_path: str = "experiment.csv"
     output_format: str = "csv"
-    threads: int = field(default=1, compare=False)  # execution detail, not identity
     # built once by parse_config and read by the runners; derived, so not identity
     exponent_family: ExponentFamily | None = field(default=None, init=False, compare=False, repr=False)
     direction_assignment: DirectionAssignment | None = field(default=None, init=False, compare=False, repr=False)
@@ -113,6 +113,8 @@ class ExperimentConfig:
     density_estimate: DensityEstimate | None = field(default=None, init=False, compare=False, repr=False)
 
     def __setattr__(self, name, value):
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"ExperimentConfig has no field {name!r}")
         if name in _FIXED_FIELDS and name in self.__dict__:
             raise AttributeError(f"{name!r} is fixed by parse_config; parse the config again to change it")
         super().__setattr__(name, _frozen(value) if name in _NESTED_FIELDS else value)
@@ -123,7 +125,7 @@ class ExperimentConfig:
             "family": _plain(self.family),
             "seed": self.seed,
             "directions": _plain(self.directions),
-            "interval": self.interval,
+            "interval": _plain(self.interval),
             "grids": _plain(self.grids),
             "params": _plain(self.params),
             "output": {"path": self.output_path, "format": self.output_format},
@@ -334,7 +336,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         family=family,
         seed=seed,
         directions=directions,
-        interval=list(interval) if interval is not None else None,
+        interval=interval,
         grids=grids,
         params=params,
         output_path=str(output_path),
@@ -434,8 +436,7 @@ def _run_gram(config: ExperimentConfig):
 
 def _run_bounds_sweep(config: ExperimentConfig):
     N_max = config.params.get("N_max", DEFAULT_N_MAX)
-    sweep = threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"],
-                            N_max=N_max, threads=config.threads)
+    sweep = threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"], N_max=N_max)
     rows = sweep.to_rows()
     summary = {
         "transition_bracket": sweep.metadata["transition_bracket"],
@@ -476,7 +477,7 @@ def _run_dd_condition(config: ExperimentConfig):
     fparams = config.family.get("params", {})
     options = {name: fparams[name] for name in ("spacing", "window") if name in fparams}
     options.update((k, v) for k, v in config.params.items() if k in ("gamma_prime", "M", "normalize_dd"))
-    sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], threads=config.threads, **options)
+    sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
     rows = []
     for row in sweep.results:
         cond_raw = row["cond_raw"]
@@ -611,14 +612,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", help="output path (overrides the config)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format (overrides the config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep grid points; output stays ordered by grid index")
     parser.add_argument("--seed", type=int, help="seed override (recorded in the artifact)")
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
@@ -626,7 +622,6 @@ def main(argv=None) -> int:
         return 2
     try:
         config = parse_config(text, seed=args.seed)
-        config.threads = args.threads
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)

@@ -7,7 +7,8 @@ exponential is a single node; an orthonormal Fourier-grid function is a
 normalized single node on a coordinate direction.  One kernel,
 ``inner_matrix``, computes all inner products: the cancellation-free closed
 form when every function is a single node, otherwise composite
-Gauss-Legendre panels sized against the fastest oscillation.
+Gauss-Legendre panels sized against the fastest oscillation of the profiles
+with their nodes centered.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -239,9 +240,13 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for any two systems.
 
     Single-node functions on both sides use the closed form; otherwise one
-    panel grid, sized by max|source node| + max|target node|, serves every
-    entry.  Each distinct profile is evaluated once (once in total when
-    ``targets is sources``), and normalized norms come from the same profiles.
+    panel grid serves every entry.  Its profiles are evaluated at the nodes
+    minus c, the center of all nodes: that multiplies each by exp(-i*c*t),
+    which no inner product or norm sees, so the grid is sized by
+    max|source node - c| + max|target node - c|, the spread of the nodes
+    rather than their position.  Each distinct profile is evaluated once
+    (once in total when ``targets is sources``), and normalized norms come
+    from the same profiles.
     """
     src = _functions(sources)
     tgt = src if targets is sources else _functions(targets)
@@ -253,10 +258,11 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     if ws.size == len(src.nodes) and wt.size == len(tgt.nodes):
         S = exp_inner_closed_form(ws[:, None] - wt[None, :], interval)
     else:
-        rate = float(np.max(np.abs(ws)) + np.max(np.abs(wt)))
+        c = 0.5 * (min(ws.min(), wt.min()) + max(ws.max(), wt.max()))
+        rate = float(np.max(np.abs(ws - c)) + np.max(np.abs(wt - c)))
         t, w = oscillation_panel_rule(interval, rate)
-        Fs = np.stack([eval_divided_difference(x, t) for x in src.nodes])
-        Ft = Fs if tgt is src else np.stack([eval_divided_difference(x, t) for x in tgt.nodes])
+        Fs = np.stack([eval_divided_difference(x - c, t) for x in src.nodes])
+        Ft = Fs if tgt is src else np.stack([eval_divided_difference(x - c, t) for x in tgt.nodes])
         S = (Fs * w) @ Ft.conj().T
     # S[s, a] = (profile_s, profile_a); shared profiles expand by broadcasting
     if src.normalize:

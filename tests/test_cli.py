@@ -65,7 +65,7 @@ class TestParseConfig:
         raw["params"] = {"N_max": 32}
         assert parse_config(json.dumps(raw)).interval is None
         raw["interval"] = [0.0, 1.0]
-        assert parse_config(json.dumps(raw)).interval == [0.0, 1.0]
+        assert parse_config(json.dumps(raw)).interval == (0.0, 1.0)
 
     def test_non_increasing_grid(self):
         raw = density_config("out.csv")
@@ -101,8 +101,11 @@ class TestParseConfig:
                 setattr(cfg, name, value)
         assert cfg.seed == 0
         cfg.output_format = "json"
-        cfg.threads = 2
-        assert (cfg.output_format, cfg.threads) == ("json", 2)
+        assert cfg.output_format == "json"
+        # a name that is not a field would be a dead attribute: nothing reads it
+        with pytest.raises(AttributeError, match="no field 'threads'"):
+            cfg.threads = 2
+        assert not hasattr(cfg, "threads")
 
     def test_nested_values_read_only(self, tmp_path):
         # the directions are drawn at parse time: an edited seed would echo 5 over seed-0 rows
@@ -120,6 +123,7 @@ class TestParseConfig:
             lambda: cfg.directions.__setitem__("seed", 5),
             lambda: cfg.family["params"].__setitem__("spacing", 2.0),
             lambda: cfg.family["params"]["window"].__setitem__(0, -4),
+            lambda: cfg.interval.__setitem__(1, 9.0),
             lambda: cfg.grids.__setitem__("lengths", [1.0]),
             lambda: cfg.params.pop("y"),
         ]
@@ -246,22 +250,6 @@ class TestRunArtifacts:
             rows.append(json.loads((tmp_path / f"s{k}.json").read_text())["rows"])
         assert rows[0] == rows[1] == rows[2]
 
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        raw = {
-            "command": "bounds-sweep",
-            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-80, 80]}},
-            "interval": [0.0, 1.0],
-            "grids": {"lengths": [1.8 * math.pi, 2.0 * math.pi, 2.2 * math.pi]},
-            "params": {"N_max": 32},
-            "output": {"path": str(tmp_path / "serial.csv"), "format": "csv"},
-        }
-        serial = parse_config(json.dumps(raw))
-        assert run(serial) == 0
-        threaded = parse_config(json.dumps(raw))
-        threaded.threads = 4
-        assert run(threaded, out_path=tmp_path / "threaded.csv") == 0
-        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
-
     def test_sharpness_block_identity(self, tmp_path):
         out = tmp_path / "sharp.json"
         raw = {
@@ -345,6 +333,16 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(density_config(out)))
         assert main(["--config", str(cfg_path)]) == 0
         assert out.exists()
+
+    def test_threads_flag_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(density_config(out)))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

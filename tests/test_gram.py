@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from inghamlab import gram
 from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
 from inghamlab.exponents import (
     ExponentFamily,
@@ -30,6 +31,7 @@ from oracles import (
     composite_gl_exp_integral,
     dd_inner_quadrature,
     dense_panel_rule,
+    eval_dd_hermite_genocchi,
     invert_2x2,
     vector_inner,
 )
@@ -247,6 +249,49 @@ class TestDividedDifferenceGram:
     def test_normalized_diagonal(self):
         G = assemble_gram(DividedDifferenceSystem(self.fam, self.chains, self.dirs, normalize=True), self.I)
         assert np.allclose(np.diag(G).real, 1.0, atol=1e-12)
+
+
+def pairs_dd_system(window, delta):
+    """The raw DD system of clustered pairs with spacing 2 over the window."""
+    fam = generate_family("clustered-pairs", spacing=2.0, delta=delta, window=window)
+    return DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime=0.5, M=2), DirectionAssignment.constant(fam, 1))
+
+
+class TestCenteredPanels:
+    """The panel grid follows the spread of the nodes, not their position."""
+
+    I = IntervalSpec(0.0, 10.0)
+
+    # 2^-20 takes the simplex route and 2^-7 the recurrence; dyadic offsets
+    # make the shift by 1000 exact, so both windows hold the same pairs
+    @pytest.mark.parametrize("delta", [2.0**-20, 2.0**-7])
+    def test_gram_invariant_under_window_shift(self, delta, monkeypatch):
+        rule, sizes = gram.oscillation_panel_rule, []
+
+        def counted_rule(interval, rate):
+            t, w = rule(interval, rate)
+            sizes.append(t.size)
+            return t, w
+
+        monkeypatch.setattr(gram, "oscillation_panel_rule", counted_rule)
+        near, far = pairs_dd_system([0.0, 20.0], delta), pairs_dd_system([1000.0, 1020.0], delta)
+        assert far.chains == near.chains
+        G_near, G_far = assemble_gram(near, self.I), assemble_gram(far, self.I)
+        assert sizes[0] == sizes[1]
+        assert np.max(np.abs(G_far - G_near)) <= 1e-12 * np.max(np.abs(G_near))
+
+    def test_gram_far_from_zero_matches_simplex_reference(self):
+        # recurrence route at delta = 1e-3: its first difference cancels, and
+        # less so on centered nodes; the simplex form does not cancel at all
+        system = pairs_dd_system([1000.0, 1010.0], 1e-3)
+        nodes = system.nodes
+        c = 0.5 * (nodes[0][0] + nodes[-1][-1])
+        rate = 2.0 * max(float(np.max(np.abs(x - c))) for x in nodes)
+        t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
+        F = np.stack([eval_dd_hermite_genocchi(x - c, t) for x in nodes])
+        reference = (F.conj() * w) @ F.T  # [j, k] = (f_k, f_j)
+        G = assemble_gram(system, self.I)
+        assert np.max(np.abs(G - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def energy(G, x) -> float:

@@ -3,19 +3,24 @@
 A name in an ``inghamlab`` module's ``__all__`` that no code in the package
 reads, apart from its definition and its ``__all__`` entry, is API that only
 tests reach: it belongs in the tests (``oracles.py`` holds the references
-they compare against) or nowhere.
+they compare against) or nowhere.  The CLI's options are the ones the
+README's usage line shows, no more and no fewer.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import inghamlab
+from inghamlab.cli import main
 
 PACKAGE = Path(inghamlab.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+README = Path(__file__).resolve().parent.parent / "README.md"
+LONG_OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
 
 
 def package_references() -> set[str]:
@@ -39,3 +44,12 @@ def test_every_exported_name_is_used_by_the_package(module):
     exported = getattr(importlib.import_module(f"inghamlab.{module}"), "__all__", [])
     unused = sorted(set(exported) - package_references())
     assert not unused, f"inghamlab.{module} exports names that only tests reach: {unused}"
+
+
+def test_readme_usage_line_matches_cli_options(capsys):
+    usage = next(line for line in README.read_text().splitlines() if line.startswith("inghamlab --config"))
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    # argparse adds --help to every parser; the usage line shows the options a run takes
+    printed = set(LONG_OPTION.findall(capsys.readouterr().out)) - {"--help"}
+    assert set(LONG_OPTION.findall(usage)) == printed
