@@ -18,7 +18,6 @@ from .exponents import ExponentFamily
 __all__ = [
     "UNIT_NORM_TOL",
     "COALESCENCE_RTOL",
-    "DEFAULT_SIMPLEX_ORDER",
     "DirectionAssignment",
     "eval_divided_difference",
 ]
@@ -27,7 +26,7 @@ UNIT_NORM_TOL = 1e-12
 # below this node spread (relative to max(1, |t|)) the Newton recurrence is
 # cancellation-dominated and the simplex quadrature takes over
 COALESCENCE_RTOL = 1e-4
-DEFAULT_SIMPLEX_ORDER = 16
+SIMPLEX_MAX_ORDER = 64  # Gauss-Legendre points per simplex dimension, at most
 
 
 @dataclass
@@ -91,7 +90,8 @@ def eval_divided_difference(nodes, t):
     """Newton divided difference, in the node variable, of w -> exp(i*w*t).
 
     Uses the recurrence when the node spread is at least
-    COALESCENCE_RTOL * max(1, |t|), and the simplex quadrature otherwise.
+    COALESCENCE_RTOL * max(1, |t|), and the simplex quadrature otherwise, at
+    the order ``_simplex_order`` gives for theta = spread * max|t|.
     Accepts scalar or array t; nodes must be nondecreasing.
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
@@ -102,12 +102,31 @@ def eval_divided_difference(nodes, t):
     tt = np.asarray(t, dtype=float)
     tarr = np.atleast_1d(tt)
     spread = float(x[-1] - x[0])
-    tmax = max(1.0, float(np.max(np.abs(tarr))) if tarr.size else 1.0)
-    if spread >= COALESCENCE_RTOL * tmax:
+    tmax = float(np.max(np.abs(tarr))) if tarr.size else 0.0
+    if spread >= COALESCENCE_RTOL * max(1.0, tmax):
         out = _dd_recurrence(x, tarr)
     else:
-        out = _hermite_genocchi(x, tarr, DEFAULT_SIMPLEX_ORDER)
+        out = _hermite_genocchi(x, tarr, _simplex_order(x, spread * tmax))
     return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
+
+
+def _simplex_order(x: np.ndarray, theta: float) -> int:
+    """Fewest Gauss-Legendre points per dimension for the simplex rule over x at phase spread theta.
+
+    The remainder (n!)^4 / ((2n+1) ((2n)!)^3) * max|f^(2n)| for f(u) = u^(q-1) exp(i*theta*u)
+    on [0, 1], q = x.size - 1, must fall below 2^-53 / (q + theta), under the integral's bound
+    min(1/q, 2/theta).  Leibniz bounds max|f^(2n)| by sum_k C(2n, k) (q-1)!/(q-1-k)! theta^(2n-k),
+    summed here in units of s = max(1, theta) so that nothing overflows.
+    """
+    q, s = x.size - 1, max(1.0, theta)
+    for n in range(1, SIMPLEX_MAX_ORDER + 1):
+        m = 2 * n
+        deriv = sum(math.comb(m, k) * math.perm(q - 1, k) * (theta / s) ** (m - k) / s**k for k in range(min(m + 1, q)))
+        log_rule = 4 * math.lgamma(n + 1) - math.log(m + 1) - 3 * math.lgamma(m + 1) + m * math.log(s)
+        if deriv == 0.0 or log_rule + math.log(deriv * (q + theta)) <= -53 * math.log(2):
+            return n
+    raise ArithmeticError(f"divided difference over nodes {x.tolist()} needs more than "
+                          f"{SIMPLEX_MAX_ORDER} simplex points per dimension at theta={theta:.6g}")
 
 
 def _cube_rule(q: int, order: int):
@@ -137,6 +156,7 @@ def _hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray
     if q == 0:
         return np.exp(1j * x[0] * tarr)
     S, W = _cube_rule(q, order)
-    phase = x[0] + S @ np.diff(x)  # (npts,)
+    # phases from x[0], whose exp(i*x[0]*t) is one factor: rounding scales with the spread
+    phase = S @ np.diff(x)  # (npts,)
     integral = np.einsum("p,pn->n", W, np.exp(1j * np.multiply.outer(phase, tarr)))
-    return (1j * tarr) ** q * integral
+    return (1j * tarr) ** q * np.exp(1j * x[0] * tarr) * integral

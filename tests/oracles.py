@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths they are used to check: the counting
 oracle slides a window over explicit candidate anchors instead of trusting
-the left-endpoint argument, the quadrature oracle uses its own panel sizing,
-and the small linear-algebra oracles are written out by hand.  The entrywise
-inner products evaluate one pair at a time, apart from the matrix kernel,
-with the left-endpoint-phase closed form, apart from the kernel's
-midpoint-phase one, and the majorant series is summed term by term, apart
-from its closed form.
+the left-endpoint argument, the quadrature oracle uses its own panel sizing
+and evaluates divided differences by the simplex form at an order of its
+own instead of the library's evaluator, and the small linear-algebra
+oracles are written out by hand.  The entrywise inner products evaluate one
+pair at a time, apart from the matrix kernel, with the left-endpoint-phase
+closed form, apart from the kernel's midpoint-phase one, and the majorant
+series is summed term by term, apart from its closed form.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: the simplex (iterated-integral) form of a divided
@@ -25,12 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from inghamlab.analysis import GridPointFailure, run_trace_experiment
-from inghamlab.basisfuncs import (
-    DEFAULT_SIMPLEX_ORDER,
-    DirectionAssignment,
-    _hermite_genocchi,
-    eval_divided_difference,
-)
+from inghamlab.basisfuncs import DirectionAssignment, _hermite_genocchi, eval_divided_difference
 from inghamlab.cli import ExperimentConfig, parse_config
 from inghamlab.exponents import ExponentFamily
 from inghamlab.gram import (
@@ -176,14 +172,29 @@ def vector_inner(k, n, family, directions, interval):
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
+def dd_simplex_profile(nodes, t):
+    """A DD profile from the simplex form at an order of the oracle's own: max(24, ceil(theta) + 24).
+
+    theta = (node spread) * max|t| is the phase the rule must resolve; the
+    order is well above what Gauss-Legendre needs for it at any theta.
+    Shares neither the library's route choice nor its order rule.
+    """
+    theta = float(nodes[-1] - nodes[0]) * float(np.max(np.abs(t)))
+    return eval_dd_hermite_genocchi(nodes, t, quad_order=max(24, math.ceil(theta) + 24))
+
+
 def dd_inner_quadrature(k, n, system, interval):
-    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature, for functions k, n of a DD system."""
+    """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature, for functions k, n of a DD system.
+
+    The panels are sized on the uncentered nodes, and the profiles come from
+    ``dd_simplex_profile``, not from the library's evaluator.
+    """
     nodes_k = system.nodes[k]
     nodes_n = system.nodes[n]
     rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
     t, w = oscillation_panel_rule(interval, rate)
-    fk = eval_divided_difference(nodes_k, t)
-    fn = eval_divided_difference(nodes_n, t)
+    fk = dd_simplex_profile(nodes_k, t)
+    fn = dd_simplex_profile(nodes_n, t)
     scalar = np.sum(w * fk * np.conj(fn))
     Uk = system.directions.matrix[k]
     Un = system.directions.matrix[n]
@@ -199,7 +210,7 @@ def defect_majorant_series(d, length, R, n_terms=10**6):
     return 8.0 * d / length * (series + tail)
 
 
-def eval_dd_hermite_genocchi(nodes, t, quad_order: int = DEFAULT_SIMPLEX_ORDER):
+def eval_dd_hermite_genocchi(nodes, t, quad_order: int = 16):
     """Iterated-integral (simplex) form of the divided difference.
 
     Exact for one node; for r nodes integrates
@@ -216,6 +227,27 @@ def eval_dd_hermite_genocchi(nodes, t, quad_order: int = DEFAULT_SIMPLEX_ORDER):
     tarr = np.atleast_1d(tt)
     out = _hermite_genocchi(x, tarr, quad_order)
     return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
+
+
+def eval_dd_exact(nodes, t, digits: int = 80) -> np.ndarray:
+    """The divided difference of w -> exp(i*w*t) by the Newton recurrence in mpmath at ``digits`` digits.
+
+    The nodes must be distinct.  Each level of the recurrence cancels about
+    log10(1 / (gap * |t|)) digits, which the working precision absorbs, so
+    the result is exact to double precision for clustered nodes too; it
+    shares no code with the library's evaluators.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        x = [mpmath.mpf(float(v)) for v in np.atleast_1d(nodes)]
+        out = []
+        for tv in np.atleast_1d(np.asarray(t, dtype=float)):
+            col = [mpmath.expj(v * mpmath.mpf(float(tv))) for v in x]
+            for order in range(1, len(x)):
+                col = [(col[i + 1] - col[i]) / (x[i + order] - x[i]) for i in range(len(x) - order)]
+            out.append(complex(col[0]))
+    return np.array(out)
 
 
 def dd_derivative(nodes, t: float, h: float | None = None) -> complex:

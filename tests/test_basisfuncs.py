@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
+from inghamlab.basisfuncs import COALESCENCE_RTOL, DirectionAssignment, eval_divided_difference
 from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
 from inghamlab.gram import DividedDifferenceSystem, ExponentialSystem
 
-from oracles import dd_derivative, dd_derivative_bound, eval_dd_hermite_genocchi
+from oracles import dd_derivative, dd_derivative_bound, eval_dd_exact, eval_dd_hermite_genocchi
 
 
 def vector_exponential(omega, U, t):
@@ -147,6 +149,56 @@ class TestDividedDifference:
         vals = eval_divided_difference([0.0, 1.0], t)
         singles = np.array([eval_divided_difference([0.0, 1.0], float(ti)) for ti in t])
         assert np.allclose(vals, singles, atol=1e-15)
+
+
+class TestSimplexOrder:
+    """The simplex rule's order follows the phase theta = (node spread) * max|t| it must resolve."""
+
+    def test_far_from_zero_pair_value(self):
+        # spread 0.05 is below 1e-4 * 1000, so the simplex route, at theta = 50
+        value = eval_divided_difference([0.0, 0.05], 1000.0)
+        exact = (np.exp(50j) - 1.0) / 0.05
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    # theta up to 100 (q = 4: 30, which keeps its rule near 3e5 points)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        q=st.integers(1, 4),
+        position=st.floats(0.0, 1.0),
+        inner=st.lists(st.integers(1, 99), min_size=3, max_size=3, unique=True),
+        stretch=st.floats(1.0, 10.0),
+    )
+    def test_clustered_value_matches_exact(self, q, position, inner, stretch):
+        pytest.importorskip("mpmath")
+        top = math.log10(30.0 if q == 4 else 100.0)
+        theta = 10.0 ** (-8.0 + position * (top + 8.0))
+        # the smallest t range that keeps these nodes on the simplex route
+        T = stretch * max(1.0, math.sqrt(2.0 * theta / COALESCENCE_RTOL))
+        spread = theta / T
+        assert spread < COALESCENCE_RTOL * T
+        # distinct nodes centered at 0, as the Gram kernel evaluates them
+        offsets = np.array(sorted([0, 100] + inner[: q - 1])) / 100.0 - 0.5
+        nodes = spread * offsets
+        t = T * np.array([1.0, -1.0, 0.37, 0.01])
+        # relative to T^q / q!, which bounds |value| and is the mass the rule sums
+        scale = T**q / math.factorial(q)
+        assert np.max(np.abs(eval_divided_difference(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_confluent_chain_value(self, r):
+        # r equal nodes: theta = 0, and the rule must still integrate u^(r-2) exactly
+        t = np.array([0.3, -2.0, 5.0])
+        expected = (1j * t) ** (r - 1) / math.factorial(r - 1) * np.exp(0.7j * t)
+        assert np.max(np.abs(eval_divided_difference([0.7] * r, t) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_over_budget_raises(self):
+        # theta = 0.07 * 2000 = 140 needs 65 points per dimension
+        with pytest.raises(ArithmeticError, match=r"\[0\.0, 0\.07\] needs more than 64 simplex points .* theta=140"):
+            eval_divided_difference([0.0, 0.07], 2000.0)
+        # theta = 135 needs 63 and is still exact
+        value = eval_divided_difference([0.0, 0.0675], 2000.0)
+        exact = (np.exp(135j) - 1.0) / 0.0675
+        assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 class TestDerivative:

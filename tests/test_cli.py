@@ -579,6 +579,28 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "at delta=0.001" in err
 
+    def test_simplex_over_budget_exit_three(self, tmp_path, capsys):
+        # delta = 0.15 on [0, 2000] is below 1e-4 * 2000, so the pairs take the
+        # simplex route at theta = 300, past its 64 points per dimension
+        cfg_path = tmp_path / "far.json"
+        out = tmp_path / "out.csv"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "command": "dd-condition",
+                    "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 6]}},
+                    "interval": [0.0, 2000.0],
+                    "grids": {"delta": [0.15]},
+                    "params": {"M": 2, "gamma_prime": 0.5},
+                    "output": {"path": str(out), "format": "csv"},
+                }
+            )
+        )
+        assert main(["--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "at delta=0.15:" in err and "theta=300" in err
+        assert not out.exists()
+
     def test_seed_override_recorded(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "out.csv"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from inghamlab import gram
-from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
+from inghamlab import basisfuncs, gram
+from inghamlab.basisfuncs import DirectionAssignment, _dd_recurrence, eval_divided_difference
 from inghamlab.exponents import (
     ExponentFamily,
     build_sharpness_partition,
@@ -292,6 +292,45 @@ class TestCenteredPanels:
         reference = (F.conj() * w) @ F.T  # [j, k] = (f_k, f_j)
         G = assemble_gram(system, self.I)
         assert np.max(np.abs(G - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+class TestSimplexOrderInGrams:
+    """The DD Gram's simplex rule is sized by the phase its profiles span on I."""
+
+    def test_far_interval_gram_matches_recurrence_reference(self):
+        # delta = 0.05 on [990, 1000] takes the simplex route at theta = 50,
+        # which a fixed 16-point rule misses by about a factor of 2
+        I = IntervalSpec(990.0, 1000.0)
+        system = pairs_dd_system([0.0, 6.0], 0.05)
+        nodes = system.nodes
+        c = 0.5 * (nodes[0][0] + nodes[-1][-1])
+        rate = 2.0 * max(float(np.max(np.abs(x - c))) for x in nodes)
+        t, w = dense_panel_rule(I.a, I.b, rate=rate)
+        F = np.stack([_dd_recurrence(x - c, t) for x in nodes])
+        reference = (F.conj() * w) @ F.T  # [j, k] = (f_k, f_j)
+        G = assemble_gram(system, I)
+        assert np.max(np.abs(G - reference)) <= 1e-12 * np.max(np.abs(reference))
+        lo, hi = np.linalg.eigvalsh(G)[[0, -1]]
+        assert lo == pytest.approx(0.516891, rel=1e-5)
+        assert hi == pytest.approx(1331.15, rel=1e-5)
+        # the entrywise oracle sizes its own rule and sees the same entries
+        for k, j in ((1, 1), (1, 3), (3, 7), (0, 5)):
+            assert abs(G[j, k] - dd_inner_quadrature(k, j, system, I)) <= 1e-11 * np.max(np.abs(reference))
+
+    def test_dd_workload_pairs_take_two_and_three_points(self, monkeypatch):
+        # clustered pairs on [0, 100], I = [0, 10]: theta = 1e-5 and 1e-3
+        orders, rule = [], basisfuncs._hermite_genocchi
+
+        def recorded(x, tarr, order):
+            if x.size > 1:
+                orders.append(order)
+            return rule(x, tarr, order)
+
+        monkeypatch.setattr(basisfuncs, "_hermite_genocchi", recorded)
+        for delta, points in ((1e-6, 2), (1e-4, 3)):
+            orders.clear()
+            assemble_gram(pairs_dd_system([0.0, 100.0], delta), IntervalSpec(0.0, 10.0))
+            assert orders == [points] * 51
 
 
 def energy(G, x) -> float:
