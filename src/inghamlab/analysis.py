@@ -423,7 +423,7 @@ def conditioning_comparison(
     The raw system on a clustered-pairs family degenerates like delta^-2;
     the divided-difference system stays bounded.  A raw smallest eigenvalue
     at the double-precision floor is reported as "overflow" rather than a
-    meaningless quotient.
+    meaningless quotient, and so is the ratio cond_raw / cond_dd.
     """
     deltas = [float(v) for v in delta_grid]
     rows = []
@@ -437,5 +437,6 @@ def conditioning_comparison(
             lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
-        rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": hi_dd / lo_dd})
+        ratio = "overflow" if cond_raw == "overflow" else cond_raw / (hi_dd / lo_dd)
+        rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": hi_dd / lo_dd, "ratio": ratio})
     return SweepResult(grid=deltas, results=rows, metadata={"normalized_dd": normalize_dd})

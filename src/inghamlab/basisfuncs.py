@@ -1,13 +1,14 @@
 """System functions: vector exponentials and divided differences of exponentials.
 
-Divided differences of w -> exp(i*w*t) over a node chain are computed by the
-confluent Newton recurrence when the nodes are well separated, and by
-Gauss-Legendre quadrature of the iterated-integral (simplex) representation
-when they are clustered, where the recurrence cancels catastrophically.
+A divided difference of w -> exp(i*w*t) over a node chain is a short sum of
+terms (i*t)^m * W * exp(i*phi*t): explicit weights across gaps that are wide
+on the interval's t range, and a Gauss-Legendre rule on the iterated-integral
+(simplex) form across clustered gaps, where explicit weights cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,18 +16,11 @@ import numpy as np
 
 from .exponents import ExponentFamily
 
-__all__ = [
-    "UNIT_NORM_TOL",
-    "COALESCENCE_RTOL",
-    "DirectionAssignment",
-    "eval_divided_difference",
-]
+__all__ = ["UNIT_NORM_TOL", "DirectionAssignment", "divided_difference_terms"]
 
 UNIT_NORM_TOL = 1e-12
-# below this node spread (relative to max(1, |t|)) the Newton recurrence is
-# cancellation-dominated and the simplex quadrature takes over
-COALESCENCE_RTOL = 1e-4
 SIMPLEX_MAX_ORDER = 64  # Gauss-Legendre points per simplex dimension, at most
+SIMPLEX_MAX_POINTS = 2**15  # points of one simplex rule, at most
 
 
 @dataclass
@@ -69,45 +63,44 @@ class DirectionAssignment:
         return cls(d=d, matrix=Z)
 
 
-def _dd_recurrence(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Confluent Newton recurrence for the divided difference of exp(i*w*t)."""
-    r = nodes.size
-    col = np.exp(1j * np.multiply.outer(nodes, t))  # order-0 column, shape (r, nt)
-    for order in range(1, r):
-        dx = nodes[order:] - nodes[: r - order]
-        new = np.empty((r - order,) + t.shape, dtype=complex)
-        for i in range(r - order):
-            if dx[i] == 0.0:
-                # exactly repeated nodes: derivative rule (i t)^order / order!
-                new[i] = (1j * t) ** order * np.exp(1j * nodes[i] * t) / math.factorial(order)
-            else:
-                new[i] = (col[i + 1] - col[i]) / dx[i]
-        col = new
-    return col[0]
+def divided_difference_terms(nodes, tmax: float):
+    """The divided difference of w -> exp(i*w*t) over nondecreasing nodes, as exponential terms.
 
-
-def eval_divided_difference(nodes, t):
-    """Newton divided difference, in the node variable, of w -> exp(i*w*t).
-
-    Uses the recurrence when the node spread is at least
-    COALESCENCE_RTOL * max(1, |t|), and the simplex quadrature otherwise, at
-    the order ``_simplex_order`` gives for theta = spread * max|t|.
-    Accepts scalar or array t; nodes must be nondecreasing.
+    Returns (phases, weights, orders): [nodes](t) = sum_p weights_p * (i*t)^orders_p * exp(i*phases_p*t)
+    for |t| <= tmax.  A gap is wide when gap * tmax >= 1.  Nodes with wide gaps only, one node
+    included, take the explicit weights 1 / prod_{j != i} (x_i - x_j) at order 0, whose absolute
+    sum is at most 2^q times the value bound tmax^q / q! (q + 1 nodes).  Nodes with no wide gap,
+    repeated nodes included, take the Hermite-Genocchi simplex terms (x_0 + S @ diff(x), W, q) of
+    the Gauss-Legendre rule ``_simplex_order`` sizes for theta = spread * tmax.  Other chains split
+    as [x_0..x_q] = ([x_1..x_q] - [x_0..x_(q-1)]) / (x_q - x_0), where x_q - x_0 >= 1 / tmax bounds
+    the cancellation, until every part is of one kind; order-0 terms are summed per node.
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     if x.size == 0:
         raise ValueError("nodes must be nonempty")
-    if np.any(np.diff(x) < 0):
+    gaps = np.diff(x)
+    if np.any(gaps < 0):
         raise ValueError("unsorted nodes")
-    tt = np.asarray(t, dtype=float)
-    tarr = np.atleast_1d(tt)
-    spread = float(x[-1] - x[0])
-    tmax = float(np.max(np.abs(tarr))) if tarr.size else 0.0
-    if spread >= COALESCENCE_RTOL * max(1.0, tmax):
-        out = _dd_recurrence(x, tarr)
-    else:
-        out = _hermite_genocchi(x, tarr, _simplex_order(x, spread * tmax))
-    return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
+    wide = gaps * tmax >= 1.0
+    node_weights, simplex = np.zeros(x.size), []
+    parts = {(0, x.size - 1): 1.0}  # sub-chain [x_i..x_j] -> its factor in [x]
+    for q in range(x.size - 1, -1, -1):  # longest first: every part is complete when reached
+        for i in range(x.size - q):
+            j, c = i + q, parts.pop((i, i + q), 0.0)
+            if c == 0.0:
+                continue
+            if wide[i:j].all():
+                diffs = x[i : j + 1, None] - x[None, i : j + 1]
+                np.fill_diagonal(diffs, 1.0)
+                node_weights[i : j + 1] += c / np.prod(diffs, axis=1)
+            elif not wide[i:j].any():
+                S, W = _cube_rule(q, _simplex_order(x[i : j + 1], float(x[j] - x[i]) * tmax))
+                simplex.append((x[i] + S @ gaps[i:j], c * W, np.full(W.size, q)))
+            else:
+                for part, sign in (((i + 1, j), 1.0), ((i, j - 1), -1.0)):
+                    parts[part] = parts.get(part, 0.0) + sign * c / (x[j] - x[i])
+    on = node_weights != 0.0  # nodes of clustered parts only carry no term
+    return tuple(map(np.concatenate, zip((x[on], node_weights[on], np.zeros(on.sum(), dtype=int)), *simplex)))
 
 
 def _simplex_order(x: np.ndarray, theta: float) -> int:
@@ -116,47 +109,34 @@ def _simplex_order(x: np.ndarray, theta: float) -> int:
     The remainder (n!)^4 / ((2n+1) ((2n)!)^3) * max|f^(2n)| for f(u) = u^(q-1) exp(i*theta*u)
     on [0, 1], q = x.size - 1, must fall below 2^-53 / (q + theta), under the integral's bound
     min(1/q, 2/theta).  Leibniz bounds max|f^(2n)| by sum_k C(2n, k) (q-1)!/(q-1-k)! theta^(2n-k),
-    summed here in units of s = max(1, theta) so that nothing overflows.
+    summed here in units of s = max(1, theta) so that nothing overflows.  At most
+    SIMPLEX_MAX_ORDER points per dimension and SIMPLEX_MAX_POINTS in all, or ArithmeticError.
     """
     q, s = x.size - 1, max(1.0, theta)
-    for n in range(1, SIMPLEX_MAX_ORDER + 1):
+    top = max(n for n in range(1, SIMPLEX_MAX_ORDER + 1) if n**q <= SIMPLEX_MAX_POINTS)
+    for n in range(1, top + 1):
         m = 2 * n
         deriv = sum(math.comb(m, k) * math.perm(q - 1, k) * (theta / s) ** (m - k) / s**k for k in range(min(m + 1, q)))
         log_rule = 4 * math.lgamma(n + 1) - math.log(m + 1) - 3 * math.lgamma(m + 1) + m * math.log(s)
         if deriv == 0.0 or log_rule + math.log(deriv * (q + theta)) <= -53 * math.log(2):
             return n
     raise ArithmeticError(f"divided difference over nodes {x.tolist()} needs more than "
-                          f"{SIMPLEX_MAX_ORDER} simplex points per dimension at theta={theta:.6g}")
+                          f"{top} simplex points per dimension at theta={theta:.6g}")
 
 
+@functools.lru_cache(maxsize=64)
 def _cube_rule(q: int, order: int):
-    """Tensor Gauss-Legendre rule on [0,1]^q mapped to the ordered simplex.
+    """Tensor Gauss-Legendre rule on [0,1]^q mapped to the ordered simplex, kept per (q, order).
 
-    Returns barycentric-increment coordinates s (npts, q) with
+    Returns read-only barycentric-increment coordinates s (npts, q) with
     1 >= s_1 >= ... >= s_q >= 0 and combined weights including the Jacobian
-    of the map s_j = u_1*...*u_j.
+    prod_k u_k^(q-1-k) of the map s_j = u_1*...*u_j.
     """
     u, w = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    grids = np.meshgrid(*([u] * q), indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=-1)  # (order^q, q)
+    U = np.stack(np.meshgrid(*([0.5 * (u + 1.0)] * q), indexing="ij"), axis=-1).reshape(-1, q)
+    W = np.prod(np.stack(np.meshgrid(*([0.5 * w] * q), indexing="ij"), axis=-1).reshape(-1, q), axis=1)
+    W *= np.prod(U ** np.arange(q - 1, -1, -1), axis=1)
     S = np.cumprod(U, axis=1)
-    W = np.prod(np.stack([wg.ravel() for wg in np.meshgrid(*([w] * q), indexing="ij")], axis=-1), axis=1)
-    # Jacobian of the cube -> simplex map: prod_{k<q} u_k^(q-k)
-    jac = np.ones(U.shape[0])
-    for k in range(q - 1):
-        jac *= U[:, k] ** (q - 1 - k)
-    return S, W * jac
-
-
-def _hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray:
-    r = x.size
-    q = r - 1
-    if q == 0:
-        return np.exp(1j * x[0] * tarr)
-    S, W = _cube_rule(q, order)
-    # phases from x[0], whose exp(i*x[0]*t) is one factor: rounding scales with the spread
-    phase = S @ np.diff(x)  # (npts,)
-    integral = np.einsum("p,pn->n", W, np.exp(1j * np.multiply.outer(phase, tarr)))
-    return (1j * tarr) ** q * np.exp(1j * x[0] * tarr) * integral
+    S.setflags(write=False)
+    W.setflags(write=False)
+    return S, W

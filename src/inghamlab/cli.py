@@ -478,22 +478,7 @@ def _run_dd_condition(config: ExperimentConfig):
     options = {name: fparams[name] for name in ("spacing", "window") if name in fparams}
     options.update((k, v) for k, v in config.params.items() if k in ("gamma_prime", "M", "normalize_dd"))
     sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
-    rows = []
-    for row in sweep.results:
-        cond_raw = row["cond_raw"]
-        rows.append(
-            {
-                "delta": row["delta"],
-                "cond_raw": cond_raw if isinstance(cond_raw, str) else float(cond_raw),
-                "cond_dd": float(row["cond_dd"]),
-                "ratio": (
-                    "overflow"
-                    if isinstance(cond_raw, str)
-                    else float(cond_raw / row["cond_dd"])
-                ),
-            }
-        )
-    return rows, {"normalized_dd": sweep.metadata["normalized_dd"]}
+    return sweep.results, {"normalized_dd": sweep.metadata["normalized_dd"]}
 
 
 def _run_sharpness(config: ExperimentConfig):

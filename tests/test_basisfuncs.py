@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inghamlab.basisfuncs import COALESCENCE_RTOL, DirectionAssignment, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, _simplex_order, divided_difference_terms
 from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
 from inghamlab.gram import DividedDifferenceSystem, ExponentialSystem
 
-from oracles import dd_derivative, dd_derivative_bound, eval_dd_exact, eval_dd_hermite_genocchi
+from oracles import dd_derivative, dd_derivative_bound, dd_profile, eval_dd_exact, eval_dd_hermite_genocchi
 
 
 def vector_exponential(omega, U, t):
     """U exp(i*omega*t), as a system function: a unit direction times a one-node profile."""
-    return np.asarray(U, dtype=complex) * eval_divided_difference([omega], t)
+    return np.asarray(U, dtype=complex) * dd_profile([omega], t)
 
 
 def coefficient_sum(family, directions, coeffs, t):
     """sum_k coeffs_k U_k exp(i*w_k*t) from the same one-node profiles."""
-    profiles = np.array([eval_divided_difference([w], t) for w in family.exponents])
+    profiles = np.array([dd_profile([w], t) for w in family.exponents])
     return (np.asarray(coeffs, dtype=complex) * profiles) @ directions.matrix
 
 
@@ -73,23 +73,23 @@ class TestEvalSum:
 class TestDividedDifference:
     def test_single_node(self):
         for omega, t in ((0.0, 1.0), (2.0, 0.3), (-1.5, 4.0)):
-            assert eval_divided_difference([omega], t) == pytest.approx(np.exp(1j * omega * t))
+            assert dd_profile([omega], t) == pytest.approx(np.exp(1j * omega * t))
 
     def test_confluent_pair(self):
         # two equal nodes: derivative of exp(i w t) in w, so i*t at w=0
-        assert eval_divided_difference([0.0, 0.0], 2.0) == pytest.approx(2j)
-        assert eval_divided_difference([1.0, 1.0], 0.5) == pytest.approx(0.5j * np.exp(0.5j))
+        assert dd_profile([0.0, 0.0], 2.0) == pytest.approx(2j)
+        assert dd_profile([1.0, 1.0], 0.5) == pytest.approx(0.5j * np.exp(0.5j))
 
     def test_two_separated_nodes_closed_form(self):
         # (exp(i*pi) - 1) / pi = -2/pi; the simplex-quadrature oracle agrees
-        value = eval_divided_difference([0.0, math.pi], 1.0)
+        value = dd_profile([0.0, math.pi], 1.0)
         assert value == pytest.approx(-2.0 / math.pi, abs=1e-14)
         oracle = eval_dd_hermite_genocchi([0.0, math.pi], 1.0, quad_order=20)
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(ValueError, match="unsorted"):
-            eval_divided_difference([1.0, 0.0], 1.0)
+            dd_profile([1.0, 0.0], 1.0)
 
     def test_recurrence_matches_quadrature_on_separated_sets(self):
         rng = np.random.default_rng(42)
@@ -99,14 +99,14 @@ class TestDividedDifference:
             while nodes[-1] - nodes[0] < 0.1:
                 nodes = np.sort(rng.uniform(-2.0, 2.0, size=r))
             t = float(rng.uniform(0.1, 3.0))
-            rec = eval_divided_difference(nodes, t)
+            rec = dd_profile(nodes, t)
             quad = eval_dd_hermite_genocchi(nodes, t)
             assert abs(rec - quad) <= 1e-8
 
     def test_quadrature_order_contract(self):
         nodes = np.array([-0.7, 0.2, 1.4])
         t = 2.0
-        rec = eval_divided_difference(nodes, t)
+        rec = dd_profile(nodes, t)
         assert abs(rec - eval_dd_hermite_genocchi(nodes, t, quad_order=12)) <= 1e-8
         with pytest.raises(ValueError, match="quad_order"):
             eval_dd_hermite_genocchi(nodes, t, quad_order=1)
@@ -117,19 +117,19 @@ class TestDividedDifference:
             r = int(rng.integers(2, 6))
             nodes = np.sort(rng.uniform(-1.5, 1.5, size=r))
             t = float(rng.uniform(0.2, 2.5))
-            reference = eval_divided_difference(nodes, t)
+            reference = dd_profile(nodes, t)
             shuffled = rng.permutation(nodes)
             assert abs(eval_dd_hermite_genocchi(shuffled, t) - reference) <= 1e-9
 
     def test_coalescence_continuity(self):
         for t in (0.5, 3.0, 10.0, -10.0):
-            merged = eval_divided_difference([0.0, 0.0], t)
-            near = eval_divided_difference([0.0, 1e-8], t)
+            merged = dd_profile([0.0, 0.0], t)
+            near = dd_profile([0.0, 1e-8], t)
             assert abs(near - merged) <= 1e-6
 
     def test_near_confluent_pair_value(self):
         # [0, 1e-6] at t=1 equals (exp(i*1e-6) - 1) / 1e-6 = i - 5e-7 + O(1e-12)
-        value = eval_divided_difference([0.0, 1e-6], 1.0)
+        value = dd_profile([0.0, 1e-6], 1.0)
         exact = (np.exp(1j * 1e-6) - 1.0) / 1e-6
         assert value == pytest.approx(exact, abs=1e-10)
         assert abs(value - 1j) < 1e-6
@@ -141,13 +141,13 @@ class TestDividedDifference:
             r = int(rng.integers(1, 6))
             nodes = np.sort(rng.uniform(-3, 3, size=r))
             t = float(rng.uniform(-5, 5))
-            value = eval_divided_difference(nodes, t)
+            value = dd_profile(nodes, t)
             assert abs(value) <= abs(t) ** (r - 1) / math.factorial(r - 1) + 1e-12
 
     def test_array_t(self):
         t = np.linspace(0.0, 5.0, 11)
-        vals = eval_divided_difference([0.0, 1.0], t)
-        singles = np.array([eval_divided_difference([0.0, 1.0], float(ti)) for ti in t])
+        vals = dd_profile([0.0, 1.0], t)
+        singles = np.array([dd_profile([0.0, 1.0], float(ti)) for ti in t])
         assert np.allclose(vals, singles, atol=1e-15)
 
 
@@ -155,8 +155,8 @@ class TestSimplexOrder:
     """The simplex rule's order follows the phase theta = (node spread) * max|t| it must resolve."""
 
     def test_far_from_zero_pair_value(self):
-        # spread 0.05 is below 1e-4 * 1000, so the simplex route, at theta = 50
-        value = eval_divided_difference([0.0, 0.05], 1000.0)
+        # spread 0.05 at |t| = 1000 is a phase of 50: separated, explicit weights
+        value = dd_profile([0.0, 0.05], 1000.0)
         exact = (np.exp(50j) - 1.0) / 0.05
         assert abs(value - exact) <= 1e-12 * abs(exact)
 
@@ -172,33 +172,80 @@ class TestSimplexOrder:
         pytest.importorskip("mpmath")
         top = math.log10(30.0 if q == 4 else 100.0)
         theta = 10.0 ** (-8.0 + position * (top + 8.0))
-        # the smallest t range that keeps these nodes on the simplex route
-        T = stretch * max(1.0, math.sqrt(2.0 * theta / COALESCENCE_RTOL))
+        # node spreads below 1e-4 * T; chains with a gap below 1 / T take the
+        # simplex terms, the others explicit weights
+        T = stretch * max(1.0, math.sqrt(2.0 * theta / 1e-4))
         spread = theta / T
-        assert spread < COALESCENCE_RTOL * T
-        # distinct nodes centered at 0, as the Gram kernel evaluates them
+        assert spread < 1e-4 * T
+        # distinct nodes centered at 0
         offsets = np.array(sorted([0, 100] + inner[: q - 1])) / 100.0 - 0.5
         nodes = spread * offsets
         t = T * np.array([1.0, -1.0, 0.37, 0.01])
         # relative to T^q / q!, which bounds |value| and is the mass the rule sums
         scale = T**q / math.factorial(q)
-        assert np.max(np.abs(eval_divided_difference(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * scale
+        assert np.max(np.abs(dd_profile(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * scale
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_confluent_chain_value(self, r):
         # r equal nodes: theta = 0, and the rule must still integrate u^(r-2) exactly
         t = np.array([0.3, -2.0, 5.0])
         expected = (1j * t) ** (r - 1) / math.factorial(r - 1) * np.exp(0.7j * t)
-        assert np.max(np.abs(eval_divided_difference([0.7] * r, t) - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(dd_profile([0.7] * r, t) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_over_budget_raises(self):
-        # theta = 0.07 * 2000 = 140 needs 65 points per dimension
-        with pytest.raises(ArithmeticError, match=r"\[0\.0, 0\.07\] needs more than 64 simplex points .* theta=140"):
-            eval_divided_difference([0.0, 0.07], 2000.0)
-        # theta = 135 needs 63 and is still exact
-        value = eval_divided_difference([0.0, 0.0675], 2000.0)
-        exact = (np.exp(135j) - 1.0) / 0.0675
-        assert abs(value - exact) <= 1e-12 * abs(exact)
+        # one rule over the whole chain [0, 1e-4, 0.07] at tmax 2000 has theta = 140,
+        # more than 64 points per dimension; theta = 135 needs 63
+        message = r"\[0\.0, 0\.0001, 0\.07\] needs more than 64 simplex points .* theta=140"
+        with pytest.raises(ArithmeticError, match=message):
+            _simplex_order(np.array([0.0, 1e-4, 0.07]), 140.0)
+        assert _simplex_order(np.array([0.0, 1e-4, 0.0675]), 135.0) == 63
+        # at most 2^15 points in all: q = 5 allows 8 per dimension, and six
+        # nodes 0.9 / tmax apart (no wide gap, theta = 4.5) need 12
+        with pytest.raises(ArithmeticError, match=r"needs more than 8 simplex points per dimension at theta=4\.5"):
+            divided_difference_terms(0.9 * np.arange(6.0), 1.0)
+
+    @pytest.mark.parametrize("nodes", [[0.0, 1e-4, 0.07], [0.0, 1e-4, 0.0675]])
+    def test_mixed_chain_splits_at_separated_gap(self, nodes):
+        # the wide gap takes explicit weights and the tiny one (theta = 0.2) a
+        # 5-point rule: [x0, x1, x2] = ([x1, x2] - [x0, x1]) / (x2 - x0)
+        phases, weights, orders = divided_difference_terms(nodes, 2000.0)
+        assert orders.tolist() == [0, 0] + [1] * 5
+        assert np.array_equal(phases[:2], nodes[1:])
+        pytest.importorskip("mpmath")
+        t = np.array([2000.0, -2000.0, 700.0])
+        # relative to T^q / q!, as for the clustered values above
+        assert np.max(np.abs(dd_profile(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * 2000.0**2 / 2
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_merged_pair_chain_stays_small(self, M):
+        # clustered pairs 2 apart merged into one chain on |t| <= 2 pi: every
+        # part across a wide gap takes explicit weights, so only the pairs
+        # carry simplex terms, a 3-point rule each (one rule over the chain
+        # would need order^(M-1) points)
+        T = 2.0 * math.pi
+        nodes = np.repeat(2.0 * np.arange(M // 2), 2) + np.tile([0.0, 1e-3], M // 2)
+        phases, weights, orders = divided_difference_terms(nodes, T)
+        assert phases.size <= 3 * M and set(orders.tolist()) == {0, 1}
+        pytest.importorskip("mpmath")
+        t = T * np.array([1.0, -1.0, 0.37, 0.01])
+        scale = T ** (M - 1) / math.factorial(M - 1)
+        assert np.max(np.abs(dd_profile(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * scale
+
+    def test_separated_nodes_take_explicit_weights(self):
+        # every gap times tmax at least 1: the nodes themselves at order 0
+        phases, weights, orders = divided_difference_terms([0.0, 0.5, 2.0], 2.0)
+        assert orders.tolist() == [0, 0, 0]
+        assert np.array_equal(phases, [0.0, 0.5, 2.0])
+        assert np.allclose(weights, [1.0, -1 / 0.75, 1 / 3.0], rtol=1e-15)
+        # no gap of tmax times at least 1: the simplex terms, at order q
+        phases, weights, orders = divided_difference_terms([0.0, 0.4, 0.8], 2.0)
+        assert phases.size > 3 and set(orders.tolist()) == {2}
+        # one gap of each kind: [0.4, 2] by explicit weights, [0, 0.4] by simplex terms at order 1
+        phases, weights, orders = divided_difference_terms([0.0, 0.4, 2.0], 2.0)
+        assert np.array_equal(phases[:2], [0.4, 2.0]) and orders[:2].tolist() == [0, 0]
+        assert phases.size > 3 and set(orders[2:].tolist()) == {1} and np.all(phases[2:] < 0.4)
+        phases, weights, orders = divided_difference_terms([3.0], 1e9)
+        assert (phases.tolist(), weights.tolist(), orders.tolist()) == ([3.0], [1.0], [0])
 
 
 class TestDerivative:
@@ -262,7 +309,7 @@ class TestDividedDifferenceBasis:
         nodes = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)).nodes
         t = 1.3
         for position, node_set in enumerate(nodes):
-            assert eval_divided_difference(node_set, t) == pytest.approx(
+            assert dd_profile(node_set, t) == pytest.approx(
                 np.exp(1j * fam.exponents[position] * t)
             )
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inghamlab import cli
+from inghamlab.basisfuncs import DirectionAssignment
 from inghamlab.cli import (
     COMMANDS,
     ConfigError,
@@ -17,8 +18,10 @@ from inghamlab.cli import (
     parse_config,
     run,
 )
+from inghamlab.exponents import detect_chains, generate_family
+from inghamlab.gram import DividedDifferenceSystem
 
-from oracles import read_artifact_config
+from oracles import dd_recurrence, dense_panel_rule, eval_dd_exact, read_artifact_config
 
 TWO_PI = 2.0 * math.pi
 
@@ -579,27 +582,67 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "at delta=0.001" in err
 
-    def test_simplex_over_budget_exit_three(self, tmp_path, capsys):
-        # delta = 0.15 on [0, 2000] is below 1e-4 * 2000, so the pairs take the
-        # simplex route at theta = 300, past its 64 points per dimension
+    def test_far_interval_separated_pairs_exit_zero(self, tmp_path):
+        # delta = 0.15 on [0, 2000]: every pair gap spans a phase of 300, so the
+        # pairs take explicit weights and no simplex rule is needed
         cfg_path = tmp_path / "far.json"
         out = tmp_path / "out.csv"
+        spacing, window, interval = 2.0, [0, 6], [0.0, 2000.0]
         cfg_path.write_text(
             json.dumps(
                 {
                     "command": "dd-condition",
-                    "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 6]}},
-                    "interval": [0.0, 2000.0],
+                    "family": {"kind": "clustered-pairs", "params": {"spacing": spacing, "window": window}},
+                    "interval": interval,
                     "grids": {"delta": [0.15]},
                     "params": {"M": 2, "gamma_prime": 0.5},
                     "output": {"path": str(out), "format": "csv"},
                 }
             )
         )
-        assert main(["--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err
-        assert "at delta=0.15:" in err and "theta=300" in err
-        assert not out.exists()
+        assert main(["--config", str(cfg_path)]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        # reference: the normalized Gram of Newton-recurrence profiles on centered nodes
+        fam = generate_family("clustered-pairs", spacing=spacing, delta=0.15, window=window)
+        nodes = DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 2), DirectionAssignment.constant(fam, 1)).nodes
+        c = 0.5 * (nodes[0][0] + nodes[-1][-1])
+        t, w = dense_panel_rule(*interval, rate=2.0 * max(float(np.max(np.abs(x - c))) for x in nodes))
+        F = np.stack([dd_recurrence(x - c, t) for x in nodes])
+        F /= np.sqrt(np.abs(F) ** 2 @ w)[:, None]
+        lo, hi = np.linalg.eigvalsh((F.conj() * w) @ F.T)[[0, -1]]
+        assert float(row[2]) == pytest.approx(hi / lo, rel=1e-12)
+        assert float(row[2]) == pytest.approx(5.86590282021, rel=1e-11)
+
+    @pytest.mark.parametrize("window, M, rel", [([0, 2], 4, 1e-12), ([0, 6], 8, 1e-9)])
+    def test_merged_pair_chain_exit_zero(self, tmp_path, window, M, rel):
+        # gamma_prime 3 above the pair spacing 2 merges the pairs into one chain
+        # of M nodes whose gaps alternate clustered (1e-3) and separated (2)
+        pytest.importorskip("mpmath")
+        cfg_path, out = tmp_path / "merged.json", tmp_path / "out.csv"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "command": "dd-condition",
+                    "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": window}},
+                    "interval": [0.0, TWO_PI],
+                    "grids": {"delta": [1e-3]},
+                    "params": {"M": M, "gamma_prime": 3.0},
+                    "output": {"path": str(out), "format": "csv"},
+                }
+            )
+        )
+        assert main(["--config", str(cfg_path)]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        # reference: the normalized Gram of exact (mpmath) profiles on a dense panel rule;
+        # rel is the rounding of unit-scale entries times cond_dd (1.8e3 and 7.0e6)
+        fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=window)
+        nodes = DividedDifferenceSystem(fam, detect_chains(fam, 3.0, M), DirectionAssignment.constant(fam, 1)).nodes
+        assert len(nodes) == M
+        t, w = dense_panel_rule(0.0, TWO_PI, rate=2.0 * float(fam.exponents[-1]))
+        F = np.stack([eval_dd_exact(x, t) for x in nodes])
+        F /= np.sqrt(np.abs(F) ** 2 @ w)[:, None]
+        lo, hi = np.linalg.eigvalsh((F.conj() * w) @ F.T)[[0, -1]]
+        assert float(row[2]) == pytest.approx(hi / lo, rel=rel)
 
     def test_seed_override_recorded(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from inghamlab import basisfuncs, gram
-from inghamlab.basisfuncs import DirectionAssignment, _dd_recurrence, eval_divided_difference
+from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.exponents import (
     ExponentFamily,
     build_sharpness_partition,
@@ -21,6 +22,7 @@ from inghamlab.gram import (
     assemble_gram,
     cross_inner_matrix,
     exp_inner_closed_form,
+    exp_moments,
     gated_cho_factor,
     hermiticity_residual,
     inner_matrix,
@@ -30,6 +32,8 @@ from inghamlab.gram import (
 from oracles import (
     composite_gl_exp_integral,
     dd_inner_quadrature,
+    dd_profile,
+    dd_recurrence,
     dense_panel_rule,
     eval_dd_hermite_genocchi,
     invert_2x2,
@@ -92,6 +96,45 @@ class TestClosedForm:
         fwd = exp_inner_closed_form(thetas, interval)
         rev = exp_inner_closed_form(-thetas, interval)
         assert np.array_equal(rev, np.conj(fwd))
+
+
+def exact_moment(m, theta, a, b):
+    """Integral of t^m exp(i*theta*t) over (a, b) from its antiderivative, in mpmath at 200 digits."""
+    import mpmath
+
+    with mpmath.workdps(200):
+        m, theta, a, b = int(m), mpmath.mpf(float(theta)), mpmath.mpf(a), mpmath.mpf(b)
+        if theta == 0:
+            return complex((b ** (m + 1) - a ** (m + 1)) / (m + 1))
+
+        def F(t):
+            # exp(i theta t) * sum_j (-1)^j m!/(m-j)! t^(m-j) / (i theta)^(j+1)
+            return mpmath.expj(theta * t) * mpmath.fsum(
+                (-1) ** j * mpmath.ff(m, j) * t ** (m - j) / (1j * theta) ** (j + 1) for j in range(m + 1)
+            )
+
+        return complex(F(b) - F(a))
+
+
+class TestExpMoments:
+    """M_m(theta) = integral of t^m exp(i*theta*t) over I, the kernel of every DD inner product."""
+
+    @pytest.mark.parametrize("a, b", [(0.0, 10.0), (990.0, 1000.0), (-4.0, 4.0), (0.0, 2000.0)])
+    def test_against_exact_values(self, a, b):
+        pytest.importorskip("mpmath")
+        thetas = np.array([0.0, 1e-12, -1e-12, 1e-6, -0.3, 0.7, -2.5, 17.0, -300.0, 300.0])
+        m = np.arange(7)
+        values = exp_moments(thetas[:, None], m[None, :], IntervalSpec(a, b))
+        for i, theta in enumerate(thetas):
+            for k in m:
+                # relative to max|t|^m * |I|, which bounds |M_m| and the mass the sum carries
+                scale = max(abs(a), abs(b)) ** k * (b - a)
+                assert abs(values[i, k] - exact_moment(k, theta, a, b)) <= 1e-14 * scale
+
+    def test_order_zero_is_the_closed_form(self):
+        interval = IntervalSpec(-1.0, 4.0)
+        thetas = np.array([0.0, 1e-9, 0.1, -7.0, 300.0])
+        assert np.array_equal(exp_moments(thetas, 0, interval), exp_inner_closed_form(thetas, interval))
 
 
 class TestVectorInner:
@@ -220,8 +263,8 @@ class TestDividedDifferenceGram:
         rate = 2 * max(float(np.max(np.abs(nodes))) for nodes in self.system.nodes)
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for k, n in ((1, 1), (1, 3), (0, 3)):
-            fk = eval_divided_difference(self.system.nodes[k], t)
-            fn = eval_divided_difference(self.system.nodes[n], t)
+            fk = dd_profile(self.system.nodes[k], t)
+            fn = dd_profile(self.system.nodes[n], t)
             oracle = np.sum(w * fk * np.conj(fn))
             value = dd_inner_quadrature(k, n, self.system, self.I)
             assert value == pytest.approx(oracle, abs=1e-10 * self.I.length)
@@ -258,31 +301,21 @@ def pairs_dd_system(window, delta):
 
 
 class TestCenteredPanels:
-    """The panel grid follows the spread of the nodes, not their position."""
+    """The DD Gram depends on the spread of the nodes, not their position."""
 
     I = IntervalSpec(0.0, 10.0)
 
-    # 2^-20 takes the simplex route and 2^-7 the recurrence; dyadic offsets
-    # make the shift by 1000 exact, so both windows hold the same pairs
+    # dyadic offsets make the shift by 1000 exact, so both windows hold the same pairs
     @pytest.mark.parametrize("delta", [2.0**-20, 2.0**-7])
-    def test_gram_invariant_under_window_shift(self, delta, monkeypatch):
-        rule, sizes = gram.oscillation_panel_rule, []
-
-        def counted_rule(interval, rate):
-            t, w = rule(interval, rate)
-            sizes.append(t.size)
-            return t, w
-
-        monkeypatch.setattr(gram, "oscillation_panel_rule", counted_rule)
+    def test_gram_invariant_under_window_shift(self, delta):
         near, far = pairs_dd_system([0.0, 20.0], delta), pairs_dd_system([1000.0, 1020.0], delta)
         assert far.chains == near.chains
         G_near, G_far = assemble_gram(near, self.I), assemble_gram(far, self.I)
-        assert sizes[0] == sizes[1]
         assert np.max(np.abs(G_far - G_near)) <= 1e-12 * np.max(np.abs(G_near))
 
     def test_gram_far_from_zero_matches_simplex_reference(self):
-        # recurrence route at delta = 1e-3: its first difference cancels, and
-        # less so on centered nodes; the simplex form does not cancel at all
+        # the reference takes the simplex form on centered nodes, which does
+        # not cancel at all
         system = pairs_dd_system([1000.0, 1010.0], 1e-3)
         nodes = system.nodes
         c = 0.5 * (nodes[0][0] + nodes[-1][-1])
@@ -295,18 +328,18 @@ class TestCenteredPanels:
 
 
 class TestSimplexOrderInGrams:
-    """The DD Gram's simplex rule is sized by the phase its profiles span on I."""
+    """The DD Gram's terms follow the phase its profiles span on I."""
 
     def test_far_interval_gram_matches_recurrence_reference(self):
-        # delta = 0.05 on [990, 1000] takes the simplex route at theta = 50,
-        # which a fixed 16-point rule misses by about a factor of 2
+        # delta = 0.05 on [990, 1000] spans a phase of 50: explicit weights,
+        # where a simplex rule of 16 points would miss by about a factor of 2
         I = IntervalSpec(990.0, 1000.0)
         system = pairs_dd_system([0.0, 6.0], 0.05)
         nodes = system.nodes
         c = 0.5 * (nodes[0][0] + nodes[-1][-1])
         rate = 2.0 * max(float(np.max(np.abs(x - c))) for x in nodes)
         t, w = dense_panel_rule(I.a, I.b, rate=rate)
-        F = np.stack([_dd_recurrence(x - c, t) for x in nodes])
+        F = np.stack([dd_recurrence(x - c, t) for x in nodes])
         reference = (F.conj() * w) @ F.T  # [j, k] = (f_k, f_j)
         G = assemble_gram(system, I)
         assert np.max(np.abs(G - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -317,20 +350,72 @@ class TestSimplexOrderInGrams:
         for k, j in ((1, 1), (1, 3), (3, 7), (0, 5)):
             assert abs(G[j, k] - dd_inner_quadrature(k, j, system, I)) <= 1e-11 * np.max(np.abs(reference))
 
-    def test_dd_workload_pairs_take_two_and_three_points(self, monkeypatch):
+    def test_dd_workload_pairs_take_two_and_three_points(self):
         # clustered pairs on [0, 100], I = [0, 10]: theta = 1e-5 and 1e-3
-        orders, rule = [], basisfuncs._hermite_genocchi
-
-        def recorded(x, tarr, order):
-            if x.size > 1:
-                orders.append(order)
-            return rule(x, tarr, order)
-
-        monkeypatch.setattr(basisfuncs, "_hermite_genocchi", recorded)
         for delta, points in ((1e-6, 2), (1e-4, 3)):
-            orders.clear()
-            assemble_gram(pairs_dd_system([0.0, 100.0], delta), IntervalSpec(0.0, 10.0))
-            assert orders == [points] * 51
+            nodes = pairs_dd_system([0.0, 100.0], delta).nodes
+            terms = [divided_difference_terms(x, 10.0) for x in nodes if x.size > 1]
+            assert [(phases.size, orders.tolist()) for phases, _, orders in terms] == [(points, [1] * points)] * 51
+
+
+@st.composite
+def chain_systems(draw):
+    """A chain of q + 1 <= 4 nodes and one singleton, on an interval near or far from 0.
+
+    Each gap times max|t| is either below 1 (clustered: simplex terms) or at
+    least 1 (separated: explicit weights), in any mix.
+    """
+    q = draw(st.integers(1, 3))
+    # max|t| >= 1 keeps separated nodes within a few units, and the oracle's panels few
+    a = draw(st.one_of(st.floats(-2.0, -1.0), st.floats(0.0, 1.0), st.floats(200.0, 400.0)))
+    interval = IntervalSpec(a, a + draw(st.floats(1.0, 2.0)))
+    tmax = max(abs(interval.a), abs(interval.b))
+    clustered, separated = st.floats(-5.0, -0.3).map(lambda e: 10.0**e), st.floats(1.0, 1.5)
+    phases = draw(st.lists(st.one_of(clustered, separated), min_size=q, max_size=q))
+    nodes = draw(st.floats(-0.5, 0.5)) + np.concatenate([[0.0], np.cumsum(phases)]) / tmax
+    fam = ExponentFamily(np.append(nodes, nodes[-1] + 1.0))
+    return DividedDifferenceSystem(fam, [(0, q), (q + 1, q + 1)], DirectionAssignment.constant(fam, 1)), interval
+
+
+class TestClosedFormDD:
+    """DD Grams and DD -> grid cross matrices in closed form against entrywise panel quadrature."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=chain_systems())
+    def test_matches_entrywise_quadrature(self, case):
+        system, interval = case
+        n = len(system.nodes)
+        Q = np.zeros((n, n), dtype=complex)  # Q[j, k] = (f_k, f_j)
+        for k in range(n):
+            for j in range(k, n):
+                Q[j, k] = dd_inner_quadrature(k, j, system, interval)
+                Q[k, j] = np.conj(Q[j, k])
+        grid = FourierGrid.centered(interval, 1, y=float(system.nodes[0][0]), radius=4.0 * math.pi / interval.length)
+        X = np.array([[dd_inner_quadrature(k, alpha, system, interval, grid) for k in range(n)]
+                      for alpha in range(grid.size)])
+        norms = np.sqrt(np.diag(Q).real)
+        unit = DividedDifferenceSystem(system.family, system.chains, system.directions, normalize=True)
+        for sources, scale in ((system, np.ones(n)), (unit, norms)):
+            G, reference = assemble_gram(sources, interval), Q / np.outer(scale, scale)
+            assert np.max(np.abs(G - reference)) <= 1e-12 * np.max(np.abs(reference))
+            cross, reference = inner_matrix(sources, grid, interval), X / scale[None, :]
+            assert np.max(np.abs(cross - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+    def test_block_size_leaves_every_entry_unchanged(self, monkeypatch):
+        # inner_matrix forms the term products a few whole source profiles at a
+        # time; one profile per block must give the same bits as one block in all
+        from inghamlab import gram
+
+        raw = pairs_dd_system([0.0, 20.0], 1e-3)
+        unit = DividedDifferenceSystem(raw.family, raw.chains, raw.directions, normalize=True)
+        interval = IntervalSpec(0.0, 10.0)
+        grid = FourierGrid.centered(interval, 1, y=10.0, radius=3.0)
+        runs = []
+        for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 1):
+            monkeypatch.setattr(gram, "TERM_PRODUCTS_PER_BLOCK", budget)
+            runs.append([assemble_gram(s, interval) for s in (raw, unit)] + [inner_matrix(unit, grid, interval)])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def energy(G, x) -> float:
@@ -468,7 +553,7 @@ class TestProjections:
         rate = max_node + float(np.max(np.abs(grid.frequencies)))
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for s in (1, 3):
-            fs = eval_divided_difference(system.nodes[s], t)
+            fs = dd_profile(system.nodes[s], t)
             for alpha, gamma in enumerate(grid.frequencies):
                 oracle = np.sum(w * fs * np.exp(-1j * gamma * t)) / math.sqrt(L)
                 assert coef[alpha, s] == pytest.approx(oracle, abs=1e-10)

@@ -4,12 +4,16 @@ A name in an ``inghamlab`` module's ``__all__`` that no code in the package
 reads, apart from its definition and its ``__all__`` entry, is API that only
 tests reach: it belongs in the tests (``oracles.py`` holds the references
 they compare against) or nowhere.  The CLI's options are the ones the
-README's usage line shows, no more and no fewer.
+README's usage line shows, no more and no fewer, and importing the CLI
+does not import what only some commands need.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,13 @@ def test_readme_usage_line_matches_cli_options(capsys):
     # argparse adds --help to every parser; the usage line shows the options a run takes
     printed = set(LONG_OPTION.findall(capsys.readouterr().out)) - {"--help"}
     assert set(LONG_OPTION.findall(usage)) == printed
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special takes about 0.4 s to import cold; only the moments of DD
+    # inner products use it, and they import it when first called
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, inghamlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
