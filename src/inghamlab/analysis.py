@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
+from scipy.linalg import cho_solve, get_blas_funcs
 
 from .basisfuncs import DirectionAssignment
 from .exponents import ExponentFamily, detect_chains, generate_family
@@ -22,6 +22,7 @@ from .gram import (
     ExponentialSystem,
     FourierGrid,
     IntervalSpec,
+    _extreme_spectrum,
     assemble_gram,
     cross_inner_matrix,
     gated_cho_factor,
@@ -62,28 +63,28 @@ class GridPointFailure(ArithmeticError):
 def extreme_eigenvalues(G) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian Gram matrix, residual-verified.
 
-    When the imaginary part is exactly zero the Hermiticity check and the
-    solve run in real arithmetic, the solve with the divide-and-conquer
-    driver (``evd``); a complex matrix keeps scipy's default driver, which
-    is the faster one there.  Both extreme eigenpairs are checked against
-    the residual contract ||G v - lambda v|| <= 1e-8 ||G||.
+    A float64 matrix, or a complex one whose imaginary part is exactly zero,
+    is checked and solved in real arithmetic; any other stays complex.  The
+    solve is values-first: one tridiagonal reduction, the two extreme
+    eigenpairs of the tridiagonal matrix, and only those two eigenvectors
+    taken back (``gram._extreme_spectrum``).  Both pairs are checked against
+    the matrix passed in, under the residual contract
+    ||G v - lambda v|| <= 1e-8 ||G||.
     """
-    A = np.asarray(G, dtype=complex)
-    real = not np.any(A.imag)
-    if real:
-        A = A.real
+    G = np.asarray(G)
+    A = G.real if np.iscomplexobj(G) and not np.any(G.imag) else G
     scale = max(1.0, float(np.max(np.abs(A))))
     herm = hermiticity_residual(A)
     if herm > HERMITICITY_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
-    vals, vecs = eigh(A, driver="evd") if real else eigh(A)
+    vals, vecs = _extreme_spectrum(A, vectors=True)
     gnorm = max(abs(vals[0]), abs(vals[-1]))
-    for pos in (0, -1):
-        residual = np.linalg.norm(A @ vecs[:, pos] - vals[pos] * vecs[:, pos])
-        if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
-            raise ArithmeticError(
-                f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||"
-            )
+    # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
+    # keep spinning after a call and slow the next LAPACK solve about 2x
+    GV = get_blas_funcs("gemm", (G, vecs))(1.0, G, vecs)
+    residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
+    if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
+        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")
     return float(vals[0]), float(vals[-1])
 
 

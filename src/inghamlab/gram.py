@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, eigvalsh
+from scipy.linalg import cho_factor, eigh_tridiagonal, lapack
 
 from .basisfuncs import DirectionAssignment, divided_difference_terms
 from .exponents import ExponentFamily
@@ -118,8 +118,13 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
     theta, m = theta[higher], m[higher]
     c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
     a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (c + h*u)^k
-    for k in range(a.shape[0]):
-        a[k, : k + 1] = np.polynomial.legendre.legpow([c, h], k)
+    a[0, 0] = 1.0
+    n = np.arange(a.shape[0])
+    up, down = h * (n + 1) / (2 * n + 1), h * n / (2 * n + 1)  # h*u*P_n = up_n P_{n+1} + down_n P_{n-1}
+    for k in range(1, a.shape[0]):  # (c + h*u)^k = (c + h*u) * (c + h*u)^(k-1)
+        a[k] = c * a[k - 1]
+        a[k, 1:] += up[:-1] * a[k - 1, :-1]
+        a[k, :-1] += down[1:] * a[k - 1, 1:]
     total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
     out[higher] = h * np.exp(1j * theta * c) * total
     return out
@@ -344,14 +349,48 @@ def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 
+def _extreme_spectrum(A: np.ndarray, vectors: bool):
+    """(lambda_0, lambda_{n-1}) of a real symmetric or complex Hermitian matrix, and their eigenvectors.
+
+    Reads the lower triangle.  One blocked Householder reduction A = Q T Q^H
+    (``sytrd``/``hetrd``) gives a real tridiagonal T, whose two extreme
+    eigenpairs come from the MRRR driver (``stemr``; the bisection driver
+    ``stebz`` fails on the top index of the Parseval Gram 2*pi*I).  When
+    ``vectors`` is true the two tridiagonal eigenvectors are taken back
+    through the reflectors: with the lower storage Q acts as I (+) the QR
+    factor stored below the subdiagonal, so ``ormqr``/``unmqr`` does what
+    LAPACK's ``ormtr`` would.  Returns ``(values, V)``, V of shape (n, 2) in
+    the dtype of A, or None when ``vectors`` is false.
+    """
+    n = A.shape[0]
+    if n == 1:
+        return np.full(2, A[0, 0].real), np.ones((1, 2), dtype=A.dtype) if vectors else None
+    if np.iscomplexobj(A):
+        trd, trd_lwork, mqr = lapack.zhetrd, lapack.zhetrd_lwork, lapack.zunmqr
+    else:
+        trd, trd_lwork, mqr = lapack.dsytrd, lapack.dsytrd_lwork, lapack.dormqr
+    lwork, _ = trd_lwork(n, lower=1)  # the default lwork runs the unblocked reduction, about 1.5x slower
+    c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)))
+    ends = [eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i", select_range=(k, k),
+                             lapack_driver="stemr") for k in (0, n - 1)]
+    if not vectors:
+        return np.concatenate(ends), None
+    V = np.hstack([z for _, z in ends]).astype(A.dtype)
+    V[1:], _, _ = mqr("L", "N", c[1:, :-1], tau, V[1:], lwork=2)  # the minimum for two columns: unblocked
+    return np.concatenate([w for w, _ in ends]), V
+
+
 def gated_cho_factor(G: np.ndarray):
     """Cholesky factor of a Gram (``cho_factor`` form), after a spectral gate.
 
-    Raises NearSingularGramError (carrying the offending eigenvalue) when the
-    smallest eigenvalue is at or below 1e-10 times the spectral norm; that
-    failure mode is itself the measurement of a degenerating system.
+    The gate is values-first: it reads lambda_min and the spectral norm from
+    the two extreme eigenvalues of one tridiagonal reduction, computing no
+    eigenvector.  Raises NearSingularGramError (carrying the offending
+    eigenvalue) when the smallest eigenvalue is at or below 1e-10 times the
+    spectral norm; that failure mode is itself the measurement of a
+    degenerating system.
     """
-    evals = eigvalsh(G)
+    evals, _ = _extreme_spectrum(np.asarray(G), vectors=False)
     gnorm = float(np.max(np.abs(evals)))
     emin = float(evals[0])
     if emin <= NEAR_SINGULAR_RTOL * gnorm:

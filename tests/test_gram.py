@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
@@ -19,6 +19,7 @@ from inghamlab.gram import (
     FourierGrid,
     IntervalSpec,
     NearSingularGramError,
+    _extreme_spectrum,
     assemble_gram,
     cross_inner_matrix,
     exp_inner_closed_form,
@@ -98,22 +99,31 @@ class TestClosedForm:
         assert np.array_equal(rev, np.conj(fwd))
 
 
-def exact_moment(m, theta, a, b):
-    """Integral of t^m exp(i*theta*t) over (a, b) from its antiderivative, in mpmath at 200 digits."""
+def exact_moments(m_max, theta, a, b):
+    """Integrals of t^m exp(i*theta*t) over (a, b) for m = 0..m_max, in mpmath.
+
+    By parts, M_m = [t^m exp(i*theta*t)]_a^b / (i*theta) - m M_{m-1} / (i*theta):
+    the antiderivative's terms m!/(m-j)! t^(m-j) / theta^(j+1) cancel down to
+    the scale max|t|^m * |I|, so the working precision covers the digits that
+    cancellation costs at small theta, plus 40.
+    """
     import mpmath
 
-    with mpmath.workdps(200):
-        m, theta, a, b = int(m), mpmath.mpf(float(theta)), mpmath.mpf(a), mpmath.mpf(b)
+    T = max(abs(a), abs(b))
+    lost = 0.0
+    if theta != 0:
+        lost = max(math.lgamma(m_max + 1) / math.log(10) + (m_max - j) * math.log10(T)
+                   - (j + 1) * math.log10(abs(theta)) for j in range(m_max + 1))
+        lost -= m_max * math.log10(T) + math.log10(b - a)
+    with mpmath.workdps(40 + max(0, math.ceil(lost))):
+        theta, a, b = mpmath.mpf(float(theta)), mpmath.mpf(a), mpmath.mpf(b)
         if theta == 0:
-            return complex((b ** (m + 1) - a ** (m + 1)) / (m + 1))
-
-        def F(t):
-            # exp(i theta t) * sum_j (-1)^j m!/(m-j)! t^(m-j) / (i theta)^(j+1)
-            return mpmath.expj(theta * t) * mpmath.fsum(
-                (-1) ** j * mpmath.ff(m, j) * t ** (m - j) / (1j * theta) ** (j + 1) for j in range(m + 1)
-            )
-
-        return complex(F(b) - F(a))
+            return [complex((b ** (m + 1) - a ** (m + 1)) / (m + 1)) for m in range(m_max + 1)]
+        it, Ea, Eb = 1j * theta, mpmath.expj(theta * a), mpmath.expj(theta * b)
+        M = [(Eb - Ea) / it]
+        for m in range(1, m_max + 1):
+            M.append((b**m * Eb - a**m * Ea - m * M[-1]) / it)
+        return [complex(v) for v in M]
 
 
 class TestExpMoments:
@@ -123,13 +133,14 @@ class TestExpMoments:
     def test_against_exact_values(self, a, b):
         pytest.importorskip("mpmath")
         thetas = np.array([0.0, 1e-12, -1e-12, 1e-6, -0.3, 0.7, -2.5, 17.0, -300.0, 300.0])
-        m = np.arange(7)
+        m = np.arange(65)  # well past 16, where numpy's legpow refuses
         values = exp_moments(thetas[:, None], m[None, :], IntervalSpec(a, b))
         for i, theta in enumerate(thetas):
+            exact = exact_moments(m[-1], theta, a, b)
             for k in m:
                 # relative to max|t|^m * |I|, which bounds |M_m| and the mass the sum carries
                 scale = max(abs(a), abs(b)) ** k * (b - a)
-                assert abs(values[i, k] - exact_moment(k, theta, a, b)) <= 1e-14 * scale
+                assert abs(values[i, k] - exact[k]) <= 1e-14 * scale
 
     def test_order_zero_is_the_closed_form(self):
         interval = IntervalSpec(-1.0, 4.0)
@@ -491,6 +502,96 @@ class TestDualFamily:
         with pytest.raises(NearSingularGramError) as err:
             gated_cho_factor(G)
         assert err.value.min_eigenvalue <= 1e-10 * err.value.norm
+
+    @pytest.mark.parametrize("directions", ["constant", "random"])
+    def test_gate_reports_extreme_eigenvalues(self, directions):
+        # a gap of 1e-5 puts lambda_min at 4e-13 (real) or 2e-11 (complex) of the norm:
+        # under the gate and far above rounding
+        fam = ExponentFamily(np.array([-3.0, -1.0, 0.0, 1e-5, 1.0, 2.5]))
+        if directions == "constant":  # real-valued on a centered interval: gated as float64
+            dirs = DirectionAssignment.constant(fam, 1)
+            G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-2.0, 2.0)).real
+        else:
+            U = DirectionAssignment.random(fam, 2, seed=3).matrix.copy()
+            U[3] = U[2]  # the close pair shares a direction
+            G = assemble_gram(ExponentialSystem(fam, DirectionAssignment(2, U)), IntervalSpec(0.5, 4.5))
+            assert np.any(G.imag)
+        evals = np.linalg.eigvalsh(G)
+        gnorm = float(np.max(np.abs(evals)))
+        with pytest.raises(NearSingularGramError) as err:
+            gated_cho_factor(G)
+        assert abs(err.value.min_eigenvalue - evals[0]) <= 1e-13 * gnorm
+        assert abs(err.value.norm - gnorm) <= 1e-13 * gnorm
+
+    @pytest.mark.parametrize("directions", ["constant", "random"])
+    def test_well_conditioned_gram_factors(self, directions):
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-6, 6], seed=5)
+        real = directions == "constant"
+        dirs = DirectionAssignment.constant(fam, 1) if real else DirectionAssignment.random(fam, 2, seed=6)
+        G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-3.0, 3.0))
+        G = G.real if real else G
+        U, lower = gated_cho_factor(G)
+        assert not lower
+        assert np.max(np.abs(np.triu(U).conj().T @ np.triu(U) - G)) <= 1e-13 * np.max(np.abs(G))
+
+
+def hermitian_matrix(n, complex_, rng, spectrum=None):
+    """Q diag(spectrum) Q^H for a random unitary Q; ``spectrum`` defaults to a random PSD one of random rank."""
+    Z = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+    Q, _ = np.linalg.qr(Z)
+    if spectrum is None:
+        spectrum = np.abs(rng.normal(size=n)) * (rng.random(n) < rng.uniform(0.3, 1.0))
+    A = (Q * spectrum) @ Q.conj().T
+    return 0.5 * (A + A.conj().T)
+
+
+class TestExtremeSpectrum:
+    """The values-first extreme eigensolve behind both the verdicts and the Cholesky gate."""
+
+    @staticmethod
+    def check(A):
+        evals = np.linalg.eigvalsh(A)
+        gnorm = float(np.max(np.abs(evals)))
+        for vectors in (False, True):
+            vals, V = _extreme_spectrum(A, vectors)
+            assert np.all(np.abs(vals - evals[[0, -1]]) <= 1e-13 * gnorm)
+            if vectors:
+                assert V.shape == (A.shape[0], 2) and V.dtype == A.dtype
+                assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=1e-13)
+                assert np.max(np.linalg.norm(A @ V - V * vals, axis=0)) <= 1e-12 * gnorm
+            else:
+                assert V is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(n=1, complex_=False, gram=False, seed=0)
+    @example(n=1, complex_=True, gram=True, seed=1)
+    @example(n=2, complex_=False, gram=True, seed=2)
+    @example(n=2, complex_=True, gram=False, seed=3)
+    @given(n=st.one_of(st.sampled_from([1, 2]), st.integers(3, 60)), complex_=st.booleans(),
+           gram=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_extremes_match_eigvalsh(self, n, complex_, gram, seed):
+        rng = np.random.default_rng(seed)
+        if gram:  # an exponential Gram: real on a centered interval with one direction, complex otherwise
+            fam = ExponentFamily(np.sort(rng.uniform(-3.0 * n, 3.0 * n, n)))
+            dirs = DirectionAssignment.random(fam, 2, seed=seed) if complex_ else DirectionAssignment.constant(fam, 1)
+            A = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-1.5, 1.5))
+            A = A if complex_ else A.real
+        else:
+            A = hermitian_matrix(n, complex_, rng)
+        self.check(A)
+
+    def test_parseval_block(self):
+        # 2 pi I up to rounding: on its top index the bisection driver (stebz) raises LinAlgError
+        fam = generate_family("lattice", spacing=1.0, window=[-8, 8])
+        G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), IntervalSpec(-math.pi, math.pi))
+        self.check(G.real)
+        self.check(G)
+        self.check(TWO_PI * np.eye(17))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_repeated_extremes(self, complex_):
+        rng = np.random.default_rng(7)
+        self.check(hermitian_matrix(9, complex_, rng, spectrum=np.array([0.5, 0.5, 0.5, 1, 2, 3, 4, 4, 4.0])))
 
 
 class TestProjections:

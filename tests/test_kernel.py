@@ -5,7 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +17,7 @@ from inghamlab.gram import (
     ExponentialSystem,
     FourierGrid,
     IntervalSpec,
+    _extreme_spectrum,
     assemble_gram,
     cross_inner_matrix,
     exp_inner_closed_form,
@@ -150,21 +150,27 @@ def test_centered_gram_with_real_directions_is_real(data, rule, interval, d):
     assert not np.any(G.imag)
 
 
-@SETTINGS
-@given(data=st.data(), rule=st.sampled_from(REAL_RULES), interval=intervals, d=st.integers(1, 3))
-def test_real_path_meets_residual_contract(data, rule, interval, d):
-    G = assemble_gram(data.draw(exponential_systems(rule, d)), centered(interval))
-    solves = []
+def recording_spectrum(solves):
+    """``gram._extreme_spectrum`` that appends (A, vectors, values, V) of every call to ``solves``."""
 
-    def recording_eigh(A, **options):
-        vals, vecs = scipy.linalg.eigh(A, **options)
-        solves.append((A, options, vals, vecs))
+    def record(A, vectors):
+        vals, vecs = _extreme_spectrum(A, vectors)
+        solves.append((A, vectors, vals, vecs))
         return vals, vecs
 
-    with mock.patch.object(analysis, "eigh", recording_eigh):
+    return record
+
+
+@SETTINGS
+@given(data=st.data(), rule=st.sampled_from(REAL_RULES), interval=intervals, d=st.integers(1, 3))
+def test_real_valued_gram_is_solved_in_float64(data, rule, interval, d):
+    G = assemble_gram(data.draw(exponential_systems(rule, d)), centered(interval))
+    assert G.dtype == np.complex128
+    solves = []
+    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
-    [(A, options, vals, vecs)] = solves
-    assert A.dtype == np.float64 and options == {"driver": "evd"}
+    [(A, vectors, vals, vecs)] = solves
+    assert A.dtype == np.float64 and vectors
     assert (lo, hi) == (vals[0], vals[-1])
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     for pos in (0, -1):
@@ -173,31 +179,30 @@ def test_real_path_meets_residual_contract(data, rule, interval, d):
         assert residual <= EIGEN_RESIDUAL_RTOL * gnorm
 
 
-def test_complex_path_keeps_default_driver():
+def test_complex_gram_stays_complex():
     fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1)), IntervalSpec(-2.5, 2.5))
     assert np.any(G.imag)
     solves = []
-
-    def recording_eigh(A, **options):
-        solves.append((A.dtype, options))
-        return scipy.linalg.eigh(A, **options)
-
-    with mock.patch.object(analysis, "eigh", recording_eigh):
-        extreme_eigenvalues(G)
-    assert solves == [(np.complex128, {})]
+    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
+        lo, hi = extreme_eigenvalues(G)
+    [(A, vectors, vals, vecs)] = solves
+    assert A.dtype == np.complex128 and vecs.dtype == np.complex128
+    assert (lo, hi) == (vals[0], vals[-1])
+    assert np.allclose([lo, hi], np.linalg.eigvalsh(G)[[0, -1]], rtol=0.0, atol=1e-13 * hi)
 
 
-def test_real_path_enforces_residual_contract():
+def test_corrupted_eigenvector_breaks_residual_contract():
     fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
     interval = IntervalSpec(-2.5, 2.5)
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), interval)
 
-    def swapped_vectors(A, **options):
-        vals, vecs = scipy.linalg.eigh(A, **options)
+    def swapped_vectors(A, vectors):
+        vals, vecs = _extreme_spectrum(A, vectors)
         return vals, vecs[:, ::-1]
 
-    with mock.patch.object(analysis, "eigh", swapped_vectors), pytest.raises(ArithmeticError, match="residual"):
+    with (mock.patch.object(analysis, "_extreme_spectrum", swapped_vectors),
+          pytest.raises(ArithmeticError, match="residual")):
         extreme_eigenvalues(G)
 
 
