@@ -302,10 +302,11 @@ def run_trace_experiment(
 ) -> TraceExperiment:
     """Trace of P_r Q_{r+R} restricted to the exponential span, two ways.
 
-    Route one is the matrix trace of the composition in V_r coordinates;
-    route two is the biorthogonal decomposition
-    Card + sum of ((Q - Id) e_k, phi_k).  Their agreement and the bound
-    |trace| <= d * Card(grid) are the measured quantities.
+    Route one is tr(G^-1 B) in V_r coordinates; route two is the
+    biorthogonal decomposition Card + sum of ((Q - Id) e_k, phi_k), whose
+    k-th term is sum_m C[k, m] B[m, k] - 1 with C = G^-1: the same sum
+    algebraically, so ``trace_agreement`` measures rounding only.  The
+    measured quantity is the bound |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")

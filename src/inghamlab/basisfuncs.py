@@ -1,9 +1,10 @@
 """System functions: vector exponentials and divided differences of exponentials.
 
 A divided difference of w -> exp(i*w*t) over a node chain is a short sum of
-terms (i*t)^m * W * exp(i*phi*t): explicit weights across gaps that are wide
-on the interval's t range, and a Gauss-Legendre rule on the iterated-integral
-(simplex) form across clustered gaps, where explicit weights cancel.
+terms (i*t/tmax)^m * W * exp(i*phi*t) for |t| <= tmax: explicit weights across
+gaps that are wide on the interval's t range, and across clustered gaps, where
+explicit weights cancel, a Gauss-Legendre rule for a pair and Taylor terms
+about the midpoint for longer parts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .exponents import ExponentFamily
 __all__ = ["UNIT_NORM_TOL", "DirectionAssignment", "divided_difference_terms"]
 
 UNIT_NORM_TOL = 1e-12
-SIMPLEX_MAX_ORDER = 64  # Gauss-Legendre points per simplex dimension, at most
-SIMPLEX_MAX_POINTS = 2**15  # points of one simplex rule, at most
+_leggauss = functools.lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)  # a pair takes at most 7 points
 
 
 @dataclass
@@ -66,13 +66,13 @@ class DirectionAssignment:
 def divided_difference_terms(nodes, tmax: float):
     """The divided difference of w -> exp(i*w*t) over nondecreasing nodes, as exponential terms.
 
-    Returns (phases, weights, orders): [nodes](t) = sum_p weights_p * (i*t)^orders_p * exp(i*phases_p*t)
-    for |t| <= tmax.  A gap is wide when gap * tmax >= 1.  Nodes with wide gaps only, one node
-    included, take the explicit weights 1 / prod_{j != i} (x_i - x_j) at order 0, whose absolute
-    sum is at most 2^q times the value bound tmax^q / q! (q + 1 nodes).  Nodes with no wide gap,
-    repeated nodes included, take the Hermite-Genocchi simplex terms (x_0 + S @ diff(x), W, q) of
-    the Gauss-Legendre rule ``_simplex_order`` sizes for theta = spread * tmax.  Other chains split
-    as [x_0..x_q] = ([x_1..x_q] - [x_0..x_(q-1)]) / (x_q - x_0), where x_q - x_0 >= 1 / tmax bounds
+    Returns (phases, weights, orders): [nodes](t) = sum_p weights_p * (i*t/tmax)^orders_p *
+    exp(i*phases_p*t) for |t| <= tmax, so no power overflows.  A gap is wide when gap * tmax >= 1.
+    Nodes with wide gaps only, one node included, take the explicit weights 1 / prod_{j != i}
+    (x_i - x_j) at order 0, whose absolute sum is at most 2^q times the value bound tmax^q / q!
+    (q + 1 nodes).  Nodes with no wide gap, repeated nodes included, take a Gauss-Legendre rule of
+    ``_pair_order`` points when they are a pair, else ``_taylor_terms``.  Other chains split as
+    [x_0..x_q] = ([x_1..x_q] - [x_0..x_(q-1)]) / (x_q - x_0), where x_q - x_0 >= 1 / tmax bounds
     the cancellation, until every part is of one kind; order-0 terms are summed per node.
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
@@ -82,7 +82,7 @@ def divided_difference_terms(nodes, tmax: float):
     if np.any(gaps < 0):
         raise ValueError("unsorted nodes")
     wide = gaps * tmax >= 1.0
-    node_weights, simplex = np.zeros(x.size), []
+    node_weights, clustered = np.zeros(x.size), []
     parts = {(0, x.size - 1): 1.0}  # sub-chain [x_i..x_j] -> its factor in [x]
     for q in range(x.size - 1, -1, -1):  # longest first: every part is complete when reached
         for i in range(x.size - q):
@@ -93,50 +93,45 @@ def divided_difference_terms(nodes, tmax: float):
                 diffs = x[i : j + 1, None] - x[None, i : j + 1]
                 np.fill_diagonal(diffs, 1.0)
                 node_weights[i : j + 1] += c / np.prod(diffs, axis=1)
+            elif q == 1:  # i*t * integral_0^1 exp(i*(x_i + s*gap)*t) ds by Gauss-Legendre
+                u, w = _leggauss(_pair_order(gaps[i] * tmax))
+                clustered.append((x[i] + 0.5 * (u + 1.0) * gaps[i], 0.5 * c * tmax * w, np.ones(u.size, dtype=int)))
             elif not wide[i:j].any():
-                S, W = _cube_rule(q, _simplex_order(x[i : j + 1], float(x[j] - x[i]) * tmax))
-                simplex.append((x[i] + S @ gaps[i:j], c * W, np.full(W.size, q)))
+                clustered.append(_taylor_terms(x[i : j + 1], tmax, c))
             else:
                 for part, sign in (((i + 1, j), 1.0), ((i, j - 1), -1.0)):
                     parts[part] = parts.get(part, 0.0) + sign * c / (x[j] - x[i])
     on = node_weights != 0.0  # nodes of clustered parts only carry no term
-    return tuple(map(np.concatenate, zip((x[on], node_weights[on], np.zeros(on.sum(), dtype=int)), *simplex)))
+    return tuple(map(np.concatenate, zip((x[on], node_weights[on], np.zeros(on.sum(), dtype=int)), *clustered)))
 
 
-def _simplex_order(x: np.ndarray, theta: float) -> int:
-    """Fewest Gauss-Legendre points per dimension for the simplex rule over x at phase spread theta.
+def _taylor_terms(x: np.ndarray, tmax: float, factor: float):
+    """factor * [x] for q = x.size - 1 >= 2 nodes with no wide gap, as Taylor terms about their midpoint c.
 
-    The remainder (n!)^4 / ((2n+1) ((2n)!)^3) * max|f^(2n)| for f(u) = u^(q-1) exp(i*theta*u)
-    on [0, 1], q = x.size - 1, must fall below 2^-53 / (q + theta), under the integral's bound
-    min(1/q, 2/theta).  Leibniz bounds max|f^(2n)| by sum_k C(2n, k) (q-1)!/(q-1-k)! theta^(2n-k),
-    summed here in units of s = max(1, theta) so that nothing overflows.  At most
-    SIMPLEX_MAX_ORDER points per dimension and SIMPLEX_MAX_POINTS in all, or ArithmeticError.
+    [x](t) = exp(i*c*t) sum_k h_k(y) (i*t)^(q+k) / (q+k)! with y = x - c and h_k the complete
+    homogeneous symmetric polynomials (H[k] += y_j * H[k-1], node by node).  Term k is at most
+    (theta/2)^k / k! of the bound tmax^q / q!, theta = spread * tmax < q, and the terms stop below
+    2^-53 (19 to 30 for q = 2..7).  Weight k is factor * tmax^q * h_k(y * tmax) / (q+k)!.
     """
-    q, s = x.size - 1, max(1.0, theta)
-    top = max(n for n in range(1, SIMPLEX_MAX_ORDER + 1) if n**q <= SIMPLEX_MAX_POINTS)
-    for n in range(1, top + 1):
-        m = 2 * n
-        deriv = sum(math.comb(m, k) * math.perm(q - 1, k) * (theta / s) ** (m - k) / s**k for k in range(min(m + 1, q)))
-        log_rule = 4 * math.lgamma(n + 1) - math.log(m + 1) - 3 * math.lgamma(m + 1) + m * math.log(s)
-        if deriv == 0.0 or log_rule + math.log(deriv * (q + theta)) <= -53 * math.log(2):
-            return n
-    raise ArithmeticError(f"divided difference over nodes {x.tolist()} needs more than "
-                          f"{top} simplex points per dimension at theta={theta:.6g}")
+    q, c = x.size - 1, 0.5 * (x[0] + x[-1])
+    half, K, bound = 0.5 * float(x[-1] - x[0]) * tmax, 1, 1.0
+    while (bound := bound * half / K) >= 2.0**-53:
+        K += 1
+    H = np.append(factor * tmax**q, np.zeros(K - 1))
+    for y in (x - c) * tmax:
+        for k in range(1, K):
+            H[k] += y * H[k - 1]
+    orders = q + np.arange(K)
+    return np.full(K, c), H / np.array([math.factorial(m) for m in orders], dtype=float), orders
 
 
-@functools.lru_cache(maxsize=64)
-def _cube_rule(q: int, order: int):
-    """Tensor Gauss-Legendre rule on [0,1]^q mapped to the ordered simplex, kept per (q, order).
+def _pair_order(theta: float) -> int:
+    """Fewest Gauss-Legendre points for integral_0^1 exp(i*theta*s) ds at a pair's theta < 1: at most 7.
 
-    Returns read-only barycentric-increment coordinates s (npts, q) with
-    1 >= s_1 >= ... >= s_q >= 0 and combined weights including the Jacobian
-    prod_k u_k^(q-1-k) of the map s_j = u_1*...*u_j.
+    The remainder (n!)^4 theta^(2n) / ((2n+1) ((2n)!)^3) must fall below 2^-53 / (1 + theta).
     """
-    u, w = np.polynomial.legendre.leggauss(order)
-    U = np.stack(np.meshgrid(*([0.5 * (u + 1.0)] * q), indexing="ij"), axis=-1).reshape(-1, q)
-    W = np.prod(np.stack(np.meshgrid(*([0.5 * w] * q), indexing="ij"), axis=-1).reshape(-1, q), axis=1)
-    W *= np.prod(U ** np.arange(q - 1, -1, -1), axis=1)
-    S = np.cumprod(U, axis=1)
-    S.setflags(write=False)
-    W.setflags(write=False)
-    return S, W
+    n = 1
+    while theta > 0.0 and (4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
+                           + 2 * n * math.log(theta) + math.log(1.0 + theta) > -53 * math.log(2)):
+        n += 1
+    return n

@@ -6,8 +6,9 @@ over a node set, divided by its L2(I) norm for normalized systems.  A plain
 exponential is a single node; an orthonormal Fourier-grid function is a
 normalized single node on a coordinate direction.  One kernel,
 ``inner_matrix``, computes all inner products in closed form: each divided
-difference is a short sum of terms (i*t)^m * W * exp(i*phi*t), and the inner
-product of two terms is a moment of exp(i*theta*t) over the interval.
+difference is a short sum of terms (i*t/tmax)^m * W * exp(i*phi*t), with
+tmax = max(|a|, |b|), and the inner product of two terms is a moment of
+exp(i*theta*t) over the interval in the same units.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -101,13 +102,14 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
 
 
 def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
-    """M_m(theta) = integral of t^m exp(i*theta*t) over the interval, elementwise.
+    """M_m(theta) = integral of (t/tmax)^m exp(i*theta*t) over the interval, elementwise.
 
-    ``m`` is an integer array broadcast against ``theta``.  M_0 is
-    ``exp_inner_closed_form``; for m >= 1, with t = c + h*u on the interval's
-    midpoint c and half-length h, Rayleigh's plane-wave expansion (DLMF 10.60)
-    gives M_m = h * exp(i*theta*c) * sum_n a_n * 2 * i^n * j_n(theta*h), where
-    a_n are the Legendre coefficients of (c + h*u)^m and j_n the spherical
+    tmax = max(|a|, |b|), so |M_m| <= |I| at every order.  ``m`` is an integer
+    array broadcast against ``theta``.  M_0 is ``exp_inner_closed_form``; for
+    m >= 1, with t = c + h*u on the interval's midpoint c and half-length h,
+    Rayleigh's plane-wave expansion (DLMF 10.60) gives
+    M_m = h * exp(i*theta*c) * sum_n a_n * 2 * i^n * j_n(theta*h), where a_n
+    are the Legendre coefficients of ((c + h*u) / tmax)^m and j_n the spherical
     Bessel functions: a finite sum, free of cancellation.
     """
     from scipy.special import spherical_jn
@@ -117,12 +119,13 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
     higher = m > 0
     theta, m = theta[higher], m[higher]
     c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
-    a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (c + h*u)^k
+    cu, hu = np.array([c, h]) / max(abs(interval.a), abs(interval.b))  # t / tmax = cu + hu*u
+    a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (cu + hu*u)^k
     a[0, 0] = 1.0
     n = np.arange(a.shape[0])
-    up, down = h * (n + 1) / (2 * n + 1), h * n / (2 * n + 1)  # h*u*P_n = up_n P_{n+1} + down_n P_{n-1}
-    for k in range(1, a.shape[0]):  # (c + h*u)^k = (c + h*u) * (c + h*u)^(k-1)
-        a[k] = c * a[k - 1]
+    up, down = hu * (n + 1) / (2 * n + 1), hu * n / (2 * n + 1)  # hu*u*P_n = up_n P_{n+1} + down_n P_{n-1}
+    for k in range(1, a.shape[0]):  # (cu + hu*u)^k = (cu + hu*u) * (cu + hu*u)^(k-1)
+        a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
     total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
@@ -220,7 +223,7 @@ class DividedDifferenceSystem:
 class _Functions:
     """A system as f_i(t) = directions[i] * profile_{i // copies}(t), normalized if ``normalize``.
 
-    Profile p sums coefs[r] * t^orders[r] * exp(i*phases[r]*t) over its terms r from
+    Profile p sums coefs[r] * (t/tmax)^orders[r] * exp(i*phases[r]*t) over its terms r from
     starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
     """
 

@@ -277,13 +277,15 @@ def hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray:
 def dd_profile(nodes, t):
     """The library's divided difference at t: its terms for tmax = max|t|, summed.
 
-    sum_p weights_p * (i*t)^orders_p * exp(i*phases_p*t), the profile that
-    ``divided_difference_terms`` represents; scalar or array t.
+    sum_p weights_p * (i*t/tmax)^orders_p * exp(i*phases_p*t), the profile that
+    ``divided_difference_terms`` represents; scalar or array t.  At t = 0 alone
+    any tmax serves, and 1 is taken.
     """
     tt = np.asarray(t, dtype=float)
     tarr = np.atleast_1d(tt)
-    phases, weights, orders = divided_difference_terms(nodes, float(np.max(np.abs(tarr))) if tarr.size else 0.0)
-    out = weights @ (np.power.outer(1j * tarr, orders).T * np.exp(1j * np.multiply.outer(phases, tarr)))
+    tmax = float(np.max(np.abs(tarr), initial=0.0)) or 1.0
+    phases, weights, orders = divided_difference_terms(nodes, tmax)
+    out = weights @ (np.power.outer(1j * tarr / tmax, orders).T * np.exp(1j * np.multiply.outer(phases, tarr)))
     return out[0] if tt.ndim == 0 else out.reshape(tt.shape)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inghamlab.basisfuncs import DirectionAssignment, _simplex_order, divided_difference_terms
+from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
 from inghamlab.gram import DividedDifferenceSystem, ExponentialSystem
 
@@ -152,7 +152,7 @@ class TestDividedDifference:
 
 
 class TestSimplexOrder:
-    """The simplex rule's order follows the phase theta = (node spread) * max|t| it must resolve."""
+    """Clustered terms follow the phase theta = (node spread) * max|t| they must resolve."""
 
     def test_far_from_zero_pair_value(self):
         # spread 0.05 at |t| = 1000 is a phase of 50: separated, explicit weights
@@ -160,20 +160,19 @@ class TestSimplexOrder:
         exact = (np.exp(50j) - 1.0) / 0.05
         assert abs(value - exact) <= 1e-12 * abs(exact)
 
-    # theta up to 100 (q = 4: 30, which keeps its rule near 3e5 points)
+    # theta up to 100, chains of up to 8 nodes
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        q=st.integers(1, 4),
+        q=st.integers(1, 7),
         position=st.floats(0.0, 1.0),
-        inner=st.lists(st.integers(1, 99), min_size=3, max_size=3, unique=True),
+        inner=st.lists(st.integers(1, 99), min_size=6, max_size=6, unique=True),
         stretch=st.floats(1.0, 10.0),
     )
     def test_clustered_value_matches_exact(self, q, position, inner, stretch):
         pytest.importorskip("mpmath")
-        top = math.log10(30.0 if q == 4 else 100.0)
-        theta = 10.0 ** (-8.0 + position * (top + 8.0))
-        # node spreads below 1e-4 * T; chains with a gap below 1 / T take the
-        # simplex terms, the others explicit weights
+        theta = 10.0 ** (-8.0 + position * 10.0)
+        # node spreads below 1e-4 * T; parts with no gap of 1 / T or more take
+        # a pair rule or Taylor terms, the others explicit weights
         T = stretch * max(1.0, math.sqrt(2.0 * theta / 1e-4))
         spread = theta / T
         assert spread < 1e-4 * T
@@ -181,28 +180,37 @@ class TestSimplexOrder:
         offsets = np.array(sorted([0, 100] + inner[: q - 1])) / 100.0 - 0.5
         nodes = spread * offsets
         t = T * np.array([1.0, -1.0, 0.37, 0.01])
-        # relative to T^q / q!, which bounds |value| and is the mass the rule sums
+        # relative to T^q / q!, which bounds |value| and is the mass the terms sum
         scale = T**q / math.factorial(q)
         assert np.max(np.abs(dd_profile(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("r", [6, 8])
+    def test_tight_chain_far_from_zero(self, r):
+        # r nodes 0.9 / tmax apart near 5, seen on t in [990, 1000]: no wide gap,
+        # so one run of Taylor terms about the midpoint c.  The floor is the
+        # rounding of the phase c * t, 2^-52 * 5 * 1000 = 1.1e-12 of T^q / q!;
+        # measured 3.7e-13 (6 nodes) and 3.4e-13 (8 nodes)
+        pytest.importorskip("mpmath")
+        T, q = 1000.0, r - 1
+        nodes = 5.0 + 0.9 / T * np.arange(r)
+        t = np.linspace(990.0, T, 41)
+        phases, weights, orders = divided_difference_terms(nodes, T)
+        assert np.all(phases == 0.5 * (nodes[0] + nodes[-1])) and orders[0] == q
+        scale = T**q / math.factorial(q)
+        assert np.max(np.abs(dd_profile(nodes, t) - eval_dd_exact(nodes, t))) <= 1e-12 * scale
+
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_confluent_chain_value(self, r):
-        # r equal nodes: theta = 0, and the rule must still integrate u^(r-2) exactly
+        # r equal nodes: theta = 0, so one rule point (r = 2) or one Taylor term (r > 2)
         t = np.array([0.3, -2.0, 5.0])
         expected = (1j * t) ** (r - 1) / math.factorial(r - 1) * np.exp(0.7j * t)
         assert np.max(np.abs(dd_profile([0.7] * r, t) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    def test_over_budget_raises(self):
-        # one rule over the whole chain [0, 1e-4, 0.07] at tmax 2000 has theta = 140,
-        # more than 64 points per dimension; theta = 135 needs 63
-        message = r"\[0\.0, 0\.0001, 0\.07\] needs more than 64 simplex points .* theta=140"
-        with pytest.raises(ArithmeticError, match=message):
-            _simplex_order(np.array([0.0, 1e-4, 0.07]), 140.0)
-        assert _simplex_order(np.array([0.0, 1e-4, 0.0675]), 135.0) == 63
-        # at most 2^15 points in all: q = 5 allows 8 per dimension, and six
-        # nodes 0.9 / tmax apart (no wide gap, theta = 4.5) need 12
-        with pytest.raises(ArithmeticError, match=r"needs more than 8 simplex points per dimension at theta=4\.5"):
-            divided_difference_terms(0.9 * np.arange(6.0), 1.0)
+    @pytest.mark.parametrize("theta, points", [(0.0, 1), (0.5, 6), (1.0 - 1e-12, 7)])
+    def test_pair_rule_points(self, theta, points):
+        # a clustered pair has theta < 1, so its rule never needs more than 7 points
+        phases, weights, orders = divided_difference_terms([0.0, theta], 1.0)
+        assert phases.size == points and orders.tolist() == [1] * points
 
     @pytest.mark.parametrize("nodes", [[0.0, 1e-4, 0.07], [0.0, 1e-4, 0.0675]])
     def test_mixed_chain_splits_at_separated_gap(self, nodes):
@@ -220,7 +228,7 @@ class TestSimplexOrder:
     def test_merged_pair_chain_stays_small(self, M):
         # clustered pairs 2 apart merged into one chain on |t| <= 2 pi: every
         # part across a wide gap takes explicit weights, so only the pairs
-        # carry simplex terms, a 3-point rule each (one rule over the chain
+        # carry clustered terms, a 3-point rule each (one rule over the chain
         # would need order^(M-1) points)
         T = 2.0 * math.pi
         nodes = np.repeat(2.0 * np.arange(M // 2), 2) + np.tile([0.0, 1e-3], M // 2)
@@ -237,10 +245,11 @@ class TestSimplexOrder:
         assert orders.tolist() == [0, 0, 0]
         assert np.array_equal(phases, [0.0, 0.5, 2.0])
         assert np.allclose(weights, [1.0, -1 / 0.75, 1 / 3.0], rtol=1e-15)
-        # no gap of tmax times at least 1: the simplex terms, at order q
+        # no gap of tmax times at least 1: Taylor terms at the midpoint, orders q, q+1, ...
         phases, weights, orders = divided_difference_terms([0.0, 0.4, 0.8], 2.0)
-        assert phases.size > 3 and set(orders.tolist()) == {2}
-        # one gap of each kind: [0.4, 2] by explicit weights, [0, 0.4] by simplex terms at order 1
+        assert phases.size > 3 and np.all(phases == 0.4)
+        assert np.array_equal(orders, 2 + np.arange(orders.size))
+        # one gap of each kind: [0.4, 2] by explicit weights, [0, 0.4] by a pair rule at order 1
         phases, weights, orders = divided_difference_terms([0.0, 0.4, 2.0], 2.0)
         assert np.array_equal(phases[:2], [0.4, 2.0]) and orders[:2].tolist() == [0, 0]
         assert phases.size > 3 and set(orders[2:].tolist()) == {1} and np.all(phases[2:] < 0.4)

@@ -613,10 +613,16 @@ class TestMainEntry:
         assert float(row[2]) == pytest.approx(hi / lo, rel=1e-12)
         assert float(row[2]) == pytest.approx(5.86590282021, rel=1e-11)
 
-    @pytest.mark.parametrize("window, M, rel", [([0, 2], 4, 1e-12), ([0, 6], 8, 1e-9)])
-    def test_merged_pair_chain_exit_zero(self, tmp_path, window, M, rel):
+    @pytest.mark.parametrize(
+        "window, M, rel, end",
+        [([0, 2], 4, 1e-12, TWO_PI), ([0, 6], 8, 1e-9, TWO_PI), ([0, 6], 8, 1e-6, 0.4)],
+        ids=["window0-4-1e-12", "window1-8-1e-09", "short-interval"],
+    )
+    def test_merged_pair_chain_exit_zero(self, tmp_path, window, M, rel, end):
         # gamma_prime 3 above the pair spacing 2 merges the pairs into one chain
-        # of M nodes whose gaps alternate clustered (1e-3) and separated (2)
+        # of M nodes whose gaps alternate clustered (1e-3) and separated (2); on
+        # [0, 0.4] the spacing is clustered too, so every prefix of three nodes
+        # or more is one run of Taylor terms (theta = 2.4 at q = 7)
         pytest.importorskip("mpmath")
         cfg_path, out = tmp_path / "merged.json", tmp_path / "out.csv"
         cfg_path.write_text(
@@ -624,7 +630,7 @@ class TestMainEntry:
                 {
                     "command": "dd-condition",
                     "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": window}},
-                    "interval": [0.0, TWO_PI],
+                    "interval": [0.0, end],
                     "grids": {"delta": [1e-3]},
                     "params": {"M": M, "gamma_prime": 3.0},
                     "output": {"path": str(out), "format": "csv"},
@@ -634,11 +640,11 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 0
         row = out.read_text().splitlines()[-1].split(",")
         # reference: the normalized Gram of exact (mpmath) profiles on a dense panel rule;
-        # rel is the rounding of unit-scale entries times cond_dd (1.8e3 and 7.0e6)
+        # rel is the rounding of unit-scale entries times cond_dd (1.8e3, 7.0e6 and 5.6e9)
         fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=window)
         nodes = DividedDifferenceSystem(fam, detect_chains(fam, 3.0, M), DirectionAssignment.constant(fam, 1)).nodes
         assert len(nodes) == M
-        t, w = dense_panel_rule(0.0, TWO_PI, rate=2.0 * float(fam.exponents[-1]))
+        t, w = dense_panel_rule(0.0, end, rate=2.0 * float(fam.exponents[-1]))
         F = np.stack([eval_dd_exact(x, t) for x in nodes])
         F /= np.sqrt(np.abs(F) ** 2 @ w)[:, None]
         lo, hi = np.linalg.eigvalsh((F.conj() * w) @ F.T)[[0, -1]]

@@ -36,6 +36,7 @@ from oracles import (
     dd_profile,
     dd_recurrence,
     dense_panel_rule,
+    eval_dd_exact,
     eval_dd_hermite_genocchi,
     invert_2x2,
     vector_inner,
@@ -100,12 +101,14 @@ class TestClosedForm:
 
 
 def exact_moments(m_max, theta, a, b):
-    """Integrals of t^m exp(i*theta*t) over (a, b) for m = 0..m_max, in mpmath.
+    """Integrals of (t/T)^m exp(i*theta*t) over (a, b) for m = 0..m_max, T = max(|a|, |b|), in mpmath.
 
-    By parts, M_m = [t^m exp(i*theta*t)]_a^b / (i*theta) - m M_{m-1} / (i*theta):
+    By parts, the integrals N_m of t^m exp(i*theta*t) satisfy
+    N_m = [t^m exp(i*theta*t)]_a^b / (i*theta) - m N_{m-1} / (i*theta):
     the antiderivative's terms m!/(m-j)! t^(m-j) / theta^(j+1) cancel down to
-    the scale max|t|^m * |I|, so the working precision covers the digits that
-    cancellation costs at small theta, plus 40.
+    the scale T^m * |I|, so the working precision covers the digits that
+    cancellation costs at small theta, plus 40.  Each N_m is divided by T^m
+    before it is rounded.
     """
     import mpmath
 
@@ -118,29 +121,43 @@ def exact_moments(m_max, theta, a, b):
     with mpmath.workdps(40 + max(0, math.ceil(lost))):
         theta, a, b = mpmath.mpf(float(theta)), mpmath.mpf(a), mpmath.mpf(b)
         if theta == 0:
-            return [complex((b ** (m + 1) - a ** (m + 1)) / (m + 1)) for m in range(m_max + 1)]
-        it, Ea, Eb = 1j * theta, mpmath.expj(theta * a), mpmath.expj(theta * b)
-        M = [(Eb - Ea) / it]
-        for m in range(1, m_max + 1):
-            M.append((b**m * Eb - a**m * Ea - m * M[-1]) / it)
-        return [complex(v) for v in M]
+            M = [(b ** (m + 1) - a ** (m + 1)) / (m + 1) for m in range(m_max + 1)]
+        else:
+            it, Ea, Eb = 1j * theta, mpmath.expj(theta * a), mpmath.expj(theta * b)
+            M = [(Eb - Ea) / it]
+            for m in range(1, m_max + 1):
+                M.append((b**m * Eb - a**m * Ea - m * M[-1]) / it)
+        return [complex(v / mpmath.mpf(T) ** m) for m, v in enumerate(M)]
 
 
 class TestExpMoments:
-    """M_m(theta) = integral of t^m exp(i*theta*t) over I, the kernel of every DD inner product."""
+    """M_m(theta) = integral of (t/tmax)^m exp(i*theta*t) over I, the kernel of every DD inner product."""
+
+    THETAS = np.array([0.0, 1e-12, -1e-12, 1e-6, -0.3, 0.7, -2.5, 17.0, -300.0, 300.0])
 
     @pytest.mark.parametrize("a, b", [(0.0, 10.0), (990.0, 1000.0), (-4.0, 4.0), (0.0, 2000.0)])
     def test_against_exact_values(self, a, b):
         pytest.importorskip("mpmath")
-        thetas = np.array([0.0, 1e-12, -1e-12, 1e-6, -0.3, 0.7, -2.5, 17.0, -300.0, 300.0])
-        m = np.arange(65)  # well past 16, where numpy's legpow refuses
-        values = exp_moments(thetas[:, None], m[None, :], IntervalSpec(a, b))
-        for i, theta in enumerate(thetas):
+        m = np.arange(81)  # past the 2(q + K) that Taylor terms of 8 nodes reach
+        values = exp_moments(self.THETAS[:, None], m[None, :], IntervalSpec(a, b))
+        for i, theta in enumerate(self.THETAS):
             exact = exact_moments(m[-1], theta, a, b)
-            for k in m:
-                # relative to max|t|^m * |I|, which bounds |M_m| and the mass the sum carries
-                scale = max(abs(a), abs(b)) ** k * (b - a)
-                assert abs(values[i, k] - exact[k]) <= 1e-14 * scale
+            # relative to |I|, which bounds |M_m| and the mass the sum carries
+            assert max(abs(values[i, k] - exact[k]) for k in m) <= 1e-14 * (b - a)
+
+    def test_far_interval(self):
+        # raw t^72 overflows on [1e6, 1e6 + 10]; in units of tmax every moment
+        # is at most |I|.  A phase theta * c that is not a double rounds, and
+        # the closed form M_0 carries that floor, 2^-52 * |theta * c|, as well
+        pytest.importorskip("mpmath")
+        a, b = 1e6, 1e6 + 10.0
+        m = np.arange(81)
+        values = exp_moments(self.THETAS[:, None], m[None, :], IntervalSpec(a, b))
+        assert np.all(np.isfinite(values))
+        for i, theta in enumerate(self.THETAS):
+            exact = exact_moments(m[-1], theta, a, b)
+            floor = 2.0**-52 * abs(theta * 0.5 * (a + b))
+            assert max(abs(values[i, k] - exact[k]) for k in m) <= (1e-14 + floor) * (b - a)
 
     def test_order_zero_is_the_closed_form(self):
         interval = IntervalSpec(-1.0, 4.0)
@@ -338,6 +355,13 @@ class TestCenteredPanels:
         assert np.max(np.abs(G - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+def exact_profile_gram(nodes, interval):
+    """[j, k] = (f_k, f_j) from mpmath profiles (``eval_dd_exact``) on a dense panel rule."""
+    t, w = dense_panel_rule(interval.a, interval.b, rate=2.0 * max(float(np.max(np.abs(x))) for x in nodes))
+    F = np.stack([eval_dd_exact(x, t) for x in nodes])
+    return (F.conj() * w) @ F.T
+
+
 class TestSimplexOrderInGrams:
     """The DD Gram's terms follow the phase its profiles span on I."""
 
@@ -360,6 +384,34 @@ class TestSimplexOrderInGrams:
         # the entrywise oracle sizes its own rule and sees the same entries
         for k, j in ((1, 1), (1, 3), (3, 7), (0, 5)):
             assert abs(G[j, k] - dd_inner_quadrature(k, j, system, I)) <= 1e-11 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("a", [0.0, 990.0])
+    def test_tight_chain_gram_matches_exact_profiles(self, a):
+        # six nodes 0.9 / tmax apart (no wide gap: one run of Taylor terms per
+        # prefix of three or more nodes) and two singletons; the simplex oracle
+        # behind dd_inner_quadrature would take 24^5 points per t at q = 5, so
+        # the reference integrates mpmath profiles on a dense panel rule
+        pytest.importorskip("mpmath")
+        I = IntervalSpec(a, a + 10.0)
+        chain = 0.9 / I.b * np.arange(6)
+        fam = ExponentFamily(np.append(chain, chain[-1] + np.array([2.0, 5.0]) / I.b))
+        system = DividedDifferenceSystem(fam, [(0, 5), (6, 6), (7, 7)], DirectionAssignment.constant(fam, 1))
+        G = assemble_gram(system, I)
+        reference = exact_profile_gram(system.nodes, I)
+        assert np.max(np.abs(G - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_tight_chain_gram_far_from_zero(self):
+        # on [1e7, 1e7 + 10] the Taylor terms reach moment order 2 * 23, where
+        # raw powers of t (1e322) overflow; the entries span 41 decades, so each
+        # is compared with its own reference
+        pytest.importorskip("mpmath")
+        I = IntervalSpec(1e7, 1e7 + 10.0)
+        fam = ExponentFamily(0.9 / I.b * np.arange(4))
+        system = DividedDifferenceSystem(fam, [(0, 3)], DirectionAssignment.constant(fam, 1))
+        G = assemble_gram(system, I)
+        reference = exact_profile_gram(system.nodes, I)
+        assert np.all(np.isfinite(G))
+        assert np.all(np.abs(G - reference) <= 1e-13 * np.abs(reference))
 
     def test_dd_workload_pairs_take_two_and_three_points(self):
         # clustered pairs on [0, 100], I = [0, 10]: theta = 1e-5 and 1e-3
