@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, get_blas_funcs
+from scipy.linalg import get_blas_funcs
 
 from .basisfuncs import DirectionAssignment
 from .exponents import ExponentFamily, detect_chains, generate_family
@@ -300,28 +300,30 @@ def run_trace_experiment(
     r: float,
     R: float,
 ) -> TraceExperiment:
-    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways.
+    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways, with no inverse.
 
-    Route one is tr(G^-1 B) in V_r coordinates; route two is the
-    biorthogonal decomposition Card + sum of ((Q - Id) e_k, phi_k), whose
-    k-th term is sum_m C[k, m] B[m, k] - 1 with C = G^-1: the same sum
-    algebraically, so ``trace_agreement`` measures rounding only.  The
-    measured quantity is the bound |trace| <= d * Card(grid).
+    For G = U^H U (the gated Cholesky factor) route one is tr(G^-1 conj(X) X^T)
+    = ||X^T U^-1||_F^2, a sum of squares after one triangular solve, so
+    ``trace_im`` is exactly 0; route two is Card + sum of ((Q - Id) e_k, phi_k)
+    with the dual coefficients Y = X^T G^-1 from a second solve: the same sum,
+    so ``trace_agreement`` measures rounding only.  Measured: |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
     window = _window(family, directions, y, r)
     n = len(window.family)
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
-    cho = gated_cho_factor(assemble_gram(window, interval))
+    U, _ = gated_cho_factor(assemble_gram(window, interval))
     X = cross_inner_matrix(window.family, window.directions, grid)
-    B = (X @ X.conj().T).T  # B[m, k] = (Q e_k, e_m)
-    S = cho_solve(cho, B)
-    trace_direct = complex(np.trace(S))
-    C = cho_solve(cho, np.eye(n, dtype=complex))
-    Y = X.T @ C  # Y[alpha, k] = (phi_k, f_alpha)
-    corrections = np.einsum("ka,ak->k", X, Y.conj()) - 1.0
-    trace_decomposed = complex(n + np.sum(corrections))
+    defect_norms = projection_defect_norms(X, interval)  # its |X|^2 temporary is gone before W exists
+    W = np.array(X.T, order="F")  # a plain copy: X is C-ordered
+    trsm = get_blas_funcs("trsm", (U, W))
+    trsm(1.0, U, W, side=1, overwrite_b=1)  # Z = X^T U^-1, in place
+    flat = W.reshape(-1, order="F").view(np.float64)  # a view, not a ravelled copy
+    trace_direct = complex(get_blas_funcs("dot", (flat,))(flat, flat), 0.0)
+    trsm(1.0, U, W, side=1, trans_a=2, overwrite_b=1)  # Y = Z U^-H; Y[alpha, k] = (phi_k, f_alpha)
+    np.conjugate(W, out=W)  # W.T[k, alpha] = conj(Y[alpha, k])
+    trace_decomposed = complex(n + np.sum(np.einsum("ka,ka->k", X, W.T) - 1.0))
     return TraceExperiment(
         y=float(y),
         r=float(r),
@@ -331,7 +333,7 @@ def run_trace_experiment(
         card_gamma=int(grid.n_values.size),
         trace_S=trace_direct,
         trace_decomposed=trace_decomposed,
-        defect_norms=projection_defect_norms(X, interval),
+        defect_norms=defect_norms,
         lemma2_bound=float(directions.d * grid.n_values.size),
     )
 
@@ -379,16 +381,14 @@ def defect_decay_fit(
         grid = FourierGrid.centered(interval, directions.d, y, r + Rs[-1])
     except ValueError as exc:  # every smaller grid is empty too
         raise GridPointFailure(f"at R={Rs[0]:.6g}: {exc}") from exc
-    X = cross_inner_matrix(window.family, window.directions, grid)
-    gamma = grid.frequencies
+    energy = np.abs(cross_inner_matrix(window.family, window.directions, grid)) ** 2  # once for every R
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
-        # the same test FourierGrid.centered applies at radius r + R
-        cols = np.flatnonzero(np.abs(gamma - y) < r + R)
+        cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test at r + R
         if cols.size == 0:
             raise GridPointFailure(f"at R={R:.6g}: no grid frequencies inside the window")
-        block = X[:, cols[0] * grid.d : (cols[-1] + 1) * grid.d]
-        maxima[i] = projection_defect_norms(block, interval).max()
+        captured = np.sum(energy[:, cols[0] * grid.d : (cols[-1] + 1) * grid.d], axis=1)
+        maxima[i] = math.sqrt(max(interval.length - float(captured.min()), 0.0))  # the largest defect
     if np.all(maxima <= 1e-7 * math.sqrt(interval.length)):
         return DefectDecayFit(R_grid=Rs, max_defects=maxima, slope=float("nan"),
                               intercept=float("nan"), degenerate_zero_defect=True)

@@ -14,8 +14,9 @@ The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
 the simplex (iterated-integral) form of a divided difference, the library's
 divided-difference terms evaluated as a profile, its derivative bound, the
-decay-constant and counting-inequality checks, and the re-parse of an
-artifact's config echo.
+decay-constant check, both trace routes through the explicit inverse Gram,
+the counting-inequality check, and the re-parse of an artifact's config
+echo.
 """
 
 import json
@@ -35,8 +36,10 @@ from inghamlab.gram import (
     SMALL_PHASE,
     DividedDifferenceSystem,
     ExponentialSystem,
+    FourierGrid,
     IntervalSpec,
     assemble_gram,
+    cross_inner_matrix,
     gated_cho_factor,
     inner_matrix,
 )
@@ -400,6 +403,34 @@ def dd_threshold_check(
     )
 
 
+def _trace_window(family, directions, y, r) -> ExponentialSystem:
+    """The exponential system of the positions with |w_k - y| < r."""
+    inside = np.flatnonzero(np.abs(family.exponents - y) < r)
+    lo, hi = int(inside[0]), int(inside[-1])
+    window_dirs = DirectionAssignment(directions.d, directions.matrix[lo : hi + 1])
+    return ExponentialSystem(family.slice_positions(lo, hi), window_dirs)
+
+
+def trace_by_inverse(family, directions, interval, y, r, R) -> tuple[complex, complex]:
+    """Both routes of the trace of P_r Q_{r+R} on V_r, through the inverse Gram.
+
+    Route one is tr(G^-1 B) with B = (X X^H)^T from a Cholesky solve; route
+    two is n + sum_k (sum_a X[k, a] conj(Y[a, k]) - 1) with the dual
+    coefficients Y = X^T G^-1 and G^-1 from a solve against the identity.
+    Returns (route one, route two).
+    """
+    window = _trace_window(family, directions, y, r)
+    n = len(window.family)
+    cho = gated_cho_factor(assemble_gram(window, interval))
+    grid = FourierGrid.centered(interval, directions.d, y, r + R)
+    X = cross_inner_matrix(window.family, window.directions, grid)
+    B = (X @ X.conj().T).T  # B[m, k] = (Q e_k, e_m)
+    trace_direct = complex(np.trace(cho_solve(cho, B)))
+    Y = X.T @ cho_solve(cho, np.eye(n, dtype=complex))
+    corrections = np.einsum("ka,ak->k", X, Y.conj()) - 1.0
+    return trace_direct, complex(n + np.sum(corrections))
+
+
 @dataclass
 class DensityChainReport:
     rows: list
@@ -441,11 +472,8 @@ def density_chain_check(
             exp = run_trace_experiment(family, directions, interval, y, r, R)
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at r={r:.6g}: {exc}") from exc
-        inside = np.flatnonzero(np.abs(family.exponents - y) < r)
-        lo, hi = int(inside[0]), int(inside[-1])
-        window_dirs = DirectionAssignment(d, directions.matrix[lo : hi + 1])
-        window = ExponentialSystem(family.slice_positions(lo, hi), window_dirs)
-        C = cho_solve(gated_cho_factor(assemble_gram(window, interval)), np.eye(hi - lo + 1, dtype=complex))
+        window = _trace_window(family, directions, y, r)
+        C = cho_solve(gated_cho_factor(assemble_gram(window, interval)), np.eye(len(window.family), dtype=complex))
         dual_norms = np.sqrt(np.real(np.diag(C)))
         correction_bound = float(np.sum(exp.defect_norms * dual_norms))
         eps_R = correction_bound / exp.card_gamma

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from oracles import (
     density_chain_check,
     hermitian_2x2_eigs,
     power_extremes,
+    trace_by_inverse,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -239,6 +241,44 @@ class TestTraceExperiment:
             assert abs(exp.trace_S) <= exp.d * exp.card_gamma + 1e-6
             assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
             assert exp.card_omega_r == int(np.sum(np.abs(fam.exponents - y) < r))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_inverse_oracle(self, d):
+        # both routes against tr(G^-1 B) and Y = X^T G^-1 from the explicit inverse
+        rng = np.random.default_rng(40 + d)
+        I = IntervalSpec(0.0, 8.0)
+        for _ in range(4):
+            fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                                  window=[-40, 40], seed=int(rng.integers(1000)))
+            dirs = DirectionAssignment.random(fam, d, seed=int(rng.integers(1000)))
+            y, r, R = float(rng.uniform(-5, 5)), float(rng.uniform(4, 20)), float(rng.uniform(2, 30))
+            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
+            assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+            assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+            assert exp.trace_S.imag == 0.0
+            assert exp.trace_S.real >= 0.0
+
+    def test_peak_memory_two_cross_matrices(self):
+        # the dense work holds X, one Fortran copy of X^T solved in place and
+        # the Cholesky factor: measured peak 2 X + 1.02 G bytes (n = 301,
+        # p = 966); a third X-sized buffer (a Fortran copy made by a solver,
+        # a ravelled copy of the solution) or the explicit-inverse route breaks the bound
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4)
+        I = IntervalSpec(0.0, 8.0)
+        run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        assert (n, p) == (301, 966)
+        x_bytes, g_bytes = 16 * n * p, 16 * n * n
+        assert peak <= 2 * x_bytes + 2 * g_bytes
 
     def test_degenerate_span_rejected(self):
         fam = ExponentFamily(np.array([0.0, 0.0, 1.0]))
