@@ -559,7 +559,11 @@ class TestMainEntry:
             )
         )
         assert main(["--config", str(cfg_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        # the shifted Cholesky factorization breaks down, and the extreme eigenvalues refuse the Gram
+        assert "near-singular Gram: min eigenvalue" in err
+        assert "threshold 1e-10" in err
 
     def test_numerical_failure_names_grid_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "badsweep.json"

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.exponents import (
@@ -598,7 +598,7 @@ def hermitian_matrix(n, complex_, rng, spectrum=None):
 
 
 class TestExtremeSpectrum:
-    """The values-first extreme eigensolve behind both the verdicts and the Cholesky gate."""
+    """The values-first extreme eigensolve behind the verdicts and behind the Cholesky gate's fallback."""
 
     @staticmethod
     def check(A):
@@ -644,6 +644,59 @@ class TestExtremeSpectrum:
     def test_repeated_extremes(self, complex_):
         rng = np.random.default_rng(7)
         self.check(hermitian_matrix(9, complex_, rng, spectrum=np.array([0.5, 0.5, 0.5, 1, 2, 3, 4, 4, 4.0])))
+
+
+class TestGatedCholesky:
+    """The Cholesky-first gate: a shifted factorization passes it, the extreme eigenvalues decide otherwise."""
+
+    @pytest.mark.parametrize("directions", ["constant", "random"])
+    def test_well_conditioned_gram_skips_reduction(self, directions, monkeypatch):
+        from inghamlab import gram
+
+        def no_reduction(A, vectors):
+            raise AssertionError("the shifted factorization should have passed the gate")
+
+        monkeypatch.setattr(gram, "_extreme_spectrum", no_reduction)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-6, 6], seed=5)
+        real = directions == "constant"
+        dirs = DirectionAssignment.constant(fam, 1) if real else DirectionAssignment.random(fam, 2, seed=6)
+        G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-3.0, 3.0))
+        G = G.real if real else G
+        U, lower = gated_cho_factor(G)
+        assert not lower
+        assert np.array_equal(U, cho_factor(G, lower=False)[0])
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_band_between_norms_takes_fallback(self, complex_, monkeypatch):
+        # 1e-10 * ||G||_2 < lambda_min <= 1e-10 * ||G||_F: the shifted factorization breaks
+        # down, and the extreme eigenvalues pass the gate
+        from inghamlab import gram
+
+        calls, spectrum = [], gram._extreme_spectrum
+        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A, vectors: calls.append(A) or spectrum(A, vectors))
+        G = hermitian_matrix(50, complex_, np.random.default_rng(11), spectrum=np.r_[3e-10, np.ones(49)])
+        assert 1e-10 * np.linalg.norm(G, 2) < np.linalg.eigvalsh(G)[0] <= 1e-10 * np.linalg.norm(G)
+        U, _ = gated_cho_factor(G)
+        assert len(calls) == 1
+        assert np.array_equal(np.triu(U), np.triu(cho_factor(G, lower=False)[0]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 40), complex_=st.booleans(), log_ratio=st.floats(-12.0, -8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_decision_matches_eigvalsh(self, n, complex_, log_ratio, seed):
+        ratio = 10.0**log_ratio
+        assume(abs(ratio / 1e-10 - 1.0) > 0.01)
+        rng = np.random.default_rng(seed)
+        G = hermitian_matrix(n, complex_, rng, spectrum=np.r_[ratio, 1.0, rng.uniform(ratio, 1.0, n - 2)])
+        evals = np.linalg.eigvalsh(G)
+        accept = evals[0] > 1e-10 * np.max(np.abs(evals))
+        try:
+            U, _ = gated_cho_factor(G)
+        except NearSingularGramError:
+            assert not accept
+        else:
+            assert accept
+            assert np.array_equal(np.triu(U), np.triu(cho_factor(G, lower=False)[0]))
 
 
 class TestProjections:
