@@ -3,12 +3,13 @@
 Every system handled here is described once as f_k(t) = U_k [nodes_k](t):
 a fixed unit vector U_k times the divided difference of w -> exp(i*w*t)
 over a node set, divided by its L2(I) norm for normalized systems.  A plain
-exponential is a single node; an orthonormal Fourier-grid function is a
-normalized single node on a coordinate direction.  One kernel,
-``inner_matrix``, computes all inner products in closed form: each divided
+exponential is a single node.  One kernel, ``inner_matrix``, computes all
+inner products between such systems in closed form: each divided
 difference is a short sum of terms (i*t/tmax)^m * W * exp(i*phi*t), with
 tmax = max(|a|, |b|), and the inner product of two terms is a moment of
-exp(i*theta*t) over the interval in the same units.
+exp(i*theta*t) over the interval in the same units.  Inner products with
+the orthonormal Fourier grid on I, whose frequencies form an exact lattice,
+are a scaled Cauchy matrix (``cross_inner_matrix``).
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -221,7 +222,7 @@ class DividedDifferenceSystem:
 
 @dataclass(frozen=True)
 class _Functions:
-    """A system as f_i(t) = directions[i] * profile_{i // copies}(t), normalized if ``normalize``.
+    """A system as f_i(t) = directions[i] * profile_i(t), normalized if ``normalize``.
 
     Profile p sums coefs[r] * (t/tmax)^orders[r] * exp(i*phases[r]*t) over its terms r from
     starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
@@ -233,7 +234,6 @@ class _Functions:
     starts: np.ndarray
     directions: np.ndarray
     normalize: bool = False
-    copies: int = 1
 
     @property
     def single_nodes(self) -> bool:
@@ -253,16 +253,11 @@ def _functions(system, tmax: float) -> _Functions:
         orders = np.concatenate(orders)
         return _Functions(np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders,
                           np.cumsum(counts) - counts, system.directions.matrix, system.normalize)
-    if isinstance(system, ExponentialSystem):
-        x, directions, normalize, copies = system.family.exponents, system.directions.matrix, False, 1
-    elif isinstance(system, FourierGrid):
-        # the d directions of a frequency share its profile (n-major order)
-        x, directions = system.frequencies, np.tile(np.eye(system.d, dtype=complex), (system.n_values.size, 1))
-        normalize, copies = True, system.d
-    else:
+    if not isinstance(system, ExponentialSystem):
         raise TypeError(f"unsupported system descriptor {type(system).__name__}")
+    x = system.family.exponents
     return _Functions(x, np.ones(x.size, dtype=complex), np.zeros(x.size, dtype=int), np.arange(x.size),
-                      directions, normalize, copies)
+                      system.directions.matrix)
 
 
 def _profile_products(a, b, interval: IntervalSpec) -> np.ndarray:
@@ -281,7 +276,7 @@ def _own_norms(f: _Functions, interval: IntervalSpec) -> np.ndarray:
 
 
 def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
-    """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for any two systems.
+    """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for exponential or DD systems.
 
     Each profile is expanded once into terms (once in total when ``targets
     is sources``) for the t range of I, and ``_profile_products`` pairs whole
@@ -303,7 +298,7 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
         k, n = max(1, TERM_PRODUCTS_PER_BLOCK // (most * tgt.phases.size)), src.starts.size
         columns = tgt.block(0, tgt.starts.size)
         S = np.concatenate([_profile_products(src.block(p, p + k), columns, interval) for p in range(0, n, k)])
-    # S[s, a] = (profile_s, profile_a); shared profiles expand by broadcasting
+    # S[s, a] = (profile_s, profile_a)
     if src.normalize:
         # a Gram holds the squared norms on its diagonal
         ns = np.sqrt(np.real(np.diag(S))) if tgt is src else _own_norms(src, interval)
@@ -313,13 +308,12 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     # summed over d in one fixed order for every entry, so the Gram of a
     # subsystem is bitwise the principal submatrix of the Gram it sits in
     K = np.einsum("kd,jd->kj", src.directions, tgt.directions.conj())
-    blocks = K.reshape(src.starts.size, src.copies, tgt.starts.size, tgt.copies)
-    np.multiply(blocks, S[:, None, :, None], out=blocks)
+    K *= S
     return K.T
 
 
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
-    """Gram matrix (complex ndarray) of an exponential, divided-difference or Fourier-grid system over I.
+    """Gram matrix (complex ndarray) of an exponential or divided-difference system over I.
 
     Every profile is expanded into terms once for all entries, so the result
     is deterministic and independent of evaluation order.
@@ -337,8 +331,46 @@ def cross_inner_matrix(
     directions: DirectionAssignment,
     grid: FourierGrid,
 ) -> np.ndarray:
-    """X[k, (n, j)] = (e_k, f_{n,j}), flattened n-major then direction index."""
-    return inner_matrix(ExponentialSystem(family, directions), grid, grid.interval).T
+    """X[k, (n, j)] = (e_k, f_{n,j}), flattened n-major then direction index.
+
+    The grid side is the lattice gamma_n = s*n, s = 2*pi/|I|, so each
+    exponent is split once as w_k = gamma_{m_k} + r_k with m_k = rint(w_k/s)
+    and the reduced offset r_k rounded as ``FourierGrid.frequencies`` rounds.
+    Then D_kn = w_k - gamma_n = r_k + s*(m_k - n) carries an exact integer,
+    sin(D_kn*|I|/2) = (-1)^(m_k - n) * sin(r_k*|I|/2), and with c = (a+b)/2
+    the entry is the scaled Cauchy form
+
+        U_k[j] * rho_k * exp(-i*gamma_n*a) / D_kn,
+        rho_k = 2 * exp(i*(r_k*c + gamma_{m_k}*a)) * sin(r_k*|I|/2) / sqrt(|I|).
+
+    r_k enters phase, numerator and denominator alike, so no entry mixes the
+    exact lattice with the rounded one.  Where |D_kn|*|I|/2 <= SMALL_PHASE
+    (only at n = m_k) the entry is its limit sqrt(|I|) * exp(i*r_k*c) * U_k[j].
+    """
+    U = directions.matrix
+    _check_rows(directions, len(family))
+    if directions.d != grid.d:
+        raise ValueError(f"source and target systems live in different direction spaces: "
+                         f"C^{directions.d} and C^{grid.d}")
+    L, a = grid.interval.length, grid.interval.a
+    c, s = 0.5 * (a + grid.interval.b), 2.0 * math.pi / L
+    m = np.rint(family.exponents / s)
+    gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of n = m
+    r = family.exponents - gamma_m
+    rho = 2.0 / math.sqrt(L) * np.exp(1j * (r * c + gamma_m * a)) * np.sin(r * (0.5 * L))
+    D = np.subtract.outer(m, grid.n_values.astype(float))  # m_k - n, exact
+    D *= s
+    D += r[:, None]
+    near = np.flatnonzero(np.abs(r) * (0.5 * L) <= SMALL_PHASE)  # off n = m_k, |D| >= s/2
+    rows, cols = np.nonzero(grid.n_values == m[near, None])
+    rows = near[rows]
+    D[rows, cols] = 1.0  # these entries take the limit below
+    np.reciprocal(D, out=D)
+    S = np.multiply(D, np.exp(-1j * grid.frequencies * a))
+    del D
+    X = S[:, :, None] * (U * rho[:, None])[:, None, :]
+    X[rows, cols] = U[rows] * (math.sqrt(L) * np.exp(1j * r[rows] * c))[:, None]
+    return X.reshape(len(family), -1)
 
 
 def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray:

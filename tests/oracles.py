@@ -8,7 +8,10 @@ own instead of the library's evaluator, and the small linear-algebra
 oracles are written out by hand.  The entrywise inner products evaluate one
 pair at a time, apart from the matrix kernel, with the left-endpoint-phase
 closed form, apart from the kernel's midpoint-phase one, and the majorant
-series is summed term by term, apart from its closed form.
+series is summed term by term, apart from its closed form.  The Fourier grid
+reaches the generic kernel as a plain exponential system, apart from the
+lattice closed form of the cross matrix, and its exact coefficients come
+from mpmath.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
@@ -176,6 +179,37 @@ def vector_inner(k, n, family, directions, interval):
     Uk = directions.matrix[k]
     Un = directions.matrix[n]
     return complex(np.vdot(Un, Uk) * exp_inner_closed_form_offset(wk - wn, interval))
+
+
+def grid_coefficient_exact(w, n, interval, digits: int = 40) -> complex:
+    """(exp(i*w*t), |I|^(-1/2) exp(i*gamma_n*t)) in mpmath, on the exact lattice gamma_n = 2*pi*n/|I|."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpf(float(interval.a)), mpmath.mpf(float(interval.b))
+        theta = mpmath.mpf(float(w)) - 2 * mpmath.pi * int(n) / (b - a)
+        integral = b - a if theta == 0 else (mpmath.expj(theta * b) - mpmath.expj(theta * a)) / (1j * theta)
+        return complex(integral / mpmath.sqrt(b - a))
+
+
+def grid_system(grid: FourierGrid) -> ExponentialSystem:
+    """The grid's functions E_j exp(i*gamma_n*t), n-major, as an (unnormalized) exponential system."""
+    family = ExponentFamily(np.repeat(grid.frequencies, grid.d))
+    return ExponentialSystem(family, DirectionAssignment(grid.d, np.tile(np.eye(grid.d), (grid.n_values.size, 1))))
+
+
+def grid_inner_matrix(sources, targets, interval):
+    """``inner_matrix`` that also takes a ``FourierGrid`` on either side, through the generic kernel.
+
+    A grid side is its ``grid_system`` divided by sqrt(|I|), so its functions
+    are orthonormal; the lattice closed form of ``cross_inner_matrix`` is not used.
+    """
+    scale = 1.0
+    if isinstance(sources, FourierGrid):
+        sources, scale = grid_system(sources), scale * math.sqrt(interval.length)
+    if isinstance(targets, FourierGrid):
+        targets, scale = grid_system(targets), scale * math.sqrt(interval.length)
+    return inner_matrix(sources, targets, interval) / scale
 
 
 def oscillation_panel_rule(interval, rate):

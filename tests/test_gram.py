@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from oracles import (
     dense_panel_rule,
     eval_dd_exact,
     eval_dd_hermite_genocchi,
+    grid_coefficient_exact,
+    grid_inner_matrix,
     invert_2x2,
     vector_inner,
 )
@@ -209,7 +212,7 @@ class TestFourierGrid:
     def test_orthonormal(self):
         I = IntervalSpec(0.7, 0.7 + 1.9)
         grid = FourierGrid.centered(I, 3, y=0.0, radius=40.0)
-        G = assemble_gram(grid, I)
+        G = grid_inner_matrix(grid, grid, I)
         assert np.max(np.abs(G - np.eye(grid.size))) < 1e-12
 
     def test_size_counts_directions(self):
@@ -461,7 +464,7 @@ class TestClosedFormDD:
         for sources, scale in ((system, np.ones(n)), (unit, norms)):
             G, reference = assemble_gram(sources, interval), Q / np.outer(scale, scale)
             assert np.max(np.abs(G - reference)) <= 1e-12 * np.max(np.abs(reference))
-            cross, reference = inner_matrix(sources, grid, interval), X / scale[None, :]
+            cross, reference = grid_inner_matrix(sources, grid, interval), X / scale[None, :]
             assert np.max(np.abs(cross - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -477,7 +480,7 @@ class TestClosedFormDD:
         runs = []
         for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 1):
             monkeypatch.setattr(gram, "TERM_PRODUCTS_PER_BLOCK", budget)
-            runs.append([assemble_gram(s, interval) for s in (raw, unit)] + [inner_matrix(unit, grid, interval)])
+            runs.append([assemble_gram(s, interval) for s in (raw, unit)] + [grid_inner_matrix(unit, grid, interval)])
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
@@ -705,15 +708,15 @@ class TestProjections:
 
     def test_grid_onto_itself_identity(self):
         grid = FourierGrid.centered(self.I, 2, y=0.0, radius=4.0)
-        coef = inner_matrix(grid, grid, self.I)
+        coef = grid_inner_matrix(grid, grid, self.I)
         assert np.max(np.abs(coef - np.eye(grid.size))) < 1e-12
 
     def test_projection_idempotent_on_orthonormal_target(self):
         fam = ExponentFamily(np.array([0.5, 1.25]))
         dirs = DirectionAssignment.constant(fam, 1)
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=12.0)
-        coef = inner_matrix(ExponentialSystem(fam, dirs), grid, self.I)
-        again = assemble_gram(grid, self.I) @ coef
+        coef = grid_inner_matrix(ExponentialSystem(fam, dirs), grid, self.I)
+        again = grid_inner_matrix(grid, grid, self.I) @ coef
         assert np.max(np.abs(again - coef)) < 1e-12
 
     def test_reconstruction_error_shrinks_with_grid(self):
@@ -751,7 +754,7 @@ class TestProjections:
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
         system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=8.0)
-        coef = inner_matrix(system, grid, self.I)
+        coef = grid_inner_matrix(system, grid, self.I)
         assert coef.shape == (grid.size, len(fam))
         # oracle: direct dense-panel quadrature of (f_s, f_alpha)
         L = self.I.length
@@ -769,8 +772,8 @@ class TestProjections:
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
         dirs = DirectionAssignment.constant(fam, 1)
         grid = FourierGrid.centered(self.I, 1, y=0.0, radius=5.0)
-        raw = inner_matrix(DividedDifferenceSystem(fam, chains, dirs), grid, self.I)
-        unit = inner_matrix(DividedDifferenceSystem(fam, chains, dirs, normalize=True), grid, self.I)
+        raw = grid_inner_matrix(DividedDifferenceSystem(fam, chains, dirs), grid, self.I)
+        unit = grid_inner_matrix(DividedDifferenceSystem(fam, chains, dirs, normalize=True), grid, self.I)
         G = assemble_gram(DividedDifferenceSystem(fam, chains, dirs), self.I)
         norms = np.sqrt(np.real(np.diag(G)))
         assert np.allclose(unit, raw / norms[None, :], atol=1e-12)
@@ -794,3 +797,94 @@ class TestProjections:
             bound = 2.0 / (math.sqrt(L) * abs(omega - gamma))
             assert np.all(np.abs(X) <= bound + 1e-12)
 
+
+LATTICE_OFFSETS = (0.0, 0.5, -0.5, 1e-12, -1e-12, 1e-9, -1e-9, 1e-4, -1e-4)  # +-0.5: in grid spacings
+LATTICE_ULPS = 4.0  # measured: 0.79 on these 200 draws, 1.40 over 13,000 random ones
+
+
+@st.composite
+def lattice_cases(draw):
+    """Exponents on, half a spacing from (rint ties) and 1e-12..1e-4 off grid frequencies; a != 0."""
+    a = draw(st.one_of(st.just(1e3), st.floats(-20.0, 20.0).filter(lambda v: v != 0.0)))
+    length = 8.0 if a == 1e3 else draw(st.floats(0.5, 10.0))
+    interval = IntervalSpec(a, a + length)
+    s = TWO_PI / length
+    offsets = st.sampled_from(LATTICE_OFFSETS).map(lambda o: o * s if abs(o) == 0.5 else o)
+    ms = draw(st.lists(st.integers(-800, 800), min_size=1, max_size=5))
+    fam = ExponentFamily(np.sort([2.0 * math.pi * m / length + draw(offsets) for m in ms]))
+    d = draw(st.integers(1, 3))
+    dirs = DirectionAssignment.random(fam, d, seed=draw(st.integers(0, 1000)))
+    y = draw(st.sampled_from(list(fam.exponents)))
+    grid = FourierGrid.centered(interval, d, y, draw(st.floats(1.0, 8.0)) * s)
+    return fam, dirs, grid
+
+
+class TestLatticeCrossMatrix:
+    """The scaled Cauchy form of cross_inner_matrix against the generic kernel and mpmath."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=lattice_cases())
+    def test_matches_generic_kernel(self, case):
+        fam, dirs, grid = case
+        interval = grid.interval
+        X = cross_inner_matrix(fam, dirs, grid)
+        reference = grid_inner_matrix(ExponentialSystem(fam, dirs), grid, interval).T
+        # both forms round the phase of frequencies up to Omega at |t| up to tmax
+        omega = max(np.max(np.abs(fam.exponents)), np.max(np.abs(grid.frequencies)))
+        tmax = max(abs(interval.a), abs(interval.b))
+        scale = 2.0**-52 * (1.0 + omega * tmax) * math.sqrt(interval.length)
+        assert np.max(np.abs(X - reference)) <= LATTICE_ULPS * scale
+
+    def test_mpmath_pin_near_grid_frequency(self):
+        # 1e-4 above gamma_766 ~ 601.6, whose rounded value is 7.5e-14 off the
+        # exact lattice: the naive form (-1)^n sin(w|I|/2) / (w - gamma_n) takes
+        # its numerator from the exact lattice and its denominator from the
+        # rounded one, and is off by 7.5e-14 / 1e-4
+        I = IntervalSpec(0.0, 8.0)
+        w = 2.0 * math.pi * 766 / I.length + 1e-4
+        fam = ExponentFamily(np.array([w]))
+        grid = FourierGrid.centered(I, 1, w, 6.0 * TWO_PI / I.length)
+        exact = np.array([grid_coefficient_exact(w, n, I) for n in grid.n_values])
+        X = cross_inner_matrix(fam, DirectionAssignment.constant(fam, 1), grid)[0]
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(X - exact)) <= 1e-11 * scale
+        gamma, n = grid.frequencies, grid.n_values
+        naive = (2.0 * np.exp(1j * (w - gamma) * 4.0) * np.where(n % 2, -1.0, 1.0) * np.sin(w * 4.0)
+                 / (w - gamma) / math.sqrt(I.length))
+        assert np.max(np.abs(naive - exact)) > 1e-10 * scale
+
+    @pytest.mark.parametrize("length", [TWO_PI, 8.0, 1.3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_exponent_parseval(self, length, d):
+        # an exponent on a grid frequency is the grid function itself: one
+        # nonzero coefficient per direction, sum |X|^2 = |I| to rounding
+        # (measured: at most 2.6 units of 2^-52 |I|) and a defect at the
+        # rounding floor, under defect_decay_fit's zero-defect threshold
+        I = IntervalSpec(-0.4, -0.4 + length)
+        grid = FourierGrid.centered(I, d, 0.0, 30.0)
+        fam = ExponentFamily(grid.frequencies[[3]])
+        dirs = DirectionAssignment.random(fam, d, seed=5)
+        X = cross_inner_matrix(fam, dirs, grid)
+        assert np.count_nonzero(X) == d
+        assert abs(np.sum(np.abs(X) ** 2) - length) <= 4 * 2.0**-52 * length
+        assert projection_defect_norms(X, I)[0] <= 1e-7 * math.sqrt(length)
+
+    def test_peak_memory(self):
+        # X, one complex and one float n x m block: the n x m reciprocal is
+        # freed before X exists (n = 301 exponents, m = 483 frequencies, d = 2)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        inside = np.flatnonzero(np.abs(fam.exponents) < 150.0)
+        sub = fam.slice_positions(int(inside[0]), int(inside[-1]))
+        dirs = DirectionAssignment.random(sub, 2, seed=4)
+        grid = FourierGrid.centered(IntervalSpec(0.0, 8.0), 2, 0.0, 190.0)
+        cross_inner_matrix(sub, dirs, grid)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            cross_inner_matrix(sub, dirs, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m, d = len(sub), grid.n_values.size, 2
+        assert (n, m) == (301, 483)
+        assert peak <= 16 * n * m * d + 16 * n * m + 8 * n * m
