@@ -204,8 +204,8 @@ class SweepResult:
             raise ValueError("sweep grid must be strictly increasing")
 
     def to_rows(self) -> list[dict]:
-        """The rows of every per-point report, in grid order."""
-        return [row for result in self.results for row in result.to_rows()]
+        """The rows of every per-point result, in grid order: a report's rows, or the result itself if it is a row."""
+        return [row for result in self.results for row in ([result] if isinstance(result, dict) else result.to_rows())]
 
 
 def threshold_sweep(

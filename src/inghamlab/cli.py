@@ -478,7 +478,7 @@ def _run_dd_condition(config: ExperimentConfig):
     options = {name: fparams[name] for name in ("spacing", "window") if name in fparams}
     options.update((k, v) for k, v in config.params.items() if k in ("gamma_prime", "M", "normalize_dd"))
     sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
-    return sweep.results, {"normalized_dd": sweep.metadata["normalized_dd"]}
+    return sweep.to_rows(), {"normalized_dd": sweep.metadata["normalized_dd"]}
 
 
 def _run_sharpness(config: ExperimentConfig):

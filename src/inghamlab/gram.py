@@ -9,7 +9,8 @@ difference is a short sum of terms (i*t/tmax)^m * W * exp(i*phi*t), with
 tmax = max(|a|, |b|), and the inner product of two terms is a moment of
 exp(i*theta*t) over the interval in the same units.  Inner products with
 the orthonormal Fourier grid on I, whose frequencies form an exact lattice,
-are a scaled Cauchy matrix (``cross_inner_matrix``).
+are a scaled Cauchy matrix (``cross_inner_matrix``).  An exponential Gram
+forms each pair once, and is float64 where it is real (centered, real U_k).
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -46,6 +47,7 @@ __all__ = [
 
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
+GRAM_ROW_BLOCK = 256  # rows of an exponential Gram formed at once: about 50 bytes of temporaries per block entry
 TERM_PRODUCTS_PER_BLOCK = 2**20  # term pairs inner_matrix forms at once: 57 MB (order 0) to 116 MB of temporaries
 
 
@@ -90,16 +92,20 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
     set to 1.  On an interval centered at 0 every value is exactly real.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    L = interval.length
-    x = th * (0.5 * L)
-    small = np.abs(x) <= SMALL_PHASE
-    ratio = np.divide(np.sin(x), x, out=x, where=~small)  # in place: x is not needed again
-    ratio[small] = 1.0
-    ratio *= L
+    ratio = _sinc(th, interval.length)
     out = th * (0.5j * (interval.a + interval.b))
     np.exp(out, out=out)
     out *= ratio
     return complex(out[0]) if np.isscalar(theta) else out.reshape(np.shape(theta))
+
+
+def _sinc(theta: np.ndarray, length: float) -> np.ndarray:
+    """|I| * sin(x)/x at x = theta*|I|/2, the real factor of ``exp_inner_closed_form``."""
+    x = theta * (0.5 * length)
+    small = np.abs(x) <= SMALL_PHASE
+    ratio = np.divide(np.sin(x), x, out=x, where=~small)  # in place: x is not needed again
+    ratio[small] = 1.0
+    return np.multiply(ratio, length, out=ratio)
 
 
 def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
@@ -129,8 +135,13 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
         a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
-    total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
-    out[higher] = h * np.exp(1j * theta * c) * total
+    # a[m, n] = 0 for n > m, so order n is summed only where m >= n: a suffix once sorted by m
+    order = np.argsort(m.astype(np.uint16), kind="stable")  # a radix sort: a stable int64 sort is slower
+    theta, m = theta[order], m[order]
+    total = np.zeros(theta.shape, dtype=complex)
+    for n, first in enumerate(np.searchsorted(m, np.arange(a.shape[0]))):
+        total[first:] += a[m[first:], n] * (2 * 1j**n) * spherical_jn(n, theta[first:] * h)
+    np.put(out, np.flatnonzero(higher)[order], h * np.exp(1j * theta * c) * total)
     return out
 
 
@@ -282,8 +293,8 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     is sources``) for the t range of I, and ``_profile_products`` pairs whole
     source profiles with every target term, about TERM_PRODUCTS_PER_BLOCK
     products at a time; between single nodes that is the one term
-    ``exp_inner_closed_form(w_s - w_t)``.  Normalized norms come from the
-    same products: the diagonal of a Gram, or each profile's own terms.
+    ``exp_inner_closed_form(w_s - w_t)`` (their Gram: ``_exponential_gram``).
+    Normalized norms come from the same products: the diagonal of a Gram, or each profile's own terms.
     """
     tmax = max(abs(interval.a), abs(interval.b))
     src = _functions(sources, tmax)
@@ -292,6 +303,8 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     if ds != dt:
         raise ValueError(f"source and target systems live in different direction spaces: C^{ds} and C^{dt}")
     if src.single_nodes and tgt.single_nodes:
+        if tgt is src and not src.normalize:
+            return _exponential_gram(src.phases, src.directions, interval)
         S = exp_inner_closed_form(src.phases[:, None] - tgt.phases[None, :], interval)
     else:
         most = int(np.diff(src.starts, append=src.phases.size).max())
@@ -312,8 +325,30 @@ def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
     return K.T
 
 
+def _exponential_gram(phases: np.ndarray, U: np.ndarray, interval: IntervalSpec) -> np.ndarray:
+    """``inner_matrix`` of single nodes with themselves, each pair formed once.
+
+    Row blocks on and right of the diagonal, mirrored below it by conjugate transpose: every bit
+    is the full matrix's but the sign of an exact zero.  Centered with real U, the kernel is ``_sinc``.
+    """
+    n, real = phases.size, interval.a + interval.b == 0 and not np.any(U.imag)
+    K = np.empty((n, n), dtype=float if real else complex)  # K[s, a] = (f_s, f_a)
+    for lo in range(0, n, GRAM_ROW_BLOCK):
+        hi = min(lo + GRAM_ROW_BLOCK, n)
+        theta = phases[lo:hi, None] - phases[None, lo:]
+        if real:  # the complex einsum's real part, summed in its order (a contiguous real einsum is not)
+            block = sum(np.multiply.outer(u[lo:hi], u[lo:]) for u in U.real.T) * _sinc(theta, interval.length)
+        else:
+            block = np.einsum("kd,jd->kj", U[lo:hi], U[lo:].conj())
+            block *= exp_inner_closed_form(theta, interval)
+        K[lo:hi, lo:] = block
+        np.conjugate(block[:, hi - lo :].T, out=K[hi:, lo:hi])
+    return K.T
+
+
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
-    """Gram matrix (complex ndarray) of an exponential or divided-difference system over I.
+    """Gram matrix of an exponential or divided-difference system over I, a plain ndarray:
+    float64 for exponentials with real directions on an interval centered at 0, complex otherwise.
 
     Every profile is expanded into terms once for all entries, so the result
     is deterministic and independent of evaluation order.

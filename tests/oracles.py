@@ -17,9 +17,12 @@ The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
 the simplex (iterated-integral) form of a divided difference, the library's
 divided-difference terms evaluated as a profile, its derivative bound, the
-decay-constant check, both trace routes through the explicit inverse Gram,
-the counting-inequality check, and the re-parse of an artifact's config
-echo.
+exponential Gram with every entry formed in complex arithmetic and the DD
+moments with every Legendre order summed on every element (the kernel's own
+formulas, without its triangle, real dtype or skipped zero orders), the
+decay-constant check, both trace routes through the explicit inverse of that
+complex Gram, the counting-inequality check, and the re-parse of an
+artifact's config echo.
 """
 
 import json
@@ -43,6 +46,7 @@ from inghamlab.gram import (
     IntervalSpec,
     assemble_gram,
     cross_inner_matrix,
+    exp_inner_closed_form,
     gated_cho_factor,
     inner_matrix,
 )
@@ -267,6 +271,47 @@ def defect_majorant_series(d, length, R, n_terms=10**6):
     return 8.0 * d / length * (series + tail)
 
 
+def full_kernel_gram(system: ExponentialSystem, interval) -> np.ndarray:
+    """Gram of an exponential system with all n^2 entries in complex arithmetic.
+
+    The kernel's formula entry by entry, as one matrix: G[a, s] =
+    (sum_d U_s[d] conj(U_a[d])) * exp_inner_closed_form(w_s - w_a), the
+    direction sum in the einsum's fixed order, returned transposed (Fortran
+    order) like ``assemble_gram``.
+    """
+    x, U = system.family.exponents, system.directions.matrix
+    K = np.einsum("kd,jd->kj", U, U.conj())
+    K *= exp_inner_closed_form(x[:, None] - x[None, :], interval)
+    return K.T
+
+
+def exp_moments_full_sum(theta, m, interval) -> np.ndarray:
+    """``exp_moments`` with every Legendre order n <= max(m) summed on every element.
+
+    The coefficients a[m, n] vanish for n > m, so those terms add zeros; the
+    recurrence for a and the Rayleigh sum are the kernel's.
+    """
+    from scipy.special import spherical_jn
+
+    theta, m = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(m))
+    out = exp_inner_closed_form(theta, interval)
+    higher = m > 0
+    theta, m = theta[higher], m[higher]
+    c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
+    cu, hu = np.array([c, h]) / max(abs(interval.a), abs(interval.b))
+    a = np.zeros((m.max(initial=0) + 1,) * 2)
+    a[0, 0] = 1.0
+    n = np.arange(a.shape[0])
+    up, down = hu * (n + 1) / (2 * n + 1), hu * n / (2 * n + 1)
+    for k in range(1, a.shape[0]):
+        a[k] = cu * a[k - 1]
+        a[k, 1:] += up[:-1] * a[k - 1, :-1]
+        a[k, :-1] += down[1:] * a[k - 1, 1:]
+    total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
+    out[higher] = h * np.exp(1j * theta * c) * total
+    return out
+
+
 def dd_recurrence(nodes: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Confluent Newton recurrence for the divided difference of exp(i*w*t)."""
     r = nodes.size
@@ -455,7 +500,7 @@ def trace_by_inverse(family, directions, interval, y, r, R) -> tuple[complex, co
     """
     window = _trace_window(family, directions, y, r)
     n = len(window.family)
-    cho = gated_cho_factor(assemble_gram(window, interval))
+    cho = gated_cho_factor(full_kernel_gram(window, interval))
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
     X = cross_inner_matrix(window.family, window.directions, grid)
     B = (X @ X.conj().T).T  # B[m, k] = (Q e_k, e_m)

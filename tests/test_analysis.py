@@ -259,6 +259,26 @@ class TestTraceExperiment:
             assert exp.trace_S.imag == 0.0
             assert exp.trace_S.real >= 0.0
 
+    @pytest.mark.parametrize("rule", ["constant", "partition"])
+    def test_real_gram_matches_inverse_oracle(self, rule):
+        # real directions on a centered interval: the V_r Gram is float64 and is
+        # factored in real arithmetic; the oracle inverts the complex kernel's Gram
+        I = IntervalSpec(-4.0, 4.0)
+        fam = generate_family("lattice", spacing=1.0, window=[-40, 40])
+        if rule == "constant":
+            dirs = DirectionAssignment.constant(fam, 1)
+        else:
+            dirs = DirectionAssignment.from_partition(build_sharpness_partition(fam, d=2, alpha=0.5))
+        assert assemble_gram(ExponentialSystem(fam, dirs), I).dtype == np.float64
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            y, r, R = float(rng.uniform(-5, 5)), float(rng.uniform(4, 20)), float(rng.uniform(2, 30))
+            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
+            assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+            assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+            assert exp.trace_S.imag == 0.0
+
     def test_peak_memory_two_cross_matrices(self):
         # the dense work holds X, one Fortran copy of X^T solved in place and
         # the Cholesky factor: measured peak 2 X + 1.02 G bytes (n = 301,
@@ -496,6 +516,13 @@ class TestSweepResult:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepResult(grid=[2.0, 1.0], results=[None, None])
+
+    def test_row_results_pass_through(self):
+        # conditioning_comparison keeps one row dict per delta as its result
+        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-3, 1e-2])
+        rows = sweep.to_rows()
+        assert rows == sweep.results
+        assert [row["delta"] for row in rows] == [1e-3, 1e-2]
 
     def test_defect_fit_rows(self):
         fit = DefectDecayFit(R_grid=np.array([1.0, 2.0]), max_defects=np.array([0.5, 0.3]),

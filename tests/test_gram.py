@@ -15,6 +15,7 @@ from inghamlab.exponents import (
     generate_family,
 )
 from inghamlab.gram import (
+    GRAM_ROW_BLOCK,
     DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
@@ -39,6 +40,8 @@ from oracles import (
     dense_panel_rule,
     eval_dd_exact,
     eval_dd_hermite_genocchi,
+    exp_moments_full_sum,
+    full_kernel_gram,
     grid_coefficient_exact,
     grid_inner_matrix,
     invert_2x2,
@@ -167,6 +170,21 @@ class TestExpMoments:
         thetas = np.array([0.0, 1e-9, 0.1, -7.0, 300.0])
         assert np.array_equal(exp_moments(thetas, 0, interval), exp_inner_closed_form(thetas, interval))
 
+    @pytest.mark.parametrize("a, b", [(0.0, 10.0), (990.0, 1000.0), (-4.0, 4.0), (-7.0, 3.0), (1e7, 1e7 + 10.0)])
+    def test_vanishing_orders_skipped_bitwise(self, a, b):
+        # a[m, n] = 0 for n > m: leaving those terms out changes no bit of any moment
+        rng = np.random.default_rng(16)
+        theta = np.concatenate([self.THETAS, rng.uniform(-400.0, 400.0, 200)])[:, None]
+        m = rng.integers(0, 81, size=(theta.size, 3))
+        interval = IntervalSpec(a, b)
+        assert np.array_equal(bit_patterns(exp_moments(theta, m, interval)),
+                              bit_patterns(exp_moments_full_sum(theta, m, interval)))
+
+
+def bit_patterns(A) -> np.ndarray:
+    """The 64-bit patterns of the real components of A."""
+    return np.ascontiguousarray(A).view(np.uint64)
+
 
 class TestVectorInner:
     def test_diagonal_is_length(self):
@@ -265,6 +283,95 @@ class TestAssembleGram:
             assert hermiticity_residual(G) < 1e-12
             evals = np.linalg.eigvalsh(G)
             assert evals[0] >= -1e-8 * max(abs(evals[0]), abs(evals[-1]))
+
+
+@st.composite
+def triangle_cases(draw, n):
+    """n exponentials on a lattice or a perturbed lattice, directions in C^d, an interval centered or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    positions = np.arange(n) - n // 2 + (rng.uniform(-0.2, 0.2, n) if draw(st.booleans()) else 0.0)
+    fam = ExponentFamily(draw(st.floats(0.5, 2.0)) * positions)
+    d = draw(st.integers(1, 3))
+    rule = draw(st.sampled_from(["constant", "partition", "real", "random"]))
+    if rule == "constant":
+        dirs = DirectionAssignment.constant(fam, d, axis=draw(st.integers(0, d - 1)))
+    elif rule == "partition":  # coordinate directions per class: orthogonal across classes
+        dirs = DirectionAssignment(d, np.eye(d)[rng.integers(0, d, n)])
+    elif rule == "real":  # real and not coordinate: the direction sum rounds
+        Z = rng.normal(size=(n, d))
+        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True))
+    else:
+        dirs = DirectionAssignment.random(fam, d, seed=int(rng.integers(1000)))
+    length = draw(st.floats(0.5, 12.0))
+    a = -0.5 * length if draw(st.booleans()) else draw(st.floats(-5.0, 5.0))
+    return ExponentialSystem(fam, dirs), IntervalSpec.of_length(length, a)
+
+
+class TestGramTriangle:
+    """An exponential Gram forms one triangle of row blocks and mirrors it: the full kernel, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_triangle_is_the_full_kernel(self, n, data):
+        system, interval = data.draw(triangle_cases(n))
+        G = assemble_gram(system, interval)
+        full = full_kernel_gram(system, interval)
+        if interval.a + interval.b == 0 and not np.any(system.directions.matrix.imag):
+            assert G.dtype == np.float64 and not np.any(full.imag)
+            full = full.real
+        else:
+            assert G.dtype == np.complex128
+        # "+ 0.0": an entry that is exactly 0 (orthogonal directions) may be
+        # mirrored with the other sign of zero; every other bit is equal
+        assert np.array_equal(bit_patterns(G + 0.0), bit_patterns(full + 0.0))
+        assert hermiticity_residual(G) == 0.0
+        U = system.directions.matrix
+        # centered truncations as frame_bound_sequence takes them, and one window that ends at the last row
+        for lo, hi in {(n // 2 - N, n // 2 + N) for N in (0, n // 8, n // 4, (n - 1) // 2)} | {(n - 1 - n // 3, n - 1)}:
+            rows = DirectionAssignment(U.shape[1], U[lo : hi + 1])
+            sub = ExponentialSystem(system.family.slice_positions(lo, hi), rows)
+            assert np.array_equal(bit_patterns(assemble_gram(sub, interval) + 0.0),
+                                  bit_patterns(G[lo : hi + 1, lo : hi + 1] + 0.0))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_real_direction_sums_round_as_the_complex_ones(self, d):
+        # a contiguous real einsum over d >= 3 sums in another order and moves the last bit of most entries
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-150, 150], seed=d)
+        Z = np.random.default_rng(d).normal(size=(len(fam), d))
+        system = ExponentialSystem(fam, DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True)))
+        I = IntervalSpec(-3.0, 3.0)
+        G = assemble_gram(system, I)
+        assert G.dtype == np.float64
+        assert np.array_equal(bit_patterns(G), bit_patterns(full_kernel_gram(system, I).real))
+
+    @pytest.mark.parametrize("a", [-2.5, 0.0])
+    def test_normalized_one_node_chains(self, a):
+        # one-node chains are single nodes as well; normalized, the Gram is the exponential one over |I|
+        fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
+        dirs, I = DirectionAssignment.constant(fam, 1), IntervalSpec.of_length(5.0, a)
+        chains = [(k, k) for k in range(len(fam))]
+        G = assemble_gram(DividedDifferenceSystem(fam, chains, dirs, normalize=True), I)
+        assert np.allclose(G, assemble_gram(ExponentialSystem(fam, dirs), I) / I.length, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.diag(G), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_peak_memory_one_gram_and_one_row_block(self):
+        # measured at n = 1025: 17.4 MB (float64) and 29.6 MB (complex); all
+        # n^2 entries at once take 34.8 MB, over the bound in both cases
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
+        n = len(fam)
+        assert n == 1025
+        for dirs, interval in ((DirectionAssignment.constant(fam, 1), IntervalSpec(-2.5, 2.5)),
+                               (DirectionAssignment.random(fam, 2, seed=0), IntervalSpec(0.0, 8.0))):
+            system = ExponentialSystem(fam, dirs)
+            assemble_gram(system, interval)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                G = assemble_gram(system, interval)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= G.nbytes + 56 * GRAM_ROW_BLOCK * n
 
 
 class TestDividedDifferenceGram:
