@@ -425,8 +425,9 @@ def _run_gram(config: ExperimentConfig):
     G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), config.interval_spec)
     lo, hi = extreme_eigenvalues(G)
     n = G.shape[0]
+    # "+ 0.0" writes an exact zero as 0.0: the sign of a zero tells only how the entry was formed
     rows = [
-        {"row": j, "col": k, "re": float(G[j, k].real), "im": float(G[j, k].imag)}
+        {"row": j, "col": k, "re": float(G[j, k].real) + 0.0, "im": float(G[j, k].imag) + 0.0}
         for j in range(n)
         for k in range(n)
     ]

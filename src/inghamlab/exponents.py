@@ -31,7 +31,6 @@ class ExponentFamily:
     """A finite, sorted window of real exponents; a function is named by its array position."""
 
     exponents: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.exponents, dtype=float))
@@ -54,7 +53,7 @@ class ExponentFamily:
         """Subfamily over array positions lo..hi (inclusive)."""
         if not (0 <= lo <= hi < len(self)):
             raise IndexError("slice outside window")
-        return ExponentFamily(self.exponents[lo : hi + 1], label=self.label)
+        return ExponentFamily(self.exponents[lo : hi + 1])
 
     def subfamily(self, positions) -> "ExponentFamily":
         """Subfamily over the given array positions, taken in increasing order."""
@@ -63,7 +62,7 @@ class ExponentFamily:
             raise ValueError("empty subfamily")
         if pos[0] < 0 or pos[-1] >= len(self):
             raise IndexError("subfamily position outside window")
-        return ExponentFamily(self.exponents[pos], label=self.label)
+        return ExponentFamily(self.exponents[pos])
 
 
 def detect_chains(family: ExponentFamily, gamma_prime: float, M: int) -> list[tuple[int, int]]:
@@ -244,7 +243,7 @@ def generate_family(kind: str, **params) -> ExponentFamily:
         window = params.pop("window")
         _reject_extra(kind, params)
         vals = _lattice_values(spacing, window)
-        return ExponentFamily(vals, label=f"lattice(spacing={spacing}, window={list(window)})")
+        return ExponentFamily(vals)
     if kind == "perturbed-lattice":
         spacing = float(params.pop("spacing", 1.0))
         window = params.pop("window")
@@ -256,10 +255,7 @@ def generate_family(kind: str, **params) -> ExponentFamily:
         base = _lattice_values(spacing, window)
         rng = np.random.default_rng(seed)
         vals = np.sort(base + rng.uniform(-maxpert, maxpert, size=base.size))
-        return ExponentFamily(
-            vals,
-            label=f"perturbed-lattice(spacing={spacing}, maxpert={maxpert}, seed={seed})",
-        )
+        return ExponentFamily(vals)
     if kind == "clustered-pairs":
         spacing = float(params.pop("spacing", 1.0))
         window = params.pop("window")
@@ -269,14 +265,12 @@ def generate_family(kind: str, **params) -> ExponentFamily:
             raise ValueError("cluster offset delta must satisfy 0 < delta < spacing")
         base = _lattice_values(spacing, window)
         vals = np.sort(np.concatenate([base, base + delta]))
-        return ExponentFamily(
-            vals, label=f"clustered-pairs(spacing={spacing}, delta={delta})"
-        )
+        return ExponentFamily(vals)
     if kind == "explicit":
         exps = params.pop("exponents")
-        label = str(params.pop("label", "explicit"))
+        params.pop("label", None)  # accepted and echoed with the config, not read
         _reject_extra(kind, params)
-        return ExponentFamily(np.sort(np.asarray(exps, dtype=float)), label=label)
+        return ExponentFamily(np.sort(np.asarray(exps, dtype=float)))
     raise ValueError(f"unknown family kind {kind!r}")
 
 

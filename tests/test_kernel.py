@@ -66,7 +66,7 @@ def systems(draw, kind, interval, d):
 @given(data=st.data(), kind=st.sampled_from(KINDS), interval=intervals, d=st.integers(1, 3))
 def test_gram_is_hermitian_psd(data, kind, interval, d):
     system = data.draw(systems(kind, interval, d))
-    G = grid_inner_matrix(system, system, interval)
+    G = grid_inner_matrix(system, system, interval) if kind == "grid" else assemble_gram(system, interval)
     scale = float(np.max(np.abs(G)))
     assert np.max(np.abs(G - G.conj().T)) <= 1e-12 * scale
     evals = np.linalg.eigvalsh(G)
