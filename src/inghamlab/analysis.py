@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .basisfuncs import DirectionAssignment
 from .exponents import ExponentFamily, detect_chains, generate_family
@@ -24,8 +24,8 @@ from .gram import (
     IntervalSpec,
     _extreme_spectrum,
     assemble_gram,
-    cross_inner_matrix,
     gated_cho_factor,
+    grid_cauchy_factors,
     hermiticity_residual,
     projection_defect_norms,
 )
@@ -302,20 +302,42 @@ def run_trace_experiment(
 ) -> TraceExperiment:
     """Trace of P_r Q_{r+R} restricted to the exponential span, two ways, with no inverse.
 
-    For G = U^H U (the gated Cholesky factor) route one is tr(G^-1 conj(X) X^T)
-    = ||X^T U^-1||_F^2, a sum of squares after one triangular solve, so
-    ``trace_im`` is exactly 0; route two is Card + sum of ((Q - Id) e_k, phi_k)
-    with the dual coefficients Y = X^T G^-1 from a second solve: the same sum,
-    so ``trace_agreement`` measures rounding only.  Measured: |trace| <= d * Card(grid).
+    Both routes read the cross matrix X (rows e_k, columns the grid functions)
+    only through P = conj(X) X^T = (conj(rho) rho^T) o (conj(V) V^T) o (C C^T),
+    with rho and the real C from ``grid_cauchy_factors``: one real ``syrk`` over
+    C (V holds the directions), then a pivoted Cholesky factor F F^H of
+    conj(P) without rho (``pstrf`` at its default tolerance, which stops at
+    the numerical rank) gives X' = diag(rho) F, with n rows and
+    rank(P) <= min(n, p) columns, such that conj(X') X'^T = P.  For
+    G = U^H U (the gated Cholesky factor) route one is
+    tr(G^-1 P) = ||X'^T U^-1||_F^2, a sum of squares after one triangular
+    solve taking n columns where X^T took p, so ``trace_im`` is exactly 0;
+    route two is Card + sum of ((Q - Id) e_k, phi_k) with the dual
+    coefficients Y = X'^T G^-1 from a second solve: the same sum, so
+    ``trace_agreement`` measures rounding only.  Measured: |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
     window = _window(family, directions, y, r)
-    n = len(window.family)
+    n, V = len(window.family), window.directions.matrix
     grid = FourierGrid.centered(interval, directions.d, y, r + R)
     U, _ = gated_cho_factor(assemble_gram(window, interval))
-    X = cross_inner_matrix(window.family, window.directions, grid)
-    defect_norms = projection_defect_norms(X, interval)  # its |X|^2 temporary is gone before W exists
+    rho, C = grid_cauchy_factors(window.family, grid)
+    CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=1)  # C C^T in the lower triangle; C.T is F-ordered
+    defect_norms = projection_defect_norms(np.square(C, out=C), V, interval)
+    del C
+    V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
+    # A = (V V^H) o (C C^T), F-ordered, so conj(P) = diag(rho) A diag(conj(rho)); einsum, not numpy's @
+    # (see extreme_eigenvalues)
+    A = np.einsum("kd,ld->lk", V, V.conj()).T
+    A *= CC
+    del CC
+    c, piv, rank, _ = get_lapack_funcs("pstrf", (A,))(A, lower=1, overwrite_a=1)  # A[piv, piv] = L L^H
+    np.copyto(c, 0.0, where=np.tri(n, k=-1, dtype=bool).T)  # L: pstrf leaves A above the diagonal
+    X = np.empty((n, rank), dtype=complex)  # X = diag(rho) F, F F^H = A: conj(X) X^T = P
+    X[piv - 1] = c[:, :rank]
+    del c, A
+    X *= rho[:, None]
     W = np.array(X.T, order="F")  # a plain copy: X is C-ordered
     trsm = get_blas_funcs("trsm", (U, W))
     trsm(1.0, U, W, side=1, overwrite_b=1)  # Z = X^T U^-1, in place
@@ -364,8 +386,9 @@ def defect_decay_fit(
     """Log-log fit of the worst grid-projection defect against R.
 
     The fitted quantity is max over k in the window of ||(Q_{r+R} - Id) e_k||.
-    The grids for increasing R are nested and centered on y, so one cross
-    matrix at r + max(R) serves every R through a contiguous column block.
+    The grids for increasing R are nested and centered on y, so the real
+    factor C of ``grid_cauchy_factors`` at r + max(R), squared once, serves
+    every R through a contiguous column block of ``projection_defect_norms``.
     Exactly representable families (defect at rounding level) short-circuit
     to the degenerate-zero-defect flag instead of fitting noise.
     """
@@ -381,14 +404,15 @@ def defect_decay_fit(
         grid = FourierGrid.centered(interval, directions.d, y, r + Rs[-1])
     except ValueError as exc:  # every smaller grid is empty too
         raise GridPointFailure(f"at R={Rs[0]:.6g}: {exc}") from exc
-    energy = np.abs(cross_inner_matrix(window.family, window.directions, grid)) ** 2  # once for every R
+    _, C = grid_cauchy_factors(window.family, grid)
+    energy = np.square(C, out=C)  # once for every R
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
         cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test at r + R
         if cols.size == 0:
             raise GridPointFailure(f"at R={R:.6g}: no grid frequencies inside the window")
-        captured = np.sum(energy[:, cols[0] * grid.d : (cols[-1] + 1) * grid.d], axis=1)
-        maxima[i] = math.sqrt(max(interval.length - float(captured.min()), 0.0))  # the largest defect
+        block = energy[:, cols[0] : cols[-1] + 1]
+        maxima[i] = projection_defect_norms(block, window.directions.matrix, interval).max()
     if np.all(maxima <= 1e-7 * math.sqrt(interval.length)):
         return DefectDecayFit(R_grid=Rs, max_defects=maxima, slope=float("nan"),
                               intercept=float("nan"), degenerate_zero_defect=True)

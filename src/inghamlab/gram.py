@@ -10,7 +10,9 @@ tmax = max(|a|, |b|), and the inner product of two terms is a moment of
 exp(i*theta*t) over the interval in the same units.  An exponential Gram is
 float64 where it is real (centered, real U_k).  Inner products with the
 orthonormal Fourier grid on I, whose frequencies form an exact lattice, are
-a scaled Cauchy matrix (``cross_inner_matrix``).
+a scaled Cauchy matrix; ``grid_cauchy_factors`` returns its real Cauchy
+factor and a row phase, never the complex n x p matrix itself, and
+``projection_defect_norms`` reads the defects off that real factor.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -39,7 +41,7 @@ __all__ = [
     "exp_moments",
     "assemble_gram",
     "hermiticity_residual",
-    "cross_inner_matrix",
+    "grid_cauchy_factors",
     "projection_defect_norms",
     "gated_cho_factor",
 ]
@@ -327,61 +329,55 @@ def hermiticity_residual(G: np.ndarray) -> float:
     return float(np.max(np.abs(G - G.conj().T)))
 
 
-def cross_inner_matrix(
-    family: ExponentFamily,
-    directions: DirectionAssignment,
-    grid: FourierGrid,
-) -> np.ndarray:
-    """X[k, (n, j)] = (e_k, f_{n,j}), flattened n-major then direction index.
+def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, C), the factors of the cross matrix against the grid: no n x p array is formed.
 
-    The grid side is the lattice gamma_n = s*n, s = 2*pi/|I|, so each
-    exponent is split once as w_k = gamma_{m_k} + r_k with m_k = rint(w_k/s)
-    and the reduced offset r_k rounded as ``FourierGrid.frequencies`` rounds.
-    Then D_kn = w_k - gamma_n = r_k + s*(m_k - n) carries an exact integer,
-    sin(D_kn*|I|/2) = (-1)^(m_k - n) * sin(r_k*|I|/2), and with c = (a+b)/2
-    the entry is the scaled Cauchy form
+    The cross matrix X[k, (g, j)] = (e_k, f_{g,j}), rows e_k = U_k exp(i*w_k*t),
+    is U_k[j] * rho_k * exp(-i*gamma_g*a) * C[k, g], with a complex rho_k of
+    modulus 2/sqrt(|I|) and a real C of shape (n, card(grid)).  The grid side
+    is the lattice gamma_g = s*g, s = 2*pi/|I|, so each exponent is split once
+    as w_k = gamma_{m_k} + r_k with m_k = rint(w_k/s) and the reduced offset
+    r_k rounded as ``FourierGrid.frequencies`` rounds.  Then
+    D_kg = w_k - gamma_g = r_k + s*(m_k - g) carries an exact integer,
+    sin(D_kg*|I|/2) = (-1)^(m_k - g) * sin(r_k*|I|/2), and with c = (a+b)/2
 
-        U_k[j] * rho_k * exp(-i*gamma_n*a) / D_kn,
-        rho_k = 2 * exp(i*(r_k*c + gamma_{m_k}*a)) * sin(r_k*|I|/2) / sqrt(|I|).
+        C[k, g] = sin(r_k*|I|/2) / D_kg,   rho_k = 2 * exp(i*(r_k*c + gamma_{m_k}*a)) / sqrt(|I|).
 
     r_k enters phase, numerator and denominator alike, so no entry mixes the
-    exact lattice with the rounded one.  Where |D_kn|*|I|/2 <= SMALL_PHASE
-    (only at n = m_k) the entry is its limit sqrt(|I|) * exp(i*r_k*c) * U_k[j].
+    exact lattice with the rounded one.  Where |D_kg|*|I|/2 <= SMALL_PHASE
+    (only at g = m_k) C takes its limit |I|/2.  Every quantity the
+    experiments read depends on X only through the real C: the captured
+    energy sum_{g,j} |X[k, (g, j)]|^2 = (4/|I|) ||U_k||^2 sum_g C[k, g]^2,
+    and conj(X) X^T = (conj(rho) rho^T) o (conj(U) U^T) o (C C^T).
     """
-    U = directions.matrix
-    _check_rows(directions, len(family))
-    if directions.d != grid.d:
-        raise ValueError(f"source and target systems live in different direction spaces: "
-                         f"C^{directions.d} and C^{grid.d}")
     L, a = grid.interval.length, grid.interval.a
     c, s = 0.5 * (a + grid.interval.b), 2.0 * math.pi / L
     m = np.rint(family.exponents / s)
-    gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of n = m
+    gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of g = m
     r = family.exponents - gamma_m
-    rho = 2.0 / math.sqrt(L) * np.exp(1j * (r * c + gamma_m * a)) * np.sin(r * (0.5 * L))
-    D = np.subtract.outer(m, grid.n_values.astype(float))  # m_k - n, exact
-    D *= s
-    D += r[:, None]
-    near = np.flatnonzero(np.abs(r) * (0.5 * L) <= SMALL_PHASE)  # off n = m_k, |D| >= s/2
+    rho = 2.0 / math.sqrt(L) * np.exp(1j * (r * c + gamma_m * a))
+    C = np.subtract.outer(m, grid.n_values.astype(float))  # m_k - g, exact
+    C *= s
+    C += r[:, None]
+    near = np.flatnonzero(np.abs(r) * (0.5 * L) <= SMALL_PHASE)  # off g = m_k, |D_kg| >= s/2
     rows, cols = np.nonzero(grid.n_values == m[near, None])
     rows = near[rows]
-    D[rows, cols] = 1.0  # these entries take the limit below
-    np.reciprocal(D, out=D)
-    S = np.multiply(D, np.exp(-1j * grid.frequencies * a))
-    del D
-    X = S[:, :, None] * (U * rho[:, None])[:, None, :]
-    X[rows, cols] = U[rows] * (math.sqrt(L) * np.exp(1j * r[rows] * c))[:, None]
-    return X.reshape(len(family), -1)
+    C[rows, cols] = 1.0  # these entries take the limit below
+    np.divide(np.sin(r * (0.5 * L))[:, None], C, out=C)
+    C[rows, cols] = 0.5 * L
+    return rho, C
 
 
-def projection_defect_norms(X: np.ndarray, interval: IntervalSpec) -> np.ndarray:
-    """Per-function norm of (Q - Id) e_k for Q the projection onto the grid of X.
+def projection_defect_norms(C2: np.ndarray, directions: np.ndarray, interval: IntervalSpec) -> np.ndarray:
+    """Per-function norm of (Q - Id) e_k for Q the projection onto a Fourier grid.
 
-    ``X`` is a cross matrix (rows e_k, columns orthonormal grid functions).
-    Parseval on the full grid gives ||e_k||^2 = |I|, so the defect is the
-    complement of the captured coefficient energy.
+    ``C2`` holds the squares of the C of ``grid_cauchy_factors`` on the grid's
+    frequencies (a column block of them for a nested grid) and ``directions``
+    the unit rows U_k, so the captured coefficient energy is
+    (4/|I|) ||U_k||^2 sum_g C[k, g]^2.  Parseval on the full grid gives
+    ||e_k||^2 = |I|, so the defect is the complement of that energy.
     """
-    captured = np.sum(np.abs(X) ** 2, axis=1)
+    captured = np.sum(C2, axis=1) * (4.0 / interval.length) * np.sum(directions.real**2 + directions.imag**2, axis=1)
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 

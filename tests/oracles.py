@@ -21,9 +21,10 @@ divided-difference terms evaluated as a profile, its derivative bound, the
 exponential Gram with every entry formed in complex arithmetic and the DD
 moments with every Legendre order summed on every element (the kernel's own
 formulas, without its triangle, real dtype or skipped zero orders), the
-decay-constant check, both trace routes through the explicit inverse of that
-complex Gram, the counting-inequality check, and the re-parse of an
-artifact's config echo.
+decay-constant check, the complex cross matrix built from the lattice factors
+with its defect norms, both trace routes through the explicit inverse of that
+complex Gram and route one in mpmath, the counting-inequality check, and the
+re-parse of an artifact's config echo.
 """
 
 import json
@@ -46,10 +47,10 @@ from inghamlab.gram import (
     FourierGrid,
     IntervalSpec,
     assemble_gram,
-    cross_inner_matrix,
     exp_inner_closed_form,
     exp_moments,
     gated_cho_factor,
+    grid_cauchy_factors,
 )
 
 DERIVATIVE_STEP_RTOL = 1e-5
@@ -245,7 +246,7 @@ def grid_inner_matrix(sources, targets, interval):
     """``inner_matrix`` that also takes a ``FourierGrid`` on either side.
 
     A grid side is its ``grid_system`` divided by sqrt(|I|), so its functions
-    are orthonormal; the lattice closed form of ``cross_inner_matrix`` is not used.
+    are orthonormal; the lattice closed form of ``grid_cauchy_factors`` is not used.
     """
     scale = 1.0
     if isinstance(sources, FourierGrid):
@@ -521,6 +522,31 @@ def dd_threshold_check(
     )
 
 
+def cross_inner_matrix(family, directions, grid) -> np.ndarray:
+    """X[k, (g, j)] = (e_k, f_{g,j}) as one complex n x p array, flattened g-major then direction index.
+
+    Built entry by entry from the factors of ``grid_cauchy_factors`` as
+    U_k[j] * rho_k * exp(-i*gamma_g*a) * C[k, g], the matrix the pipeline
+    never forms: the tests compare it with the generic kernel and mpmath.
+    """
+    U = directions.matrix
+    if U.shape[0] != len(family):
+        raise ValueError(f"direction matrix has {U.shape[0]} rows for {len(family)} functions")
+    if directions.d != grid.d:
+        raise ValueError(f"source and target systems live in different direction spaces: "
+                         f"C^{directions.d} and C^{grid.d}")
+    rho, C = grid_cauchy_factors(family, grid)
+    S = C * np.exp(-1j * grid.frequencies * grid.interval.a)
+    X = S[:, :, None] * (U * rho[:, None])[:, None, :]
+    return X.reshape(len(family), -1)
+
+
+def cross_defect_norms(X, interval) -> np.ndarray:
+    """Per-row norm of (Q - Id) e_k from a complex cross matrix X: sqrt(|I| - sum_a |X[k, a]|^2)."""
+    captured = np.sum(np.abs(X) ** 2, axis=1)
+    return np.sqrt(np.clip(interval.length - captured, 0.0, None))
+
+
 def _trace_window(family, directions, y, r) -> ExponentialSystem:
     """The exponential system of the positions with |w_k - y| < r."""
     inside = np.flatnonzero(np.abs(family.exponents - y) < r)
@@ -547,6 +573,40 @@ def trace_by_inverse(family, directions, interval, y, r, R) -> tuple[complex, co
     Y = X.T @ cho_solve(cho, np.eye(n, dtype=complex))
     corrections = np.einsum("ka,ak->k", X, Y.conj()) - 1.0
     return trace_direct, complex(n + np.sum(corrections))
+
+
+def trace_exact(family, directions, interval, y, r, R, digits: int = 40) -> float:
+    """tr(G^-1 B) of ``trace_by_inverse`` route one in mpmath, on the exact lattice: the real part.
+
+    Every entry is a closed-form integral of exp(i*theta*t) at ``digits``
+    digits, from the float exponents, directions and interval ends taken as
+    exact, and G is inverted at the same precision.
+    """
+    import mpmath
+
+    inside = np.flatnonzero(np.abs(family.exponents - y) < r)
+    grid = FourierGrid.centered(interval, directions.d, y, r + R)
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpf(float(interval.a)), mpmath.mpf(float(interval.b))
+        w = [mpmath.mpf(float(v)) for v in family.exponents[inside]]
+        U = [[mpmath.mpc(complex(z)) for z in row] for row in directions.matrix[inside]]
+        gamma = [2 * mpmath.pi * int(m) / (b - a) for m in grid.n_values]
+
+        def integral(theta):
+            return b - a if theta == 0 else (mpmath.expj(theta * b) - mpmath.expj(theta * a)) / (1j * theta)
+
+        def dot(k, m):
+            return mpmath.fsum(u * mpmath.conj(v) for u, v in zip(U[k], U[m]))
+
+        n = len(w)
+        c = [[integral(wk - g) for g in gamma] for wk in w]  # sqrt(|I|) (exp(i w_k t), exp(i gamma t))
+        G, B = mpmath.matrix(n, n), mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                G[j, k] = dot(k, j) * integral(w[k] - w[j])
+                B[j, k] = dot(k, j) * mpmath.fsum(x * mpmath.conj(z) for x, z in zip(c[k], c[j])) / (b - a)
+        T = mpmath.inverse(G) * B
+        return float(mpmath.re(mpmath.fsum(T[i, i] for i in range(n))))
 
 
 @dataclass

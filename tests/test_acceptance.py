@@ -34,12 +34,12 @@ from inghamlab.gram import (
     FourierGrid,
     IntervalSpec,
     assemble_gram,
-    cross_inner_matrix,
     exp_inner_closed_form,
 )
 
 from oracles import (
     composite_gl_exp_integral,
+    cross_inner_matrix,
     dd_derivative,
     dd_derivative_bound,
     dd_profile,

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inghamlab.analysis import (
     EIGEN_FLOOR_RTOL,
@@ -31,18 +33,21 @@ from inghamlab.gram import (
     IntervalSpec,
     NearSingularGramError,
     assemble_gram,
-    cross_inner_matrix,
     exp_inner_closed_form,
+    grid_cauchy_factors,
     projection_defect_norms,
 )
 
 from oracles import (
+    cross_defect_norms,
+    cross_inner_matrix,
     dd_threshold_check,
     defect_majorant_series,
     density_chain_check,
     hermitian_2x2_eigs,
     power_extremes,
     trace_by_inverse,
+    trace_exact,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -50,6 +55,28 @@ TWO_PI = 2.0 * math.pi
 # measured with the eigensolve oracle at delta = 1e-3, I = (0, 2pi),
 # pair spacing 2, window [0, 8], normalized divided-difference Gram
 MEASURED_CONDITIONING_RATIO = 5.42e4
+
+# largest condition number of the V_r Gram a trace case may have for the 1e-12
+# oracle comparison: measured over 503 draws of ``trace_cases``' ranges, the
+# worst relative difference was 2.8e-13 at cond <= 3e4, 6.7e-13 at 1e5 and
+# 2.2e-12 at 1e6 (the explicit-inverse oracle loses digits with cond as well)
+TRACE_COND_MAX = 3e4
+
+
+@st.composite
+def trace_cases(draw):
+    """(family, directions, interval, y, r, R), d = 1..3; half of them on |I| < 2 pi/d with
+    R < 3, where the grid has fewer columns than the window has exponents (p < n)."""
+    d = draw(st.integers(1, 3))
+    short = draw(st.booleans())
+    length = draw(st.floats(1.0, TWO_PI / d)) if short else draw(st.floats(TWO_PI / d, 9.0))
+    a = draw(st.floats(-3.0, 3.0))
+    y, r = draw(st.floats(-3.0, 3.0)), draw(st.floats(2.0, 6.0 if short else 12.0))
+    R = draw(st.floats(0.05, 3.0)) if short else draw(st.floats(0.05, 30.0))
+    fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                          window=[-40, 40], seed=draw(st.integers(0, 999)))
+    dirs = DirectionAssignment.random(fam, d, seed=draw(st.integers(0, 999)))
+    return fam, dirs, IntervalSpec(a, a + length), y, r, R
 
 
 class TestExtremeEigenvalues:
@@ -279,6 +306,67 @@ class TestTraceExperiment:
             assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
             assert exp.trace_S.imag == 0.0
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=trace_cases())
+    def test_matches_inverse_oracle_property(self, case):
+        # P = conj(X) X^T is rank-deficient where p < n: its pivoted Cholesky
+        # factor has rank(P) columns, and both routes still match the oracle
+        # (measured: 80 cases pass the cond cap, 10 of them with p < n, d = 1,
+        # 2, 3 in 29, 35, 16; the worst relative difference is 9.8e-14)
+        fam, dirs, I, y, r, R = case
+        inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+        first, last = int(inside[0]), int(inside[-1])
+        window = ExponentialSystem(fam.slice_positions(first, last),
+                                   DirectionAssignment(dirs.d, dirs.matrix[first : last + 1]))
+        assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
+        exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
+        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
+        assert exp.trace_S.real >= 0.0
+        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+
+    @pytest.mark.parametrize(("seed", "rtol"), [(14, 3e-9), (27, 2e-12)])
+    def test_mpmath_pin_rank_deficient(self, seed, rtol):
+        # p < n, so P has rank at most p; pstrf's default tolerance stops at
+        # the rank (tol = 0 runs on into rounding noise: 24 columns for p = 22
+        # at seed 14). Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and
+        # 8.7e-13 (cond(G) = 7.7e5); the complex cross matrix gave 1.3e-9 and 4.8e-13
+        rng = np.random.default_rng(seed)
+        d, length = int(rng.integers(1, 4)), float(rng.uniform(2, 9))
+        y, r, R = float(rng.uniform(-3, 3)), float(rng.uniform(4, 15)), float(rng.uniform(0.05, 3))
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-40, 40], seed=seed)
+        dirs = DirectionAssignment.random(fam, d, seed)
+        I = IntervalSpec(0.3, 0.3 + length)
+        exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        assert exp.d * exp.card_gamma < exp.card_omega_r
+        exact = trace_exact(fam, dirs, I, y, r, R)
+        assert abs(exp.trace_S.real - exact) <= rtol * exact
+        assert exp.trace_S.imag == 0.0
+
+    def test_peak_memory_below_one_cross_matrix(self):
+        # with p >= 4n the trace holds the real factor C (8 n p/d bytes) and
+        # n x n buffers, never a complex n x p one: measured peak
+        # 16 n p + 0.16 G (G = 16 n^2 bytes; the V_r Gram's assembly sets it),
+        # where the complex cross matrix X and its Fortran copy took
+        # 16 n p + 5.1 G (n = 200, p = 814)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4)
+        I = IntervalSpec(0.0, 8.0)
+        run_trace_experiment(fam, dirs, I, 0.0, 100.0, 60.0)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            exp = run_trace_experiment(fam, dirs, I, 0.0, 100.0, 60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        assert (n, p) == (200, 814)
+        assert peak <= 16 * n * p + 2 * 16 * n * n
+
     def test_peak_memory_two_cross_matrices(self):
         # the dense work holds X, one Fortran copy of X^T solved in place and
         # the Cholesky factor: measured peak 2 X + 1.02 G bytes (n = 301,
@@ -338,8 +426,10 @@ class TestDefectDecay:
             assert defect**2 <= defect_majorant(1, self.I, float(R))
 
     def test_maxima_match_per_R_cross_matrices(self):
-        # the column blocks of the one cross matrix at r + max(R) reproduce,
-        # bit for bit, a cross matrix built on FourierGrid.centered per R
+        # the column blocks of the one factor C at r + max(R) reproduce, bit
+        # for bit, the defects of a factor built on FourierGrid.centered per R;
+        # the complex cross matrix's defects sqrt(|I| - sum |X|^2) agree to
+        # rounding in the squared defect (measured: 4.0 units of 2^-52 |I|)
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-60, 60], seed=2)
         dirs = DirectionAssignment.random(fam, 2, seed=1)
@@ -351,8 +441,12 @@ class TestDefectDecay:
         sub = fam.slice_positions(first, last)
         sdirs = DirectionAssignment(2, dirs.matrix[first : last + 1])
         for R, got in zip(Rs, fit.max_defects):
-            X = cross_inner_matrix(sub, sdirs, FourierGrid.centered(I, 2, y, r + R))
-            assert got == projection_defect_norms(X, I).max()
+            grid = FourierGrid.centered(I, 2, y, r + R)
+            _, C = grid_cauchy_factors(sub, grid)
+            defects = projection_defect_norms(C**2, sdirs.matrix, I)
+            assert got == defects.max()
+            oracle = cross_defect_norms(cross_inner_matrix(sub, sdirs, grid), I)
+            assert np.max(np.abs(defects**2 - oracle**2)) <= 8 * 2.0**-52 * I.length
 
     @pytest.mark.parametrize("Rs", [[1.0, 2.0, 3.0, 4.0], [0.25, 0.5, 1.0, 2.0]])
     def test_empty_grid_names_first_R(self, Rs):
@@ -380,8 +474,8 @@ class TestDefectDecay:
                     inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
                     first, last = int(inside[0]), int(inside[-1])
                     sdirs = DirectionAssignment(1, dirs.matrix[first : last + 1])
-                    X = cross_inner_matrix(fam.slice_positions(first, last), sdirs, grid)
-                    defects = projection_defect_norms(X, self.I)
+                    _, C = grid_cauchy_factors(fam.slice_positions(first, last), grid)
+                    defects = projection_defect_norms(C**2, sdirs.matrix, self.I)
                     assert float(np.max(defects)) ** 2 <= defect_majorant(1, self.I, R)
 
     def test_majorant_closed_form_matches_series(self):

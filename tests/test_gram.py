@@ -23,16 +23,18 @@ from inghamlab.gram import (
     NearSingularGramError,
     _extreme_spectrum,
     assemble_gram,
-    cross_inner_matrix,
     exp_inner_closed_form,
     exp_moments,
     gated_cho_factor,
+    grid_cauchy_factors,
     hermiticity_residual,
     projection_defect_norms,
 )
 
 from oracles import (
     composite_gl_exp_integral,
+    cross_defect_norms,
+    cross_inner_matrix,
     dd_inner_quadrature,
     dd_profile,
     dd_recurrence,
@@ -880,7 +882,7 @@ class TestProjections:
         defects = []
         for radius in (4.0, 16.0, 64.0):
             grid = FourierGrid.centered(self.I, 1, y=0.0, radius=radius)
-            defects.append(projection_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0])
+            defects.append(cross_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0])
         assert defects[0] > defects[1] > defects[2]
         assert defects[2] < 0.15
 
@@ -891,7 +893,7 @@ class TestProjections:
         dirs = DirectionAssignment.constant(fam, 1)
         for radius in (6.0, 20.0):
             grid = FourierGrid.centered(self.I, 1, y=0.0, radius=radius)
-            defect = projection_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0]
+            defect = cross_defect_norms(cross_inner_matrix(fam, dirs, grid), self.I)[0]
             lower, upper = parseval_tail_defect(0.5, 0.0, radius, self.I.a, self.I.b)
             assert lower - 1e-9 <= defect <= upper + 1e-9
 
@@ -975,7 +977,8 @@ def lattice_cases(draw):
 
 
 class TestLatticeCrossMatrix:
-    """The scaled Cauchy form of cross_inner_matrix against the unblocked kernel oracle and mpmath."""
+    """The scaled Cauchy factors of grid_cauchy_factors, through the oracle's complex cross matrix
+    built from them, against the unblocked kernel oracle and mpmath."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=lattice_cases())
@@ -1012,7 +1015,7 @@ class TestLatticeCrossMatrix:
     @pytest.mark.parametrize("d", [1, 2])
     def test_grid_exponent_parseval(self, length, d):
         # an exponent on a grid frequency is the grid function itself: one
-        # nonzero coefficient per direction, sum |X|^2 = |I| to rounding
+        # nonzero coefficient per direction (one nonzero C), sum |X|^2 = |I| to rounding
         # (measured: at most 2.6 units of 2^-52 |I|) and a defect at the
         # rounding floor, under defect_decay_fit's zero-defect threshold
         I = IntervalSpec(-0.4, -0.4 + length)
@@ -1022,24 +1025,27 @@ class TestLatticeCrossMatrix:
         X = cross_inner_matrix(fam, dirs, grid)
         assert np.count_nonzero(X) == d
         assert abs(np.sum(np.abs(X) ** 2) - length) <= 4 * 2.0**-52 * length
-        assert projection_defect_norms(X, I)[0] <= 1e-7 * math.sqrt(length)
+        _, C = grid_cauchy_factors(fam, grid)
+        assert np.count_nonzero(C) == 1
+        assert projection_defect_norms(C**2, dirs.matrix, I)[0] <= 1e-7 * math.sqrt(length)
 
     def test_peak_memory(self):
-        # X, one complex and one float n x m block: the n x m reciprocal is
-        # freed before X exists (n = 301 exponents, m = 483 frequencies, d = 2)
+        # the factors hold one float n x m array, C, built in place, and no
+        # complex n x m one: measured peak 1.12 C (n = 301 exponents, m = 483
+        # frequencies); a second float block, or the complex cross matrix
+        # (7.2 C), breaks the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         inside = np.flatnonzero(np.abs(fam.exponents) < 150.0)
         sub = fam.slice_positions(int(inside[0]), int(inside[-1]))
-        dirs = DirectionAssignment.random(sub, 2, seed=4)
         grid = FourierGrid.centered(IntervalSpec(0.0, 8.0), 2, 0.0, 190.0)
-        cross_inner_matrix(sub, dirs, grid)  # warm caches outside the measurement
+        grid_cauchy_factors(sub, grid)  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            cross_inner_matrix(sub, dirs, grid)
+            grid_cauchy_factors(sub, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, m, d = len(sub), grid.n_values.size, 2
+        n, m = len(sub), grid.n_values.size
         assert (n, m) == (301, 483)
-        assert peak <= 16 * n * m * d + 16 * n * m + 8 * n * m
+        assert peak <= 1.25 * 8 * n * m

@@ -19,11 +19,10 @@ from inghamlab.gram import (
     IntervalSpec,
     _extreme_spectrum,
     assemble_gram,
-    cross_inner_matrix,
     exp_inner_closed_form,
 )
 
-from oracles import exp_inner_closed_form_offset, full_kernel_gram, grid_inner_matrix
+from oracles import cross_inner_matrix, exp_inner_closed_form_offset, full_kernel_gram, grid_inner_matrix
 
 KINDS = ("exponential", "divided-difference", "grid")
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
