@@ -341,10 +341,12 @@ def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.n
     D_kg = w_k - gamma_g = r_k + s*(m_k - g) carries an exact integer,
     sin(D_kg*|I|/2) = (-1)^(m_k - g) * sin(r_k*|I|/2), and with c = (a+b)/2
 
-        C[k, g] = sin(r_k*|I|/2) / D_kg,   rho_k = 2 * exp(i*(r_k*c + gamma_{m_k}*a)) / sqrt(|I|).
+        C[k, g] = sin(r_k*|I|/2) / D_kg,   rho_k = (-1)^m_k * 2 * exp(i*(r_k + gamma_{m_k})*c) / sqrt(|I|),
 
-    r_k enters phase, numerator and denominator alike, so no entry mixes the
-    exact lattice with the rounded one.  Where |D_kg|*|I|/2 <= SMALL_PHASE
+    the exact sign coming out of the phase gamma_{m_k}*(a - c) = -pi*m_k.  On an
+    interval centered at 0 rho is exactly real, +-2/sqrt(|I|).  r_k enters
+    phase, numerator and denominator alike, so no entry mixes the exact
+    lattice with the rounded one.  Where |D_kg|*|I|/2 <= SMALL_PHASE
     (only at g = m_k) C takes its limit |I|/2.  Every quantity the
     experiments read depends on X only through the real C: the captured
     energy sum_{g,j} |X[k, (g, j)]|^2 = (4/|I|) ||U_k||^2 sum_g C[k, g]^2,
@@ -355,7 +357,7 @@ def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.n
     m = np.rint(family.exponents / s)
     gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of g = m
     r = family.exponents - gamma_m
-    rho = 2.0 / math.sqrt(L) * np.exp(1j * (r * c + gamma_m * a))
+    rho = (1.0 - 2.0 * (m % 2)) * (2.0 / math.sqrt(L)) * np.exp(1j * (r + gamma_m) * c)  # (-1)^m_k, floored
     C = np.subtract.outer(m, grid.n_values.astype(float))  # m_k - g, exact
     C *= s
     C += r[:, None]

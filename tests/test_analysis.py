@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from inghamlab import analysis
 from inghamlab.analysis import (
     EIGEN_FLOOR_RTOL,
     DefectDecayFit,
@@ -34,6 +35,7 @@ from inghamlab.gram import (
     NearSingularGramError,
     assemble_gram,
     exp_inner_closed_form,
+    gated_cho_factor,
     grid_cauchy_factors,
     projection_defect_norms,
 )
@@ -62,16 +64,19 @@ MEASURED_CONDITIONING_RATIO = 5.42e4
 # 2.2e-12 at 1e6 (the explicit-inverse oracle loses digits with cond as well)
 TRACE_COND_MAX = 3e4
 
+MPMATH_PINS = [(14, 3e-9), (27, 2e-12)]  # (seed, rtol) of the rank-deficient mpmath trace pins
+
 
 @st.composite
-def trace_cases(draw):
-    """(family, directions, interval, y, r, R), d = 1..3; half of them on |I| < 2 pi/d with
-    R < 3, where the grid has fewer columns than the window has exponents (p < n)."""
+def trace_cases(draw, r_max=12.0):
+    """(family, directions, interval, y, r, R), d = 1..3, r up to r_max; half of them on
+    |I| < 2 pi/d with r < 6 and R < 3, where the grid has fewer columns than the window
+    has exponents (p < n)."""
     d = draw(st.integers(1, 3))
     short = draw(st.booleans())
     length = draw(st.floats(1.0, TWO_PI / d)) if short else draw(st.floats(TWO_PI / d, 9.0))
     a = draw(st.floats(-3.0, 3.0))
-    y, r = draw(st.floats(-3.0, 3.0)), draw(st.floats(2.0, 6.0 if short else 12.0))
+    y, r = draw(st.floats(-3.0, 3.0)), draw(st.floats(2.0, 6.0 if short else r_max))
     R = draw(st.floats(0.05, 3.0)) if short else draw(st.floats(0.05, 30.0))
     fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                           window=[-40, 40], seed=draw(st.integers(0, 999)))
@@ -327,12 +332,81 @@ class TestTraceExperiment:
         assert exp.trace_S.real >= 0.0
         assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
 
-    @pytest.mark.parametrize(("seed", "rtol"), [(14, 3e-9), (27, 2e-12)])
+    @pytest.mark.parametrize("width", [3, 7])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=trace_cases(r_max=20.0))
+    def test_block_boundaries_match_inverse_oracle(self, width, case):
+        # most traces have n below one TRACE_SOLVE_BLOCK, so narrow blocks put
+        # block boundaries inside the trailing-triangle solves (measured on the
+        # 40 draws, n = 4..39: rank < n in 15, rank not a multiple of the width
+        # in 23 at width 3 and 37 at width 7, n below one width in 16 at width 7)
+        fam, dirs, I, y, r, R = case
+        inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+        first, last = int(inside[0]), int(inside[-1])
+        window = ExponentialSystem(fam.slice_positions(first, last),
+                                   DirectionAssignment(dirs.d, dirs.matrix[first : last + 1]))
+        assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "TRACE_SOLVE_BLOCK", width)
+            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
+        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
+        assert exp.trace_S.real >= 0.0
+        assert exp.trace_agreement <= 1e-8 * exp.card_omega_r
+
+    @pytest.mark.parametrize("rule", ["random", "constant"])
+    def test_translation_invariant(self, rule):
+        # translating I is a diagonal unitary similarity of G and P: the trace
+        # reads only |I|, so three placements of one length agree bit for bit
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-40, 40], seed=11)
+        dirs = DirectionAssignment.random(fam, 2, seed=11) if rule == "random" else DirectionAssignment.constant(fam, 2)
+        runs = [run_trace_experiment(fam, dirs, IntervalSpec(a, b), 0.5, 12.0, 9.0)
+                for a, b in [(0.0, 8.0), (-4.0, 4.0), (1000.5, 1008.5)]]
+        for exp in runs[1:]:
+            assert np.array([exp.trace_S, exp.trace_decomposed]).tobytes() == \
+                np.array([runs[0].trace_S, runs[0].trace_decomposed]).tobytes()
+            assert exp.defect_norms.tobytes() == runs[0].defect_norms.tobytes()
+
+    def test_constant_directions_stay_real_off_center(self, monkeypatch):
+        # on [0, 8] the oracle's Gram and cross matrix are complex; the trace
+        # runs on the centered interval, where G and its factor are float64
+        dtypes = []
+
+        def spy(G):
+            dtypes.append(G.dtype)
+            return gated_cho_factor(G)
+
+        monkeypatch.setattr(analysis, "gated_cho_factor", spy)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-40, 40], seed=5)
+        dirs = DirectionAssignment.constant(fam, 2)
+        I = IntervalSpec(0.0, 8.0)
+        exp = run_trace_experiment(fam, dirs, I, 0.5, 12.0, 9.0)
+        direct, decomposed = trace_by_inverse(fam, dirs, I, 0.5, 12.0, 9.0)
+        assert dtypes == [np.float64]
+        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
+
+    @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
     def test_mpmath_pin_rank_deficient(self, seed, rtol):
         # p < n, so P has rank at most p; pstrf's default tolerance stops at
         # the rank (tol = 0 runs on into rounding noise: 24 columns for p = 22
         # at seed 14). Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and
         # 8.7e-13 (cond(G) = 7.7e5); the complex cross matrix gave 1.3e-9 and 4.8e-13
+        self._mpmath_pin(seed, rtol)
+
+    @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
+    def test_mpmath_pin_rank_deficient_narrow_blocks(self, seed, rtol, monkeypatch):
+        # the same pins with block boundaries every 3 columns of the factor
+        monkeypatch.setattr(analysis, "TRACE_SOLVE_BLOCK", 3)
+        self._mpmath_pin(seed, rtol)
+
+    @staticmethod
+    def _mpmath_pin(seed, rtol):
         rng = np.random.default_rng(seed)
         d, length = int(rng.integers(1, 4)), float(rng.uniform(2, 9))
         y, r, R = float(rng.uniform(-3, 3)), float(rng.uniform(4, 15)), float(rng.uniform(0.05, 3))
@@ -368,10 +442,15 @@ class TestTraceExperiment:
         assert peak <= 16 * n * p + 2 * 16 * n * n
 
     def test_peak_memory_two_cross_matrices(self):
-        # the dense work holds X, one Fortran copy of X^T solved in place and
-        # the Cholesky factor: measured peak 2 X + 1.02 G bytes (n = 301,
-        # p = 966); a third X-sized buffer (a Fortran copy made by a solver,
-        # a ravelled copy of the solution) or the explicit-inverse route breaks the bound
+        # the dense work holds three n x n buffers at a time: the V_r Gram with
+        # A = (V V^H) o (C C^T) and pstrf's factor of it (A in place), then the
+        # Gram's two pivot gathers or the gate's Fortran copy next to that
+        # factor, then the Cholesky factor U, X' (pstrf's buffer, scaled in
+        # place), a copy of U's trailing triangle and one block of X' solved in
+        # place. Measured 3.0-3.1 G per stage and a peak of 16 n p + 0.90 G =
+        # 4.1 G (n = 301, p = 966), which the Gram's assembly sets; a complex
+        # n x p cross matrix X and one copy of it (16 n p bytes each) on top of
+        # that work break the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
