@@ -64,8 +64,10 @@ class GridPointFailure(ArithmeticError):
 def extreme_eigenvalues(G) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian Gram matrix, residual-verified.
 
-    A float64 matrix, or a complex one whose imaginary part is exactly zero,
-    is checked and solved in real arithmetic; any other stays complex.  The
+    A float64 matrix, or a complex one whose imaginary part is exactly zero
+    (a DD Gram with real directions on an interval centered at 0, as
+    ``conditioning_comparison`` assembles one there), is checked and solved in
+    real arithmetic; any other stays complex.  The
     solve is values-first: one tridiagonal reduction, the two extreme
     eigenpairs of the tridiagonal matrix, and only those two eigenvectors
     taken back (``gram._extreme_spectrum``).  Both pairs are checked against

@@ -294,8 +294,10 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             continue
         if any(b <= a for a, b in zip(grid, grid[1:])):
             errors.append(f"grid {name!r} not increasing")
-        if name == "R" and not all(v > 0 for v in grid):
-            errors.append("grid 'R' must be positive")
+        if name in ("R", "lengths") and not all(v > 0 for v in grid):
+            errors.append(f"grid {name!r} must be positive")
+        if name == "R" and len(grid) < 4:
+            errors.append("grid 'R' must hold at least 4 values")
     for name in _REQUIRED_GRIDS.get(command, []):
         if name not in grids:
             errors.append(f"missing required grid {name!r} for command {command!r}")
@@ -317,6 +319,8 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"parameter {name!r} must be a positive integer")
         elif name in _NUMBER_PARAMS and not _finite(value):
             errors.append(f"parameter {name!r} must be a number")
+        elif name in ("r", "R") and value <= 0:
+            errors.append(f"parameter {name!r} must be positive")
         elif name in _BOOLEAN_PARAMS and type(value) is not bool:
             errors.append(f"parameter {name!r} must be true or false")
     params_ok = len(errors) == n_errors

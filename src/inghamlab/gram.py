@@ -231,51 +231,21 @@ class DividedDifferenceSystem:
         return [x[first : l + 1] for first, last in self.chains for l in range(first, last + 1)]
 
 
-@dataclass(frozen=True)
-class _Functions:
-    """A system as f_i(t) = directions[i] * profile_i(t), normalized if ``normalize``.
+def _terms(system, tmax: float):
+    """(phases, coefs, orders, starts) of a system's profiles.
 
     Profile p sums coefs[r] * (t/tmax)^orders[r] * exp(i*phases[r]*t) over its terms r from
     starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
     """
-
-    phases: np.ndarray
-    coefs: np.ndarray
-    orders: np.ndarray
-    starts: np.ndarray
-    directions: np.ndarray
-    normalize: bool = False
-
-    @property
-    def single_nodes(self) -> bool:
-        """Every profile one unit term of order 0, exp(i*phase*t)."""
-        return self.starts.size == self.phases.size and not self.orders.any()
-
-    def block(self, first: int, stop: int):
-        """(phases, coefs, orders, starts) of profiles first..stop-1, starts counted from the block."""
-        lo, hi = self.starts[first], self.starts[stop] if stop < self.starts.size else self.phases.size
-        return self.phases[lo:hi], self.coefs[lo:hi], self.orders[lo:hi], self.starts[first:stop] - lo
-
-
-def _functions(system, tmax: float) -> _Functions:
     if isinstance(system, DividedDifferenceSystem):
         phases, weights, orders = zip(*(divided_difference_terms(x, tmax) for x in system.nodes))
         counts = [p.size for p in phases]
         orders = np.concatenate(orders)
-        return _Functions(np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders,
-                          np.cumsum(counts) - counts, system.directions.matrix, system.normalize)
+        return np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders, np.cumsum(counts) - counts
     if not isinstance(system, ExponentialSystem):
         raise TypeError(f"unsupported system descriptor {type(system).__name__}")
     x = system.family.exponents
-    return _Functions(x, np.ones(x.size, dtype=complex), np.zeros(x.size, dtype=int), np.arange(x.size),
-                      system.directions.matrix)
-
-
-def _profile_products(a, b, interval: IntervalSpec) -> np.ndarray:
-    """(profile_p, profile_p') of two ``_Functions.block``s: sum of W W' i^m (-i)^m' M_{m+m'}(phi - phi')."""
-    (pa, ca, ma, sa), (pb, cb, mb, sb) = a, b
-    S = np.multiply.outer(ca, cb.conj()) * exp_moments(np.subtract.outer(pa, pb), np.add.outer(ma, mb), interval)
-    return np.add.reduceat(np.add.reduceat(S, sa, axis=0), sb, axis=1)
+    return x, np.ones(x.size, dtype=complex), np.zeros(x.size, dtype=int), np.arange(x.size)
 
 
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
@@ -285,18 +255,20 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     Every profile is expanded into terms once for all entries, so the result
     is deterministic and independent of evaluation order.  Row blocks of about
     TERM_PRODUCTS_PER_BLOCK term products are paired with the profiles at and
-    right of them: between single nodes the one term ``exp_inner_closed_form(w_s - w_a)``
-    (``_sinc`` when centered with real U_k), else ``_profile_products``.  The rest is
-    their conjugate transpose and the diagonal is real, so G is exactly Hermitian; the
-    direction sum keeps one fixed order, so the Gram of a subsystem is bitwise the
-    principal submatrix of the Gram it sits in, but for the sign of an exact zero.
-    Normalized norms come from the diagonal blocks.
+    right of them: between single nodes the one term ``_sinc(w_s - w_a)`` on an
+    interval centered at 0 and ``exp_inner_closed_form(w_s - w_a)`` off it, else the
+    sum of W W' i^m (-i)^m' M_{m+m'}(phi - phi') over the two profiles' terms.  The
+    rest is their conjugate transpose and the diagonal is real, so G is exactly
+    Hermitian; the direction sum keeps one fixed order, so the Gram of a subsystem
+    is bitwise the principal submatrix of the Gram it sits in, but for the sign of
+    an exact zero.  Normalized norms come from the diagonal blocks.
     """
-    f = _functions(system, max(abs(interval.a), abs(interval.b)))
-    n, U, single = f.starts.size, f.directions, f.single_nodes
-    real = single and interval.a + interval.b == 0 and not np.any(U.imag)
-    most = int(np.diff(f.starts, append=f.phases.size).max())
-    rows = max(1, TERM_PRODUCTS_PER_BLOCK // (most * f.phases.size))
+    phases, coefs, orders, starts = _terms(system, max(abs(interval.a), abs(interval.b)))
+    n, U = starts.size, system.directions.matrix
+    single, centered = n == phases.size and not orders.any(), interval.a + interval.b == 0
+    real = single and centered and not np.any(U.imag)
+    most = int(np.diff(starts, append=phases.size).max())
+    rows = max(1, TERM_PRODUCTS_PER_BLOCK // (most * phases.size))
     K = np.empty((n, n), dtype=float if real else complex)  # K[s, a] = (f_s, f_a)
     ns = np.empty(n)
     for lo in range(0, n, rows):
@@ -305,12 +277,17 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
             block = sum(np.multiply.outer(u[lo:hi], u[lo:]) for u in U.real.T)
         else:
             block = np.einsum("kd,jd->kj", U[lo:hi], U[lo:].conj())
-        if not single:
-            S = _profile_products(f.block(lo, hi), f.block(lo, n), interval)
-        elif real:
-            S = _sinc(f.phases[lo:hi, None] - f.phases[None, lo:], interval.length)
+        if not single:  # the terms of rows lo..hi-1 against every term from starts[lo] on
+            first = starts[lo]
+            k = (starts[hi] if hi < n else phases.size) - first
+            p, c, m = phases[first:], coefs[first:], orders[first:]
+            S = exp_moments(np.subtract.outer(p[:k], p), np.add.outer(m[:k], m), interval)
+            S = np.multiply.outer(c[:k], c.conj()) * S
+            S = np.add.reduceat(np.add.reduceat(S, starts[lo:hi] - first, axis=0), starts[lo:] - first, axis=1)
+        elif centered:
+            S = _sinc(phases[lo:hi, None] - phases[None, lo:], interval.length)
         else:
-            S = exp_inner_closed_form(f.phases[lo:hi, None] - f.phases[None, lo:], interval)
+            S = exp_inner_closed_form(phases[lo:hi, None] - phases[None, lo:], interval)
         ns[lo:hi] = np.sqrt(S.diagonal().real)  # S[s, a] = (profile_s, profile_a)
         block *= S
         del S  # before the next row block's temporaries
@@ -319,7 +296,7 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
         D = K[lo:hi, lo:hi]  # the diagonal sub-block, its lower triangle mirrored from the upper one
         np.copyto(D, D.T.conj(), where=np.tri(hi - lo, k=-1, dtype=bool))
     K.flat[:: n + 1] = K.diagonal().real
-    if f.normalize:
+    if getattr(system, "normalize", False):
         K /= np.multiply.outer(ns, ns)
     return K.T
 
@@ -435,4 +412,5 @@ def gated_cho_factor(G: np.ndarray):
         if emin <= NEAR_SINGULAR_RTOL * gnorm:
             raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
     c[...] = G
+    # not a redundant rescan: its finiteness check is what rejects NaN, which nrm2 and potrf pass
     return cho_factor(c, lower=False, overwrite_a=True)

@@ -451,6 +451,15 @@ class TestMainEntry:
         ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
           "grids": {"delta": [1e-3]}, "params": {"normalize_dd": "yes"}},
          "parameter 'normalize_dd' must be true or false"),
+        # values a run rejects before it computes anything
+        ({"params": {"y": 0.0, "r": 0.0, "R": 10.0}}, "parameter 'r' must be positive"),
+        ({"params": {"y": 0.0, "r": 5.5, "R": -1.0}}, "parameter 'R' must be positive"),
+        ({"command": "defect-decay", "grids": {"R": [8.0, 16.0, 32.0, 64.0]}, "params": {"y": 0.5, "r": 0.0}},
+         "parameter 'r' must be positive"),
+        ({"command": "defect-decay", "grids": {"R": [8.0, 16.0, 32.0]}, "params": {"y": 0.5, "r": 3.0}},
+         "grid 'R' must hold at least 4 values"),
+        ({"command": "bounds-sweep", "grids": {"lengths": [-1.0, 5.0]}, "params": {"N_max": 8}},
+         "grid 'lengths' must be positive"),
     ])
     def test_mistyped_values_exit_two(self, tmp_path, capsys, change, message):
         out = tmp_path / "out.csv"
@@ -458,7 +467,8 @@ class TestMainEntry:
         cfg_path = tmp_path / "typo.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path)]) == 2
-        assert message in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()  # the one error, and no other
+        assert line.startswith("config error: ") and message in line
         assert not out.exists()
 
     @pytest.mark.parametrize("family, message", [

@@ -347,6 +347,21 @@ class TestGramTriangle:
         assert G.dtype == np.float64
         assert np.array_equal(bit_patterns(G), bit_patterns(full_kernel_gram(system, I).real))
 
+    def test_centered_complex_directions_take_sinc(self, monkeypatch):
+        # on a centered interval the closed form is the real |I| sin(x)/x whatever the directions:
+        # no complex exp of all-zero phases, and the Gram stays complex only through U
+        from inghamlab import gram
+
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-40, 40], seed=3)
+        system, I = ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=4)), IntervalSpec(-2.5, 2.5)
+        calls = []
+        closed_form = gram.exp_inner_closed_form
+        monkeypatch.setattr(gram, "exp_inner_closed_form", lambda *args: calls.append(args) or closed_form(*args))
+        G = assemble_gram(system, I)
+        assert not calls
+        assert G.dtype == np.complex128 and np.any(G.imag)
+        assert np.array_equal(bit_patterns(G + 0.0), bit_patterns(full_kernel_gram(system, I) + 0.0))
+
     @pytest.mark.parametrize("a", [-2.5, 0.0])
     def test_normalized_one_node_chains(self, a):
         # one-node chains are single nodes as well; normalized, the Gram is the exponential one over |I|
@@ -588,10 +603,10 @@ class TestClosedFormDD:
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-20, 20], seed=1)
         single = ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1))
         interval = IntervalSpec(0.0, 10.0)
-        f = gram._functions(raw, interval.b)
-        most = int(np.diff(f.starts, append=f.phases.size).max())
+        phases, _, _, starts = gram._terms(raw, interval.b)
+        most = int(np.diff(starts, append=phases.size).max())
         runs = []
-        for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 3 * most * f.phases.size, 1):
+        for budget in (gram.TERM_PRODUCTS_PER_BLOCK, 3 * most * phases.size, 1):
             monkeypatch.setattr(gram, "TERM_PRODUCTS_PER_BLOCK", budget)
             runs.append([assemble_gram(s, interval) for s in (raw, unit, single)])
         assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
@@ -839,6 +854,17 @@ class TestGatedCholesky:
         U, _ = gated_cho_factor(G)
         assert len(calls) == 1
         assert np.array_equal(np.triu(U), np.triu(cho_factor(G, lower=False)[0]))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [(3, 3), (1, 4)])
+    def test_non_finite_gram_rejected(self, complex_, value, entry):
+        # nrm2 makes the shift NaN and potrf reports success on a NaN matrix, so the
+        # certificate alone would pass such a Gram; the factorization must refuse it
+        G = hermitian_matrix(6, complex_, np.random.default_rng(2), spectrum=np.arange(1.0, 7.0))
+        G[entry] = G[entry[::-1]] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf - inf in the shift
+            gated_cho_factor(G)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(2, 40), complex_=st.booleans(), log_ratio=st.floats(-12.0, -8.0),

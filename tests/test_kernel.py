@@ -181,6 +181,24 @@ def test_real_valued_gram_is_solved_in_float64(data, rule, interval, d):
         assert residual <= EIGEN_RESIDUAL_RTOL * gnorm
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+def test_real_valued_complex_dd_gram_is_solved_in_float64(normalize):
+    # a DD Gram on a centered interval with real directions is complex with every imaginary
+    # part exactly zero, as dd-condition assembles it: extreme_eigenvalues solves its real part
+    fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0.0, 8.0])
+    dirs = DirectionAssignment.constant(fam, 1)
+    G = assemble_gram(DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 2), dirs, normalize=normalize),
+                      IntervalSpec(-3.5, 3.5))
+    assert G.dtype == np.complex128 and not np.any(G.imag)
+    solves = []
+    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
+        lo, hi = extreme_eigenvalues(G)
+    [(A, vectors, vals, vecs)] = solves
+    assert A.dtype == np.float64 and vecs.dtype == np.float64
+    assert (lo, hi) == (vals[0], vals[-1])
+    assert np.allclose([lo, hi], np.linalg.eigvalsh(G)[[0, -1]], rtol=0.0, atol=1e-13 * hi)
+
+
 def test_complex_gram_stays_complex():
     fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1)), IntervalSpec(-2.5, 2.5))

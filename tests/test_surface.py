@@ -1,11 +1,12 @@
-"""The package exports only what its own pipeline uses.
+"""The package defines only what its own pipeline uses.
 
-A name in an ``inghamlab`` module's ``__all__`` that no code in the package
-reads, apart from its definition and its ``__all__`` entry, is API that only
-tests reach: it belongs in the tests (``oracles.py`` holds the references
-they compare against) or nowhere.  The CLI's options are the ones the
-README's usage line shows, no more and no fewer, and importing the CLI
-does not import what only some commands need.
+A name in an ``inghamlab`` module's ``__all__``, or any function, class or
+constant a module defines at its top level, private ones included, that no
+code in the package reads, apart from its definition and its ``__all__``
+entry, is code that only tests reach: it belongs in the tests
+(``oracles.py`` holds the references they compare against) or nowhere.  The
+CLI's options are the ones the README's usage line shows, no more and no
+fewer, and importing the CLI does not import what only some commands need.
 """
 
 import ast
@@ -43,11 +44,23 @@ def package_references() -> set[str]:
     return names
 
 
+def module_definitions(module: str) -> set[str]:
+    """The functions, classes and constants a module defines at its top level, dunder names aside."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_is_used_by_the_package(module):
     exported = getattr(importlib.import_module(f"inghamlab.{module}"), "__all__", [])
-    unused = sorted(set(exported) - package_references())
-    assert not unused, f"inghamlab.{module} exports names that only tests reach: {unused}"
+    unused = sorted((set(exported) | module_definitions(module)) - package_references())
+    assert not unused, f"inghamlab.{module} defines names that only tests reach: {unused}"
 
 
 def test_readme_usage_line_matches_cli_options(capsys):
