@@ -476,12 +476,13 @@ def conditioning_comparison(
     meaningless quotient, and so is the ratio cond_raw / cond_dd.
     """
     deltas = [float(v) for v in delta_grid]
+    centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)  # raw only: translated DDs recombine
     rows = []
     for delta in deltas:
         try:
             fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=list(window))
             dirs = DirectionAssignment.constant(fam, 1)
-            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), interval))
+            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered))
             cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo
             dd_system = DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime, M), dirs, normalize=normalize_dd)
             lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))

@@ -49,6 +49,7 @@ __all__ = [
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
 TERM_PRODUCTS_PER_BLOCK = 2**18  # term pairs in one row block of a Gram: 14 MB (order 0) to 29 MB of temporaries
+MIN_ROW_BLOCKS = 4  # one block forms every pair of the diagonal block twice; four form 5/8 of all pairs
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,16 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
     Rayleigh's plane-wave expansion (DLMF 10.60) gives
     M_m = h * exp(i*theta*c) * sum_n a_n * 2 * i^n * j_n(theta*h), where a_n
     are the Legendre coefficients of ((c + h*u) / tmax)^m and j_n the spherical
-    Bessel functions: a finite sum, free of cancellation.
+    Bessel functions of ``_spherical_jn``: a finite sum, free of cancellation.
     """
-    from scipy.special import spherical_jn
-
     theta, m = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(m))
-    out = exp_inner_closed_form(theta, interval)  # M_0, replaced below where m >= 1
-    higher = m > 0
-    theta, m = theta[higher], m[higher]
+    out = np.empty(theta.shape, dtype=complex)
+    # a[m, n] = 0 for n > m, so order n is summed only where m >= n: a suffix once sorted by m
+    order = np.argsort(m.astype(np.uint16), axis=None, kind="stable")  # a radix sort: a stable int64 sort is slower
+    theta, m = theta.ravel()[order], m.ravel()[order]
+    zero = np.searchsorted(m, 1)  # the order-0 lanes take the closed form
+    np.put(out, order[:zero], exp_inner_closed_form(theta[:zero], interval))
+    theta, m = theta[zero:], m[zero:]
     c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
     cu, hu = np.array([c, h]) / max(abs(interval.a), abs(interval.b))  # t / tmax = cu + hu*u
     a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (cu + hu*u)^k
@@ -135,14 +138,45 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
         a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
-    # a[m, n] = 0 for n > m, so order n is summed only where m >= n: a suffix once sorted by m
-    order = np.argsort(m.astype(np.uint16), kind="stable")  # a radix sort: a stable int64 sort is slower
-    theta, m = theta[order], m[order]
-    total = np.zeros(theta.shape, dtype=complex)
-    for n, first in enumerate(np.searchsorted(m, np.arange(a.shape[0]))):
-        total[first:] += a[m[first:], n] * (2 * 1j**n) * spherical_jn(n, theta[first:] * h)
-    np.put(out, np.flatnonzero(higher)[order], h * np.exp(1j * theta * c) * total)
+    counts, total = np.bincount(m, minlength=a.shape[0]), np.zeros(theta.shape, dtype=complex)
+    parts = (total.real, total.imag)  # 2 * i^n is +-2, real for even n and imaginary for odd n
+    x = theta * h
+    e = np.exp(x * 1j)  # exp(i*theta*c) itself where c = h, on an interval that starts at 0
+    for n, (first, j) in enumerate(_spherical_jn(x, m, e)):
+        parts[n % 2][first:] += np.repeat(a[n:, n] * (2 * (-1) ** (n // 2)), counts[n:]) * j  # a[m, n] * 2 * i^n
+    np.put(out, order[zero:], h * (e if c == h else np.exp(theta * (1j * c))) * total)
     return out
+
+
+def _spherical_jn(x: np.ndarray, m: np.ndarray, e: np.ndarray):
+    """Yield (first, j_n(x[first:])) for n = 0..max(m), ``first`` the first lane with m >= n; m nondecreasing.
+
+    Up to n = |x|, where it is stable, the forward recurrence j_n = (2n-1)/x * j_(n-1) - j_(n-2) from
+    j_0 = sin(x)/x and j_(-1) = cos(x)/x, read off e = exp(i*x); above, j_(n-1) * r_n with Miller's backward
+    ratios r_n = x / (2n+1 - x*r_(n+1)) (Gautschi, SIAM Rev. 9, 1967) from r = 0 at order m + L: below 1,
+    anchored before the first zero of j_floor(|x|), and off by about (j_(m+L) / j_n)^2 < 2^-54 once L exceeds
+    9 * (|x|/2)^(1/3) (Debye).  A lane's values depend on its x and m alone.
+    """
+    top, ax = int(m[-1]) if m.size else 0, np.abs(x)
+    low = np.flatnonzero(ax < m)  # the lanes that leave the forward recurrence below their own m
+    xl, ml = x[low], m[low]
+    start, r, R = ml + 12 + (10 * (ml / 2) ** (1 / 3)).astype(int), np.zeros(low.size), [np.empty(0)] * (top + 1)
+    with np.errstate(divide="ignore", over="ignore"):  # only in lanes that stay on the forward recurrence
+        for n in range(int(start.max(initial=0)), 0, -1):
+            k = np.searchsorted(start, n)  # the lanes whose recurrence has started
+            np.divide(xl[k:], (2 * n + 1) - xl[k:] * r[k:], out=r[k:])
+            if n <= top:
+                R[n] = r[np.searchsorted(ml, n) :].copy()  # for the low lanes with m >= n
+    xs = np.where(ax < 1, 1.0, x)  # below |x| = 1 every order n >= 1 takes ratios, and 1/x may overflow
+    j, prev, fj, fp = np.divide(e.imag, x, out=np.ones_like(x), where=x != 0), e.real / xs, 0, 0
+    yield 0, j
+    for n, first in enumerate(np.searchsorted(m, np.arange(1, top + 1)), 1):
+        nxt = (2 * n - 1) * j[first - fj :] / xs[first:] - prev[first - fp :]
+        lanes = low[low.size - R[n].size :]
+        i = np.flatnonzero(ax[lanes] < n)  # the lanes above |x| at order n
+        nxt[lanes[i] - first] = R[n][i] * j[lanes[i] - fj]
+        prev, fp, j, fj = j, fj, nxt, first
+        yield first, j
 
 
 @dataclass
@@ -238,7 +272,9 @@ def _terms(system, tmax: float):
     starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
     """
     if isinstance(system, DividedDifferenceSystem):
-        phases, weights, orders = zip(*(divided_difference_terms(x, tmax) for x in system.nodes))
+        one = (np.ones(1), np.zeros(1, dtype=int))  # a single node's one term (x, 1, 0), as the call would return it
+        terms = ((x, *one) if x.size == 1 else divided_difference_terms(x, tmax) for x in system.nodes)
+        phases, weights, orders = zip(*terms)
         counts = [p.size for p in phases]
         orders = np.concatenate(orders)
         return np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders, np.cumsum(counts) - counts
@@ -254,11 +290,11 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
 
     Every profile is expanded into terms once for all entries, so the result
     is deterministic and independent of evaluation order.  Row blocks of about
-    TERM_PRODUCTS_PER_BLOCK term products are paired with the profiles at and
-    right of them: between single nodes the one term ``_sinc(w_s - w_a)`` on an
-    interval centered at 0 and ``exp_inner_closed_form(w_s - w_a)`` off it, else the
-    sum of W W' i^m (-i)^m' M_{m+m'}(phi - phi') over the two profiles' terms.  The
-    rest is their conjugate transpose and the diagonal is real, so G is exactly
+    TERM_PRODUCTS_PER_BLOCK term products and at most 1/MIN_ROW_BLOCKS of the rows
+    are paired with the profiles at and right of them: between single nodes the one
+    term ``_sinc(w_s - w_a)`` on an interval centered at 0 and ``exp_inner_closed_form(w_s - w_a)``
+    off it, else the sum of W W' i^m (-i)^m' M_{m+m'}(phi - phi') over the two profiles' terms.
+    The rest is their conjugate transpose and the diagonal is real, so G is exactly
     Hermitian; the direction sum keeps one fixed order, so the Gram of a subsystem
     is bitwise the principal submatrix of the Gram it sits in, but for the sign of
     an exact zero.  Normalized norms come from the diagonal blocks.
@@ -268,7 +304,7 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     single, centered = n == phases.size and not orders.any(), interval.a + interval.b == 0
     real = single and centered and not np.any(U.imag)
     most = int(np.diff(starts, append=phases.size).max())
-    rows = max(1, TERM_PRODUCTS_PER_BLOCK // (most * phases.size))
+    rows = max(1, min(TERM_PRODUCTS_PER_BLOCK // (most * phases.size), -(-n // MIN_ROW_BLOCKS)))
     K = np.empty((n, n), dtype=float if real else complex)  # K[s, a] = (f_s, f_a)
     ns = np.empty(n)
     for lo in range(0, n, rows):
@@ -400,17 +436,20 @@ def gated_cho_factor(G: np.ndarray):
     of inertia a Cholesky factorization of G - tau*I, tau = 1e-10 * ||G||_F >=
     1e-10 * ||G||_2, succeeds only when lambda_min > tau up to its rounding, and
     passes the gate.  Only when it breaks down do the extreme eigenvalues of one
-    tridiagonal reduction decide.  Both factorizations reuse one copy of G.
+    tridiagonal reduction decide.  Both factorizations reuse one copy of G.  A
+    Gram whose Frobenius norm is not finite raises ValueError before the shift.
     """
     G = np.asarray(G)
     c = np.array(G, order="F")
     potrf, nrm2 = lapack.get_lapack_funcs("potrf", (c,)), blas.get_blas_funcs("nrm2", (c,))
-    c.flat[:: c.shape[0] + 1] -= NEAR_SINGULAR_RTOL * nrm2(c.ravel(order="F"))
+    if not math.isfinite(norm := nrm2(c.ravel(order="F"))):  # before the shift turns Inf into NaN
+        raise ValueError("Gram has non-finite entries")
+    c.flat[:: c.shape[0] + 1] -= NEAR_SINGULAR_RTOL * norm
     if potrf(c, lower=0, clean=0, overwrite_a=1)[1] != 0:
         evals, _ = _extreme_spectrum(G, vectors=False)
         emin, gnorm = float(evals[0]), float(np.max(np.abs(evals)))
         if emin <= NEAR_SINGULAR_RTOL * gnorm:
             raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
     c[...] = G
-    # not a redundant rescan: its finiteness check is what rejects NaN, which nrm2 and potrf pass
+    # not a redundant rescan: potrf passes NaN, and nrm2 propagates it only in some BLAS builds
     return cho_factor(c, lower=False, overwrite_a=True)

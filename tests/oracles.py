@@ -46,6 +46,7 @@ from inghamlab.gram import (
     ExponentialSystem,
     FourierGrid,
     IntervalSpec,
+    _spherical_jn,
     assemble_gram,
     exp_inner_closed_form,
     exp_moments,
@@ -329,10 +330,10 @@ def exp_moments_full_sum(theta, m, interval) -> np.ndarray:
     """``exp_moments`` with every Legendre order n <= max(m) summed on every element.
 
     The coefficients a[m, n] vanish for n > m, so those terms add zeros; the
-    recurrence for a and the Rayleigh sum are the kernel's.
+    recurrence for a, the Rayleigh sum and its j_n (``gram._spherical_jn``, whose
+    values at orders up to an element's m depend on its theta and m alone, taken
+    as zero above m) are the kernel's.
     """
-    from scipy.special import spherical_jn
-
     theta, m = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(m))
     out = exp_inner_closed_form(theta, interval)
     higher = m > 0
@@ -347,7 +348,11 @@ def exp_moments_full_sum(theta, m, interval) -> np.ndarray:
         a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
-    total = sum(a[m, n] * (2 * 1j**n) * spherical_jn(n, theta * h) for n in range(a.shape[0]))
+    order, J = np.argsort(m, kind="stable"), np.zeros((a.shape[0], theta.size))
+    x = theta[order] * h
+    for n, (first, j) in enumerate(_spherical_jn(x, m[order], np.exp(x * 1j))):
+        J[n, order[first:]] = j
+    total = sum(a[m, n] * (2 * 1j**n) * J[n] for n in range(a.shape[0]))
     out[higher] = h * np.exp(1j * theta * c) * total
     return out
 

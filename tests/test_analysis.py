@@ -638,6 +638,15 @@ class TestConditioning:
         ratio = row["cond_raw"] / row["cond_dd"]
         assert ratio == pytest.approx(MEASURED_CONDITIONING_RATIO, rel=0.05)
 
+    def test_raw_gram_centered_dd_gram_on_the_given_interval(self, monkeypatch):
+        # the raw condition number is spectral, so translation (a diagonal unitary
+        # similarity) leaves it; the DD Gram's divided differences recombine under it
+        seen, assemble = [], analysis.assemble_gram
+        monkeypatch.setattr(analysis, "assemble_gram",
+                            lambda system, interval: seen.append((type(system), interval)) or assemble(system, interval))
+        conditioning_comparison(IntervalSpec(0.0, 10.0), [1e-3, 1e-2], window=(0.0, 20.0))
+        assert seen == [(ExponentialSystem, IntervalSpec(-5.0, 5.0)), (DividedDifferenceSystem, IntervalSpec(0.0, 10.0))] * 2
+
     def test_floor_reported_as_overflow(self):
         sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-9], window=(0.0, 4.0))
         assert sweep.results[0]["cond_raw"] == "overflow"

@@ -11,6 +11,7 @@ fewer, and importing the CLI does not import what only some commands need.
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -72,11 +73,25 @@ def test_readme_usage_line_matches_cli_options(capsys):
     assert set(LONG_OPTION.findall(usage)) == printed
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special takes about 0.4 s to import cold; only the moments of DD
-    # inner products use it, and they import it when first called
+def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
+    # scipy.special takes about 0.4 s and 2.6 MB to import cold; only defect_majorant
+    # uses it, so neither the import nor a dd-condition or bounds-sweep run loads it
+    configs = {
+        "dd": {"command": "dd-condition",
+               "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
+               "interval": [0.0, 10.0], "grids": {"delta": [1e-6, 1e-2]}, "params": {"M": 2, "gamma_prime": 0.5}},
+        "sweep": {"command": "bounds-sweep",
+                  "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
+                  "interval": [0.0, 1.0], "grids": {"lengths": [5.0, 8.0]}, "params": {"N_max": 16}},
+    }
+    runs = []
+    for name, config in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(config, output={"path": str(tmp_path / f"{name}.out.json"), "format": "json"})))
+        runs.append(["--config", str(path)])
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, inghamlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    code = f"import sys, inghamlab.cli; {loaded}; print([inghamlab.cli.main(args) for args in {runs!r}]); {loaded}"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n")[:3] == ["[]", "[0, 0]", "[]"]
