@@ -78,6 +78,8 @@ def divided_difference_terms(nodes, tmax: float):
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     if x.size == 0:
         raise ValueError("nodes must be nonempty")
+    if x.size == 1:  # the loop below would give the same one term
+        return x.copy(), np.ones(1), np.zeros(1, dtype=int)
     gaps = np.diff(x)
     if np.any(gaps < 0):
         raise ValueError("unsorted nodes")

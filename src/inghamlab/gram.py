@@ -138,13 +138,14 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
         a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
-    counts, total = np.bincount(m, minlength=a.shape[0]), np.zeros(theta.shape, dtype=complex)
-    parts = (total.real, total.imag)  # 2 * i^n is +-2, real for even n and imaginary for odd n
-    x = theta * h
-    e = np.exp(x * 1j)  # exp(i*theta*c) itself where c = h, on an interval that starts at 0
-    for n, (first, j) in enumerate(_spherical_jn(x, m, e)):
-        parts[n % 2][first:] += np.repeat(a[n:, n] * (2 * (-1) ** (n // 2)), counts[n:]) * j  # a[m, n] * 2 * i^n
-    np.put(out, order[zero:], h * (e if c == h else np.exp(theta * (1j * c))) * total)
+    x, total = theta * h, np.zeros(theta.shape, dtype=complex)
+    step = max(1, TERM_PRODUCTS_PER_BLOCK // a.shape[0])  # lanes per pass: 2 MB of _spherical_jn's ratios
+    for lo in range(0, m.size, step):
+        lanes, counts = slice(lo, lo + step), np.bincount(m[lo : lo + step], minlength=a.shape[0])
+        parts = (total[lanes].real, total[lanes].imag)  # 2 * i^n is +-2, real for even n and imaginary for odd n
+        for n, (first, j) in enumerate(_spherical_jn(x[lanes], m[lanes], np.exp(x[lanes] * 1j))):
+            parts[n % 2][first:] += np.repeat(a[n:, n] * (2 * (-1) ** (n // 2)), counts[n:]) * j  # a[m, n] * 2 * i^n
+    np.put(out, order[zero:], h * np.exp(theta * (1j * c)) * total)
     return out
 
 
@@ -272,9 +273,7 @@ def _terms(system, tmax: float):
     starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
     """
     if isinstance(system, DividedDifferenceSystem):
-        one = (np.ones(1), np.zeros(1, dtype=int))  # a single node's one term (x, 1, 0), as the call would return it
-        terms = ((x, *one) if x.size == 1 else divided_difference_terms(x, tmax) for x in system.nodes)
-        phases, weights, orders = zip(*terms)
+        phases, weights, orders = zip(*(divided_difference_terms(x, tmax) for x in system.nodes))
         counts = [p.size for p in phases]
         orders = np.concatenate(orders)
         return np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders, np.cumsum(counts) - counts
@@ -437,19 +436,18 @@ def gated_cho_factor(G: np.ndarray):
     1e-10 * ||G||_2, succeeds only when lambda_min > tau up to its rounding, and
     passes the gate.  Only when it breaks down do the extreme eigenvalues of one
     tridiagonal reduction decide.  Both factorizations reuse one copy of G.  A
-    Gram whose Frobenius norm is not finite raises ValueError before the shift.
+    Gram with a non-finite entry raises ValueError before the shift.
     """
     G = np.asarray(G)
     c = np.array(G, order="F")
-    potrf, nrm2 = lapack.get_lapack_funcs("potrf", (c,)), blas.get_blas_funcs("nrm2", (c,))
-    if not math.isfinite(norm := nrm2(c.ravel(order="F"))):  # before the shift turns Inf into NaN
+    if not np.isfinite(c).all():  # before the shift turns Inf into NaN; nrm2 and potrf may pass NaN
         raise ValueError("Gram has non-finite entries")
-    c.flat[:: c.shape[0] + 1] -= NEAR_SINGULAR_RTOL * norm
+    potrf, nrm2 = lapack.get_lapack_funcs("potrf", (c,)), blas.get_blas_funcs("nrm2", (c,))
+    c.flat[:: c.shape[0] + 1] -= NEAR_SINGULAR_RTOL * nrm2(c.ravel(order="F"))
     if potrf(c, lower=0, clean=0, overwrite_a=1)[1] != 0:
         evals, _ = _extreme_spectrum(G, vectors=False)
         emin, gnorm = float(evals[0]), float(np.max(np.abs(evals)))
         if emin <= NEAR_SINGULAR_RTOL * gnorm:
             raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
     c[...] = G
-    # not a redundant rescan: potrf passes NaN, and nrm2 propagates it only in some BLAS builds
     return cho_factor(c, lower=False, overwrite_a=True)

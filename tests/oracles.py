@@ -330,10 +330,12 @@ def exp_moments_full_sum(theta, m, interval) -> np.ndarray:
     """``exp_moments`` with every Legendre order n <= max(m) summed on every element.
 
     The coefficients a[m, n] vanish for n > m, so those terms add zeros; the
-    recurrence for a, the Rayleigh sum and its j_n (``gram._spherical_jn``, whose
-    values at orders up to an element's m depend on its theta and m alone, taken
-    as zero above m) are the kernel's.
+    recurrence for a, the Rayleigh sum and its j_n up to an element's m
+    (``gram._spherical_jn``, whose values there depend on its theta and m alone)
+    are the kernel's.  Above m, j_n is scipy's, so those terms multiply real values.
     """
+    from scipy.special import spherical_jn
+
     theta, m = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(m))
     out = exp_inner_closed_form(theta, interval)
     higher = m > 0
@@ -348,10 +350,10 @@ def exp_moments_full_sum(theta, m, interval) -> np.ndarray:
         a[k] = cu * a[k - 1]
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
-    order, J = np.argsort(m, kind="stable"), np.zeros((a.shape[0], theta.size))
-    x = theta[order] * h
-    for n, (first, j) in enumerate(_spherical_jn(x, m[order], np.exp(x * 1j))):
-        J[n, order[first:]] = j
+    order, x = np.argsort(m, kind="stable"), theta * h
+    J = spherical_jn(n[:, None], x)
+    for k, (first, j) in enumerate(_spherical_jn(x[order], m[order], np.exp(x[order] * 1j))):
+        J[k, order[first:]] = j
     total = sum(a[m, n] * (2 * 1j**n) * J[n] for n in range(a.shape[0]))
     out[higher] = h * np.exp(1j * theta * c) * total
     return out

@@ -256,6 +256,30 @@ class TestSimplexOrder:
         phases, weights, orders = divided_difference_terms([3.0], 1e9)
         assert (phases.tolist(), weights.tolist(), orders.tolist()) == ([3.0], [1.0], [0])
 
+    def test_single_node_skips_the_chain_loop(self, monkeypatch):
+        # one node is the term (x, 1, 0) before the loop, which would give the same term
+        from inghamlab import basisfuncs
+
+        diffs = []
+
+        class Spy:  # the module's numpy, recording the loop's first call
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def diff(self, a, *args, **kwargs):
+                diffs.append(np.size(a))
+                return np.diff(a, *args, **kwargs)
+
+        monkeypatch.setattr(basisfuncs, "np", Spy())
+        for x in (3.0, -0.0, 1e-300, -7e12):
+            nodes = np.array([x])
+            phases, weights, orders = divided_difference_terms(nodes, 10.0)
+            assert phases.tobytes() == nodes.tobytes() and not np.shares_memory(phases, nodes)
+            assert weights.tolist() == [1.0] and orders.tolist() == [0] and orders.dtype.kind == "i"
+        assert diffs == []
+        divided_difference_terms([0.0, 3.0], 10.0)
+        assert diffs == [2]
+
 
 class TestDerivative:
     def test_constant_profile(self):
