@@ -76,10 +76,10 @@ def divided_difference_terms(nodes, tmax: float):
     the cancellation, until every part is of one kind; order-0 terms are summed per node.
     """
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
-    if x.size == 0:
-        raise ValueError("nodes must be nonempty")
+    if x.size == 0 or not np.isfinite(x).all():  # NaN would pass the order test below
+        raise ValueError("nodes must be nonempty and finite")
     if x.size == 1:  # the loop below would give the same one term
-        return x.copy(), np.ones(1), np.zeros(1, dtype=int)
+        return _short_terms(x, np.zeros(1, dtype=int), np.zeros(1, dtype=int), tmax)[:3]
     gaps = np.diff(x)
     if np.any(gaps < 0):
         raise ValueError("unsorted nodes")
@@ -95,9 +95,8 @@ def divided_difference_terms(nodes, tmax: float):
                 diffs = x[i : j + 1, None] - x[None, i : j + 1]
                 np.fill_diagonal(diffs, 1.0)
                 node_weights[i : j + 1] += c / np.prod(diffs, axis=1)
-            elif q == 1:  # i*t * integral_0^1 exp(i*(x_i + s*gap)*t) ds by Gauss-Legendre
-                u, w = _leggauss(_pair_order(gaps[i] * tmax))
-                clustered.append((x[i] + 0.5 * (u + 1.0) * gaps[i], 0.5 * c * tmax * w, np.ones(u.size, dtype=int)))
+            elif q == 1:
+                clustered.append(_short_terms(x, np.array([i]), np.array([j]), tmax, c)[:3])
             elif not wide[i:j].any():
                 clustered.append(_taylor_terms(x[i : j + 1], tmax, c))
             else:
@@ -127,13 +126,50 @@ def _taylor_terms(x: np.ndarray, tmax: float, factor: float):
     return np.full(K, c), H / np.array([math.factorial(m) for m in orders], dtype=float), orders
 
 
-def _pair_order(theta: float) -> int:
-    """Fewest Gauss-Legendre points for integral_0^1 exp(i*theta*s) ds at a pair's theta < 1: at most 7.
+def _short_terms(x: np.ndarray, first: np.ndarray, last: np.ndarray, tmax: float, factor: float = 1.0):
+    """factor * [x[first]..x[last]] of single nodes and clustered pairs (gap * tmax < 1) at once, chain by chain:
+    (phases, weights, orders, counts).  A node is one order-0 term; a pair, i*t * integral_0^1 exp(i*(x_first +
+    s*gap)*t) ds, takes a Gauss-Legendre rule of ``_pair_order`` points."""
+    one, gap = first == last, x[last] - x[first]
+    counts = np.where(one, 1, _pair_order(gap * tmax))
+    at, (phases, weights) = np.cumsum(counts) - counts, np.empty((2, counts.sum()))
+    phases[at[one]], weights[at[one]] = x[first[one]], factor
+    for n in np.unique(counts[~one]):  # one rule for all pairs of n points
+        k, (u, w) = np.flatnonzero(~one & (counts == n)), _leggauss(n)
+        slots = at[k, None] + np.arange(n)
+        phases[slots] = x[first[k], None] + 0.5 * (u + 1.0) * gap[k, None]
+        weights[slots] = 0.5 * factor * tmax * w
+    return phases, weights, (~one).astype(int).repeat(counts), counts
 
-    The remainder (n!)^4 theta^(2n) / ((2n+1) ((2n)!)^3) must fall below 2^-53 / (1 + theta).
+
+def _prefix_terms(x: np.ndarray, first: np.ndarray, last: np.ndarray, tmax: float):
+    """[x[first]..x[last]] of many chains, chain by chain: (phases, weights, orders, counts), the terms of one
+    ``divided_difference_terms`` call per chain, all single nodes and clustered pairs in one ``_short_terms`` pass."""
+    short = (first == last) | ((last - first == 1) & ((x[last] - x[first]) * tmax < 1.0))
+    head, rest = np.flatnonzero(short), np.flatnonzero(~short)
+    *terms, counts = _short_terms(x, first[head], last[head], tmax)
+    long = [divided_difference_terms(x[f : l + 1], tmax) for f, l in zip(first[rest], last[rest])]
+    owner = np.concatenate([head.repeat(counts), rest.repeat([t[0].size for t in long])])
+    order = np.argsort(owner, kind="stable")  # chain by chain
+    terms = [np.concatenate([a, *(t[k] for t in long)])[order] for k, a in enumerate(terms)]
+    return (*terms, np.bincount(owner, minlength=first.size))
+
+
+def _pair_switch(n: int) -> float:
+    """The least theta < 1 at which n Gauss-Legendre points fail the remainder test of ``_pair_order``."""
+    c, lo, hi = 4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1), 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # enough points at lo, too few at hi, until adjacent doubles
+        lo, hi = (lo, mid) if c + 2 * n * math.log(mid) + math.log(1.0 + mid) > -53 * math.log(2) else (mid, hi)
+    return hi
+
+
+_PAIR_SWITCHES = np.array([_pair_switch(n) for n in range(1, 7)])  # 7 points suffice below theta = 1
+
+
+def _pair_order(theta: np.ndarray) -> np.ndarray:
+    """Fewest Gauss-Legendre points for integral_0^1 exp(i*theta*s) ds at each pair's theta < 1: at most 7.
+
+    The remainder (n!)^4 theta^(2n) / ((2n+1) ((2n)!)^3) must fall below 2^-53 / (1 + theta), so n points
+    suffice below ``_PAIR_SWITCHES[n - 1]``, the least theta where that test, evaluated as written, fails.
     """
-    n = 1
-    while theta > 0.0 and (4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
-                           + 2 * n * math.log(theta) + math.log(1.0 + theta) > -53 * math.log(2)):
-        n += 1
-    return n
+    return 1 + np.searchsorted(_PAIR_SWITCHES, theta, side="right")

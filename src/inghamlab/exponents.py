@@ -36,6 +36,10 @@ class ExponentFamily:
         x = np.atleast_1d(np.asarray(self.exponents, dtype=float))
         if x.ndim != 1 or x.size == 0:
             raise ValueError("exponent window must be a nonempty 1-D sequence")
+        if not np.isfinite(x).all():  # NaN would pass the order test below
+            raise ValueError("exponents must be finite")
+        if not math.isfinite(float(x.max()) - float(x.min())):  # so is every gap and divided-difference divisor
+            raise ValueError("exponent span must be finite")
         if np.any(np.diff(x) < 0):
             raise ValueError("exponents must be nondecreasing")
         x = x.copy()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, cho_factor, eigh_tridiagonal, lapack
 
-from .basisfuncs import DirectionAssignment, divided_difference_terms
+from .basisfuncs import DirectionAssignment, _prefix_terms
 from .exponents import ExponentFamily
 
 __all__ = [
@@ -160,22 +160,22 @@ def _spherical_jn(x: np.ndarray, m: np.ndarray, e: np.ndarray):
     """
     top, ax = int(m[-1]) if m.size else 0, np.abs(x)
     low = np.flatnonzero(ax < m)  # the lanes that leave the forward recurrence below their own m
-    xl, ml = x[low], m[low]
+    xl, ml, axl = x[low], m[low], ax[low]
     start, r, R = ml + 12 + (10 * (ml / 2) ** (1 / 3)).astype(int), np.zeros(low.size), [np.empty(0)] * (top + 1)
+    ns = np.arange(int(start.max(initial=0)), 0, -1)
     with np.errstate(divide="ignore", over="ignore"):  # only in lanes that stay on the forward recurrence
-        for n in range(int(start.max(initial=0)), 0, -1):
-            k = np.searchsorted(start, n)  # the lanes whose recurrence has started
-            np.divide(xl[k:], (2 * n + 1) - xl[k:] * r[k:], out=r[k:])
+        for n, k in zip(ns.tolist(), start.searchsorted(ns).tolist()):  # the lanes whose recurrence has started
+            xk, rk = xl[k:], r[k:]
+            np.divide(xk, (2 * n + 1) - xk * rk, out=rk)
             if n <= top:
-                R[n] = r[np.searchsorted(ml, n) :].copy()  # for the low lanes with m >= n
+                R[n] = r[(ml >= n) & (axl < n)]  # only the ratios read below: lanes with m >= n above |x|
     xs = np.where(ax < 1, 1.0, x)  # below |x| = 1 every order n >= 1 takes ratios, and 1/x may overflow
     j, prev, fj, fp = np.divide(e.imag, x, out=np.ones_like(x), where=x != 0), e.real / xs, 0, 0
     yield 0, j
     for n, first in enumerate(np.searchsorted(m, np.arange(1, top + 1)), 1):
         nxt = (2 * n - 1) * j[first - fj :] / xs[first:] - prev[first - fp :]
-        lanes = low[low.size - R[n].size :]
-        i = np.flatnonzero(ax[lanes] < n)  # the lanes above |x| at order n
-        nxt[lanes[i] - first] = R[n][i] * j[lanes[i] - fj]
+        lanes = low[(ml >= n) & (axl < n)]  # the lanes of R[n]
+        nxt[lanes - first] = R[n] * j[lanes - fj]
         prev, fp, j, fj = j, fj, nxt, first
         yield first, j
 
@@ -269,14 +269,13 @@ class DividedDifferenceSystem:
 def _terms(system, tmax: float):
     """(phases, coefs, orders, starts) of a system's profiles.
 
-    Profile p sums coefs[r] * (t/tmax)^orders[r] * exp(i*phases[r]*t) over its terms r from
-    starts[p] to the next start: W * i^m for the terms of ``divided_difference_terms``.
+    Profile p sums coefs[r] * (t/tmax)^orders[r] * exp(i*phases[r]*t) over its terms r from starts[p] to the
+    next start: W * i^m for the terms of ``divided_difference_terms``, one- and two-node prefixes in one pass.
     """
     if isinstance(system, DividedDifferenceSystem):
-        phases, weights, orders = zip(*(divided_difference_terms(x, tmax) for x in system.nodes))
-        counts = [p.size for p in phases]
-        orders = np.concatenate(orders)
-        return np.concatenate(phases), np.concatenate(weights) * 1j**orders, orders, np.cumsum(counts) - counts
+        first, last = np.array([(f, l) for f, e in system.chains for l in range(f, e + 1)], dtype=int).reshape(-1, 2).T
+        phases, weights, orders, counts = _prefix_terms(system.family.exponents, first, last, tmax)
+        return phases, weights * 1j**orders, orders, np.cumsum(counts) - counts
     if not isinstance(system, ExponentialSystem):
         raise TypeError(f"unsupported system descriptor {type(system).__name__}")
     x = system.family.exponents

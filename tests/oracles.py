@@ -16,7 +16,8 @@ of the cross matrix, and its exact coefficients come from mpmath.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
-the simplex (iterated-integral) form of a divided difference, the library's
+the simplex (iterated-integral) form of a divided difference, the scalar
+Gauss-Legendre point count of a clustered pair, the library's
 divided-difference terms evaluated as a profile, its derivative bound, the
 exponential Gram with every entry formed in complex arithmetic and the DD
 moments with every Legendre order summed on every element (the kernel's own
@@ -205,8 +206,12 @@ def grid_system(grid: FourierGrid) -> ExponentialSystem:
     return ExponentialSystem(family, DirectionAssignment(grid.d, np.tile(np.eye(grid.d), (grid.n_values.size, 1))))
 
 
-def _profile_terms(system, tmax):
-    """(phases, coefs, orders, starts) of every function's profile: W * i^m per divided-difference term."""
+def profile_terms(system, tmax):
+    """(phases, coefs, orders, starts) of every function's profile: W * i^m per divided-difference term.
+
+    One ``divided_difference_terms`` call per function, apart from ``gram._terms``' one pass over
+    the one- and two-node prefixes of a DD system.
+    """
     if isinstance(system, DividedDifferenceSystem):
         terms = [divided_difference_terms(x, tmax) for x in system.nodes]
     else:
@@ -219,7 +224,7 @@ def _profile_terms(system, tmax):
 def _profile_products(sources, targets, interval):
     """S[s, a] = (profile_s, profile_a), every term pair at once."""
     tmax = max(abs(interval.a), abs(interval.b))
-    (ps, cs, ms, ss), (pt, ct, mt, st) = _profile_terms(sources, tmax), _profile_terms(targets, tmax)
+    (ps, cs, ms, ss), (pt, ct, mt, st) = profile_terms(sources, tmax), profile_terms(targets, tmax)
     S = np.multiply.outer(cs, ct.conj()) * exp_moments(np.subtract.outer(ps, pt), np.add.outer(ms, mt), interval)
     return np.add.reduceat(np.add.reduceat(S, ss, axis=0), st, axis=1)
 
@@ -401,6 +406,31 @@ def hermite_genocchi(x: np.ndarray, tarr: np.ndarray, order: int) -> np.ndarray:
     phase = S @ np.diff(x)  # (npts,)
     integral = np.einsum("p,pn->n", W, np.exp(1j * np.multiply.outer(phase, tarr)))
     return (1j * tarr) ** q * np.exp(1j * x[0] * tarr) * integral
+
+
+def pair_order(theta: float) -> int:
+    """Fewest Gauss-Legendre points for integral_0^1 exp(i*theta*s) ds, one theta < 1 at a time.
+
+    Adds points until the remainder (n!)^4 theta^(2n) / ((2n+1) ((2n)!)^3) falls below 2^-53 / (1 + theta),
+    apart from ``basisfuncs._pair_order``, which looks theta up among the precomputed switch points.
+    """
+    n = 1
+    while theta > 0.0 and (4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
+                           + 2 * n * math.log(theta) + math.log(1.0 + theta) > -53 * math.log(2)):
+        n += 1
+    return n
+
+
+def pair_switches() -> list[float]:
+    """For n = 1..6, the least theta < 1 at which ``pair_order`` asks for more than n points, by bisection."""
+    switches = []
+    for n in range(1, 7):
+        lo, hi = 0.0, 1.0 - 2.0**-53
+        while np.nextafter(lo, 1.0) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if pair_order(mid) > n else (mid, hi)
+        switches.append(hi)
+    return switches
 
 
 def dd_profile(nodes, t):

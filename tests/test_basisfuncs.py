@@ -9,7 +9,15 @@ from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.exponents import ExponentFamily, detect_chains, generate_family
 from inghamlab.gram import DividedDifferenceSystem, ExponentialSystem
 
-from oracles import dd_derivative, dd_derivative_bound, dd_profile, eval_dd_exact, eval_dd_hermite_genocchi
+from oracles import (
+    dd_derivative,
+    dd_derivative_bound,
+    dd_profile,
+    eval_dd_exact,
+    eval_dd_hermite_genocchi,
+    pair_order,
+    pair_switches,
+)
 
 
 def vector_exponential(omega, U, t):
@@ -90,6 +98,13 @@ class TestDividedDifference:
     def test_unsorted_nodes_rejected(self):
         with pytest.raises(ValueError, match="unsorted"):
             dd_profile([1.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("nodes", [[math.nan], [0.0, math.nan], [0.0, math.nan, 1.0], [math.nan, math.nan],
+                                       [0.0, math.inf], [-math.inf, 0.0, 1.0], [math.inf]])
+    def test_non_finite_nodes_rejected(self, nodes):
+        # a NaN gap is neither negative nor wide, so the order test alone let it through
+        with pytest.raises(ValueError, match="finite"):
+            divided_difference_terms(nodes, 10.0)
 
     def test_recurrence_matches_quadrature_on_separated_sets(self):
         rng = np.random.default_rng(42)
@@ -279,6 +294,27 @@ class TestSimplexOrder:
         assert diffs == []
         divided_difference_terms([0.0, 3.0], 10.0)
         assert diffs == [2]
+
+
+class TestPairOrder:
+    """The Gauss-Legendre point count of a clustered pair against the scalar loop it replaced."""
+
+    def test_scalar_reference_on_a_dense_grid(self):
+        from inghamlab.basisfuncs import _pair_order
+
+        theta = np.linspace(0.0, 1.0, 20001)[:-1]
+        assert _pair_order(theta).tolist() == [pair_order(v) for v in theta.tolist()]
+        assert _pair_order(np.zeros(3)).tolist() == [1, 1, 1] and pair_order(0.0) == 1
+
+    def test_scalar_reference_at_every_switch_point(self):
+        from inghamlab.basisfuncs import _pair_order
+
+        switches = pair_switches()
+        assert [pair_order(s) for s in switches] == [2, 3, 4, 5, 6, 7]
+        theta = np.array([np.nextafter(s, to) for s in switches for to in (0.0, s, 1.0)])
+        assert _pair_order(theta).tolist() == [pair_order(v) for v in theta.tolist()]
+        assert _pair_order(theta).tolist() == [n + k for n in range(1, 7) for k in (0, 1, 1)]
+        assert pair_order(np.nextafter(1.0, 0.0)) == 7  # a clustered pair never needs more
 
 
 class TestDerivative:

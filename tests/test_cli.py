@@ -471,6 +471,25 @@ class TestMainEntry:
         assert line.startswith("config error: ") and message in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponents, literal, message", [
+        ([0.0, math.nan, 1.0], "[0.0, NaN, 1.0]", "exponents must be finite"),
+        ([0.0, math.inf, 1.0], "[0.0, Infinity, 1.0]", "exponents must be finite"),
+        ([0.0, -math.inf, 1.0], "[0.0, -Infinity, 1.0]", "exponents must be finite"),
+        ([-1e308, 0.0, 1e308], "[-1e+308, 0.0, 1e+308]", "exponent span must be finite"),
+    ])
+    def test_non_finite_exponents_exit_two(self, tmp_path, capsys, exponents, literal, message):
+        # Python's json reads these literals, so the family, not the parser, rejects them
+        out = tmp_path / "out.csv"
+        raw = {"command": "gram", "family": {"kind": "explicit", "params": {"exponents": exponents}},
+               "interval": [0.0, 1.0], "output": {"path": str(out), "format": "csv"}}
+        cfg_path = tmp_path / "explicit.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert literal in cfg_path.read_text()
+        assert main(["--config", str(cfg_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()  # the one error, and no other
+        assert line == f"config error: family.params: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, message", [
         ({"kind": "clustered-pairs", "params": {"spcing": 3.0, "window": [0, 8]}},
          "family.params: unexpected parameters for dd-condition: ['spcing']"),

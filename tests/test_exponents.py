@@ -212,6 +212,18 @@ class TestFamilyInvariants:
         with pytest.raises(ValueError):
             ExponentFamily(np.array([]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_finite_required(self, value):
+        # sorted, so only finiteness fails: a NaN passes the order test
+        with pytest.raises(ValueError, match="finite"):
+            ExponentFamily(np.sort([0.0, value, 1.0]))
+
+    def test_finite_span_required(self):
+        # every entry is finite, but the span and so a divided difference's divisor would overflow
+        with pytest.raises(ValueError, match="span must be finite"):
+            ExponentFamily(np.array([-1e308, 0.0, 1e308]))
+        assert ExponentFamily(np.array([-8e307, 8e307])).span == 1.6e308
+
     def test_slice_preserves_index_labels(self):
         # position 0 of the slice is position 3 of the family
         fam = integers(-8, 8)

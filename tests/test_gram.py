@@ -49,6 +49,8 @@ from oracles import (
     grid_inner_matrix,
     inner_matrix,
     invert_2x2,
+    pair_switches,
+    profile_terms,
     vector_inner,
 )
 
@@ -718,6 +720,77 @@ class TestClosedFormDD:
             monkeypatch.setattr(gram, "TERM_PRODUCTS_PER_BLOCK", budget)
             runs.append([assemble_gram(s, interval) for s in (raw, unit, single)])
         assert all(np.array_equal(a, b) for run in runs[1:] for a, b in zip(runs[0], run))
+
+
+PAIR_SWITCHES = pair_switches()  # where the pair rule's point count steps, by the scalar reference
+
+
+@st.composite
+def prefix_systems(draw):
+    """Chains of 1 to 4 nodes and a tmax in [1, 1e3], as a raw DD system.
+
+    Each gap times tmax is at or just off a switch of the pair rule's point count, 0 (a
+    repeated node), anywhere below 1, or wide; the nodes start near or far from 0, on either side.
+    """
+    tmax = draw(st.floats(1.0, 1e3))
+    switch = st.tuples(st.sampled_from(PAIR_SWITCHES), st.sampled_from([-1e-9, -2.0**-52, 0.0, 2.0**-52, 1e-9]))
+    theta = st.one_of(switch.map(lambda s: s[0] * (1.0 + s[1])), st.just(0.0),
+                      st.floats(0.0, 1.0, exclude_max=True), st.floats(1.0, 50.0))
+    x, chains = [draw(st.sampled_from([0.0, -3.0, 7.5, -1e6, 1e6]))], []
+    for gaps in draw(st.lists(st.lists(theta, max_size=3), min_size=1, max_size=6)):
+        if chains:  # the next chain starts at any distance
+            x.append(x[-1] + draw(st.sampled_from([0.0, 1e-3, 0.5, 7.0])))
+        chains.append((len(x) - 1, len(x) - 1 + len(gaps)))
+        x.extend(x[-1] + np.cumsum(gaps) / tmax)
+    fam = ExponentFamily(np.array(x))
+    return DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)), tmax
+
+
+class TestPrefixTerms:
+    """``gram._terms`` expands every one- and two-node prefix in one pass, with the bits of one call per prefix."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=prefix_systems())
+    def test_equals_one_call_per_prefix(self, case):
+        from inghamlab import gram
+
+        system, tmax = case
+        for ours, reference in zip(gram._terms(system, tmax), profile_terms(system, tmax), strict=True):
+            assert ours.dtype == reference.dtype and ours.shape == reference.shape
+            assert ours.tobytes() == reference.tobytes()
+
+    def test_pairs_at_every_switch_point(self):
+        # gap * tmax one ulp below, at and one ulp above each switch of the rule's point count
+        from inghamlab import gram
+
+        tmax, sizes = 8.0, []  # a power of 2: gap * tmax is theta exactly
+        for theta in (np.nextafter(s, to) for s in PAIR_SWITCHES for to in (0.0, s, 1.0)):
+            fam = ExponentFamily(np.array([0.0, theta / tmax]))
+            system = DividedDifferenceSystem(fam, [(0, 1)], DirectionAssignment.constant(fam, 1))
+            ours, reference = gram._terms(system, tmax), profile_terms(system, tmax)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference, strict=True))
+            sizes.append(ours[0].size - 1)  # the pair's rule, after the first node's term
+        assert sizes == [n + k for n in range(1, 7) for k in (0, 1, 1)]
+
+    def test_clustered_pairs_make_no_chain_call(self, monkeypatch):
+        # the dd benchmark's systems: clustered pairs 2 apart on [0, 100], 102 prefixes of one or two nodes each
+        from inghamlab import basisfuncs, gram
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return divided_difference_terms(*args)
+
+        monkeypatch.setattr(basisfuncs, "divided_difference_terms", spy)
+        for delta in (1e-6, 1e-4, 1e-3, 1e-2):
+            system = pairs_dd_system([0.0, 100.0], delta)
+            phases, _, _, starts = gram._terms(system, 10.0)
+            assert starts.size == 102 and phases.size > 102
+        assert calls == []
+        fam = ExponentFamily(np.array([0.0, 1e-3, 2e-3]))  # the spy sees a three-node prefix, and only it
+        gram._terms(DividedDifferenceSystem(fam, [(0, 2)], DirectionAssignment.constant(fam, 1)), 10.0)
+        assert len(calls) == 1 and calls[0][0].size == 3
 
 
 @st.composite
