@@ -22,11 +22,10 @@ from .gram import (
     ExponentialSystem,
     FourierGrid,
     IntervalSpec,
-    _extreme_spectrum,
     assemble_gram,
+    extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
-    hermiticity_residual,
     projection_defect_norms,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "SweepResult",
     "DefectDecayFit",
     "GridPointFailure",
-    "extreme_eigenvalues",
     "frame_bound_sequence",
     "threshold_sweep",
     "run_trace_experiment",
@@ -46,12 +44,11 @@ __all__ = [
     "conditioning_comparison",
 ]
 
-HERMITICITY_RTOL = 1e-10
-EIGEN_RESIDUAL_RTOL = 1e-8
 # computed eigenvalues at or below this fraction of the spectral norm are
 # indistinguishable from zero in double precision
 EIGEN_FLOOR_RTOL = 1e-12
 DEFAULT_N_MAX = 128  # largest truncation of a threshold sweep
+DD_SPACING = 2.0  # pair spacing of a conditioning comparison's clustered-pairs families
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
 TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of trailing-triangle solves in a trace
@@ -59,36 +56,6 @@ TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of trailing-triangle solves in
 
 class GridPointFailure(ArithmeticError):
     """Numerical failure at one point of a sweep, annotated with the point."""
-
-
-def extreme_eigenvalues(G) -> tuple[float, float]:
-    """Extreme eigenvalues of a Hermitian Gram matrix, residual-verified.
-
-    A float64 matrix, or a complex one whose imaginary part is exactly zero
-    (a DD Gram with real directions on an interval centered at 0, as
-    ``conditioning_comparison`` assembles one there), is checked and solved in
-    real arithmetic; any other stays complex.  The
-    solve is values-first: one tridiagonal reduction, the two extreme
-    eigenpairs of the tridiagonal matrix, and only those two eigenvectors
-    taken back (``gram._extreme_spectrum``).  Both pairs are checked against
-    the matrix passed in, under the residual contract
-    ||G v - lambda v|| <= 1e-8 ||G||.
-    """
-    G = np.asarray(G)
-    A = G.real if np.iscomplexobj(G) and not np.any(G.imag) else G
-    scale = max(1.0, float(np.max(np.abs(A))))
-    herm = hermiticity_residual(A)
-    if herm > HERMITICITY_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian within tolerance (residual {herm:.3e})")
-    vals, vecs = _extreme_spectrum(A, vectors=True)
-    gnorm = max(abs(vals[0]), abs(vals[-1]))
-    # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
-    # keep spinning after a call and slow the next LAPACK solve about 2x
-    GV = get_blas_funcs("gemm", (G, vecs))(1.0, G, vecs)
-    residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
-    if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
-        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")
-    return float(vals[0]), float(vals[-1])
 
 
 @dataclass
@@ -342,7 +309,7 @@ def run_trace_experiment(
     del C
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
     # A = (V V^H) o (C C^T), F-ordered, so conj(P) = diag(rho) A diag(rho); einsum, not numpy's @
-    # (see extreme_eigenvalues)
+    # (see gram.extreme_eigenvalues)
     A = np.einsum("kd,ld->lk", V, V.conj()).T
     A *= CC
     del CC
@@ -462,7 +429,7 @@ def defect_majorant(d: int, interval: IntervalSpec, R: float) -> float:
 def conditioning_comparison(
     interval: IntervalSpec,
     delta_grid,
-    spacing: float = 2.0,
+    spacing: float = DD_SPACING,
     window=(0.0, 8.0),
     gamma_prime: float = 0.5,
     M: int = 2,
@@ -471,9 +438,10 @@ def conditioning_comparison(
     """Condition numbers of raw-exponential vs divided-difference Grams per delta.
 
     The raw system on a clustered-pairs family degenerates like delta^-2;
-    the divided-difference system stays bounded.  A raw smallest eigenvalue
-    at the double-precision floor is reported as "overflow" rather than a
-    meaningless quotient, and so is the ratio cond_raw / cond_dd.
+    the divided-difference system stays bounded.  A smallest eigenvalue at
+    the double-precision floor, raw or DD, makes its condition number
+    "overflow" rather than a meaningless quotient, and so is the ratio
+    cond_raw / cond_dd when either is.
     """
     deltas = [float(v) for v in delta_grid]
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)  # raw only: translated DDs recombine
@@ -483,11 +451,12 @@ def conditioning_comparison(
             fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=list(window))
             dirs = DirectionAssignment.constant(fam, 1)
             lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered))
-            cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo
             dd_system = DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime, M), dirs, normalize=normalize_dd)
             lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
-        ratio = "overflow" if cond_raw == "overflow" else cond_raw / (hi_dd / lo_dd)
-        rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": hi_dd / lo_dd, "ratio": ratio})
+        cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo
+        cond_dd = "overflow" if lo_dd <= EIGEN_FLOOR_RTOL * hi_dd else hi_dd / lo_dd
+        ratio = "overflow" if "overflow" in (cond_raw, cond_dd) else cond_raw / cond_dd
+        rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": cond_dd, "ratio": ratio})
     return SweepResult(grid=deltas, results=rows, metadata={"normalized_dd": normalize_dd})

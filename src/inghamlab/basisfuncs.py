@@ -17,7 +17,7 @@ import numpy as np
 
 from .exponents import ExponentFamily
 
-__all__ = ["UNIT_NORM_TOL", "DirectionAssignment", "divided_difference_terms"]
+__all__ = ["UNIT_NORM_TOL", "DirectionAssignment", "divided_difference_terms", "prefix_terms"]
 
 UNIT_NORM_TOL = 1e-12
 _leggauss = functools.lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)  # a pair takes at most 7 points
@@ -78,8 +78,6 @@ def divided_difference_terms(nodes, tmax: float):
     x = np.atleast_1d(np.asarray(nodes, dtype=float))
     if x.size == 0 or not np.isfinite(x).all():  # NaN would pass the order test below
         raise ValueError("nodes must be nonempty and finite")
-    if x.size == 1:  # the loop below would give the same one term
-        return _short_terms(x, np.zeros(1, dtype=int), np.zeros(1, dtype=int), tmax)[:3]
     gaps = np.diff(x)
     if np.any(gaps < 0):
         raise ValueError("unsorted nodes")
@@ -142,7 +140,7 @@ def _short_terms(x: np.ndarray, first: np.ndarray, last: np.ndarray, tmax: float
     return phases, weights, (~one).astype(int).repeat(counts), counts
 
 
-def _prefix_terms(x: np.ndarray, first: np.ndarray, last: np.ndarray, tmax: float):
+def prefix_terms(x: np.ndarray, first: np.ndarray, last: np.ndarray, tmax: float):
     """[x[first]..x[last]] of many chains, chain by chain: (phases, weights, orders, counts), the terms of one
     ``divided_difference_terms`` call per chain, all single nodes and clustered pairs in one ``_short_terms`` pass."""
     short = (first == last) | ((last - first == 1) & ((x[last] - x[first]) * tmax < 1.0))

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DD_SPACING,
     DEFAULT_N_MAX,
     conditioning_comparison,
     defect_decay_fit,
     defect_majorant,
-    extreme_eigenvalues,
     run_trace_experiment,
     threshold_sweep,
 )
@@ -43,7 +43,7 @@ from .gram import (
     IntervalSpec,
     NearSingularGramError,
     assemble_gram,
-    hermiticity_residual,
+    extreme_eigenvalues,
 )
 
 COMMANDS = ("density", "gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
@@ -171,8 +171,9 @@ def _unknown(what: str, given: dict, known) -> list[str]:
     return [f"unknown {what} {name!r} (known: {', '.join(known)})" for name in given if name not in known]
 
 
-def _dd_family_errors(family: dict) -> list[str]:
-    """dd-condition builds one clustered-pairs family per delta from spacing and window only."""
+def _dd_family_errors(family: dict, deltas) -> list[str]:
+    """dd-condition builds one clustered-pairs family per delta from spacing and window only,
+    so every delta (``deltas``, None when the grid is not usable) lies in (0, spacing)."""
     errors = []
     if family.get("kind") != "clustered-pairs":
         errors.append(f"dd-condition needs family.kind 'clustered-pairs', got {family.get('kind')!r}")
@@ -182,8 +183,11 @@ def _dd_family_errors(family: dict) -> list[str]:
     extra = sorted(set(fparams) - {"spacing", "window"})
     if extra:
         errors.append(f"family.params: unexpected parameters for dd-condition: {extra}")
-    if "spacing" in fparams and not (_finite(fparams["spacing"]) and fparams["spacing"] > 0):
+    spacing = fparams.get("spacing", DD_SPACING)
+    if not (_finite(spacing) and spacing > 0):
         errors.append("family.params.spacing must be a positive number")
+    elif deltas is not None and not all(0 < v < spacing for v in deltas):
+        errors.append(f"grid 'delta' values must lie strictly between 0 and the spacing {spacing!r}")
     window = fparams.get("window")
     if "window" in fparams and not (
         isinstance(window, list) and len(window) == 2 and all(_finite(v) for v in window) and window[0] <= window[1]
@@ -348,7 +352,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     )
     config.interval_spec = interval_spec
     if command == "dd-condition":
-        errors.extend(_dd_family_errors(family))
+        errors.extend(_dd_family_errors(family, grids.get("delta") if grids_ok else None))
     elif family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
         try:
             built = config.exponent_family = _build_family(config)
@@ -363,6 +367,10 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
                     f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
                     f"the family has {len(built)}"
                 )
+            if command in ("trace", "defect-decay") and params_ok:
+                _, _, _, y, r = _window_args(config)
+                if not np.any(np.abs(built.exponents - y) < r):  # the strict test of analysis._window
+                    errors.append(f"params: no exponent w with |w - y| < r = {r!r} at y = {y!r}: V_r is empty")
             if command == "density" and grids_ok:
                 try:
                     config.density_estimate = estimate_density(built, grids["r"])
@@ -435,7 +443,8 @@ def _run_gram(config: ExperimentConfig):
         for j in range(n)
         for k in range(n)
     ]
-    summary = {"n": n, "lambda_min": lo, "lambda_max": hi, "hermiticity_residual": hermiticity_residual(G)}
+    residual = float(np.max(np.abs(G - G.conj().T)))
+    summary = {"n": n, "lambda_min": lo, "lambda_max": hi, "hermiticity_residual": residual}
     return rows, summary
 
 

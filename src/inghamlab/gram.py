@@ -13,6 +13,8 @@ orthonormal Fourier grid on I, whose frequencies form an exact lattice, are
 a scaled Cauchy matrix; ``grid_cauchy_factors`` returns its real Cauchy
 factor and a row phase, never the complex n x p matrix itself, and
 ``projection_defect_norms`` reads the defects off that real factor.
+``extreme_eigenvalues`` reads the Hermitian matrix stored in a Gram's lower
+triangle, as its tridiagonal reduction does.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, cho_factor, eigh_tridiagonal, lapack
 
-from .basisfuncs import DirectionAssignment, _prefix_terms
+from .basisfuncs import DirectionAssignment, prefix_terms
 from .exponents import ExponentFamily
 
 __all__ = [
@@ -40,14 +42,15 @@ __all__ = [
     "exp_inner_closed_form",
     "exp_moments",
     "assemble_gram",
-    "hermiticity_residual",
     "grid_cauchy_factors",
     "projection_defect_norms",
+    "extreme_eigenvalues",
     "gated_cho_factor",
 ]
 
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
+EIGEN_RESIDUAL_RTOL = 1e-8
 TERM_PRODUCTS_PER_BLOCK = 2**18  # term pairs in one row block of a Gram: 14 MB (order 0) to 29 MB of temporaries
 MIN_ROW_BLOCKS = 4  # one block forms every pair of the diagonal block twice; four form 5/8 of all pairs
 
@@ -259,12 +262,6 @@ class DividedDifferenceSystem:
     def __post_init__(self):
         _check_rows(self.directions, sum(last - first + 1 for first, last in self.chains))
 
-    @property
-    def nodes(self) -> list[np.ndarray]:
-        """The node set of each function, in order."""
-        x = self.family.exponents
-        return [x[first : l + 1] for first, last in self.chains for l in range(first, last + 1)]
-
 
 def _terms(system, tmax: float):
     """(phases, coefs, orders, starts) of a system's profiles.
@@ -274,7 +271,7 @@ def _terms(system, tmax: float):
     """
     if isinstance(system, DividedDifferenceSystem):
         first, last = np.array([(f, l) for f, e in system.chains for l in range(f, e + 1)], dtype=int).reshape(-1, 2).T
-        phases, weights, orders, counts = _prefix_terms(system.family.exponents, first, last, tmax)
+        phases, weights, orders, counts = prefix_terms(system.family.exponents, first, last, tmax)
         return phases, weights * 1j**orders, orders, np.cumsum(counts) - counts
     if not isinstance(system, ExponentialSystem):
         raise TypeError(f"unsupported system descriptor {type(system).__name__}")
@@ -333,11 +330,6 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     if getattr(system, "normalize", False):
         K /= np.multiply.outer(ns, ns)
     return K.T
-
-
-def hermiticity_residual(G: np.ndarray) -> float:
-    """max |G - G^H|, in the dtype of G."""
-    return float(np.max(np.abs(G - G.conj().T)))
 
 
 def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -423,6 +415,31 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool):
     V = np.hstack([z for _, z in ends]).astype(A.dtype)
     V[1:], _, _ = mqr("L", "N", c[1:, :-1], tau, V[1:], lwork=2)  # the minimum for two columns: unblocked
     return np.concatenate([w for w, _ in ends]), V
+
+
+def extreme_eigenvalues(G) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of the Hermitian matrix stored in G's lower triangle, residual-verified.
+
+    The strict upper triangle is never read, as in ``_extreme_spectrum``:
+    ``assemble_gram`` mirrors it from the lower one, so every Gram is exactly
+    Hermitian.  A float64 matrix, or a complex one whose strict
+    lower triangle is exactly real (a DD Gram with real directions on an
+    interval centered at 0), is solved in real arithmetic; any other stays
+    complex.  The two extreme eigenpairs of ``_extreme_spectrum`` are checked
+    against that matrix under the residual contract
+    ||G v - lambda v|| <= EIGEN_RESIDUAL_RTOL ||G||.
+    """
+    G = np.asarray(G)
+    A = G.real if np.iscomplexobj(G) and not np.tril(G.imag, -1).any() else G
+    vals, vecs = _extreme_spectrum(A, vectors=True)
+    gnorm = max(abs(vals[0]), abs(vals[-1]))
+    # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
+    # keep spinning after a call and slow the next LAPACK solve about 2x
+    GV = blas.get_blas_funcs("hemm" if np.iscomplexobj(A) else "symm", (A, vecs))(1.0, A, vecs, lower=1)
+    residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
+    if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
+        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")
+    return float(vals[0]), float(vals[-1])
 
 
 def gated_cho_factor(G: np.ndarray):

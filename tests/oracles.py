@@ -206,6 +206,17 @@ def grid_system(grid: FourierGrid) -> ExponentialSystem:
     return ExponentialSystem(family, DirectionAssignment(grid.d, np.tile(np.eye(grid.d), (grid.n_values.size, 1))))
 
 
+def nodes(system: DividedDifferenceSystem) -> list[np.ndarray]:
+    """The node set of each function of a DD system, in order: family positions first..l of each prefix."""
+    x = system.family.exponents
+    return [x[first : l + 1] for first, last in system.chains for l in range(first, last + 1)]
+
+
+def hermiticity_residual(G: np.ndarray) -> float:
+    """max |G - G^H|, in the dtype of G."""
+    return float(np.max(np.abs(G - G.conj().T)))
+
+
 def profile_terms(system, tmax):
     """(phases, coefs, orders, starts) of every function's profile: W * i^m per divided-difference term.
 
@@ -213,7 +224,7 @@ def profile_terms(system, tmax):
     the one- and two-node prefixes of a DD system.
     """
     if isinstance(system, DividedDifferenceSystem):
-        terms = [divided_difference_terms(x, tmax) for x in system.nodes]
+        terms = [divided_difference_terms(x, tmax) for x in nodes(system)]
     else:
         terms = [(np.array([w]), np.ones(1), np.zeros(1, dtype=int)) for w in system.family.exponents]
     phases, weights, orders = (np.concatenate(parts) for parts in zip(*terms))
@@ -294,9 +305,9 @@ def dd_inner_quadrature(k, n, system, interval, grid=None):
     sized on the uncentered nodes, and the profiles come from
     ``dd_simplex_profile``, not from the library's terms.
     """
-    nodes_k, Uk = system.nodes[k], system.directions.matrix[k]
+    nodes_k, Uk = nodes(system)[k], system.directions.matrix[k]
     if grid is None:
-        nodes_n, Un, scale = system.nodes[n], system.directions.matrix[n], 1.0
+        nodes_n, Un, scale = nodes(system)[n], system.directions.matrix[n], 1.0
     else:
         nodes_n = grid.frequencies[n // grid.d : n // grid.d + 1]
         Un, scale = np.eye(grid.d)[n % grid.d], 1.0 / math.sqrt(interval.length)
@@ -542,7 +553,7 @@ def dd_threshold_check(
     sources = DividedDifferenceSystem(family, chains, DirectionAssignment.constant(family, 1))
     targets = ExponentialSystem(sample, DirectionAssignment.constant(sample, 1))
     A = inner_matrix(sources, targets, interval).T  # A[k, n] = (f_k, exp(i gamma_n t))
-    omegas = np.array([nodes[-1] for nodes in sources.nodes])  # the exponent each f_k ends on
+    omegas = np.array([x[-1] for x in nodes(sources)])  # the exponent each f_k ends on
     sep = np.abs(omegas[:, None] - sample.exponents[None, :])
     prod = np.abs(A) * sep
     by_decade: dict[int, float] = {}

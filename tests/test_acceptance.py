@@ -45,6 +45,7 @@ from oracles import (
     dd_profile,
     dd_threshold_check,
     eval_dd_hermite_genocchi,
+    nodes as node_sets,
     power_extremes,
 )
 
@@ -258,7 +259,7 @@ def test_criterion_08_divided_difference_consistency():
     for fam, M in zip(families, (2, 3)):
         chains = detect_chains(fam, gamma_prime=0.5, M=M)
         system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
-        for nodes in system.nodes:
+        for nodes in node_sets(system):
             shifted = nodes - nodes[-1]
             for t in (0.25, 1.0, 3.0, 10.0):
                 h = 1e-5 * max(1.0, t)

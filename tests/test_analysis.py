@@ -15,7 +15,6 @@ from inghamlab.analysis import (
     conditioning_comparison,
     defect_decay_fit,
     defect_majorant,
-    extreme_eigenvalues,
     frame_bound_sequence,
     run_trace_experiment,
     threshold_sweep,
@@ -35,6 +34,7 @@ from inghamlab.gram import (
     NearSingularGramError,
     assemble_gram,
     exp_inner_closed_form,
+    extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
     projection_defect_norms,
@@ -113,10 +113,26 @@ class TestExtremeEigenvalues:
         assert lo == pytest.approx(olo, rel=1e-8)
         assert hi == pytest.approx(ohi, rel=1e-8)
 
-    def test_rejects_non_hermitian(self):
-        A = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            extreme_eigenvalues(A)
+    @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
+    def test_reads_only_the_lower_triangle(self, kind):
+        fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0.0, 8.0])
+        centered = IntervalSpec(-3.0, 3.0)
+        if kind == "real-valued complex":  # solved in real arithmetic, decided on the lower triangle too
+            system = DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 2), DirectionAssignment.constant(fam, 1))
+        else:
+            rule = DirectionAssignment.constant if kind == "float64" else DirectionAssignment.random
+            system = ExponentialSystem(fam, rule(fam, 2))
+        G = assemble_gram(system, centered)
+        assert G.dtype == (np.float64 if kind == "float64" else np.complex128)
+        assert np.any(G.imag) == (kind == "complex")
+        clean = extreme_eigenvalues(G)
+        upper = np.triu_indices(G.shape[0], 1)
+        finite = 1e3 * np.random.default_rng(0).normal(size=(2, upper[0].size))
+        garbage = (np.nan, finite[0]) if kind == "float64" else (complex(np.nan, np.nan), finite[0] + 1j * finite[1])
+        for value in garbage:
+            H = G.copy()
+            H[upper] = value
+            assert extreme_eigenvalues(H) == clean
 
 
 class TestFrameBoundSequence:

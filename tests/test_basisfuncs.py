@@ -15,6 +15,7 @@ from oracles import (
     dd_profile,
     eval_dd_exact,
     eval_dd_hermite_genocchi,
+    nodes as node_sets,
     pair_order,
     pair_switches,
 )
@@ -271,30 +272,6 @@ class TestSimplexOrder:
         phases, weights, orders = divided_difference_terms([3.0], 1e9)
         assert (phases.tolist(), weights.tolist(), orders.tolist()) == ([3.0], [1.0], [0])
 
-    def test_single_node_skips_the_chain_loop(self, monkeypatch):
-        # one node is the term (x, 1, 0) before the loop, which would give the same term
-        from inghamlab import basisfuncs
-
-        diffs = []
-
-        class Spy:  # the module's numpy, recording the loop's first call
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def diff(self, a, *args, **kwargs):
-                diffs.append(np.size(a))
-                return np.diff(a, *args, **kwargs)
-
-        monkeypatch.setattr(basisfuncs, "np", Spy())
-        for x in (3.0, -0.0, 1e-300, -7e12):
-            nodes = np.array([x])
-            phases, weights, orders = divided_difference_terms(nodes, 10.0)
-            assert phases.tobytes() == nodes.tobytes() and not np.shares_memory(phases, nodes)
-            assert weights.tolist() == [1.0] and orders.tolist() == [0] and orders.dtype.kind == "i"
-        assert diffs == []
-        divided_difference_terms([0.0, 3.0], 10.0)
-        assert diffs == [2]
-
 
 class TestPairOrder:
     """The Gauss-Legendre point count of a clustered pair against the scalar loop it replaced."""
@@ -339,7 +316,7 @@ class TestDerivative:
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
         system = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1))
         h = 1e-5
-        for nodes in system.nodes:
+        for nodes in node_sets(system):
             anchor = nodes[-1]
             shifted = nodes - anchor
             for t in (0.5, 1.0, 2.0, 5.0, 10.0):
@@ -365,7 +342,7 @@ class TestDividedDifferenceBasis:
     def test_descriptors_follow_chain_prefixes(self):
         fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0, 2])
         chains = detect_chains(fam, gamma_prime=0.5, M=2)
-        nodes = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)).nodes
+        nodes = node_sets(DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)))
         assert len(nodes) == len(fam)
         for position, node_set in enumerate(nodes):
             first = next(first for first, last in chains if first <= position <= last)
@@ -375,7 +352,7 @@ class TestDividedDifferenceBasis:
     def test_singleton_chain_is_plain_exponential(self):
         fam = generate_family("lattice", spacing=1.0, window=[0, 3])
         chains = detect_chains(fam, gamma_prime=0.5, M=1)
-        nodes = DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)).nodes
+        nodes = node_sets(DividedDifferenceSystem(fam, chains, DirectionAssignment.constant(fam, 1)))
         t = 1.3
         for position, node_set in enumerate(nodes):
             assert dd_profile(node_set, t) == pytest.approx(

@@ -22,6 +22,7 @@ from inghamlab.exponents import detect_chains, generate_family
 from inghamlab.gram import DividedDifferenceSystem
 
 from oracles import dd_recurrence, dense_panel_rule, eval_dd_exact, read_artifact_config
+from oracles import nodes as node_sets
 
 TWO_PI = 2.0 * math.pi
 
@@ -335,6 +336,28 @@ class TestRunArtifacts:
         first = dict(zip(header.split(","), lines[lines.index(header) + 1].split(",")))
         assert float(first["ratio"]) > 1e3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dd_condition_at_the_eigenvalue_floor_reports_overflow(self, tmp_path, fmt):
+        # on [0, 1] both Grams of 100 pairs are numerically singular: lambda_min at or below
+        # 1e-12 * lambda_max (negative for the DD Gram) makes no condition number on either side
+        out = tmp_path / f"floor.{fmt}"
+        raw = {
+            "command": "dd-condition",
+            "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 100]}},
+            "interval": [0.0, 1.0],
+            "grids": {"delta": [1e-6, 1e-2]},
+            "output": {"path": str(out), "format": fmt},
+        }
+        assert run(parse_config(json.dumps(raw))) == 0
+        if fmt == "json":
+            rows = json.loads(out.read_text())["rows"]
+        else:
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [float(row["delta"]) for row in rows] == [1e-6, 1e-2]
+        for row in rows:
+            assert (row["cond_raw"], row["cond_dd"], row["ratio"]) == ("overflow",) * 3
+
     def test_defect_decay_summary(self, tmp_path):
         out = tmp_path / "decay.json"
         raw = {
@@ -515,6 +538,31 @@ class TestMainEntry:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
+          "interval": [0.0, 10.0], "grids": {"delta": [1e-6, 3.0]}},
+         "grid 'delta' values must lie strictly between 0 and the spacing 2.0"),
+        ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"window": [0, 8]}},
+          "interval": [0.0, 10.0], "grids": {"delta": [1e-6, 2.0]}},
+         "grid 'delta' values must lie strictly between 0 and the spacing 2.0"),
+        # the integers hold no w with |w - 0.5| < 0.5: the window's test is strict
+        ({"command": "trace", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-5, 5]}},
+          "interval": [0.0, 1.0], "params": {"y": 0.5, "r": 0.5, "R": 2.0}},
+         "params: no exponent w with |w - y| < r = 0.5 at y = 0.5: V_r is empty"),
+        # y defaults to the middle of the family, 2.5 here
+        ({"command": "defect-decay", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [0, 5]}},
+          "interval": [0.0, 1.0], "grids": {"R": [1.0, 2.0, 3.0, 4.0]}, "params": {"r": 0.5}},
+         "params: no exponent w with |w - y| < r = 0.5 at y = 2.5: V_r is empty"),
+    ])
+    def test_unrunnable_configs_exit_two_before_running(self, tmp_path, capsys, raw, message):
+        out = tmp_path / "out.csv"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**raw, "output": {"path": str(out)}}))
+        assert main(["--config", str(cfg_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()  # the one error, and no other
+        assert line == f"config error: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("change, message", [
         ({"command": "bounds-sweep", "grids": {"lengths": [5.0]}, "params": {"N_max": 8},
           "directions": {"rule": "partition", "d": 2, "alpha": 3.0}},
@@ -659,7 +707,7 @@ class TestMainEntry:
         row = out.read_text().splitlines()[-1].split(",")
         # reference: the normalized Gram of Newton-recurrence profiles on centered nodes
         fam = generate_family("clustered-pairs", spacing=spacing, delta=0.15, window=window)
-        nodes = DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 2), DirectionAssignment.constant(fam, 1)).nodes
+        nodes = node_sets(DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 2), DirectionAssignment.constant(fam, 1)))
         c = 0.5 * (nodes[0][0] + nodes[-1][-1])
         t, w = dense_panel_rule(*interval, rate=2.0 * max(float(np.max(np.abs(x - c))) for x in nodes))
         F = np.stack([dd_recurrence(x - c, t) for x in nodes])
@@ -697,7 +745,7 @@ class TestMainEntry:
         # reference: the normalized Gram of exact (mpmath) profiles on a dense panel rule;
         # rel is the rounding of unit-scale entries times cond_dd (1.8e3, 7.0e6 and 5.6e9)
         fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=window)
-        nodes = DividedDifferenceSystem(fam, detect_chains(fam, 3.0, M), DirectionAssignment.constant(fam, 1)).nodes
+        nodes = node_sets(DividedDifferenceSystem(fam, detect_chains(fam, 3.0, M), DirectionAssignment.constant(fam, 1)))
         assert len(nodes) == M
         t, w = dense_panel_rule(0.0, end, rate=2.0 * float(fam.exponents[-1]))
         F = np.stack([eval_dd_exact(x, t) for x in nodes])
@@ -847,11 +895,13 @@ def valid_configs(draw, command):
     grids = {"density": "r", "bounds-sweep": "lengths", "defect-decay": "R", "dd-condition": "delta"}
     if command in grids:
         # a density fit needs 3 radii in the upper half of its grid, none past the family's span (>= 23)
-        values = st.floats(0.01, 20.0) if command == "density" else positives
+        # a dd-condition delta lies below the least spacing, 1.0
+        values = {"density": st.floats(0.01, 20.0), "dd-condition": st.floats(0.01, 0.99)}.get(command, positives)
         sizes = {"defect-decay": 4, "density": 5}
         raw["grids"] = {grids[command]: draw(increasing(values, min_size=sizes.get(command, 1)))}
     if command in ("trace", "defect-decay"):
-        raw["params"] = {"r": draw(positives), "y": draw(st.floats(-5.0, 5.0))}
+        # no two neighbours are more than 2.4 apart, so some exponent lies within r of y
+        raw["params"] = {"r": draw(st.floats(1.25, 50.0)), "y": draw(st.floats(-5.0, 5.0))}
         if command == "trace":
             raw["params"]["R"] = draw(positives)
     elif command == "bounds-sweep":

@@ -29,7 +29,6 @@ from inghamlab.gram import (
     exp_moments,
     gated_cho_factor,
     grid_cauchy_factors,
-    hermiticity_residual,
     projection_defect_norms,
 )
 
@@ -47,8 +46,10 @@ from oracles import (
     full_kernel_gram,
     grid_coefficient_exact,
     grid_inner_matrix,
+    hermiticity_residual,
     inner_matrix,
     invert_2x2,
+    nodes as node_sets,
     pair_switches,
     profile_terms,
     vector_inner,
@@ -525,11 +526,11 @@ class TestDividedDifferenceGram:
         assert dd_inner_quadrature(0, 1, system, self.I) == 0.0
 
     def test_entry_against_denser_quadrature(self):
-        rate = 2 * max(float(np.max(np.abs(nodes))) for nodes in self.system.nodes)
+        rate = 2 * max(float(np.max(np.abs(nodes))) for nodes in node_sets(self.system))
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for k, n in ((1, 1), (1, 3), (0, 3)):
-            fk = dd_profile(self.system.nodes[k], t)
-            fn = dd_profile(self.system.nodes[n], t)
+            fk = dd_profile(node_sets(self.system)[k], t)
+            fn = dd_profile(node_sets(self.system)[n], t)
             oracle = np.sum(w * fk * np.conj(fn))
             value = dd_inner_quadrature(k, n, self.system, self.I)
             assert value == pytest.approx(oracle, abs=1e-10 * self.I.length)
@@ -582,7 +583,7 @@ class TestCenteredPanels:
         # the reference takes the simplex form on centered nodes, which does
         # not cancel at all
         system = pairs_dd_system([1000.0, 1010.0], 1e-3)
-        nodes = system.nodes
+        nodes = node_sets(system)
         c = 0.5 * (nodes[0][0] + nodes[-1][-1])
         rate = 2.0 * max(float(np.max(np.abs(x - c))) for x in nodes)
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
@@ -607,7 +608,7 @@ class TestSimplexOrderInGrams:
         # where a simplex rule of 16 points would miss by about a factor of 2
         I = IntervalSpec(990.0, 1000.0)
         system = pairs_dd_system([0.0, 6.0], 0.05)
-        nodes = system.nodes
+        nodes = node_sets(system)
         c = 0.5 * (nodes[0][0] + nodes[-1][-1])
         rate = 2.0 * max(float(np.max(np.abs(x - c))) for x in nodes)
         t, w = dense_panel_rule(I.a, I.b, rate=rate)
@@ -634,7 +635,7 @@ class TestSimplexOrderInGrams:
         fam = ExponentFamily(np.append(chain, chain[-1] + np.array([2.0, 5.0]) / I.b))
         system = DividedDifferenceSystem(fam, [(0, 5), (6, 6), (7, 7)], DirectionAssignment.constant(fam, 1))
         G = assemble_gram(system, I)
-        reference = exact_profile_gram(system.nodes, I)
+        reference = exact_profile_gram(node_sets(system), I)
         assert np.max(np.abs(G - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_tight_chain_gram_far_from_zero(self):
@@ -646,14 +647,14 @@ class TestSimplexOrderInGrams:
         fam = ExponentFamily(0.9 / I.b * np.arange(4))
         system = DividedDifferenceSystem(fam, [(0, 3)], DirectionAssignment.constant(fam, 1))
         G = assemble_gram(system, I)
-        reference = exact_profile_gram(system.nodes, I)
+        reference = exact_profile_gram(node_sets(system), I)
         assert np.all(np.isfinite(G))
         assert np.all(np.abs(G - reference) <= 1e-13 * np.abs(reference))
 
     def test_dd_workload_pairs_take_two_and_three_points(self):
         # clustered pairs on [0, 100], I = [0, 10]: theta = 1e-5 and 1e-3
         for delta, points in ((1e-6, 2), (1e-4, 3)):
-            nodes = pairs_dd_system([0.0, 100.0], delta).nodes
+            nodes = node_sets(pairs_dd_system([0.0, 100.0], delta))
             terms = [divided_difference_terms(x, 10.0) for x in nodes if x.size > 1]
             assert [(phases.size, orders.tolist()) for phases, _, orders in terms] == [(points, [1] * points)] * 51
 
@@ -684,13 +685,13 @@ class TestClosedFormDD:
     @given(case=chain_systems())
     def test_matches_entrywise_quadrature(self, case):
         system, interval = case
-        n = len(system.nodes)
+        n = len(node_sets(system))
         Q = np.zeros((n, n), dtype=complex)  # Q[j, k] = (f_k, f_j)
         for k in range(n):
             for j in range(k, n):
                 Q[j, k] = dd_inner_quadrature(k, j, system, interval)
                 Q[k, j] = np.conj(Q[j, k])
-        grid = FourierGrid.centered(interval, 1, y=float(system.nodes[0][0]), radius=4.0 * math.pi / interval.length)
+        grid = FourierGrid.centered(interval, 1, y=float(node_sets(system)[0][0]), radius=4.0 * math.pi / interval.length)
         X = np.array([[dd_inner_quadrature(k, alpha, system, interval, grid) for k in range(n)]
                       for alpha in range(grid.size)])
         norms = np.sqrt(np.diag(Q).real)
@@ -1140,11 +1141,11 @@ class TestProjections:
         assert coef.shape == (grid.size, len(fam))
         # oracle: direct dense-panel quadrature of (f_s, f_alpha)
         L = self.I.length
-        max_node = max(float(np.max(np.abs(nodes))) for nodes in system.nodes)
+        max_node = max(float(np.max(np.abs(nodes))) for nodes in node_sets(system))
         rate = max_node + float(np.max(np.abs(grid.frequencies)))
         t, w = dense_panel_rule(self.I.a, self.I.b, rate=rate)
         for s in (1, 3):
-            fs = dd_profile(system.nodes[s], t)
+            fs = dd_profile(node_sets(system)[s], t)
             for alpha, gamma in enumerate(grid.frequencies):
                 oracle = np.sum(w * fs * np.exp(-1j * gamma * t)) / math.sqrt(L)
                 assert coef[alpha, s] == pytest.approx(oracle, abs=1e-10)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inghamlab import analysis
-from inghamlab.analysis import EIGEN_RESIDUAL_RTOL, extreme_eigenvalues
+from inghamlab import analysis, gram
 from inghamlab.basisfuncs import DirectionAssignment
 from inghamlab.exponents import ExponentFamily, build_sharpness_partition, detect_chains, generate_family
 from inghamlab.gram import (
+    EIGEN_RESIDUAL_RTOL,
     DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
@@ -20,6 +20,7 @@ from inghamlab.gram import (
     _extreme_spectrum,
     assemble_gram,
     exp_inner_closed_form,
+    extreme_eigenvalues,
 )
 
 from oracles import cross_inner_matrix, exp_inner_closed_form_offset, full_kernel_gram, grid_inner_matrix
@@ -168,7 +169,7 @@ def test_real_valued_gram_is_solved_in_float64(data, rule, interval, d):
     assert G.dtype == np.float64
     assert assemble_gram(system, interval).dtype == (np.float64 if interval.a + interval.b == 0 else np.complex128)
     solves = []
-    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
+    with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
     [(A, vectors, vals, vecs)] = solves
     assert A.dtype == np.float64 and vectors
@@ -191,7 +192,7 @@ def test_real_valued_complex_dd_gram_is_solved_in_float64(normalize):
                       IntervalSpec(-3.5, 3.5))
     assert G.dtype == np.complex128 and not np.any(G.imag)
     solves = []
-    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
+    with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
     [(A, vectors, vals, vecs)] = solves
     assert A.dtype == np.float64 and vecs.dtype == np.float64
@@ -204,7 +205,7 @@ def test_complex_gram_stays_complex():
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1)), IntervalSpec(-2.5, 2.5))
     assert np.any(G.imag)
     solves = []
-    with mock.patch.object(analysis, "_extreme_spectrum", recording_spectrum(solves)):
+    with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
     [(A, vectors, vals, vecs)] = solves
     assert A.dtype == np.complex128 and vecs.dtype == np.complex128
@@ -221,7 +222,7 @@ def test_corrupted_eigenvector_breaks_residual_contract():
         vals, vecs = _extreme_spectrum(A, vectors)
         return vals, vecs[:, ::-1]
 
-    with (mock.patch.object(analysis, "_extreme_spectrum", swapped_vectors),
+    with (mock.patch.object(gram, "_extreme_spectrum", swapped_vectors),
           pytest.raises(ArithmeticError, match="residual")):
         extreme_eigenvalues(G)
 

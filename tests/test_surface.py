@@ -4,7 +4,8 @@ A name in an ``inghamlab`` module's ``__all__``, or any function, class or
 constant a module defines at its top level, private ones included, that no
 code in the package reads, apart from its definition and its ``__all__``
 entry, is code that only tests reach: it belongs in the tests
-(``oracles.py`` holds the references they compare against) or nowhere.  The
+(``oracles.py`` holds the references they compare against) or nowhere.  No
+module imports another module's private name.  The
 CLI's options are the ones the README's usage line shows, no more and no
 fewer, and importing the CLI does not import what only some commands need.
 """
@@ -62,6 +63,19 @@ def test_every_exported_name_is_used_by_the_package(module):
     exported = getattr(importlib.import_module(f"inghamlab.{module}"), "__all__", [])
     unused = sorted((set(exported) | module_definitions(module)) - package_references())
     assert not unused, f"inghamlab.{module} defines names that only tests reach: {unused}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own business: a second module that needs it needs a public name
+    imported = sorted(
+        f"{module} <- {node.module}.{alias.name}"
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("inghamlab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    )
+    assert not imported, f"private names imported across modules: {imported}"
 
 
 def test_readme_usage_line_matches_cli_options(capsys):
