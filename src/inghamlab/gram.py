@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_factor, eigh_tridiagonal, lapack
+from scipy.linalg import blas, cho_factor, lapack
 
 from .basisfuncs import DirectionAssignment, prefix_terms
 from .exponents import ExponentFamily
@@ -96,7 +96,7 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
     set to 1.  On an interval centered at 0 every value is exactly real.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    ratio = _sinc(th, interval.length)
+    ratio = _sinc(th.copy(), interval.length)  # a copy: _sinc overwrites its argument
     out = th * (0.5j * (interval.a + interval.b))
     np.exp(out, out=out)
     out *= ratio
@@ -104,10 +104,11 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
 
 
 def _sinc(theta: np.ndarray, length: float) -> np.ndarray:
-    """|I| * sin(x)/x at x = theta*|I|/2, the real factor of ``exp_inner_closed_form``."""
-    x = theta * (0.5 * length)
+    """|I| * sin(x)/x at x = theta*|I|/2, the real factor of ``exp_inner_closed_form``; overwrites theta."""
+    x = np.multiply(theta, 0.5 * length, out=theta)
     small = np.abs(x) <= SMALL_PHASE
-    ratio = np.divide(np.sin(x), x, out=x, where=~small)  # in place: x is not needed again
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, one of the small entries
+        ratio = np.divide(np.sin(x), x, out=x)
     ratio[small] = 1.0
     return np.multiply(ratio, length, out=ratio)
 
@@ -305,7 +306,9 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if real:  # the complex einsum's real part, summed in its order (a contiguous real einsum is not)
-            block = sum(np.multiply.outer(u[lo:hi], u[lo:]) for u in U.real.T)
+            block = np.multiply.outer(U.real[lo:hi, 0], U.real[lo:, 0])
+            for u in U.real.T[1:]:
+                block += np.multiply.outer(u[lo:hi], u[lo:])
         else:
             block = np.einsum("kd,jd->kj", U[lo:hi], U[lo:].conj())
         if not single:  # the terms of rows lo..hi-1 against every term from starts[lo] on
@@ -316,7 +319,7 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
             S = np.multiply.outer(c[:k], c.conj()) * S
             S = np.add.reduceat(np.add.reduceat(S, starts[lo:hi] - first, axis=0), starts[lo:] - first, axis=1)
         elif centered:
-            S = _sinc(phases[lo:hi, None] - phases[None, lo:], interval.length)
+            S = _sinc(np.subtract.outer(phases[lo:hi], phases[lo:]), interval.length)
         else:
             S = exp_inner_closed_form(phases[lo:hi, None] - phases[None, lo:], interval)
         ns[lo:hi] = np.sqrt(S.diagonal().real)  # S[s, a] = (profile_s, profile_a)
@@ -390,14 +393,14 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool):
     """(lambda_0, lambda_{n-1}) of a real symmetric or complex Hermitian matrix, and their eigenvectors.
 
     Reads the lower triangle.  One blocked Householder reduction A = Q T Q^H
-    (``sytrd``/``hetrd``) gives a real tridiagonal T, whose two extreme
-    eigenpairs come from the MRRR driver (``stemr``; the bisection driver
-    ``stebz`` fails on the top index of the Parseval Gram 2*pi*I).  When
-    ``vectors`` is true the two tridiagonal eigenvectors are taken back
-    through the reflectors: with the lower storage Q acts as I (+) the QR
-    factor stored below the subdiagonal, so ``ormqr``/``unmqr`` does what
-    LAPACK's ``ormtr`` would.  Returns ``(values, V)``, V of shape (n, 2) in
-    the dtype of A, or None when ``vectors`` is false.
+    (``sytrd``/``hetrd``) gives a real tridiagonal T.  Bisection (``stebz``) takes index 1
+    of T and of -T: on index n of T a top cluster of rounding width, as in the Parseval
+    Gram 2*pi*I, fails (info 2).  When ``vectors`` is true one inverse iteration (``stein``)
+    gives both tridiagonal eigenvectors, which are taken back through the reflectors: with
+    the lower storage Q acts as I (+) the QR factor stored below the subdiagonal, so
+    ``ormqr``/``unmqr`` on an F-contiguous alias of it (no copy: no n x n array but the
+    reduction's) does what LAPACK's ``ormtr`` would.  Returns ``(values, V)``, V of
+    shape (n, 2) in the dtype of A, or None when ``vectors`` is false.
     """
     n = A.shape[0]
     if n == 1:
@@ -408,13 +411,22 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool):
         trd, trd_lwork, mqr = lapack.dsytrd, lapack.dsytrd_lwork, lapack.dormqr
     lwork, _ = trd_lwork(n, lower=1)  # the default lwork runs the unblocked reduction, about 1.5x slower
     c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)))
-    ends = [eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i", select_range=(k, k),
-                             lapack_driver="stemr") for k in (0, n - 1)]
+    (_, low, block, split, info), (_, high, top, _, info_top) = (
+        lapack.dstebz(sign * d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B") for sign in (1.0, -1.0))
+    if info or info_top:
+        raise ArithmeticError(f"tridiagonal bisection failed (info {info}, {info_top})")
+    values = np.array([low[0], -high[0]])
     if not vectors:
-        return np.concatenate(ends), None
-    V = np.hstack([z for _, z in ends]).astype(A.dtype)
-    V[1:], _, _ = mqr("L", "N", c[1:, :-1], tau, V[1:], lwork=2)  # the minimum for two columns: unblocked
-    return np.concatenate([w for w, _ in ends]), V
+        return values, None
+    order = [0, 1] if block[0] <= top[0] else [1, 0]  # stein's values run block by block
+    block[:2] = np.array([block[0], top[0]])[order]
+    z, info = lapack.dstein(d, e, values[order], block, split)
+    if info:
+        raise ArithmeticError(f"tridiagonal inverse iteration failed (info {info})")
+    V = z[:, order].astype(A.dtype)
+    reflectors = c.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")  # c[1:, :-1], no copy
+    V[1:], _, _ = mqr("L", "N", reflectors, tau, V[1:], lwork=2)  # the minimum for two columns: unblocked
+    return values, V
 
 
 def extreme_eigenvalues(G) -> tuple[float, float]:

@@ -19,9 +19,10 @@ tests compare against: composite panel quadrature, the Newton recurrence and
 the simplex (iterated-integral) form of a divided difference, the scalar
 Gauss-Legendre point count of a clustered pair, the library's
 divided-difference terms evaluated as a profile, its derivative bound, the
-exponential Gram with every entry formed in complex arithmetic and the DD
-moments with every Legendre order summed on every element (the kernel's own
-formulas, without its triangle, real dtype or skipped zero orders), the
+exponential Gram with every entry formed in complex arithmetic, the centered
+one with its sin(x)/x by a masked division, and the DD moments with every
+Legendre order summed on every element (the kernel's own formulas, without
+its triangle, real dtype, in-place sinc or skipped zero orders), the
 decay-constant check, the complex cross matrix built from the lattice factors
 with its defect norms, both trace routes through the explicit inverse of that
 complex Gram and route one in mpmath, the counting-inequality check, and the
@@ -339,6 +340,24 @@ def full_kernel_gram(system: ExponentialSystem, interval) -> np.ndarray:
     x, U = system.family.exponents, system.directions.matrix
     K = np.einsum("kd,jd->kj", U, U.conj())
     K *= exp_inner_closed_form(x[:, None] - x[None, :], interval)
+    return K.T
+
+
+def centered_sinc_gram(system: ExponentialSystem, interval) -> np.ndarray:
+    """Gram of an exponential system on an interval centered at 0, all n^2 entries in one array.
+
+    The single-node centered formula written out: G[a, s] = (sum_d U_s[d]
+    conj(U_a[d])) * |I| sin(x)/x at x = (w_s - w_a)|I|/2, the direction sum a
+    sum of real outer products started at 0 for real U and the einsum for
+    complex U, and sin(x)/x by a division masked to |x| > SMALL_PHASE, 1
+    elsewhere.  Returned transposed (Fortran order) like ``assemble_gram``.
+    """
+    x, U, L = system.family.exponents, system.directions.matrix, interval.length
+    K = np.einsum("kd,jd->kj", U, U.conj()) if np.any(U.imag) else sum(np.multiply.outer(u, u) for u in U.real.T)
+    half = np.subtract.outer(x, x) * (0.5 * L)
+    ratio = np.divide(np.sin(half), half, out=np.ones_like(half), where=np.abs(half) > SMALL_PHASE)
+    K *= ratio * L
+    K.flat[:: x.size + 1] = K.diagonal().real
     return K.T
 
 

@@ -27,12 +27,14 @@ from inghamlab.gram import (
     assemble_gram,
     exp_inner_closed_form,
     exp_moments,
+    extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
     projection_defect_norms,
 )
 
 from oracles import (
+    centered_sinc_gram,
     composite_gl_exp_integral,
     cross_defect_norms,
     cross_inner_matrix,
@@ -456,6 +458,26 @@ class TestGramTriangle:
         assert not calls
         assert G.dtype == np.complex128 and np.any(G.imag)
         assert np.array_equal(bit_patterns(G + 0.0), bit_patterns(full_kernel_gram(system, I) + 0.0))
+
+    @pytest.mark.parametrize("rule", ["constant", "real", "random"])
+    def test_centered_gram_is_the_masked_sinc_formula(self, rule):
+        # duplicate exponents put x = 0 off the diagonal, and gaps of 1e-9 to 4e-9 at
+        # |I| = 5 put |x| = |w_s - w_a| * 2.5 on both sides of SMALL_PHASE = 1e-8
+        base = np.array([-7.0, -3.0, -3.0, 0.0, 1e-9, 3e-9, 4e-9, 4.1e-9, 2.0, 2.0, 2.0, 2.0 + 2e-9, 5.5, 9.0])
+        fam = ExponentFamily(np.sort(np.r_[base, np.random.default_rng(1).uniform(-40.0, 40.0, 50)]))
+        Z = np.random.default_rng(2).normal(size=(len(fam), 3))
+        dirs = {"constant": DirectionAssignment.constant(fam, 2),
+                "real": DirectionAssignment(3, Z / np.linalg.norm(Z, axis=1, keepdims=True)),
+                "random": DirectionAssignment.random(fam, 2, seed=5)}[rule]
+        system, I = ExponentialSystem(fam, dirs), IntervalSpec(-2.5, 2.5)
+        G = assemble_gram(system, I)
+        assert G.dtype == (np.complex128 if rule == "random" else np.float64)
+        # "+ 0.0": an exact zero may carry the other sign; every other bit is equal
+        assert np.array_equal(bit_patterns(G + 0.0), bit_patterns(centered_sinc_gram(system, I) + 0.0))
+        theta = np.subtract.outer(fam.exponents, fam.exponents)
+        kept = theta.copy()
+        exp_inner_closed_form(theta, I)
+        assert np.array_equal(bit_patterns(theta), bit_patterns(kept))
 
     @pytest.mark.parametrize("a", [-2.5, 0.0])
     def test_normalized_one_node_chains(self, a):
@@ -990,7 +1012,8 @@ class TestExtremeSpectrum:
         self.check(A)
 
     def test_parseval_block(self):
-        # 2 pi I up to rounding: on its top index the bisection driver (stebz) raises LinAlgError
+        # 2 pi I up to rounding: bisection on index n of T fails on a top cluster of rounding
+        # width (stebz info 2), so the top end is index 1 of -T, where the cluster is at the bottom
         fam = generate_family("lattice", spacing=1.0, window=[-8, 8])
         G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), IntervalSpec(-math.pi, math.pi))
         self.check(G.real)
@@ -1001,6 +1024,65 @@ class TestExtremeSpectrum:
     def test_repeated_extremes(self, complex_):
         rng = np.random.default_rng(7)
         self.check(hermitian_matrix(9, complex_, rng, spectrum=np.array([0.5, 0.5, 0.5, 1, 2, 3, 4, 4, 4.0])))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(["bottom-cluster", "top-cluster", "split", "repeated", "small"]),
+           complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_tridiagonal_edge_cases(self, case, complex_, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        if case == "bottom-cluster":  # a rounding-width cluster at lambda_min
+            k = int(rng.integers(2, n))
+            A = hermitian_matrix(n, complex_, rng, spectrum=np.r_[np.full(k, 0.5), rng.uniform(1.0, 2.0, n - k)])
+        elif case == "top-cluster":  # and at lambda_max, as in the Parseval block 2 pi I + rounding
+            k = int(rng.integers(2, n))
+            A = hermitian_matrix(n, complex_, rng, spectrum=np.r_[rng.uniform(0.5, 1.0, n - k), np.full(k, TWO_PI)])
+        elif case == "split":  # T splits at the block boundary: lambda_max in the first block, lambda_min in the last
+            k = int(rng.integers(1, n))
+            high = hermitian_matrix(k, complex_, rng, spectrum=rng.uniform(5.0, 10.0, k))
+            low = hermitian_matrix(n - k, complex_, rng, spectrum=rng.uniform(0.1, 1.0, n - k))
+            A = np.zeros((n, n), dtype=high.dtype)
+            A[:k, :k], A[k:, k:] = high, low
+        elif case == "repeated":  # the same block twice: exactly equal extremes in two split blocks
+            k = n // 2 + 1
+            block = hermitian_matrix(k, complex_, rng, spectrum=rng.uniform(0.1, 3.0, k))
+            A = np.kron(np.eye(2), block)
+        else:
+            n = n % 2 + 1
+            A = hermitian_matrix(n, complex_, rng, spectrum=rng.uniform(-1.0, 1.0, n))
+        self.check(A)
+        evals = np.linalg.eigvalsh(A)
+        lo, hi = extreme_eigenvalues(A)  # under the residual contract, which raises on a bad eigenpair
+        assert np.all(np.abs(np.array([lo, hi]) - evals[[0, -1]]) <= 1e-13 * np.max(np.abs(evals)))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonzero_lapack_status_raises(self, complex_, value):
+        # a non-finite lower triangle leaves T non-finite, and bisection reports it (info 4)
+        A = hermitian_matrix(6, complex_, np.random.default_rng(2), spectrum=np.arange(1.0, 7.0))
+        A[4, 1] = value
+        for vectors in (False, True):
+            with pytest.raises(ArithmeticError, match="bisection"):
+                _extreme_spectrum(A, vectors)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_peak_memory_one_read(self, complex_):
+        # the reduction's n x n output is the only n x n array of a read: measured at n = 513,
+        # 1.07 x A.nbytes; two n x n stemr workspaces and a copy of the reflectors made it 3-4 x
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-256, 256], seed=3)
+        n = len(fam)
+        assert n == 513
+        dirs = DirectionAssignment.random(fam, 2, seed=0) if complex_ else DirectionAssignment.constant(fam, 1)
+        A = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-2.5, 2.5))
+        assert A.dtype == (np.complex128 if complex_ else np.float64)
+        extreme_eigenvalues(A)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            extreme_eigenvalues(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= A.nbytes + 64 * n * A.itemsize  # the blocked reduction's workspace is n x 32
 
 
 class TestGatedCholesky:
