@@ -279,11 +279,15 @@ def run_trace_experiment(
     Both routes read the cross matrix X (rows e_k, columns the grid functions)
     only through P = conj(X) X^T = (conj(rho) rho^T) o (conj(V) V^T) o (C C^T),
     with rho and the real C from ``grid_cauchy_factors``: one real ``syrk`` over
-    C (V holds the directions), then a pivoted Cholesky factor of conj(P)
-    without rho (``pstrf`` at its default tolerance, which stops at the
-    numerical rank) gives, in pstrf's pivot order p, X' = diag(rho[p]) L with
-    L lower trapezoidal, n x rank(P), such that conj(X') X'^T = P[p, p].  G is
-    permuted by the same order and gated, G[p, p] = U^H U, so route one,
+    C (V holds the directions) gives A = (V V^H) o (C C^T), conj(P) =
+    diag(rho) A diag(rho).  With p = d * Card(grid) >= n, unpivoted ``potrf``
+    factors A = L L^H, kept when every L_kk^2 exceeds pstrf's default stop
+    n * eps * max A_kk: X' = diag(rho) L is n x n, and p below is the identity.
+    Else (p < n, so rank P < n and potrf may factor rounding noise, or a failed
+    test) ``pstrf`` at that default, which stops at the numerical rank, gives in
+    its pivot order p X' = diag(rho[p]) L, L lower trapezoidal, n x rank(P):
+    conj(X') X'^T = P[p, p].  G is permuted by the same order and gated,
+    G[p, p] = U^H U, so route one,
     tr(G^-1 P) = ||U^-T X'||_F^2, is a sum of squares after a triangular solve
     whose solution is lower trapezoidal too: column a of X' needs only the
     trailing triangle U[a:, a:], and the solves run on blocks of
@@ -301,27 +305,33 @@ def run_trace_experiment(
     n, V = len(window.family), window.directions.matrix
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
     grid = FourierGrid.centered(centered, directions.d, y, r + R)
-    G = assemble_gram(window, centered)  # before pstrf, whose n x n buffer would outlive the assembly
+    G = assemble_gram(window, centered)  # before A, whose n x n buffer would outlive the assembly
     rho, C = grid_cauchy_factors(window.family, grid)
     rho = rho.real  # exactly real on the centered interval
     CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=1)  # C C^T in the lower triangle; C.T is F-ordered
     defect_norms = projection_defect_norms(np.square(C, out=C), V, centered)
     del C
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
-    # A = (V V^H) o (C C^T), F-ordered, so conj(P) = diag(rho) A diag(rho); einsum, not numpy's @
-    # (see gram.extreme_eigenvalues)
-    A = np.einsum("kd,ld->lk", V, V.conj()).T
+    A, X = np.einsum("kd,ld->lk", V, V.conj()).T, None  # A F-ordered; einsum, not numpy's @ (see gram)
     A *= CC
+    if grid.size >= n:  # P may have rank n: the unpivoted factor, unless a pivot falls to pstrf's default stop
+        stop = n * 2.0**-53 * A.diagonal().real.max()  # n * dlamch('E') * max A_kk
+        L, info = get_lapack_funcs("potrf", (A,))(A, lower=1, clean=1, overwrite_a=1)  # A = L L^H in place
+        if info == 0 and L.diagonal().real.min() ** 2 > stop:
+            X, rank, p = L, n, slice(None)  # conj(X') X'^T = P, G in assembly order
+        else:  # potrf overwrote A: build it again in its buffer
+            np.einsum("kd,ld->lk", V, V.conj(), out=A.T)
+            A *= CC
     del CC
-    c, piv, rank, _ = get_lapack_funcs("pstrf", (A,))(A, lower=1, overwrite_a=1)  # A[p, p] = L L^H
-    del A
-    p = piv - 1
-    X = c[:, :rank]  # X' = diag(rho[p]) L, F-contiguous: conj(X') X'^T = P[p, p]
-    np.copyto(X, 0.0, where=np.tri(rank, n, k=-1, dtype=bool).T)  # pstrf leaves A above the diagonal
-    X *= rho[p, None]
-    G = G[:, p]  # two plain gathers, each freeing its predecessor: G[p, p]
-    G = G[p]
-    U, _ = gated_cho_factor(G)  # G[p, p] = U^H U: G's spectrum and Frobenius norm
+    if X is None:
+        c, piv, rank, _ = get_lapack_funcs("pstrf", (A,))(A, lower=1, overwrite_a=1)  # A[p, p] = L L^H
+        p = piv - 1
+        X = c[:, :rank]  # F-contiguous: conj(X') X'^T = P[p, p]
+        np.copyto(X, 0.0, where=np.tri(rank, n, k=-1, dtype=bool).T)  # pstrf leaves A above the diagonal
+        G = G[:, p]  # two plain gathers, each freeing its predecessor: G[p, p]
+        G = G[p]
+    X *= rho[p, None]  # X' = diag(rho[p]) L, in the factor's buffer
+    U, _ = gated_cho_factor(G)  # G = U^H U, or G[p, p]: G's spectrum and Frobenius norm
     del G
     trsm = get_blas_funcs("trsm", (U, X))
     trace_direct = 0.0

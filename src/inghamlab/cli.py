@@ -371,6 +371,13 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
                 _, _, _, y, r = _window_args(config)
                 if not np.any(np.abs(built.exponents - y) < r):  # the strict test of analysis._window
                     errors.append(f"params: no exponent w with |w - y| < r = {r!r} at y = {y!r}: V_r is empty")
+                elif interval_spec is not None and (command == "trace" or grids_ok):  # the grid at the least r + R
+                    where, R = ("params", params["R"]) if command == "trace" else ("grid 'R'", grids["R"][0])
+                    L = interval_spec.length  # FourierGrid.centered's test, on the lattice points nearest y
+                    gamma = 2.0 * math.pi * (np.rint(y * L / (2.0 * math.pi)) + np.array([-1.0, 0.0, 1.0])) / L
+                    if not np.any(np.abs(gamma - y) < r + R):
+                        errors.append(f"{where}: no grid frequency 2*pi*n/|I| with |2*pi*n/|I| - y| < r + R "
+                                      f"at y = {y!r}, r = {r!r}, R = {R!r}: the Fourier grid is empty")
             if command == "density" and grids_ok:
                 try:
                     config.density_estimate = estimate_density(built, grids["r"])

