@@ -262,6 +262,14 @@ def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r
     return _system(family, directions, int(inside[0]), int(inside[-1]))
 
 
+def _grid(interval: IntervalSpec, d: int, y: float, r: float, R: float) -> FourierGrid:
+    """``FourierGrid.centered`` at radius r + R; a grid that is empty or too large to enumerate names R."""
+    try:
+        return FourierGrid.centered(interval, d, y, r + R)
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # empty; too many integers; (y +- r + R) |I| overflows
+        raise GridPointFailure(f"at R={R:.6g}: {exc}") from exc
+
+
 def run_trace_experiment(
     family: ExponentFamily,
     directions: DirectionAssignment,
@@ -277,76 +285,66 @@ def run_trace_experiment(
     only: everything runs on the interval of that length centered at 0, where
     G is float64 for real directions and ``grid_cauchy_factors``' rho is real.
     Both routes read the cross matrix X (rows e_k, columns the grid functions)
-    only through P = conj(X) X^T = (conj(rho) rho^T) o (conj(V) V^T) o (C C^T),
-    with rho and the real C from ``grid_cauchy_factors``: one real ``syrk`` over
-    C (V holds the directions) gives A = (V V^H) o (C C^T), conj(P) =
-    diag(rho) A diag(rho).  With p = d * Card(grid) >= n, unpivoted ``potrf``
-    factors A = L L^H, kept when every L_kk^2 exceeds pstrf's default stop
-    n * eps * max A_kk: X' = diag(rho) L is n x n, and p below is the identity.
-    Else (p < n, so rank P < n and potrf may factor rounding noise, or a failed
-    test) ``pstrf`` at that default, which stops at the numerical rank, gives in
-    its pivot order p X' = diag(rho[p]) L, L lower trapezoidal, n x rank(P):
-    conj(X') X'^T = P[p, p].  G is permuted by the same order and gated,
-    G[p, p] = U^H U, so route one,
-    tr(G^-1 P) = ||U^-T X'||_F^2, is a sum of squares after a triangular solve
-    whose solution is lower trapezoidal too: column a of X' needs only the
-    trailing triangle U[a:, a:], and the solves run on blocks of
-    TRACE_SOLVE_BLOCK columns against the trailing triangle of the block's
-    first column.  ``trace_im`` is exactly 0.  Route two is
-    Card + sum of ((Q - Id) e_k, phi_k) with the dual coefficients
-    Y = X'^T G[p, p]^-1, read only where X' != 0: back substitution
-    U conj(Y^T) = conj(U^-T X') on the same trailing triangle gives exactly
-    those entries.  It is the same sum, so ``trace_agreement`` measures
-    rounding only.  Measured: |trace| <= d * Card(grid).
+    only through a factor X' with conj(X') X'^T = P = conj(X) X^T =
+    (conj(rho) rho^T) o (conj(V) V^T) o (C C^T), V the directions.  With
+    p = d * Card(grid) >= n, ``syrk`` over the real C gives A = (V V^H) o (C C^T),
+    and unpivoted ``potrf`` factors A = L L^H in place, kept when every L_kk^2
+    exceeds the rank tolerance n * eps * max A_kk: X' = diag(rho) L.  Else (p < n,
+    where a factor of A could be one of rounding noise, or a failed test)
+    X' = diag(rho) W, W[k, (g, j)] = C[k, g] V[k, j] the n x p cross factor itself.
+    With G = U^H U gated, route one, tr(G^-1 P) = ||U^-T X'||_F^2, is a sum of
+    squares, so ``trace_im`` is exactly 0.  Route two, Card + sum of
+    ((Q - Id) e_k, phi_k) with the dual coefficients Y = X'^T G^-1 from
+    U conj(Y^T) = conj(U^-T X'), is the same sum, so ``trace_agreement`` measures
+    rounding only.  Both solves run on blocks of TRACE_SOLVE_BLOCK columns of X'
+    against U from the block's first nonzero row on: the trailing triangle
+    U[a:, a:] for L's columns a.., all of U for W's.  Measured: |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
     window = _window(family, directions, y, r)
     n, V = len(window.family), window.directions.matrix
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
-    grid = FourierGrid.centered(centered, directions.d, y, r + R)
+    grid = _grid(centered, directions.d, y, r, R)
     G = assemble_gram(window, centered)  # before A, whose n x n buffer would outlive the assembly
     rho, C = grid_cauchy_factors(window.family, grid)
-    rho = rho.real  # exactly real on the centered interval
-    CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=1)  # C C^T in the lower triangle; C.T is F-ordered
+    rho, X = rho.real, None  # rho exactly real on the centered interval
+    if grid.size >= n:  # P may have rank n
+        CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=1)  # C C^T in the lower triangle; C.T is F-ordered
     defect_norms = projection_defect_norms(np.square(C, out=C), V, centered)
     del C
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
-    A, X = np.einsum("kd,ld->lk", V, V.conj()).T, None  # A F-ordered; einsum, not numpy's @ (see gram)
-    A *= CC
-    if grid.size >= n:  # P may have rank n: the unpivoted factor, unless a pivot falls to pstrf's default stop
+    if grid.size >= n:  # the unpivoted factor of A, unless a pivot falls to the rank tolerance
+        A = np.einsum("kd,ld->lk", V, V.conj()).T  # F-ordered; einsum, not numpy's @ (see gram)
+        A *= CC
+        del CC
         stop = n * 2.0**-53 * A.diagonal().real.max()  # n * dlamch('E') * max A_kk
-        L, info = get_lapack_funcs("potrf", (A,))(A, lower=1, clean=1, overwrite_a=1)  # A = L L^H in place
-        if info == 0 and L.diagonal().real.min() ** 2 > stop:
-            X, rank, p = L, n, slice(None)  # conj(X') X'^T = P, G in assembly order
-        else:  # potrf overwrote A: build it again in its buffer
-            np.einsum("kd,ld->lk", V, V.conj(), out=A.T)
-            A *= CC
-    del CC
-    if X is None:
-        c, piv, rank, _ = get_lapack_funcs("pstrf", (A,))(A, lower=1, overwrite_a=1)  # A[p, p] = L L^H
-        p = piv - 1
-        X = c[:, :rank]  # F-contiguous: conj(X') X'^T = P[p, p]
-        np.copyto(X, 0.0, where=np.tri(rank, n, k=-1, dtype=bool).T)  # pstrf leaves A above the diagonal
-        G = G[:, p]  # two plain gathers, each freeing its predecessor: G[p, p]
-        G = G[p]
-    X *= rho[p, None]  # X' = diag(rho[p]) L, in the factor's buffer
-    U, _ = gated_cho_factor(G)  # G = U^H U, or G[p, p]: G's spectrum and Frobenius norm
+        A, info = get_lapack_funcs("potrf", (A,))(A, lower=1, clean=1, overwrite_a=1)  # A = L L^H in place
+        X = A if info == 0 and A.diagonal().real.min() ** 2 > stop else None
+        del A
+    triangular = X is not None
+    if not triangular:  # the cross factor itself: W[k, (g, j)] = C[k, g] V[k, j]
+        _, C = grid_cauchy_factors(window.family, grid)  # bitwise the C squared above
+        X = np.empty((n, grid.size), dtype=V.dtype, order="F")
+        np.multiply(C[:, None, :], V[:, :, None], out=X.reshape(n, directions.d, -1, order="F"))
+        del C
+    X *= rho[:, None]  # X' = diag(rho) L or diag(rho) W, in place: conj(X') X'^T = P
+    U, _ = gated_cho_factor(G)  # G = U^H U
     del G
     trsm = get_blas_funcs("trsm", (U, X))
     trace_direct = 0.0
     rows = np.zeros(n, dtype=X.dtype)  # rows[k] = sum_a X'[k, a] conj(Y[a, k])
-    for a0 in range(0, rank, TRACE_SOLVE_BLOCK):
-        a1 = min(a0 + TRACE_SOLVE_BLOCK, rank)
-        if a0:  # U becomes its trailing triangle U[a0:, a0:], one copy per block (f2py would copy a view per call)
+    for a0 in range(0, X.shape[1], TRACE_SOLVE_BLOCK):
+        a1, f = min(a0 + TRACE_SOLVE_BLOCK, X.shape[1]), a0 if triangular else 0  # f: the block's first nonzero row
+        if f:  # U becomes its trailing triangle U[f:, f:], one copy per block (f2py would copy a view per call)
             U = np.array(U[TRACE_SOLVE_BLOCK:, TRACE_SOLVE_BLOCK:], order="F")
-        Z = np.array(X[a0:, a0:a1], order="F")
-        trsm(1.0, U, Z, side=0, trans_a=1, overwrite_b=1)  # U^T Z = X': rows a0.. of Z^T = (X'^T U^-1)^T
+        Z = np.array(X[f:, a0:a1], order="F")
+        trsm(1.0, U, Z, side=0, trans_a=1, overwrite_b=1)  # U^T Z = X': rows f.. of Z^T = (X'^T U^-1)^T
         flat = Z.reshape(-1, order="F").view(np.float64)  # a view, not a ravelled copy
         trace_direct += get_blas_funcs("dot", (flat,))(flat, flat)
         np.conjugate(Z, out=Z)
         trsm(1.0, U, Z, side=0, overwrite_b=1)  # U conj(Y^T) = conj(Z); Y[a, k] = (phi_k, f_a)
-        rows[a0:] += np.einsum("ka,ka->k", X[a0:, a0:a1], Z)
+        rows[f:] += np.einsum("ka,ka->k", X[f:, a0:a1], Z)
     return TraceExperiment(
         y=float(y),
         r=float(r),
@@ -401,17 +399,13 @@ def defect_decay_fit(
     if not np.all(Rs > 0):
         raise ValueError("R grid must be positive")
     window = _window(family, directions, y, r)
-    try:
-        grid = FourierGrid.centered(interval, directions.d, y, r + Rs[-1])
-    except ValueError as exc:  # every smaller grid is empty too
-        raise GridPointFailure(f"at R={Rs[0]:.6g}: {exc}") from exc
+    _grid(interval, directions.d, y, r, Rs[0])  # names the least R if its grid is empty; the grids are nested
+    grid = _grid(interval, directions.d, y, r, Rs[-1])
     _, C = grid_cauchy_factors(window.family, grid)
     energy = np.square(C, out=C)  # once for every R
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
-        cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test at r + R
-        if cols.size == 0:
-            raise GridPointFailure(f"at R={R:.6g}: no grid frequencies inside the window")
+        cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test: not empty at Rs[0]
         block = energy[:, cols[0] : cols[-1] + 1]
         maxima[i] = projection_defect_norms(block, window.directions.matrix, interval).max()
     if np.all(maxima <= 1e-7 * math.sqrt(interval.length)):

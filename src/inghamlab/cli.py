@@ -145,11 +145,10 @@ _REQUIRED_GRIDS = {
     "defect-decay": ["R"],
     "dd-condition": ["delta"],
 }
-_REQUIRED_PARAMS = {
-    "trace": ["r", "R"],
-    "defect-decay": ["r"],
-    "sharpness": ["alpha", "d"],
-}
+_REQUIRED_PARAMS = {"trace": ["r", "R"], "defect-decay": ["r"], "sharpness": ["alpha", "d"]}
+# the params each command reads: a name no command reads is unknown, one its command does not read an error
+_PARAMS = {"density": (), "gram": (), "bounds-sweep": ("N_max",), "trace": ("r", "R", "y"), "defect-decay": ("r", "y"),
+           "dd-condition": ("gamma_prime", "M", "normalize_dd"), "sharpness": ("alpha", "d", "period_count")}
 _INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
 _NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
 _BOOLEAN_PARAMS = ("normalize_dd",)
@@ -312,7 +311,11 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(params, dict):
         errors.append("params must be an object")
         params = {}
-    errors.extend(_unknown("parameter", params, _INTEGER_PARAMS + _NUMBER_PARAMS + _BOOLEAN_PARAMS))
+    known = list(dict.fromkeys(name for names in _PARAMS.values() for name in names))
+    errors.extend(_unknown("parameter", params, known))
+    reads = _PARAMS.get(command, known)
+    errors.extend(f"parameter {name!r} is not read by command {command!r} (it reads: {', '.join(reads) or 'none'})"
+                  for name in params if name in known and name not in reads)
     for name in _REQUIRED_PARAMS.get(command, []):
         if name not in params:
             errors.append(f"missing required parameter {name!r} for command {command!r}")
@@ -600,7 +603,7 @@ def run(config: ExperimentConfig, out_path: str | None = None) -> int:
     runner = _RUNNERS[config.command]
     try:
         rows, summary = runner(config)
-    except (NearSingularGramError, ArithmeticError, FloatingPointError) as exc:
+    except (NearSingularGramError, ArithmeticError, FloatingPointError, MemoryError) as exc:
         raise NumericalFailure(f"command {config.command!r}: {exc}") from exc
     path = Path(out_path if out_path is not None else config.output_path)
     if config.output_format == "csv":

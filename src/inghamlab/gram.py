@@ -217,7 +217,7 @@ class FourierGrid:
         """All n with |gamma_n - y| < radius, strict inequality (ties excluded)."""
         if radius <= 0:
             raise ValueError("radius must be positive")
-        L = interval.length
+        L, y, radius = interval.length, float(y), float(radius)  # Python floats overflow to inf without a warning
         lo = (y - radius) * L / (2.0 * math.pi)
         hi = (y + radius) * L / (2.0 * math.pi)
         candidates = np.arange(math.floor(lo) - 1, math.ceil(hi) + 2)
@@ -479,7 +479,7 @@ def _lambda_min_bound(U: np.ndarray, trace: float) -> float:
         x[j0:j1] = blas.dtrsv(diagonal(j0, j1), x[j0:j1])
         if j0:
             x[:j0] += blas.dgemv(1.0, np.abs(U[:j0, j0:j1]), x[j0:j1])
-    return (1 - gamma) / (x.max() * y.max()) - gamma * trace / (1 - gamma)
+    return (1 - gamma) / x.max() / y.max() - gamma * trace / (1 - gamma)  # divided twice: a huge x y underflows to 0
 
 
 def gated_cho_factor(G: np.ndarray):

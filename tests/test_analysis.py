@@ -96,6 +96,19 @@ def trace_cases(draw, r_max=12.0):
     return fam, dirs, IntervalSpec(a, a + length), y, r, R
 
 
+@st.composite
+def constant_direction_cases(draw):
+    """(family, directions, interval, y, r, R) with constant directions, d = 2 or 3, and |I| a
+    fraction 0.8..1 of 2 pi r/(r + R): mostly card(grid) < n <= p = d card(grid), where
+    A = (V V^H) o (C C^T) = C C^T has rank at most card(grid) < n although p >= n."""
+    d, a, y = draw(st.integers(2, 3)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    r, R = draw(st.floats(2.0, 12.0)), draw(st.floats(0.05, 3.0))
+    length = draw(st.floats(0.8, 1.0)) * TWO_PI * r / (r + R)
+    fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                          window=[-40, 40], seed=draw(st.integers(0, 999)))
+    return fam, DirectionAssignment.constant(fam, d), IntervalSpec(a, a + length), y, r, R
+
+
 class TestExtremeEigenvalues:
     def test_scaled_identity(self):
         G = TWO_PI * np.eye(7, dtype=complex)
@@ -342,8 +355,8 @@ class TestTraceExperiment:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(case=trace_cases())
     def test_matches_inverse_oracle_property(self, case):
-        # P = conj(X) X^T is rank-deficient where p < n: its pivoted Cholesky
-        # factor has rank(P) columns, and both routes still match the oracle
+        # P = conj(X) X^T is rank-deficient where p < n: X' is then the n x p
+        # cross factor itself, and both routes still match the oracle
         # (measured: 80 cases pass the cond cap, 10 of them with p < n, d = 1,
         # 2, 3 in 29, 35, 16; the worst relative difference is 9.8e-14)
         fam, dirs, I, y, r, R = case
@@ -384,6 +397,35 @@ class TestTraceExperiment:
         assert exp.trace_S.real >= 0.0
         assert exp.trace_agreement <= 1e-8 * exp.card_omega_r
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=constant_direction_cases())
+    def test_failed_pivot_test_takes_the_cross_factor(self, case):
+        # p >= n, but rank A <= card(grid) < n: potrf fails or a pivot falls to
+        # n eps max A_kk, and X' is the cross factor W, for which C is built
+        # again. Both routes match the inverse oracle (measured on 400 draws of
+        # these ranges: 230 took W, 110 of them within the cond cap, the worst
+        # relative difference 1.5e-13)
+        fam, dirs, I, y, r, R = case
+        inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+        first, last = int(inside[0]), int(inside[-1])
+        window = ExponentialSystem(fam.slice_positions(first, last),
+                                   DirectionAssignment(dirs.d, dirs.matrix[first : last + 1]))
+        card = FourierGrid.centered(I, dirs.d, y, r + R).n_values.size
+        assume(card < inside.size <= dirs.d * card)
+        assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
+        calls, factors = [], analysis.grid_cauchy_factors
+        with pytest.MonkeyPatch.context() as patch:
+            names = lapack_spy(patch)
+            patch.setattr(analysis, "grid_cauchy_factors", lambda *args: calls.append(args) or factors(*args))
+            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        assert names == ["potrf"]
+        assume(len(calls) == 2)  # else potrf's factor of rounding noise passed the pivot test, and is kept
+        direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
+        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
+        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+
     @pytest.mark.parametrize("rule", ["random", "constant"])
     def test_translation_invariant(self, rule):
         # translating I is a diagonal unitary similarity of G and P: the trace
@@ -421,10 +463,10 @@ class TestTraceExperiment:
 
     @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
     def test_mpmath_pin_rank_deficient(self, seed, rtol):
-        # p < n, so P has rank at most p; pstrf's default tolerance stops at
-        # the rank (tol = 0 runs on into rounding noise: 24 columns for p = 22
-        # at seed 14). Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and
-        # 8.7e-13 (cond(G) = 7.7e5); the complex cross matrix gave 1.3e-9 and 4.8e-13
+        # p < n, so P has rank at most p: X' is the n x p cross factor itself,
+        # never a factor of A, which would run into rounding noise beyond the
+        # rank. Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and 8.7e-13
+        # (cond(G) = 7.7e5); the complex cross matrix gave 1.3e-9 and 4.8e-13
         self._mpmath_pin(seed, rtol)
 
     @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
@@ -435,7 +477,7 @@ class TestTraceExperiment:
 
     @staticmethod
     def _mpmath_pin(seed, rtol):
-        # p < n: the pivoted factor, and never an unpivoted one
+        # p < n: the cross factor, and no Cholesky factor of A
         rng = np.random.default_rng(seed)
         d, length = int(rng.integers(1, 4)), float(rng.uniform(2, 9))
         y, r, R = float(rng.uniform(-3, 3)), float(rng.uniform(4, 15)), float(rng.uniform(0.05, 3))
@@ -446,7 +488,7 @@ class TestTraceExperiment:
         with pytest.MonkeyPatch.context() as patch:
             names = lapack_spy(patch)
             exp = run_trace_experiment(fam, dirs, I, y, r, R)
-        assert names == ["pstrf"]
+        assert names == []
         assert exp.d * exp.card_gamma < exp.card_omega_r
         exact = trace_exact(fam, dirs, I, y, r, R)
         assert abs(exp.trace_S.real - exact) <= rtol * exact
@@ -455,9 +497,8 @@ class TestTraceExperiment:
     def test_peak_memory_below_one_cross_matrix(self):
         # with p >= 4n the trace holds the real factor C (8 n p/d bytes) and
         # n x n buffers, never a complex n x p one: measured peak 3.4 G =
-        # 16 n p - 0.6 G (G = 16 n^2 bytes; the gate sets it, where pstrf's path
-        # read 3.1 G), where the complex cross matrix X and its Fortran copy
-        # took 16 n p + 5.1 G (n = 200, p = 814)
+        # 16 n p - 0.6 G (G = 16 n^2 bytes; the gate sets it), where the complex
+        # cross matrix X and its Fortran copy took 16 n p + 5.1 G (n = 200, p = 814)
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -475,17 +516,15 @@ class TestTraceExperiment:
 
     def test_peak_memory_two_cross_matrices(self):
         # the dense work holds about three n x n buffers at a time. Up to the
-        # gate: the V_r Gram, C C^T and A = (V V^H) o (C C^T), factored in place
-        # (potrf here, where p >= n; pstrf otherwise, whose pivot order then
-        # costs the Gram two gathers, G[:, p][p], one at a time). The gate: the
+        # gate: the V_r Gram, C C^T and A = (V V^H) o (C C^T), C C^T freed
+        # before potrf factors A in place (p >= n here). The gate: the
         # Gram, X' (the factor's buffer, scaled in place) and the gate's Fortran
         # copy, which becomes U, with one column block of |U| for the bound (a
         # fallback adds a fresh copy for the shifted certificate). The solves:
         # U, X', a copy of U's trailing triangle and one block of X' solved in
         # place. Measured (n = 301, p = 966): 2.6, 3.2 and 3.0 G per stage, a
-        # peak of 3.2 G at the gate, where pstrf's path read 3.0, 3.1 and 3.0 G;
-        # a complex n x p cross matrix X and one copy of it (16 n p bytes each)
-        # on top of that work break the bound
+        # peak of 3.2 G at the gate; a complex n x p cross matrix X and one
+        # copy of it (16 n p bytes each) on top of that work break the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -502,20 +541,45 @@ class TestTraceExperiment:
         x_bytes, g_bytes = 16 * n * p, 16 * n * n
         assert peak <= 2 * x_bytes + 2 * g_bytes
 
+    def test_peak_memory_cross_factor(self, monkeypatch):
+        # p < n: X' is the cross factor W itself, built in one F-ordered n x p buffer
+        # from a regenerated C and scaled in place. Up to the gate the trace holds the
+        # V_r Gram G, C (8 n p/d bytes) and W, never a second n x p array: measured
+        # (n = 301, p = 298, complex) peak G + W + C + 0.28 G at the gate's entry,
+        # where a copy of W adds 16 n p bytes
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4)
+        I = IntervalSpec(0.0, 0.995 * math.pi * 150.0 / 150.05)  # just below 2 pi/d * r/(r + R): p < n
+        run_trace_experiment(fam, dirs, I, 0.0, 150.0, 0.05)  # warm caches outside the measurement
+        entry = []
+        monkeypatch.setattr(analysis, "gated_cho_factor",
+                            lambda G: entry.append(tracemalloc.get_traced_memory()) or gated_cho_factor(G))
+        tracemalloc.start()
+        try:
+            exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 0.05)
+        finally:
+            tracemalloc.stop()
+        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        assert (n, p) == (301, 298)
+        x_bytes, g_bytes, c_bytes = 16 * n * p, 16 * n * n, 8 * n * exp.card_gamma
+        assert entry[0][0] <= g_bytes + x_bytes + g_bytes // 20  # G and X' are what the gate sees
+        assert entry[0][1] <= g_bytes + x_bytes + c_bytes + g_bytes // 2
+
     def test_degenerate_span_rejected(self, monkeypatch):
         # p = 23 >= n = 3, but A is singular: the unpivoted factor fails its pivot
-        # test, the pivoted one stops at rank 2, and the gate rejects G
+        # test, the cross factor takes its place, and the gate rejects G
         fam = ExponentFamily(np.array([0.0, 0.0, 1.0]))
         dirs = DirectionAssignment.constant(fam, 1)
         names = lapack_spy(monkeypatch)
         with pytest.raises(NearSingularGramError):
             run_trace_experiment(fam, dirs, self.I, 0.0, 2.0, 10.0)
-        assert names == ["potrf", "pstrf"]
+        assert names == ["potrf"]
 
     @pytest.mark.parametrize("width", [analysis.TRACE_SOLVE_BLOCK, 7])
     def test_full_grid_takes_the_unpivoted_factor(self, width, monkeypatch):
         # p = 966 >= n = 301 (the memory tests' window): potrf's factor passes
-        # pstrf's stop, so no pstrf and no pivot gathers; both routes still match
+        # the pivot test and is kept, so the solves run on trailing triangles; both routes still match
         # the inverse oracle, with one solve block and with 43
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)

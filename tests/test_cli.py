@@ -119,7 +119,7 @@ class TestParseConfig:
             "directions": {"rule": "random", "d": 2},
             "interval": [0.0, 2.0],
             "grids": {},
-            "params": {"y": 0.0},
+            "params": {},
             "output": {"path": str(tmp_path / "g.csv"), "format": "csv"},
         }
         cfg = parse_config(json.dumps(raw))
@@ -129,7 +129,7 @@ class TestParseConfig:
             lambda: cfg.family["params"]["window"].__setitem__(0, -4),
             lambda: cfg.interval.__setitem__(1, 9.0),
             lambda: cfg.grids.__setitem__("lengths", [1.0]),
-            lambda: cfg.params.pop("y"),
+            lambda: cfg.params.__setitem__("y", 0.0),
         ]
         for edit in edits:
             with pytest.raises((TypeError, AttributeError)):
@@ -485,7 +485,7 @@ class TestMainEntry:
           "grids": {"lengths": [5.0]}, "params": {"N_max": 64}},
          "parameter 'N_max' = 64 needs 2*N_max+1 = 129 exponents, the family has 41"),
         ({"command": "bounds-sweep", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
-          "grids": {"lengths": [5.0]}}, "parameter 'N_max' = 128 needs"),
+          "grids": {"lengths": [5.0]}, "params": {}}, "parameter 'N_max' = 128 needs"),
         ({"command": "sharpness", "params": {"alpha": 0.5, "d": 2.0}}, "parameter 'd' must be a positive integer"),
         ({"directions": {"rule": "constant", "d": 2, "axis": 2}}, "directions.axis must be an integer in 0..d-1"),
         ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
@@ -662,13 +662,23 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert f"config error: {message} (known: " in capsys.readouterr().err
 
-    def test_known_names_a_command_does_not_read_accepted(self, tmp_path):
-        # every command accepts (and echoes) any name some command reads
-        raw = {**trace_config(tmp_path / "out.csv"), "grids": {"delta": [1e-3]}}
-        raw["params"] = {**raw["params"], "N_max": 8, "normalize_dd": True}
-        raw["directions"] = {**raw["directions"], "alpha": 0.5, "period_count": 2}
-        config = parse_config(json.dumps(raw))
-        assert config.canonical()["params"]["N_max"] == 8
+    @pytest.mark.parametrize("command, extra, reads", [
+        ("trace", {"N_max": 64, "normalize_dd": False, "alpha": 0.7}, "r, R, y"),
+        ("bounds-sweep", {"gamma_prime": 0.5, "M": 2}, "N_max"),
+    ], ids=["trace", "bounds-sweep"])
+    def test_params_a_command_does_not_read_exit_two(self, tmp_path, capsys, command, extra, reads):
+        # a name some other command reads used to be accepted and ignored: one error per name
+        out = tmp_path / "out.csv"
+        raw = trace_config(out)
+        if command == "bounds-sweep":
+            raw = {**density_config(out), "command": command, "grids": {"lengths": [5.0, 6.0]}, "params": {"N_max": 16}}
+        raw["params"] = {**raw["params"], **extra}
+        cfg_path = tmp_path / "unread.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: parameter {name!r} is not read by command {command!r} (it reads: {reads})" for name in extra]
+        assert not out.exists()
 
     def test_numerical_exit_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "singular.json"
@@ -711,6 +721,42 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert "at delta=0.001" in err
+
+    @staticmethod
+    def huge_R_config(out, command, R):
+        raw = {"command": command, "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-10, 10]}},
+               "interval": [0.0, 8.0], "params": {"y": 0.0, "r": 3.0}, "output": {"path": str(out), "format": "csv"}}
+        if command == "trace":
+            raw["params"]["R"] = R
+        else:
+            raw["grids"] = {"R": [1.0, 2.0, 4.0, R]}
+        return raw
+
+    @pytest.mark.parametrize("command", ["trace", "defect-decay"])
+    @pytest.mark.parametrize(("R", "cause"), [
+        (1e300, "Maximum allowed size exceeded"),  # more integers than an array can index
+        (1e308, "cannot convert float infinity to integer"),  # (y - r - R) |I| overflows
+    ], ids=["1e300", "1e308"])
+    def test_grid_too_large_to_enumerate_names_R(self, tmp_path, capsys, command, R, cause):
+        cfg_path, out = tmp_path / "huge.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(self.huge_R_config(out, command, R)))
+        assert main(["--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: command {command!r}: at R={R:.6g}: {cause}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "defect-decay"])
+    def test_grid_too_large_to_allocate_names_R(self, tmp_path, capsys, monkeypatch, command):
+        # R = 1e12 on |I| = 8 asks numpy for 18.5 TiB of grid integers; the allocation
+        # failure is simulated, not attempted
+        def refuse(cls, interval, d, y, radius):
+            raise MemoryError("Unable to allocate 18.5 TiB for an array with shape (2546479089481,)")
+
+        monkeypatch.setattr(FourierGrid, "centered", classmethod(refuse))
+        cfg_path, out = tmp_path / "huge.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(self.huge_R_config(out, command, 1e12)))
+        assert main(["--config", str(cfg_path)]) == 3
+        R = 1e12 if command == "trace" else 1.0  # the least R's grid is built first
+        assert capsys.readouterr().err.startswith(f"numerical failure: command {command!r}: at R={R:.6g}: Unable to")
 
     def test_far_interval_separated_pairs_exit_zero(self, tmp_path):
         # delta = 0.15 on [0, 2000]: every pair gap spans a phase of 300, so the

@@ -1204,6 +1204,28 @@ class TestGatedCholesky:
         bound = _lambda_min_bound(cho_factor(G, lower=False)[0], float(np.trace(G).real))
         assert bound <= np.linalg.eigvalsh(G)[0]
 
+    def test_overflowing_bound_falls_back_without_a_warning(self):
+        # a subcritical window (|I| = 1.99 < 2 pi / 3) that cho_factor still factors: the
+        # comparison-matrix substitutions reach about 1e157 each, so their product
+        # overflowed with a RuntimeWarning; the bound is now below tau, and the
+        # reduction refuses the Gram with its own lambda_min and norm
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-750, 750], seed=3)
+        dirs = DirectionAssignment.random(fam, 3, seed=3)
+        inside = np.flatnonzero(np.abs(fam.exponents) < 340.0)
+        window = ExponentialSystem(fam.slice_positions(int(inside[0]), int(inside[-1])),
+                                   DirectionAssignment(3, dirs.matrix[inside[0] : inside[-1] + 1]))
+        G = assemble_gram(window, IntervalSpec(-0.995, 0.995))
+        assert G.shape == (680, 680)
+        evals, _ = _extreme_spectrum(G, vectors=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U = cho_factor(G, lower=False)[0]
+            assert _lambda_min_bound(U, float(np.trace(G).real)) <= NEAR_SINGULAR_RTOL * np.linalg.norm(G)
+            with pytest.raises(NearSingularGramError) as caught:
+                gated_cho_factor(G)
+        assert caught.value.min_eigenvalue == evals[0]
+        assert caught.value.norm == np.max(np.abs(evals))
+
     @staticmethod
     def graded_gram(n, complex_, seed, multiple):
         """Q diag Q^H with a geometric spectrum up to 1 whose lambda_min is ``multiple`` * tau."""
