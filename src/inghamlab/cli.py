@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +47,6 @@ from .gram import (
     extreme_eigenvalues,
 )
 
-COMMANDS = ("density", "gram", "bounds-sweep", "trace", "defect-decay", "dd-condition", "sharpness")
 FAMILY_KINDS = ("lattice", "perturbed-lattice", "clustered-pairs", "explicit")
 DIRECTION_RULES = ("constant", "partition", "random")
 
@@ -132,28 +132,13 @@ class ExperimentConfig:
         }
 
 
-# The names a config may use: a command reads only some of them, but any
-# known name is accepted (and echoed), and any other one is a config error.
+# The names a config may use.  Any other name is a config error, and so is a grid or
+# a param that the command does not read (its row of _COMMANDS, below the runners).
 _FIELDS = ("command", "family", "seed", "directions", "interval", "grids", "params", "output")
 _FAMILY_KEYS = ("kind", "params", "seed")
+_FAMILY_PARAMS = ("spacing", "window", "max_perturbation", "seed", "delta", "exponents")  # the typed ones
 _DIRECTION_KEYS = ("rule", "d", "seed", "axis", "alpha", "period_count")
 _OUTPUT_KEYS = ("path", "format")
-# every grid is required by the one command that reads it
-_REQUIRED_GRIDS = {
-    "density": ["r"],
-    "bounds-sweep": ["lengths"],
-    "defect-decay": ["R"],
-    "dd-condition": ["delta"],
-}
-_REQUIRED_PARAMS = {"trace": ["r", "R"], "defect-decay": ["r"], "sharpness": ["alpha", "d"]}
-# the params each command reads: a name no command reads is unknown, one its command does not read an error
-_PARAMS = {"density": (), "gram": (), "bounds-sweep": ("N_max",), "trace": ("r", "R", "y"), "defect-decay": ("r", "y"),
-           "dd-condition": ("gamma_prime", "M", "normalize_dd"), "sharpness": ("alpha", "d", "period_count")}
-_INTEGER_PARAMS = ("N_max", "d", "M", "period_count")
-_NUMBER_PARAMS = ("r", "R", "y", "alpha", "gamma_prime")
-_BOOLEAN_PARAMS = ("normalize_dd",)
-_NEEDS_INTERVAL = ("gram", "trace", "defect-decay", "dd-condition", "sharpness")
-_USES_DIRECTIONS = ("gram", "bounds-sweep", "trace", "defect-decay", "sharpness")
 
 
 def _finite(value) -> bool:
@@ -161,8 +146,34 @@ def _finite(value) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-def _positive_int(value) -> bool:
-    return type(value) is int and value >= 1
+# the kind of each typed name in params, directions and family.params: its test and its wording
+_KINDS = {
+    name: kind
+    for kind, names in {
+        (lambda v: type(v) is int and v >= 1, "a positive integer"): ("N_max", "d", "M", "period_count"),
+        (lambda v: type(v) is int and v >= 0, "a nonnegative integer"): ("seed",),
+        (lambda v: _finite(v) and v > 0, "a positive number"): ("spacing", "gamma_prime"),
+        (_finite, "a number"): ("r", "R", "y", "alpha", "max_perturbation", "delta"),
+        (lambda v: type(v) is bool, "true or false"): ("normalize_dd",),
+        (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_finite, v)) and v[0] <= v[1],
+         "a pair [lo, hi] of finite numbers with lo <= hi"): ("window",),
+        # a non-finite exponent is left to ExponentFamily, which names it
+        (lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
+         "a list of numbers"): ("exponents",),
+    }.items()
+    for name in names
+}
+
+
+def _kind_errors(values: dict, names, label: str) -> list[str]:
+    """One error per name in ``names`` whose value in ``values`` fails its kind; ``label`` formats the name."""
+    errors = []
+    for name in names:
+        if name in values and name in _KINDS and not _KINDS[name][0](values[name]):
+            value = values[name]
+            wording = "finite" if type(value) is float and not math.isfinite(value) else _KINDS[name][1]
+            errors.append(f"{label.format(name)} must be {wording}")
+    return errors
 
 
 def _unknown(what: str, given: dict, known) -> list[str]:
@@ -170,9 +181,19 @@ def _unknown(what: str, given: dict, known) -> list[str]:
     return [f"unknown {what} {name!r} (known: {', '.join(known)})" for name in given if name not in known]
 
 
+def _name_errors(what: str, given: dict, known, command, reads, required) -> list[str]:
+    """One error per name in ``given`` that no command reads or ``command`` does not, and per missing required one."""
+    return [
+        *_unknown(what, given, known),
+        *(f"{what} {name!r} is not read by command {command!r} (it reads: {', '.join(reads) or 'none'})"
+          for name in given if name in known and name not in reads),
+        *(f"missing required {what} {name!r} for command {command!r}" for name in required if name not in given),
+    ]
+
+
 def _dd_family_errors(family: dict, deltas) -> list[str]:
     """dd-condition builds one clustered-pairs family per delta from spacing and window only,
-    so every delta (``deltas``, None when the grid is not usable) lies in (0, spacing)."""
+    so every delta (``deltas``, None when the grid or the family params are not usable) lies in (0, spacing)."""
     errors = []
     if family.get("kind") != "clustered-pairs":
         errors.append(f"dd-condition needs family.kind 'clustered-pairs', got {family.get('kind')!r}")
@@ -183,15 +204,8 @@ def _dd_family_errors(family: dict, deltas) -> list[str]:
     if extra:
         errors.append(f"family.params: unexpected parameters for dd-condition: {extra}")
     spacing = fparams.get("spacing", DD_SPACING)
-    if not (_finite(spacing) and spacing > 0):
-        errors.append("family.params.spacing must be a positive number")
-    elif deltas is not None and not all(0 < v < spacing for v in deltas):
+    if deltas is not None and not all(0 < v < spacing for v in deltas):
         errors.append(f"grid 'delta' values must lie strictly between 0 and the spacing {spacing!r}")
-    window = fparams.get("window")
-    if "window" in fparams and not (
-        isinstance(window, list) and len(window) == 2 and all(_finite(v) for v in window) and window[0] <= window[1]
-    ):
-        errors.append("family.params.window must be a pair [lo, hi] of finite numbers with lo <= hi")
     return errors
 
 
@@ -213,10 +227,11 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     errors.extend(_unknown("field", raw, _FIELDS))
 
     command = raw.get("command")
+    row = _COMMANDS.get(command) if isinstance(command, str) else None
     if command is None:
         errors.append("missing required field 'command'")
-    elif command not in COMMANDS:
-        errors.append(f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})")
+    elif row is None:
+        errors.append(f"unknown command {command!r} (expected one of {', '.join(_COMMANDS)})")
 
     family = raw.get("family")
     if not isinstance(family, dict):
@@ -250,20 +265,13 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         rule = directions.get("rule", "constant")
         if rule not in DIRECTION_RULES:
             errors.append(f"directions.rule must be one of {', '.join(DIRECTION_RULES)}, got {rule!r}")
-        d = directions.get("d", 1)
-        if type(d) is not int or d < 1:
-            errors.append("directions.d must be a positive integer")
+        errors.extend(_kind_errors(directions, _DIRECTION_KEYS, "directions.{}"))
         if rule == "partition" and "alpha" not in directions:
             errors.append("directions.rule 'partition' requires directions.alpha")
-        if "seed" in directions and not (type(directions["seed"]) is int and directions["seed"] >= 0):
-            errors.append("directions.seed must be a nonnegative integer")
+        d = directions.get("d", 1)
         axis = directions.get("axis", 0)
         if not (type(axis) is int and 0 <= axis and (type(d) is not int or axis < d)):
             errors.append("directions.axis must be an integer in 0..d-1")
-        if "alpha" in directions and not _finite(directions["alpha"]):
-            errors.append("directions.alpha must be a finite number")
-        if "period_count" in directions and not _positive_int(directions["period_count"]):
-            errors.append("directions.period_count must be a positive integer")
     directions_ok = len(errors) == n_errors
 
     interval = raw.get("interval")
@@ -279,7 +287,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append("interval must satisfy b > a")
         else:
             interval_spec = IntervalSpec(*interval)
-    if command in _NEEDS_INTERVAL and interval is None:
+    if row is not None and row.needs_interval and interval is None:
         errors.append(f"missing required field 'interval' for command {command!r}")
 
     n_errors = len(errors)
@@ -287,7 +295,9 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(grids, dict):
         errors.append("grids must be an object")
         grids = {}
-    errors.extend(_unknown("grid", grids, [name for names in _REQUIRED_GRIDS.values() for name in names]))
+    known = [other.grid for other in _COMMANDS.values() if other.grid]
+    reads = known if row is None else [row.grid] if row.grid else []
+    errors.extend(_name_errors("grid", grids, known, command, reads, [] if row is None else reads))
     for name, grid in grids.items():
         if not isinstance(grid, list) or not grid:
             errors.append(f"grid {name!r} must be a nonempty list")
@@ -301,9 +311,6 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"grid {name!r} must be positive")
         if name == "R" and len(grid) < 4:
             errors.append("grid 'R' must hold at least 4 values")
-    for name in _REQUIRED_GRIDS.get(command, []):
-        if name not in grids:
-            errors.append(f"missing required grid {name!r} for command {command!r}")
     grids_ok = len(errors) == n_errors
 
     n_errors = len(errors)
@@ -311,25 +318,14 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(params, dict):
         errors.append("params must be an object")
         params = {}
-    known = list(dict.fromkeys(name for names in _PARAMS.values() for name in names))
-    errors.extend(_unknown("parameter", params, known))
-    reads = _PARAMS.get(command, known)
-    errors.extend(f"parameter {name!r} is not read by command {command!r} (it reads: {', '.join(reads) or 'none'})"
-                  for name in params if name in known and name not in reads)
-    for name in _REQUIRED_PARAMS.get(command, []):
-        if name not in params:
-            errors.append(f"missing required parameter {name!r} for command {command!r}")
-    for name, value in params.items():
-        if type(value) is float and not math.isfinite(value):
-            errors.append(f"parameter {name!r} must be finite")
-        elif name in _INTEGER_PARAMS and not _positive_int(value):
-            errors.append(f"parameter {name!r} must be a positive integer")
-        elif name in _NUMBER_PARAMS and not _finite(value):
-            errors.append(f"parameter {name!r} must be a number")
-        elif name in ("r", "R") and value <= 0:
-            errors.append(f"parameter {name!r} must be positive")
-        elif name in _BOOLEAN_PARAMS and type(value) is not bool:
-            errors.append(f"parameter {name!r} must be true or false")
+    known = list(dict.fromkeys(name for other in _COMMANDS.values() for name in other.params))
+    reads = known if row is None else row.params
+    required = () if row is None else row.required
+    errors.extend(_name_errors("parameter", params, known, command, reads, required))
+    errors.extend(_kind_errors(params, known, "parameter {!r}"))
+    # values a run rejects before it computes anything
+    errors.extend(f"parameter {name!r} must be positive" for name in ("r", "R")
+                  if name in reads and _finite(params.get(name)) and params[name] <= 0)
     params_ok = len(errors) == n_errors
 
     output = raw.get("output", {})
@@ -354,9 +350,13 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         output_format=output_format,
     )
     config.interval_spec = interval_spec
+    fparams = family.get("params", {})
+    family_errors = _kind_errors(fparams, _FAMILY_PARAMS, "family.params.{}") if isinstance(fparams, dict) else None
+    errors.extend(family_errors or [])
+    family_ok = family_errors == []  # the params are an object, and each passes its kind
     if command == "dd-condition":
-        errors.extend(_dd_family_errors(family, grids.get("delta") if grids_ok else None))
-    elif family.get("kind") in FAMILY_KINDS and isinstance(family.get("params", {}), dict):
+        errors.extend(_dd_family_errors(family, grids.get("delta") if grids_ok and family_ok else None))
+    elif family_ok and family.get("kind") in FAMILY_KINDS:
         try:
             built = config.exponent_family = _build_family(config)
         except KeyError as exc:
@@ -365,7 +365,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append(f"family.params: {exc}")
         else:
             N_max = params.get("N_max", DEFAULT_N_MAX)
-            if command == "bounds-sweep" and _positive_int(N_max) and 2 * N_max + 1 > len(built):
+            if command == "bounds-sweep" and params_ok and 2 * N_max + 1 > len(built):
                 errors.append(
                     f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
                     f"the family has {len(built)}"
@@ -388,7 +388,7 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
                     errors.append(f"grid 'r': {exc}")
             # sharpness partitions by its params, the other commands follow directions
             where, ready = ("params", params_ok) if command == "sharpness" else ("directions", directions_ok)
-            if command in _USES_DIRECTIONS and ready:
+            if row is not None and row.builds_directions and ready:
                 try:
                     config.direction_assignment, config.partition = _directions(config, built)
                 except ValueError as exc:
@@ -498,9 +498,7 @@ def _run_defect_decay(config: ExperimentConfig):
 
 def _run_dd_condition(config: ExperimentConfig):
     # only the values the config gives: the defaults live in conditioning_comparison
-    fparams = config.family.get("params", {})
-    options = {name: fparams[name] for name in ("spacing", "window") if name in fparams}
-    options.update((k, v) for k, v in config.params.items() if k in ("gamma_prime", "M", "normalize_dd"))
+    options = {**config.family.get("params", {}), **config.params}
     sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
     return sweep.to_rows(), {"normalized_dd": sweep.metadata["normalized_dd"]}
 
@@ -550,14 +548,16 @@ def _run_sharpness(config: ExperimentConfig):
     return rows, summary
 
 
-_RUNNERS = {
-    "density": _run_density,
-    "gram": _run_gram,
-    "bounds-sweep": _run_bounds_sweep,
-    "trace": _run_trace,
-    "defect-decay": _run_defect_decay,
-    "dd-condition": _run_dd_condition,
-    "sharpness": _run_sharpness,
+# runner, the one grid read (and required), the params read and the required ones, needs an interval, builds directions
+_Command = namedtuple("_Command", "run grid params required needs_interval builds_directions")
+_COMMANDS = {
+    "density": _Command(_run_density, "r", (), (), False, False),
+    "gram": _Command(_run_gram, None, (), (), True, True),
+    "bounds-sweep": _Command(_run_bounds_sweep, "lengths", ("N_max",), (), False, True),
+    "trace": _Command(_run_trace, None, ("r", "R", "y"), ("r", "R"), True, True),
+    "defect-decay": _Command(_run_defect_decay, "R", ("r", "y"), ("r",), True, True),
+    "dd-condition": _Command(_run_dd_condition, "delta", ("gamma_prime", "M", "normalize_dd"), (), True, False),
+    "sharpness": _Command(_run_sharpness, None, ("alpha", "d", "period_count"), ("alpha", "d"), True, True),
 }
 
 
@@ -600,9 +600,8 @@ def _write_json(path: Path, config: ExperimentConfig, rows: list[dict], summary:
 
 def run(config: ExperimentConfig, out_path: str | None = None) -> int:
     """Execute a validated config and write its artifact.  Returns exit status."""
-    runner = _RUNNERS[config.command]
     try:
-        rows, summary = runner(config)
+        rows, summary = _COMMANDS[config.command].run(config)
     except (NearSingularGramError, ArithmeticError, FloatingPointError, MemoryError) as exc:
         raise NumericalFailure(f"command {config.command!r}: {exc}") from exc
     path = Path(out_path if out_path is not None else config.output_path)

@@ -12,7 +12,10 @@ series is summed term by term, apart from its closed form.  The rectangular
 kernel ``inner_matrix`` pairs every term of two systems in one unblocked
 array, apart from the Gram's mirrored triangle of row blocks; the Fourier grid
 reaches it as a plain exponential system, apart from the lattice closed form
-of the cross matrix, and its exact coefficients come from mpmath.
+of the cross matrix, and its exact coefficients come from mpmath.  The
+spectrum of the integer lattice's centered Gram is exact: Slepian's prolate
+concentration ratios, which scipy computes for the DPSS windows, apart from
+any Gram or eigensolver.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
@@ -37,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from scipy.linalg import cho_solve
+from scipy.signal.windows import dpss
 
 from inghamlab.analysis import GridPointFailure, run_trace_experiment
 from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
@@ -138,6 +142,22 @@ def power_extremes(A, iters=6000, seed=0, tol=1e-13):
     # positive-definite input: plain inverse iteration homes in on lambda_min
     lam_min = iterate(lambda v: np.linalg.solve(A, v))
     return lam_min, lam_max
+
+
+def lattice_spectrum(n: int, length: float) -> np.ndarray:
+    """The eigenvalues, increasing, of the Gram of n consecutive integer exponents on a centered
+    interval of the given length, 0 < length < 4 pi and length != 2 pi.
+
+    That Gram, G_jk = 2 sin((j - k) length / 2) / (j - k) with diagonal ``length``, is 2 pi
+    times Slepian's prolate matrix rho_W, W = length / 4 pi (Bell Syst. Tech. J. 57, 1978), whose
+    eigenvalues are the DPSS concentration ratios of time half-bandwidth n W.  Above 2 pi,
+    rho_W = I + D rho_u D with u = W - 1/2 and D = diag((-1)^j), so the spectrum is
+    2 pi (1 + ratios at u), inside [2 pi, 4 pi].
+    """
+    W = length / (4.0 * math.pi)
+    if W < 0.5:
+        return np.sort(2.0 * math.pi * dpss(n, n * W, Kmax=n, return_ratios=True)[1])
+    return np.sort(2.0 * math.pi * (1.0 + dpss(n, n * (W - 0.5), Kmax=n, return_ratios=True)[1]))
 
 
 def parseval_tail_defect(omega, y, radius, interval_a, interval_b, n_span=200000):

@@ -47,6 +47,7 @@ from oracles import (
     defect_majorant_series,
     density_chain_check,
     hermitian_2x2_eigs,
+    lattice_spectrum,
     power_extremes,
     trace_by_inverse,
     trace_exact,
@@ -63,6 +64,11 @@ MEASURED_CONDITIONING_RATIO = 5.42e4
 # worst relative difference was 2.8e-13 at cond <= 3e4, 6.7e-13 at 1e5 and
 # 2.2e-12 at 1e6 (the explicit-inverse oracle loses digits with cond as well)
 TRACE_COND_MAX = 3e4
+
+# largest distance, relative to lambda_max, between a lattice Gram's eigenvalues and the prolate
+# oracle: measured over TestLatticeOracle's cases, at most 2.1e-14 for the full spectrum (n = 513 at
+# |I| = 0.999 * 4pi; 1.1e-14 on |I| in {3, 5, 8, 9.5, 11}) and 1.8e-14 for ``extreme_eigenvalues``' ends
+LATTICE_ORACLE_RTOL = 5e-14
 
 MPMATH_PINS = [(14, 3e-9), (27, 2e-12)]  # (seed, rtol) of the rank-deficient mpmath trace pins
 
@@ -266,6 +272,49 @@ class TestThresholdSweep:
             his.append(hi)
         assert lo_v == pytest.approx(min(los), abs=1e-9)
         assert hi_v == pytest.approx(max(his), abs=1e-9)
+
+
+class TestLatticeOracle:
+    """The integer lattice on a centered interval, against its exact prolate spectrum.
+
+    Below 2pi lambda_min is exponentially small, under the double-precision floor of both
+    sides, so only the counts of small eigenvalues are compared there.  On (2pi, 4pi) the
+    spectrum lies in [2pi, 4pi], so the system is stable and both ends are compared.
+    """
+
+    @staticmethod
+    def lattice_gram(n, length):
+        fam = generate_family("lattice", spacing=1.0, window=[-(n // 2), n // 2])
+        return assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)),
+                             IntervalSpec.of_length(length, -0.5 * length))
+
+    @pytest.mark.parametrize("n", [129, 513])
+    @pytest.mark.parametrize("length", [0.5, 3.0, 5.0, 6.2, 6.3, 8.0, 9.5, 11.0, 0.999 * 2 * TWO_PI])
+    def test_spectrum_and_extremes(self, n, length):
+        G = self.lattice_gram(n, length)
+        exact, computed = lattice_spectrum(n, length), np.linalg.eigvalsh(G)
+        lo, hi = extreme_eigenvalues(G)
+        assert np.max(np.abs(computed - exact)) <= LATTICE_ORACLE_RTOL * exact[-1]
+        assert hi == pytest.approx(exact[-1], rel=LATTICE_ORACLE_RTOL)
+        if length < TWO_PI:
+            assert exact[-1] <= TWO_PI * (1 + 1e-14)
+            tau = 1e-3 * exact[-1]
+            assert np.count_nonzero(computed < tau) == np.count_nonzero(exact < tau)
+        else:
+            assert TWO_PI * (1 - 1e-14) <= exact[0] and exact[-1] <= 2 * TWO_PI * (1 + 1e-14)
+            assert lo == pytest.approx(exact[0], abs=LATTICE_ORACLE_RTOL * hi)
+
+    def test_sweep_is_stable_between_2pi_and_4pi(self):
+        # measured: every length here is stable at N_max = 256; at 1.99 * 2pi lambda_min is still
+        # falling toward its limit 2pi, which the trend rule reads as degeneration
+        fam = generate_family("lattice", spacing=1.0, window=[-256, 256])
+        lengths = [TWO_PI * f for f in (1.001, 1.01, 1.05, 1.25, 1.5, 1.75, 1.9, 1.95)]
+        sweep = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), lengths, N_max=256)
+        for report in sweep.results:
+            assert report.verdict == "stable"
+            for N, lo, hi in zip(report.sizes, report.lambda_min, report.lambda_max):
+                exact = lattice_spectrum(2 * N + 1, report.interval_length)
+                assert max(abs(lo - exact[0]), abs(hi - exact[-1])) <= LATTICE_ORACLE_RTOL * hi
 
 
 class TestTraceExperiment:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from inghamlab import cli
 from inghamlab.basisfuncs import DirectionAssignment
 from inghamlab.cli import (
-    COMMANDS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -153,6 +152,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(raw))
         assert [e for e in err.value.errors if e.startswith("family.params")]
+
+    def test_every_kind_is_read_and_every_read_param_has_one(self):
+        params = {name for row in cli._COMMANDS.values() for name in row.params}
+        assert set(cli._KINDS) <= params | set(cli._DIRECTION_KEYS) | set(cli._FAMILY_PARAMS)
+        assert params | set(cli._FAMILY_PARAMS) <= set(cli._KINDS)
 
     @pytest.mark.parametrize("N_max", [0, True, 16.0])
     def test_N_max_must_be_positive_integer(self, N_max):
@@ -500,6 +504,13 @@ class TestMainEntry:
          "grid 'R' must hold at least 4 values"),
         ({"command": "bounds-sweep", "grids": {"lengths": [-1.0, 5.0]}, "params": {"N_max": 8}},
          "grid 'lengths' must be positive"),
+        # gamma_prime <= 0 used to exit 3 at the first delta
+        *[({"command": "dd-condition",
+            "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
+            "grids": {"delta": [1e-3]}, "params": {"gamma_prime": gamma_prime}},
+           "parameter 'gamma_prime' must be a positive number") for gamma_prime in (-0.5, 0)],
+        # an unhashable command used to escape parse_config as a TypeError
+        ({"command": ["trace"]}, "unknown command ['trace'] (expected one of density, gram, bounds-sweep,"),
     ])
     def test_mistyped_values_exit_two(self, tmp_path, capsys, change, message):
         out = tmp_path / "out.csv"
@@ -509,6 +520,30 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         [line] = capsys.readouterr().err.splitlines()  # the one error, and no other
         assert line.startswith("config error: ") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("lattice", {"spacing": True}, "spacing must be a positive number"),
+        ("lattice", {"spacing": "1.0"}, "spacing must be a positive number"),
+        *[("lattice", {"window": window}, "window must be a pair [lo, hi] of finite numbers with lo <= hi")
+          for window in (["-20", "20"], [False, 20], [-20, 20, 30])],
+        ("perturbed-lattice", {"max_perturbation": "0.2"}, "max_perturbation must be a number"),
+        ("perturbed-lattice", {"max_perturbation": 0.2, "seed": 1.7}, "seed must be a nonnegative integer"),
+        ("perturbed-lattice", {"max_perturbation": 0.2, "seed": -1}, "seed must be a nonnegative integer"),
+        ("explicit", {"exponents": [str(k) for k in range(-20, 21)]}, "exponents must be a list of numbers"),
+    ], ids=["spacing-true", "spacing-string", "window-strings", "window-false", "window-three",
+            "max_perturbation-string", "seed-float", "seed-negative", "exponents-strings"])
+    def test_mistyped_family_params_exit_two(self, tmp_path, capsys, kind, params, message):
+        # all but the negative seed used to run: strings and booleans became numbers, the seed 1.7 became 1
+        # and a window of three values lost its last; the family is built only from params of their kinds,
+        # so one mistake gives one line
+        out = tmp_path / "out.csv"
+        fparams = {"window": [-20, 20], **params} if kind != "explicit" else params
+        raw = {**density_config(out), "family": {"kind": kind, "params": fparams}, "grids": {"r": list(range(1, 21))}}
+        cfg_path = tmp_path / "family.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: family.params.{message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("exponents, literal, message", [
@@ -678,6 +713,24 @@ class TestMainEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"config error: parameter {name!r} is not read by command {command!r} (it reads: {reads})" for name in extra]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, grids, reads", [
+        ("trace", {"delta": [1e-3]}, "none"),
+        ("bounds-sweep", {"lengths": [5.0, 6.0], "R": [1.0, 2.0, 3.0, 4.0]}, "lengths"),
+    ], ids=["trace", "bounds-sweep"])
+    def test_grids_a_command_does_not_read_exit_two(self, tmp_path, capsys, command, grids, reads):
+        # a grid some other command reads used to be accepted and ignored
+        out = tmp_path / "out.csv"
+        raw = {**trace_config(out), "grids": grids}
+        if command == "bounds-sweep":
+            raw = {**raw, "command": command, "params": {"N_max": 16}}
+        cfg_path = tmp_path / "unread.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: grid {name!r} is not read by command {command!r} (it reads: {reads})"
+            for name in grids if name != reads]
         assert not out.exists()
 
     def test_numerical_exit_three(self, tmp_path, capsys):
@@ -996,7 +1049,7 @@ class TestConfigEquality:
         assert isinstance(a, ExperimentConfig)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.sampled_from(COMMANDS).flatmap(valid_configs))
+    @given(st.sampled_from(tuple(cli._COMMANDS)).flatmap(valid_configs))
     def test_canonical_round_trip(self, raw):
         config = parse_config(json.dumps(raw))
         echo = config.canonical()

@@ -7,11 +7,13 @@ entry, is code that only tests reach: it belongs in the tests
 (``oracles.py`` holds the references they compare against) or nowhere.  No
 module imports another module's private name.  The
 CLI's options are the ones the README's usage line shows, no more and no
-fewer, and importing the CLI does not import what only some commands need.
+fewer, its table of what each command reads is the CLI's own, and importing
+the CLI does not import what only some commands need.
 """
 
 import ast
 import importlib
+import itertools
 import json
 import os
 import re
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import inghamlab
+from inghamlab import cli
 from inghamlab.cli import main
 
 PACKAGE = Path(inghamlab.__file__).parent
@@ -109,3 +112,18 @@ def test_cli_import_leaves_scipy_special_unloaded(tmp_path):
     code = f"import sys, inghamlab.cli; {loaded}; print([inghamlab.cli.main(args) for args in {runs!r}]); {loaded}"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.split("\n")[:3] == ["[]", "[0, 0]", "[]"]
+
+
+def test_readme_command_table_matches_cli_rows():
+    # the README's table of what each command reads is cli._COMMANDS, row for row
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command | grid"))
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        command, grid, params, interval, directions = (cell.strip() for cell in line.strip("|").split("|"))
+        names = [] if params == "none" else params.split(", ")
+        table[command.strip("`")] = (None if grid == "none" else grid.strip("`"),
+                                     tuple(name.strip("*`") for name in names),
+                                     tuple(name.strip("*`") for name in names if name.startswith("**")),
+                                     interval == "yes", directions == "yes")
+    assert table == {command: row[1:] for command, row in cli._COMMANDS.items()}  # all but the runner
