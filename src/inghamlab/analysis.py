@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from scipy.linalg import cho_factor, get_blas_funcs, get_lapack_funcs
 
 from .basisfuncs import DirectionAssignment
 from .exponents import ExponentFamily, detect_chains, generate_family
@@ -51,7 +51,8 @@ DEFAULT_N_MAX = 128  # largest truncation of a threshold sweep
 DD_SPACING = 2.0  # pair spacing of a conditioning comparison's clustered-pairs families
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
-TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of trailing-triangle solves in a trace
+TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of triangular solves in a trace
+INVERSE_AGREEMENT = 1e-13  # per function: the largest |n - tr(G^-1 G)| / n at which a trace keeps G^-1
 
 
 class GridPointFailure(ArithmeticError):
@@ -278,27 +279,25 @@ def run_trace_experiment(
     r: float,
     R: float,
 ) -> TraceExperiment:
-    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways, with no inverse.
+    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways.
 
     Translating the interval is a diagonal unitary similarity of the V_r Gram G
     and of P below, so tr(G^-1 P) and the defects depend on ``interval.length``
     only: everything runs on the interval of that length centered at 0, where
     G is float64 for real directions and ``grid_cauchy_factors``' rho is real.
-    Both routes read the cross matrix X (rows e_k, columns the grid functions)
-    only through a factor X' with conj(X') X'^T = P = conj(X) X^T =
-    (conj(rho) rho^T) o (conj(V) V^T) o (C C^T), V the directions.  With
-    p = d * Card(grid) >= n, ``syrk`` over the real C gives A = (V V^H) o (C C^T),
-    and unpivoted ``potrf`` factors A = L L^H in place, kept when every L_kk^2
-    exceeds the rank tolerance n * eps * max A_kk: X' = diag(rho) L.  Else (p < n,
-    where a factor of A could be one of rounding noise, or a failed test)
-    X' = diag(rho) W, W[k, (g, j)] = C[k, g] V[k, j] the n x p cross factor itself.
-    With G = U^H U gated, route one, tr(G^-1 P) = ||U^-T X'||_F^2, is a sum of
-    squares, so ``trace_im`` is exactly 0.  Route two, Card + sum of
-    ((Q - Id) e_k, phi_k) with the dual coefficients Y = X'^T G^-1 from
-    U conj(Y^T) = conj(U^-T X'), is the same sum, so ``trace_agreement`` measures
-    rounding only.  Both solves run on blocks of TRACE_SOLVE_BLOCK columns of X'
-    against U from the block's first nonzero row on: the trailing triangle
-    U[a:, a:] for L's columns a.., all of U for W's.  Measured: |trace| <= d * Card(grid).
+    Route one is tr(G^-1 P), P = conj(X) X^T = (rho rho^T) o (conj(V) V^T) o (C C^T)
+    for the cross matrix X (rows e_k, columns the grid functions) and directions V;
+    route two, Card + sum of ((Q - Id) e_k, phi_k) over the dual coefficients
+    Y = X^T G^-1, is n + sum_jk (G^-1)_jk (P - G)_kj.  With p = d * Card(grid) >= n,
+    P is formed in its upper triangle before the gate, and ``potri`` turns the gate's
+    G = U^H U into G^-1 in place: both routes are dot sums over upper triangles, and
+    differ by n - tr(G^-1 G), the inverse's own residual.  Such sums lose about
+    cond(G) * eps, so G^-1 is kept only while that residual is at most
+    INVERSE_AGREEMENT * n.  Else, and always when p < n, U = ``cho_factor(G)`` solves
+    against the n x p cross factor X' = diag(rho) W, W[k, (g, j)] = C[k, g] V[k, j]
+    (conj(X') X'^T = P), in blocks of TRACE_SOLVE_BLOCK columns: route one is the sum
+    of squares ||U^-T X'||_F^2, route two solves U conj(Y^T) = conj(U^-T X').  Either
+    way ``trace_im`` is exactly 0.  Measured: |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
@@ -306,45 +305,54 @@ def run_trace_experiment(
     n, V = len(window.family), window.directions.matrix
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
     grid = _grid(centered, directions.d, y, r, R)
-    G = assemble_gram(window, centered)  # before A, whose n x n buffer would outlive the assembly
-    rho, C = grid_cauchy_factors(window.family, grid)
-    rho, X = rho.real, None  # rho exactly real on the centered interval
+    G = assemble_gram(window, centered)  # before P, whose n x n buffer would outlive the assembly
+    rho, C = grid_cauchy_factors(window.family, grid)  # rho exactly real on the centered interval
     if grid.size >= n:  # P may have rank n
-        CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=1)  # C C^T in the lower triangle; C.T is F-ordered
+        CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=0)  # C C^T in the upper triangle, 0 below
     defect_norms = projection_defect_norms(np.square(C, out=C), V, centered)
     del C
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
-    if grid.size >= n:  # the unpivoted factor of A, unless a pivot falls to the rank tolerance
-        A = np.einsum("kd,ld->lk", V, V.conj()).T  # F-ordered; einsum, not numpy's @ (see gram)
-        A *= CC
+    if grid.size >= n:
+        rV = V * rho.real[:, None]
+        P = np.einsum("kd,ld->lk", rV.conj(), rV).T  # F-ordered; einsum, not numpy's @ (see gram)
+        P *= CC
         del CC
-        stop = n * 2.0**-53 * A.diagonal().real.max()  # n * dlamch('E') * max A_kk
-        A, info = get_lapack_funcs("potrf", (A,))(A, lower=1, clean=1, overwrite_a=1)  # A = L L^H in place
-        X = A if info == 0 and A.diagonal().real.min() ** 2 > stop else None
-        del A
-    triangular = X is not None
-    if not triangular:  # the cross factor itself: W[k, (g, j)] = C[k, g] V[k, j]
+    U, _ = gated_cho_factor(G)  # G = U^H U
+    inverse = grid.size >= n
+    if inverse:
+        U, info = get_lapack_funcs("potri", (U,))(U, lower=0, overwrite_c=1)  # G^-1 in U's upper triangle
+        np.copyto(U, 0.0, where=~np.tri(n, dtype=bool).T)  # the strict lower triangle still holds G's
+        flat = U.reshape(-1, order="F").view(np.float64)  # float views: one dot gives sum Re(a conj(b))
+
+        def upper_sum(B):  # sum_jk (G^-1)_jk B_kj for a Hermitian B read in its upper triangle
+            total = get_blas_funcs("dot", (flat,))(flat, B.reshape(-1, order="F").view(np.float64))
+            return 2.0 * total - U.diagonal().real @ B.diagonal().real
+
+        trace_direct = upper_sum(P)
+        P -= G
+        trace_decomposed = n + upper_sum(P)
+        del P, U
+        inverse = info == 0 and abs(trace_direct - trace_decomposed) <= INVERSE_AGREEMENT * n
+        if not inverse:
+            U, _ = cho_factor(G, overwrite_a=True, check_finite=False)  # the gate's factor again, in G's buffer
+    del G
+    if not inverse:  # the cross factor itself: X'[k, (g, j)] = rho[k] C[k, g] V[k, j]
         _, C = grid_cauchy_factors(window.family, grid)  # bitwise the C squared above
         X = np.empty((n, grid.size), dtype=V.dtype, order="F")
         np.multiply(C[:, None, :], V[:, :, None], out=X.reshape(n, directions.d, -1, order="F"))
         del C
-    X *= rho[:, None]  # X' = diag(rho) L or diag(rho) W, in place: conj(X') X'^T = P
-    U, _ = gated_cho_factor(G)  # G = U^H U
-    del G
-    trsm = get_blas_funcs("trsm", (U, X))
-    trace_direct = 0.0
-    rows = np.zeros(n, dtype=X.dtype)  # rows[k] = sum_a X'[k, a] conj(Y[a, k])
-    for a0 in range(0, X.shape[1], TRACE_SOLVE_BLOCK):
-        a1, f = min(a0 + TRACE_SOLVE_BLOCK, X.shape[1]), a0 if triangular else 0  # f: the block's first nonzero row
-        if f:  # U becomes its trailing triangle U[f:, f:], one copy per block (f2py would copy a view per call)
-            U = np.array(U[TRACE_SOLVE_BLOCK:, TRACE_SOLVE_BLOCK:], order="F")
-        Z = np.array(X[f:, a0:a1], order="F")
-        trsm(1.0, U, Z, side=0, trans_a=1, overwrite_b=1)  # U^T Z = X': rows f.. of Z^T = (X'^T U^-1)^T
-        flat = Z.reshape(-1, order="F").view(np.float64)  # a view, not a ravelled copy
-        trace_direct += get_blas_funcs("dot", (flat,))(flat, flat)
-        np.conjugate(Z, out=Z)
-        trsm(1.0, U, Z, side=0, overwrite_b=1)  # U conj(Y^T) = conj(Z); Y[a, k] = (phi_k, f_a)
-        rows[f:] += np.einsum("ka,ka->k", X[f:, a0:a1], Z)
+        X *= rho.real[:, None]
+        trsm = get_blas_funcs("trsm", (U, X))
+        trace_direct, rows = 0.0, np.zeros(n, dtype=X.dtype)  # rows[k] = sum_a X'[k, a] conj(Y[a, k])
+        for a0 in range(0, X.shape[1], TRACE_SOLVE_BLOCK):
+            Z = np.array(X[:, a0 : a0 + TRACE_SOLVE_BLOCK], order="F")
+            trsm(1.0, U, Z, side=0, trans_a=1, overwrite_b=1)  # U^T Z = X': Z^T = X'^T U^-1
+            flat = Z.reshape(-1, order="F").view(np.float64)  # a view, not a ravelled copy
+            trace_direct += get_blas_funcs("dot", (flat,))(flat, flat)
+            np.conjugate(Z, out=Z)
+            trsm(1.0, U, Z, side=0, overwrite_b=1)  # U conj(Y^T) = conj(Z); Y[a, k] = (phi_k, f_a)
+            rows += np.einsum("ka,ka->k", X[:, a0 : a0 + TRACE_SOLVE_BLOCK], Z)
+        trace_decomposed = n + np.sum(rows - 1.0)
     return TraceExperiment(
         y=float(y),
         r=float(r),
@@ -353,7 +361,7 @@ def run_trace_experiment(
         card_omega_r=n,
         card_gamma=int(grid.n_values.size),
         trace_S=complex(trace_direct, 0.0),
-        trace_decomposed=complex(n + np.sum(rows - 1.0)),
+        trace_decomposed=complex(trace_decomposed),
         defect_norms=defect_norms,
         lemma2_bound=float(directions.d * grid.n_values.size),
     )

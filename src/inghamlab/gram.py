@@ -499,7 +499,7 @@ def gated_cho_factor(G: np.ndarray):
         raise ValueError("Gram has non-finite entries")
     tau = NEAR_SINGULAR_RTOL * blas.get_blas_funcs("nrm2", (c,))(c.ravel(order="F"))
     try:
-        factor = cho_factor(c, lower=False, overwrite_a=True)
+        factor = cho_factor(c, lower=False, overwrite_a=True, check_finite=False)  # c was just scanned
     except np.linalg.LinAlgError:
         factor = None
     if factor and _lambda_min_bound(factor[0], float(G.diagonal().real.sum())) > tau:

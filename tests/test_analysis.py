@@ -85,6 +85,13 @@ def lapack_spy(patch):
     return names
 
 
+def cho_factor_spy(patch):
+    """The matrices ``analysis`` factors again with ``cho_factor`` while ``patch`` holds."""
+    matrices, factor = [], analysis.cho_factor
+    patch.setattr(analysis, "cho_factor", lambda G, **kwargs: matrices.append(G.shape) or factor(G, **kwargs))
+    return matrices
+
+
 @st.composite
 def trace_cases(draw, r_max=12.0):
     """(family, directions, interval, y, r, R), d = 1..3, r up to r_max; half of them on
@@ -106,10 +113,22 @@ def trace_cases(draw, r_max=12.0):
 def constant_direction_cases(draw):
     """(family, directions, interval, y, r, R) with constant directions, d = 2 or 3, and |I| a
     fraction 0.8..1 of 2 pi r/(r + R): mostly card(grid) < n <= p = d card(grid), where
-    A = (V V^H) o (C C^T) = C C^T has rank at most card(grid) < n although p >= n."""
+    P = (rho rho^T) o (C C^T) has rank at most card(grid) < n although p >= n."""
     d, a, y = draw(st.integers(2, 3)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
     r, R = draw(st.floats(2.0, 12.0)), draw(st.floats(0.05, 3.0))
     length = draw(st.floats(0.8, 1.0)) * TWO_PI * r / (r + R)
+    fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                          window=[-40, 40], seed=draw(st.integers(0, 999)))
+    return fam, DirectionAssignment.constant(fam, d), IntervalSpec(a, a + length), y, r, R
+
+
+@st.composite
+def ill_conditioned_cases(draw):
+    """(family, directions, interval, y, r, R) with constant directions, d = 1..3, |I| in [3, 4.5]
+    below 2 pi and R past 2 pi r/(d |I|) - r: mostly p >= n, with cond(G) in (1e6, 1e10) in about half."""
+    d, a, y = draw(st.integers(1, 3)), draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    length, r = draw(st.floats(3.0, 4.5)), draw(st.floats(5.0, 10.0))
+    R = max(0.05, TWO_PI * r / (d * length) - r) + draw(st.floats(0.5, 6.0))
     fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                           window=[-40, 40], seed=draw(st.integers(0, 999)))
     return fam, DirectionAssignment.constant(fam, d), IntervalSpec(a, a + length), y, r, R
@@ -316,6 +335,15 @@ class TestLatticeOracle:
                 exact = lattice_spectrum(2 * N + 1, report.interval_length)
                 assert max(abs(lo - exact[0]), abs(hi - exact[-1])) <= LATTICE_ORACLE_RTOL * hi
 
+    @pytest.mark.xfail(strict=True, reason="the trend rule cannot tell lambda_min falling to 2pi from one falling to 0")
+    def test_sweep_near_4pi_is_stable(self):
+        # the spectrum lies in [2pi, 4pi] at every N, but lambda_min / 2pi reads 1.68, 1.42, 1.11
+        # and 1.004 at N = 16..128, so the trend rule says degenerating; a certified lower frame
+        # bound (ROADMAP item 4) would read stable, and turn this test into an XPASS
+        fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
+        sweep = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), [1.99 * TWO_PI], N_max=128)
+        assert sweep.results[0].verdict == "stable"
+
 
 class TestTraceExperiment:
     def setup_method(self):
@@ -406,8 +434,8 @@ class TestTraceExperiment:
     def test_matches_inverse_oracle_property(self, case):
         # P = conj(X) X^T is rank-deficient where p < n: X' is then the n x p
         # cross factor itself, and both routes still match the oracle
-        # (measured: 80 cases pass the cond cap, 10 of them with p < n, d = 1,
-        # 2, 3 in 29, 35, 16; the worst relative difference is 9.8e-14)
+        # (measured: 80 cases pass the cond cap, 21 of them with p < n, the worst
+        # relative difference 8.9e-14; the 59 with p >= n keep the inverse, within 3.8e-15)
         fam, dirs, I, y, r, R = case
         inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
         first, last = int(inside[0]), int(inside[-1])
@@ -426,10 +454,10 @@ class TestTraceExperiment:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(case=trace_cases(r_max=20.0))
     def test_block_boundaries_match_inverse_oracle(self, width, case):
-        # most traces have n below one TRACE_SOLVE_BLOCK, so narrow blocks put
-        # block boundaries inside the trailing-triangle solves (measured on the
-        # 40 draws, n = 4..39: rank < n in 15, rank not a multiple of the width
-        # in 23 at width 3 and 37 at width 7, n below one width in 16 at width 7)
+        # most traces have p below one TRACE_SOLVE_BLOCK, so narrow blocks put block
+        # boundaries inside the cross factor's solves (measured on the 40 draws per
+        # width, n = 3..33: W runs in 17 at width 3 and 15 at width 7, p not a
+        # multiple of the width in 5 and 15 of them; the rest keep the inverse)
         fam, dirs, I, y, r, R = case
         inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
         first, last = int(inside[0]), int(inside[-1])
@@ -448,12 +476,12 @@ class TestTraceExperiment:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=constant_direction_cases())
-    def test_failed_pivot_test_takes_the_cross_factor(self, case):
-        # p >= n, but rank A <= card(grid) < n: potrf fails or a pivot falls to
-        # n eps max A_kk, and X' is the cross factor W, for which C is built
-        # again. Both routes match the inverse oracle (measured on 400 draws of
-        # these ranges: 230 took W, 110 of them within the cond cap, the worst
-        # relative difference 1.5e-13)
+    def test_rank_deficient_projection_runs_potri(self, case):
+        # p >= n, but rank P <= card(grid) < n: the inverse route does not read
+        # the rank, so potri runs, and the route kept (the inverse, or the cross
+        # factor W where the inverse's residual is too large) matches the inverse
+        # oracle (measured on these 30 draws: 28 keep the inverse and 2 take W, the
+        # worst relative difference 1.5e-13)
         fam, dirs, I, y, r, R = case
         inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
         first, last = int(inside[0]), int(inside[-1])
@@ -462,16 +490,40 @@ class TestTraceExperiment:
         card = FourierGrid.centered(I, dirs.d, y, r + R).n_values.size
         assume(card < inside.size <= dirs.d * card)
         assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
-        calls, factors = [], analysis.grid_cauchy_factors
         with pytest.MonkeyPatch.context() as patch:
-            names = lapack_spy(patch)
-            patch.setattr(analysis, "grid_cauchy_factors", lambda *args: calls.append(args) or factors(*args))
+            names, refactored = lapack_spy(patch), cho_factor_spy(patch)
             exp = run_trace_experiment(fam, dirs, I, y, r, R)
-        assert names == ["potrf"]
-        assume(len(calls) == 2)  # else potrf's factor of rounding noise passed the pivot test, and is kept
+        assert names == ["potri"]
+        if not refactored:
+            assert exp.trace_agreement <= analysis.INVERSE_AGREEMENT * exp.card_omega_r
         direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
         assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
         assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert exp.trace_S.imag == 0.0
+        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=ill_conditioned_cases())
+    def test_ill_conditioned_full_grid_never_keeps_the_inverse(self, case):
+        # p >= n and cond(G) > 1e6: a sum over G^-1 o P would lose about cond(G) * eps, and the
+        # inverse's residual says so, so the cross factor W runs against U = cho_factor(G)
+        # (measured on 200 draws of these ranges: 103 within (1e6, 1e10), the least residual
+        # |n - tr(G^-1 G)| / n among them 3.6e-12, and none kept the inverse)
+        fam, dirs, I, y, r, R = case
+        inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
+        first, last = int(inside[0]), int(inside[-1])
+        window = ExponentialSystem(fam.slice_positions(first, last),
+                                   DirectionAssignment(dirs.d, dirs.matrix[first : last + 1]))
+        assume(inside.size <= dirs.d * FourierGrid.centered(I, dirs.d, y, r + R).n_values.size)
+        assume(np.linalg.cond(assemble_gram(window, I)) > 1e6)
+        with pytest.MonkeyPatch.context() as patch:
+            names, refactored = lapack_spy(patch), cho_factor_spy(patch)
+            try:
+                exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            except NearSingularGramError:
+                assume(False)  # the gate's own rejection, beyond cond 1e10
+        assert names == ["potri"]
+        assert len(refactored) == 1
         assert exp.trace_S.imag == 0.0
         assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
 
@@ -513,8 +565,8 @@ class TestTraceExperiment:
     @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
     def test_mpmath_pin_rank_deficient(self, seed, rtol):
         # p < n, so P has rank at most p: X' is the n x p cross factor itself,
-        # never a factor of A, which would run into rounding noise beyond the
-        # rank. Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and 8.7e-13
+        # and potri never runs (the inverse's sums read 9.6e-9 and 1.4e-12 here).
+        # Measured off mpmath: 1.3e-9 (cond(G) = 3.0e9) and 8.7e-13
         # (cond(G) = 7.7e5); the complex cross matrix gave 1.3e-9 and 4.8e-13
         self._mpmath_pin(seed, rtol)
 
@@ -526,7 +578,7 @@ class TestTraceExperiment:
 
     @staticmethod
     def _mpmath_pin(seed, rtol):
-        # p < n: the cross factor, and no Cholesky factor of A
+        # p < n: the cross factor, and no potri
         rng = np.random.default_rng(seed)
         d, length = int(rng.integers(1, 4)), float(rng.uniform(2, 9))
         y, r, R = float(rng.uniform(-3, 3)), float(rng.uniform(4, 15)), float(rng.uniform(0.05, 3))
@@ -541,6 +593,24 @@ class TestTraceExperiment:
         assert exp.d * exp.card_gamma < exp.card_omega_r
         exact = trace_exact(fam, dirs, I, y, r, R)
         assert abs(exp.trace_S.real - exact) <= rtol * exact
+        assert exp.trace_S.imag == 0.0
+
+    def test_mpmath_pin_ill_conditioned_full_grid(self):
+        # p = 42 >= n = 25 with cond(G) = 5.9e8: the inverse's residual rejects it, and
+        # the cross factor W runs against U = cho_factor(G). Measured off mpmath: 1.2e-10,
+        # where the inverse would read 2.1e-9
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-40, 40], seed=5)
+        dirs = DirectionAssignment.constant(fam, 2)
+        I = IntervalSpec(0.3, 4.8)
+        with pytest.MonkeyPatch.context() as patch:
+            names, refactored = lapack_spy(patch), cho_factor_spy(patch)
+            exp = run_trace_experiment(fam, dirs, I, 0.0, 12.0, 3.0)
+        assert names == ["potri"]
+        assert len(refactored) == 1
+        assert (exp.card_omega_r, exp.d * exp.card_gamma) == (25, 42)
+        exact = trace_exact(fam, dirs, I, 0.0, 12.0, 3.0)
+        assert abs(exp.trace_S.real - exact) <= 3e-10 * exact
         assert exp.trace_S.imag == 0.0
 
     def test_peak_memory_below_one_cross_matrix(self):
@@ -565,15 +635,14 @@ class TestTraceExperiment:
 
     def test_peak_memory_two_cross_matrices(self):
         # the dense work holds about three n x n buffers at a time. Up to the
-        # gate: the V_r Gram, C C^T and A = (V V^H) o (C C^T), C C^T freed
-        # before potrf factors A in place (p >= n here). The gate: the
-        # Gram, X' (the factor's buffer, scaled in place) and the gate's Fortran
-        # copy, which becomes U, with one column block of |U| for the bound (a
-        # fallback adds a fresh copy for the shifted certificate). The solves:
-        # U, X', a copy of U's trailing triangle and one block of X' solved in
-        # place. Measured (n = 301, p = 966): 2.6, 3.2 and 3.0 G per stage, a
-        # peak of 3.2 G at the gate; a complex n x p cross matrix X and one
-        # copy of it (16 n p bytes each) on top of that work break the bound
+        # gate: the V_r Gram, C C^T and P = (conj(rho V) (rho V)^T) o (C C^T),
+        # C C^T freed before the gate (p >= n here). The gate: the Gram, P and
+        # the gate's Fortran copy, which becomes U, with one column block of |U|
+        # for the bound (a fallback adds a fresh copy for the shifted
+        # certificate). The sums: G, P - G in P's buffer and G^-1 in U's, with
+        # an n x n boolean mask. Measured (n = 301, p = 966): 2.6, 3.2 and 3.1 G
+        # per stage, a peak of 3.2 G at the gate; a complex n x p cross matrix X
+        # and one copy of it (16 n p bytes each) on top of that work break the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -591,11 +660,12 @@ class TestTraceExperiment:
         assert peak <= 2 * x_bytes + 2 * g_bytes
 
     def test_peak_memory_cross_factor(self, monkeypatch):
-        # p < n: X' is the cross factor W itself, built in one F-ordered n x p buffer
-        # from a regenerated C and scaled in place. Up to the gate the trace holds the
-        # V_r Gram G, C (8 n p/d bytes) and W, never a second n x p array: measured
-        # (n = 301, p = 298, complex) peak G + W + C + 0.28 G at the gate's entry,
-        # where a copy of W adds 16 n p bytes
+        # p < n: X' is the cross factor W itself, built after the gate, once G is
+        # freed, in one F-ordered n x p buffer from a regenerated C and scaled in
+        # place. The trace holds G and C (8 n p/d bytes) up to the gate, and U, W and
+        # one column block of W after it, never a second n x p array beside them:
+        # measured (n = 301, p = 298, complex) G + 0.53 G up to the gate's entry and
+        # a peak of U + 2 W + 0.02 G, where a copy of W adds 16 n p bytes
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -607,38 +677,40 @@ class TestTraceExperiment:
         tracemalloc.start()
         try:
             exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n, p = exp.card_omega_r, exp.d * exp.card_gamma
         assert (n, p) == (301, 298)
         x_bytes, g_bytes, c_bytes = 16 * n * p, 16 * n * n, 8 * n * exp.card_gamma
-        assert entry[0][0] <= g_bytes + x_bytes + g_bytes // 20  # G and X' are what the gate sees
+        assert entry[0][0] <= g_bytes + x_bytes + g_bytes // 20  # the gate sees at most G and X'
         assert entry[0][1] <= g_bytes + x_bytes + c_bytes + g_bytes // 2
+        assert peak <= g_bytes + 2 * x_bytes + c_bytes
 
     def test_degenerate_span_rejected(self, monkeypatch):
-        # p = 23 >= n = 3, but A is singular: the unpivoted factor fails its pivot
-        # test, the cross factor takes its place, and the gate rejects G
+        # p = 23 >= n = 3, but G is singular: the gate rejects it before potri
         fam = ExponentFamily(np.array([0.0, 0.0, 1.0]))
         dirs = DirectionAssignment.constant(fam, 1)
         names = lapack_spy(monkeypatch)
         with pytest.raises(NearSingularGramError):
             run_trace_experiment(fam, dirs, self.I, 0.0, 2.0, 10.0)
-        assert names == ["potrf"]
+        assert names == []
 
-    @pytest.mark.parametrize("width", [analysis.TRACE_SOLVE_BLOCK, 7])
-    def test_full_grid_takes_the_unpivoted_factor(self, width, monkeypatch):
-        # p = 966 >= n = 301 (the memory tests' window): potrf's factor passes
-        # the pivot test and is kept, so the solves run on trailing triangles; both routes still match
-        # the inverse oracle, with one solve block and with 43
+    @pytest.mark.parametrize("rule", ["random", "constant"])
+    def test_full_grid_takes_the_inverse(self, rule, monkeypatch):
+        # p = 966 >= n = 301 (the memory tests' window): potri turns the gate's factor
+        # into G^-1, whose residual |n - tr(G^-1 G)| passes, so the inverse is kept and
+        # G is not factored again; both routes match the inverse oracle, complex and real
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
-        dirs = DirectionAssignment.random(fam, 2, seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4) if rule == "random" else DirectionAssignment.constant(fam, 2)
         I = IntervalSpec(0.0, 8.0)
-        monkeypatch.setattr(analysis, "TRACE_SOLVE_BLOCK", width)
-        names = lapack_spy(monkeypatch)
+        names, refactored = lapack_spy(monkeypatch), cho_factor_spy(monkeypatch)
         exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
-        assert names == ["potrf"]
+        assert names == ["potri"]
+        assert refactored == []
         assert (exp.card_omega_r, exp.d * exp.card_gamma) == (301, 966)
+        assert exp.trace_agreement <= analysis.INVERSE_AGREEMENT * exp.card_omega_r
         direct, decomposed = trace_by_inverse(fam, dirs, I, 0.0, 150.0, 40.0)
         assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
         assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)

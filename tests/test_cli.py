@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -958,10 +960,13 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         out = tmp_path / "out.csv"
         cfg_path.write_text(json.dumps(density_config(out)))
+        src = str(Path(__file__).resolve().parents[1] / "src")  # the child imports this checkout, installed or not
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "inghamlab.cli", "--config", str(cfg_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -1137,11 +1137,14 @@ class TestGatedCholesky:
     @pytest.mark.parametrize("entry", [(3, 3), (1, 4)])
     def test_non_finite_gram_rejected_before_the_shift(self, complex_, value, entry, monkeypatch):
         # the entries are checked first: no Inf - Inf on the diagonal, no warning, no
-        # reduction, whether or not the BLAS's nrm2 propagates NaN
+        # reduction, whether or not the BLAS's nrm2 propagates NaN, and no LAPACK call at
+        # all, since the first cho_factor skips its own finiteness scan
         from inghamlab import gram
 
         calls = []
         monkeypatch.setattr(gram, "_extreme_spectrum", lambda A, vectors: calls.append(A))
+        monkeypatch.setattr(gram, "cho_factor", lambda *args, **kwargs: calls.append("cho_factor"))
+        monkeypatch.setattr(gram, "lapack", type("Spy", (), {"__getattr__": lambda _, name: calls.append(name)})())
         G = hermitian_matrix(6, complex_, np.random.default_rng(2), spectrum=np.arange(1.0, 7.0))
         G[entry] = G[entry[::-1]] = value
         with warnings.catch_warnings():
