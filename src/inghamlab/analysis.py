@@ -10,7 +10,7 @@ degenerating as the truncation grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, get_blas_funcs, get_lapack_funcs
@@ -31,10 +31,7 @@ from .gram import (
 
 __all__ = [
     "DEFAULT_N_MAX",
-    "FrameBoundReport",
     "TraceExperiment",
-    "SweepResult",
-    "DefectDecayFit",
     "GridPointFailure",
     "frame_bound_sequence",
     "threshold_sweep",
@@ -57,29 +54,6 @@ INVERSE_AGREEMENT = 1e-13  # per function: the largest |n - tr(G^-1 G)| / n at w
 
 class GridPointFailure(ArithmeticError):
     """Numerical failure at one point of a sweep, annotated with the point."""
-
-
-@dataclass
-class FrameBoundReport:
-    """Extreme Gram eigenvalues against truncation size, with a stability verdict."""
-
-    sizes: list[int]
-    lambda_min: list[float]
-    lambda_max: list[float]
-    interval_length: float
-    verdict: str = "indeterminate"
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "interval_length": self.interval_length,
-                "N": N,
-                "lambda_min": lo,
-                "lambda_max": hi,
-                "verdict": self.verdict,
-            }
-            for N, lo, hi in zip(self.sizes, self.lambda_min, self.lambda_max)
-        ]
 
 
 def _system(family: ExponentFamily, directions: DirectionAssignment, lo: int, hi: int) -> ExponentialSystem:
@@ -124,16 +98,17 @@ def frame_bound_sequence(
     directions: DirectionAssignment,
     interval: IntervalSpec,
     N_grid,
-) -> FrameBoundReport:
+) -> list[dict]:
     """Extreme Gram eigenvalues of the 2N+1 centered functions for each N.
 
-    ``directions`` assigns one vector per family position.  The Gram is
-    assembled once at the largest N; each smaller truncation is its centered
-    principal submatrix, so the sections interlace.  Only spectra are read,
-    and translating the interval is a diagonal unitary similarity, so only
-    ``interval.length`` is used: the Gram is assembled on the interval of
-    that length centered at 0, where it is real symmetric whenever the
-    directions are real.
+    One row per N: ``interval_length``, ``N``, ``lambda_min``, ``lambda_max``
+    and the length's stability ``verdict``.  ``directions`` assigns one
+    vector per family position.  The Gram is assembled once at the largest
+    N; each smaller truncation is its centered principal submatrix, so the
+    sections interlace.  Only spectra are read, and translating the interval
+    is a diagonal unitary similarity, so only ``interval.length`` is used:
+    the Gram is assembled on the interval of that length centered at 0,
+    where it is real symmetric whenever the directions are real.
     """
     sizes = [int(N) for N in N_grid]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -143,40 +118,18 @@ def frame_bound_sequence(
         raise GridPointFailure(f"at N={N_max}: family window of {n} exponents cannot supply 2N+1 = {2 * N_max + 1}")
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
     G = assemble_gram(_system(family, directions, n // 2 - N_max, n // 2 + N_max), centered)
-    lmins, lmaxs = [], []
+    spectra = []  # (lambda_min, lambda_max) per N
     for N in sizes:
         block = slice(N_max - N, N_max + N + 1)
         try:
-            lo, hi = extreme_eigenvalues(G[block, block])
+            spectra.append(extreme_eigenvalues(G[block, block]))
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at N={N}: {exc}") from exc
-        lmins.append(lo)
-        lmaxs.append(hi)
-    return FrameBoundReport(
-        sizes=sizes,
-        lambda_min=lmins,
-        lambda_max=lmaxs,
-        interval_length=interval.length,
-        verdict=_stability_verdict(sizes, lmins, lmaxs),
-    )
-
-
-@dataclass
-class SweepResult:
-    """One experiment value per point of a strictly increasing grid."""
-
-    grid: list
-    results: list
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        g = list(self.grid)
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-
-    def to_rows(self) -> list[dict]:
-        """The rows of every per-point result, in grid order: a report's rows, or the result itself if it is a row."""
-        return [row for result in self.results for row in ([result] if isinstance(result, dict) else result.to_rows())]
+    verdict = _stability_verdict(sizes, *zip(*spectra))
+    return [
+        {"interval_length": interval.length, "N": N, "lambda_min": lo, "lambda_max": hi, "verdict": verdict}
+        for N, (lo, hi) in zip(sizes, spectra)
+    ]
 
 
 def threshold_sweep(
@@ -184,14 +137,17 @@ def threshold_sweep(
     directions: DirectionAssignment,
     lengths,
     N_max: int = DEFAULT_N_MAX,
-) -> SweepResult:
-    """Frame-bound reports across interval lengths; brackets the transition.
+) -> tuple[list[dict], dict]:
+    """Frame-bound rows across interval lengths; brackets the transition.
 
-    Truncations double up to N_max.  The metadata records the transition
-    bracket (last degenerating length, first stable length) when the sweep
-    crosses one.
+    Truncations double up to N_max.  Returns the rows of every length's
+    ``frame_bound_sequence``, in order, and a summary of the
+    ``transition_bracket`` (last degenerating length, first stable length;
+    None when the sweep crosses none) and the ``N_grid``.
     """
     lengths = [float(v) for v in lengths]
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("interval lengths must be strictly increasing")
     N_grid = []
     N = max(4, N_max // 8)
     while N < N_max:
@@ -199,19 +155,20 @@ def threshold_sweep(
         N *= 2
     N_grid.append(N_max)
 
-    reports = []
+    rows, verdicts = [], []
     for L in lengths:
         try:
-            reports.append(frame_bound_sequence(family, directions, IntervalSpec.of_length(L), N_grid))
+            length_rows = frame_bound_sequence(family, directions, IntervalSpec.of_length(L), N_grid)
         except GridPointFailure as exc:
             raise GridPointFailure(f"at interval_length={L:.6g}: {exc}") from exc
-    verdicts = [rep.verdict for rep in reports]
+        rows += length_rows
+        verdicts.append(length_rows[0]["verdict"])
     bracket = None
     degens = [i for i, v in enumerate(verdicts) if v == "degenerating"]
     stables = [i for i, v in enumerate(verdicts) if v == "stable"]
     if degens and stables and degens[-1] < stables[0]:
         bracket = (lengths[degens[-1]], lengths[stables[0]])
-    return SweepResult(grid=lengths, results=reports, metadata={"N_grid": N_grid, "transition_bracket": bracket})
+    return rows, {"transition_bracket": bracket, "N_grid": N_grid}
 
 
 @dataclass
@@ -367,21 +324,6 @@ def run_trace_experiment(
     )
 
 
-@dataclass
-class DefectDecayFit:
-    R_grid: np.ndarray
-    max_defects: np.ndarray
-    slope: float
-    intercept: float
-    degenerate_zero_defect: bool = False
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"R": float(R), "max_defect": float(v), "defect_squared": float(v**2)}
-            for R, v in zip(self.R_grid, self.max_defects)
-        ]
-
-
 def defect_decay_fit(
     family: ExponentFamily,
     directions: DirectionAssignment,
@@ -389,10 +331,12 @@ def defect_decay_fit(
     y: float,
     r: float,
     R_grid,
-) -> DefectDecayFit:
+) -> tuple[list[dict], dict]:
     """Log-log fit of the worst grid-projection defect against R.
 
     The fitted quantity is max over k in the window of ||(Q_{r+R} - Id) e_k||.
+    One row per R: ``R``, ``max_defect``, ``defect_squared``, its ``majorant``
+    (``defect_majorant``) and ``below_majorant``; the summary is the fit.
     The grids for increasing R are nested and centered on y, so the real
     factor C of ``grid_cauchy_factors`` at r + max(R), squared once, serves
     every R through a contiguous column block of ``projection_defect_norms``.
@@ -416,11 +360,14 @@ def defect_decay_fit(
         cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test: not empty at Rs[0]
         block = energy[:, cols[0] : cols[-1] + 1]
         maxima[i] = projection_defect_norms(block, window.directions.matrix, interval).max()
-    if np.all(maxima <= 1e-7 * math.sqrt(interval.length)):
-        return DefectDecayFit(R_grid=Rs, max_defects=maxima, slope=float("nan"),
-                              intercept=float("nan"), degenerate_zero_defect=True)
-    slope, intercept = np.polyfit(np.log(Rs), np.log(maxima), 1)
-    return DefectDecayFit(R_grid=Rs, max_defects=maxima, slope=float(slope), intercept=float(intercept))
+    rows = []
+    for R, v in zip(Rs, maxima):
+        square, majorant = float(v**2), defect_majorant(directions.d, interval, float(R))
+        rows.append({"R": float(R), "max_defect": float(v), "defect_squared": square,
+                     "majorant": majorant, "below_majorant": square <= majorant})
+    degenerate = bool(np.all(maxima <= 1e-7 * math.sqrt(interval.length)))
+    slope, intercept = (math.nan, math.nan) if degenerate else np.polyfit(np.log(Rs), np.log(maxima), 1)
+    return rows, {"slope": float(slope), "intercept": float(intercept), "degenerate_zero_defect": degenerate}
 
 
 def defect_majorant(d: int, interval: IntervalSpec, R: float) -> float:
@@ -446,16 +393,19 @@ def conditioning_comparison(
     gamma_prime: float = 0.5,
     M: int = 2,
     normalize_dd: bool = True,
-) -> SweepResult:
+) -> tuple[list[dict], dict]:
     """Condition numbers of raw-exponential vs divided-difference Grams per delta.
 
     The raw system on a clustered-pairs family degenerates like delta^-2;
     the divided-difference system stays bounded.  A smallest eigenvalue at
     the double-precision floor, raw or DD, makes its condition number
     "overflow" rather than a meaningless quotient, and so is the ratio
-    cond_raw / cond_dd when either is.
+    cond_raw / cond_dd when either is.  Returns one row per delta and the
+    summary ``normalized_dd``.
     """
     deltas = [float(v) for v in delta_grid]
+    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("delta grid must be strictly increasing")
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)  # raw only: translated DDs recombine
     rows = []
     for delta in deltas:
@@ -471,4 +421,4 @@ def conditioning_comparison(
         cond_dd = "overflow" if lo_dd <= EIGEN_FLOOR_RTOL * hi_dd else hi_dd / lo_dd
         ratio = "overflow" if "overflow" in (cond_raw, cond_dd) else cond_raw / cond_dd
         rows.append({"delta": delta, "cond_raw": cond_raw, "cond_dd": cond_dd, "ratio": ratio})
-    return SweepResult(grid=deltas, results=rows, metadata={"normalized_dd": normalize_dd})
+    return rows, {"normalized_dd": normalize_dd}

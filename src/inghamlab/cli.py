@@ -26,7 +26,6 @@ from .analysis import (
     DEFAULT_N_MAX,
     conditioning_comparison,
     defect_decay_fit,
-    defect_majorant,
     run_trace_experiment,
     threshold_sweep,
 )
@@ -285,6 +284,8 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
             errors.append("interval must be a pair [a, b] of finite numbers")
         elif not interval[1] > interval[0]:
             errors.append("interval must satisfy b > a")
+        elif not math.isfinite(interval[1] - interval[0]):
+            errors.append("interval must have a finite length b - a")
         else:
             interval_spec = IntervalSpec(*interval)
     if row is not None and row.needs_interval and interval is None:
@@ -459,14 +460,8 @@ def _run_gram(config: ExperimentConfig):
 
 
 def _run_bounds_sweep(config: ExperimentConfig):
-    N_max = config.params.get("N_max", DEFAULT_N_MAX)
-    sweep = threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"], N_max=N_max)
-    rows = sweep.to_rows()
-    summary = {
-        "transition_bracket": sweep.metadata["transition_bracket"],
-        "N_grid": sweep.metadata["N_grid"],
-    }
-    return rows, summary
+    return threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"],
+                           N_max=config.params.get("N_max", DEFAULT_N_MAX))
 
 
 def _window_args(config: ExperimentConfig):
@@ -482,25 +477,13 @@ def _run_trace(config: ExperimentConfig):
 
 
 def _run_defect_decay(config: ExperimentConfig):
-    family, directions, interval, y, r = _window_args(config)
-    fit = defect_decay_fit(family, directions, interval, y, r, config.grids["R"])
-    rows = []
-    for row in fit.to_rows():
-        majorant = defect_majorant(directions.d, interval, row["R"])
-        rows.append({**row, "majorant": majorant, "below_majorant": row["defect_squared"] <= majorant})
-    summary = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "degenerate_zero_defect": fit.degenerate_zero_defect,
-    }
-    return rows, summary
+    return defect_decay_fit(*_window_args(config), config.grids["R"])
 
 
 def _run_dd_condition(config: ExperimentConfig):
     # only the values the config gives: the defaults live in conditioning_comparison
     options = {**config.family.get("params", {}), **config.params}
-    sweep = conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
-    return sweep.to_rows(), {"normalized_dd": sweep.metadata["normalized_dd"]}
+    return conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
 
 
 def _run_sharpness(config: ExperimentConfig):

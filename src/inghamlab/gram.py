@@ -65,6 +65,8 @@ class IntervalSpec:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError(f"interval must satisfy b > a, got ({self.a}, {self.b})")
+        if not math.isfinite(self.b - self.a):  # as ExponentFamily rejects an infinite span
+            raise ValueError(f"interval length must be finite, got ({self.a}, {self.b})")
 
     @property
     def length(self) -> float:

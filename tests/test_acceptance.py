@@ -76,10 +76,10 @@ def test_criterion_01_parseval_baseline():
     I = IntervalSpec(0, TWO_PI)
     G = assemble_gram(ExponentialSystem(fam, dirs), I)
     entry_residual = float(np.max(np.abs(G - TWO_PI * np.eye(len(fam)))))
-    rep = frame_bound_sequence(fam, dirs, I, [8, 16, 32, 64])
+    rows = frame_bound_sequence(fam, dirs, I, [8, 16, 32, 64])
     bounds_ok = all(
-        abs(lo - TWO_PI) < 1e-10 and abs(hi - TWO_PI) < 1e-10
-        for lo, hi in zip(rep.lambda_min, rep.lambda_max)
+        abs(row["lambda_min"] - TWO_PI) < 1e-10 and abs(row["lambda_max"] - TWO_PI) < 1e-10
+        for row in rows
     )
     elapsed = time.perf_counter() - started
     _report(
@@ -93,33 +93,35 @@ def test_criterion_01_parseval_baseline():
 def test_criterion_02_supercritical_stability():
     fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
     dirs = DirectionAssignment.constant(fam, 1)
-    rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [16, 32, 64, 128])
-    positive = all(v > 0 for v in rep.lambda_min)
-    rel_change = abs(rep.lambda_min[-1] - rep.lambda_min[-2]) / rep.lambda_min[-2]
+    rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [16, 32, 64, 128])
+    lmins = [row["lambda_min"] for row in rows]
+    positive = all(v > 0 for v in lmins)
+    rel_change = abs(lmins[-1] - lmins[-2]) / lmins[-2]
     _report(
         2,
         "stability above the critical length (|I| = 2.2 pi)",
-        positive and rel_change <= 0.05 and rep.verdict == "stable",
-        f"lambda_min(128) = {rep.lambda_min[-1]:.6f}, last-doubling change {rel_change:.2e}",
+        positive and rel_change <= 0.05 and all(row["verdict"] == "stable" for row in rows),
+        f"lambda_min(128) = {lmins[-1]:.6f}, last-doubling change {rel_change:.2e}",
     )
 
 
 def test_criterion_03_subcritical_degeneration():
     fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
     dirs = DirectionAssignment.constant(fam, 1)
-    rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [16, 32, 64, 128])
-    floor = EIGEN_FLOOR_RTOL * max(rep.lambda_max)
+    rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [16, 32, 64, 128])
+    lmins = [row["lambda_min"] for row in rows]
+    floor = EIGEN_FLOOR_RTOL * max(row["lambda_max"] for row in rows)
     # strictly decreasing until both neighbors sit at the double-precision floor
     decreasing = all(
         b < a or (a <= floor and b <= floor)
-        for a, b in zip(rep.lambda_min, rep.lambda_min[1:])
+        for a, b in zip(lmins, lmins[1:])
     )
-    factor_ok = rep.lambda_min[-1] <= 0.1 * rep.lambda_min[0]
+    factor_ok = lmins[-1] <= 0.1 * lmins[0]
     _report(
         3,
         "degeneration below the critical length (|I| = 1.8 pi)",
-        decreasing and factor_ok and rep.verdict == "degenerating",
-        f"lambda_min: {', '.join(format(v, '.2e') for v in rep.lambda_min)}",
+        decreasing and factor_ok and all(row["verdict"] == "degenerating" for row in rows),
+        f"lambda_min: {', '.join(format(v, '.2e') for v in lmins)}",
     )
 
 
@@ -138,8 +140,8 @@ def test_criterion_04_vectorial_sharpness_block_identity():
     pos1 = part.class_indices(1)
     pos2 = part.class_indices(2)
     residual = max(residual, float(np.max(np.abs(G[np.ix_(pos1, pos2)]))))
-    sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
-    verdicts = [r.verdict for r in sweep.results]
+    rows, summary = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
+    verdicts = [row["verdict"] for row in rows if row["N"] == summary["N_grid"][-1]]  # one per length
     _report(
         4,
         "vectorial sharpness: block identity and alpha = 1/2 threshold",
@@ -218,17 +220,17 @@ def test_criterion_07_defect_decay_and_majorant():
     dirs = DirectionAssignment.constant(fam, 1)
     I = IntervalSpec(0, TWO_PI)
     Rs = [8.0, 16.0, 32.0, 64.0, 128.0]
-    fit = defect_decay_fit(fam, dirs, I, 0.0, 2.0, Rs)
+    rows, summary = defect_decay_fit(fam, dirs, I, 0.0, 2.0, Rs)
     majorant_ok = all(
-        defect**2 <= defect_majorant(1, I, float(R))
-        for R, defect in zip(fit.R_grid, fit.max_defects)
+        row["max_defect"] ** 2 <= defect_majorant(1, I, row["R"])
+        for row in rows
     )
-    slope_ok = -1.0 <= fit.slope <= -0.45
+    slope_ok = -1.0 <= summary["slope"] <= -0.45
     _report(
         7,
         "grid-projection defect decay (offset lattice)",
-        majorant_ok and slope_ok and not fit.degenerate_zero_defect,
-        f"slope {fit.slope:.3f}, defects below series majorant at all {len(Rs)} points",
+        majorant_ok and slope_ok and not summary["degenerate_zero_defect"],
+        f"slope {summary['slope']:.3f}, defects below series majorant at all {len(Rs)} points",
     )
 
 
@@ -276,8 +278,8 @@ def test_criterion_08_divided_difference_consistency():
 
 def test_criterion_09_conditioning_payoff():
     I = IntervalSpec(0, TWO_PI)
-    sweep = conditioning_comparison(I, [1e-3], spacing=2.0, window=(0.0, 8.0), normalize_dd=True)
-    row = sweep.results[0]
+    rows, _ = conditioning_comparison(I, [1e-3], spacing=2.0, window=(0.0, 8.0), normalize_dd=True)
+    row = rows[0]
     ratio = row["cond_raw"] / row["cond_dd"]
     # independent eigensolve oracle (power + inverse iteration)
     fam = generate_family("clustered-pairs", spacing=2.0, delta=1e-3, window=[0, 8])
@@ -288,9 +290,9 @@ def test_criterion_09_conditioning_payoff():
     measured_ok = ratio == pytest.approx(MEASURED_CONDITIONING_RATIO, rel=0.05)
     # the substantive claim: raw degenerates like delta^-2 while the
     # divided-difference conditioning is delta-stable
-    law = conditioning_comparison(I, [1e-4, 1e-3, 1e-2], spacing=2.0, window=(0.0, 8.0))
-    raws = [r["cond_raw"] for r in law.results]
-    dds = [r["cond_dd"] for r in law.results]
+    law, _ = conditioning_comparison(I, [1e-4, 1e-3, 1e-2], spacing=2.0, window=(0.0, 8.0))
+    raws = [r["cond_raw"] for r in law]
+    dds = [r["cond_dd"] for r in law]
     law_ok = (
         raws[0] / raws[1] == pytest.approx(100.0, rel=0.05)
         and raws[1] / raws[2] == pytest.approx(100.0, rel=0.05)

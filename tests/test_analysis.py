@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from inghamlab import analysis
 from inghamlab.analysis import (
     EIGEN_FLOOR_RTOL,
-    DefectDecayFit,
     GridPointFailure,
-    SweepResult,
     conditioning_comparison,
     defect_decay_fit,
     defect_majorant,
@@ -71,6 +69,22 @@ TRACE_COND_MAX = 3e4
 LATTICE_ORACLE_RTOL = 5e-14
 
 MPMATH_PINS = [(14, 3e-9), (27, 2e-12)]  # (seed, rtol) of the rank-deficient mpmath trace pins
+
+
+def column(rows, key):
+    """One value of every row, in row order."""
+    return [row[key] for row in rows]
+
+
+def verdict(rows):
+    """The stability verdict of one length's frame-bound rows, which all carry it."""
+    (value,) = set(column(rows, "verdict"))
+    return value
+
+
+def length_verdicts(rows, summary):
+    """The verdict of each length of a threshold sweep, in order: the one on its row at the largest N."""
+    return [row["verdict"] for row in rows if row["N"] == summary["N_grid"][-1]]
 
 
 def lapack_spy(patch):
@@ -189,35 +203,36 @@ class TestFrameBoundSequence:
     def test_parseval_baseline_exact(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         dirs = DirectionAssignment.constant(fam, 1)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16, 32, 64])
-        for lo, hi in zip(rep.lambda_min, rep.lambda_max):
-            assert lo == pytest.approx(TWO_PI, abs=1e-10)
-            assert hi == pytest.approx(TWO_PI, abs=1e-10)
-        assert rep.verdict == "stable"
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16, 32, 64])
+        for row in rows:
+            assert row["lambda_min"] == pytest.approx(TWO_PI, abs=1e-10)
+            assert row["lambda_max"] == pytest.approx(TWO_PI, abs=1e-10)
+        assert verdict(rows) == "stable"
 
     def test_supercritical_stable(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         dirs = DirectionAssignment.constant(fam, 1)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [8, 16, 32, 64])
-        assert all(v > 1.0 for v in rep.lambda_min)
-        assert rep.verdict == "stable"
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.2 * math.pi), [8, 16, 32, 64])
+        assert all(v > 1.0 for v in column(rows, "lambda_min"))
+        assert verdict(rows) == "stable"
 
     def test_subcritical_degenerating(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         dirs = DirectionAssignment.constant(fam, 1)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [8, 16, 32, 64])
-        assert rep.verdict == "degenerating"
-        floor = EIGEN_FLOOR_RTOL * max(rep.lambda_max)
-        above = [v for v in rep.lambda_min if v > floor]
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(1.8 * math.pi), [8, 16, 32, 64])
+        assert verdict(rows) == "degenerating"
+        floor = EIGEN_FLOOR_RTOL * max(column(rows, "lambda_max"))
+        above = [v for v in column(rows, "lambda_min") if v > floor]
         assert all(b < a for a, b in zip(above, above[1:]))
 
     def test_interlacing(self):
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.15,
                               window=[-80, 80], seed=3)
         dirs = DirectionAssignment.constant(fam, 1)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.3 * math.pi), [4, 8, 16, 32])
-        assert all(b <= a + 1e-10 for a, b in zip(rep.lambda_min, rep.lambda_min[1:]))
-        assert all(b >= a - 1e-10 for a, b in zip(rep.lambda_max, rep.lambda_max[1:]))
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(2.3 * math.pi), [4, 8, 16, 32])
+        lmins, lmaxs = column(rows, "lambda_min"), column(rows, "lambda_max")
+        assert all(b <= a + 1e-10 for a, b in zip(lmins, lmins[1:]))
+        assert all(b >= a - 1e-10 for a, b in zip(lmaxs, lmaxs[1:]))
 
     @pytest.mark.parametrize("family_seed", [3, 5])
     def test_random_directions_interlace(self, family_seed):
@@ -226,10 +241,11 @@ class TestFrameBoundSequence:
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-64, 64], seed=family_seed)
         dirs = DirectionAssignment.random(fam, 2, seed=5)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(5.0), [8, 16, 32, 64])
-        tol = 1e-12 * max(rep.lambda_max)
-        assert all(b <= a + tol for a, b in zip(rep.lambda_min, rep.lambda_min[1:]))
-        assert all(b >= a - tol for a, b in zip(rep.lambda_max, rep.lambda_max[1:]))
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec.of_length(5.0), [8, 16, 32, 64])
+        lmins, lmaxs = column(rows, "lambda_min"), column(rows, "lambda_max")
+        tol = 1e-12 * max(lmaxs)
+        assert all(b <= a + tol for a, b in zip(lmins, lmins[1:]))
+        assert all(b >= a - tol for a, b in zip(lmaxs, lmaxs[1:]))
 
     def test_short_family_names_grid_point(self):
         fam = generate_family("lattice", spacing=1.0, window=[-20, 20])
@@ -239,8 +255,7 @@ class TestFrameBoundSequence:
     def test_rows_serialize(self):
         fam = generate_family("lattice", spacing=1.0, window=[-40, 40])
         dirs = DirectionAssignment.constant(fam, 1)
-        rep = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16])
-        rows = rep.to_rows()
+        rows = frame_bound_sequence(fam, dirs, IntervalSpec(0, TWO_PI), [8, 16])
         assert len(rows) == 2
         assert set(rows[0]) == {"interval_length", "N", "lambda_min", "lambda_max", "verdict"}
 
@@ -250,11 +265,11 @@ class TestThresholdSweep:
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         lengths = [1.6 * math.pi, 1.8 * math.pi, 2.2 * math.pi, 2.4 * math.pi]
         dirs = DirectionAssignment.constant(fam, 1)
-        sweep = threshold_sweep(fam, dirs, lengths, N_max=64)
-        assert [r.verdict for r in sweep.results] == [
+        rows, summary = threshold_sweep(fam, dirs, lengths, N_max=64)
+        assert length_verdicts(rows, summary) == [
             "degenerating", "degenerating", "stable", "stable",
         ]
-        assert sweep.metadata["transition_bracket"] == (
+        assert summary["transition_bracket"] == (
             pytest.approx(1.8 * math.pi), pytest.approx(2.2 * math.pi),
         )
 
@@ -262,15 +277,17 @@ class TestThresholdSweep:
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         part = build_sharpness_partition(fam, d=2, alpha=0.5)
         dirs = DirectionAssignment.from_partition(part)
-        sweep = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
-        assert [r.verdict for r in sweep.results] == ["degenerating", "stable"]
+        assert length_verdicts(*threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)) == [
+            "degenerating", "stable",
+        ]
 
     def test_single_class_reduces_to_scalar(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
         part = build_sharpness_partition(fam, d=2, alpha=1.0)
         dirs = DirectionAssignment.from_partition(part)
-        sweep = threshold_sweep(fam, dirs, [1.8 * math.pi, 2.2 * math.pi], N_max=64)
-        assert [r.verdict for r in sweep.results] == ["degenerating", "stable"]
+        assert length_verdicts(*threshold_sweep(fam, dirs, [1.8 * math.pi, 2.2 * math.pi], N_max=64)) == [
+            "degenerating", "stable",
+        ]
 
     def test_eq4_reduction_to_class_extremes(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
@@ -328,12 +345,12 @@ class TestLatticeOracle:
         # falling toward its limit 2pi, which the trend rule reads as degeneration
         fam = generate_family("lattice", spacing=1.0, window=[-256, 256])
         lengths = [TWO_PI * f for f in (1.001, 1.01, 1.05, 1.25, 1.5, 1.75, 1.9, 1.95)]
-        sweep = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), lengths, N_max=256)
-        for report in sweep.results:
-            assert report.verdict == "stable"
-            for N, lo, hi in zip(report.sizes, report.lambda_min, report.lambda_max):
-                exact = lattice_spectrum(2 * N + 1, report.interval_length)
-                assert max(abs(lo - exact[0]), abs(hi - exact[-1])) <= LATTICE_ORACLE_RTOL * hi
+        rows, _ = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), lengths, N_max=256)
+        for row in rows:
+            assert row["verdict"] == "stable"
+            lo, hi = row["lambda_min"], row["lambda_max"]
+            exact = lattice_spectrum(2 * row["N"] + 1, row["interval_length"])
+            assert max(abs(lo - exact[0]), abs(hi - exact[-1])) <= LATTICE_ORACLE_RTOL * hi
 
     @pytest.mark.xfail(strict=True, reason="the trend rule cannot tell lambda_min falling to 2pi from one falling to 0")
     def test_sweep_near_4pi_is_stable(self):
@@ -341,8 +358,8 @@ class TestLatticeOracle:
         # and 1.004 at N = 16..128, so the trend rule says degenerating; a certified lower frame
         # bound (ROADMAP item 4) would read stable, and turn this test into an XPASS
         fam = generate_family("lattice", spacing=1.0, window=[-128, 128])
-        sweep = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), [1.99 * TWO_PI], N_max=128)
-        assert sweep.results[0].verdict == "stable"
+        rows, _ = threshold_sweep(fam, DirectionAssignment.constant(fam, 1), [1.99 * TWO_PI], N_max=128)
+        assert verdict(rows) == "stable"
 
 
 class TestTraceExperiment:
@@ -734,18 +751,18 @@ class TestDefectDecay:
     def test_aligned_lattice_zero_defect(self):
         fam = generate_family("lattice", spacing=1.0, window=[-20, 20])
         dirs = DirectionAssignment.constant(fam, 1)
-        fit = defect_decay_fit(fam, dirs, self.I, 0.0, 4.5, [8.0, 16.0, 32.0, 64.0])
-        assert fit.degenerate_zero_defect
-        assert math.isnan(fit.slope)
+        _, summary = defect_decay_fit(fam, dirs, self.I, 0.0, 4.5, [8.0, 16.0, 32.0, 64.0])
+        assert summary["degenerate_zero_defect"]
+        assert math.isnan(summary["slope"])
 
     def test_offset_lattice_slope_and_majorant(self):
         fam = generate_family("explicit", exponents=[k + 0.5 for k in range(-300, 300)])
         dirs = DirectionAssignment.constant(fam, 1)
         Rs = [8.0, 16.0, 32.0, 64.0, 128.0]
-        fit = defect_decay_fit(fam, dirs, self.I, 0.0, 2.0, Rs)
-        assert -1.0 <= fit.slope <= -0.45
-        for R, defect in zip(fit.R_grid, fit.max_defects):
-            assert defect**2 <= defect_majorant(1, self.I, float(R))
+        rows, summary = defect_decay_fit(fam, dirs, self.I, 0.0, 2.0, Rs)
+        assert -1.0 <= summary["slope"] <= -0.45
+        for row in rows:
+            assert row["max_defect"] ** 2 <= defect_majorant(1, self.I, row["R"])
 
     def test_maxima_match_per_R_cross_matrices(self):
         # the column blocks of the one factor C at r + max(R) reproduce, bit
@@ -757,12 +774,12 @@ class TestDefectDecay:
         dirs = DirectionAssignment.random(fam, 2, seed=1)
         I, y, r = IntervalSpec(0.0, 8.0), 0.3, 25.0
         Rs = [5.0, 10.0, 20.0, 40.0, 80.0]
-        fit = defect_decay_fit(fam, dirs, I, y, r, Rs)
+        rows, _ = defect_decay_fit(fam, dirs, I, y, r, Rs)
         inside = np.flatnonzero(np.abs(fam.exponents - y) < r)
         first, last = int(inside[0]), int(inside[-1])
         sub = fam.slice_positions(first, last)
         sdirs = DirectionAssignment(2, dirs.matrix[first : last + 1])
-        for R, got in zip(Rs, fit.max_defects):
+        for R, got in zip(Rs, column(rows, "max_defect")):
             grid = FourierGrid.centered(I, 2, y, r + R)
             _, C = grid_cauchy_factors(sub, grid)
             defects = projection_defect_norms(C**2, sdirs.matrix, I)
@@ -861,23 +878,23 @@ class TestDDThresholdCheck:
 
 class TestConditioning:
     def test_no_clustering_parity(self):
-        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1.0], window=(0.0, 8.0))
-        row = sweep.results[0]
+        rows, _ = conditioning_comparison(IntervalSpec(0, TWO_PI), [1.0], window=(0.0, 8.0))
+        row = rows[0]
         assert row["cond_raw"] != "overflow"
         assert row["cond_raw"] <= 10.0 * row["cond_dd"]
         assert row["cond_dd"] <= 10.0 * row["cond_raw"]
 
     def test_raw_degenerates_quadratically_dd_stays(self):
-        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-4, 1e-3, 1e-2])
-        conds_raw = [row["cond_raw"] for row in sweep.results]
-        conds_dd = [row["cond_dd"] for row in sweep.results]
+        rows, _ = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-4, 1e-3, 1e-2])
+        conds_raw = column(rows, "cond_raw")
+        conds_dd = column(rows, "cond_dd")
         assert conds_raw[1] / conds_raw[2] == pytest.approx(100.0, rel=0.05)
         assert conds_raw[0] / conds_raw[1] == pytest.approx(100.0, rel=0.05)
         assert max(conds_dd) <= 1.01 * min(conds_dd)
 
     def test_measured_ratio_at_delta_1e3(self):
-        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-3])
-        row = sweep.results[0]
+        rows, _ = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-3])
+        row = rows[0]
         ratio = row["cond_raw"] / row["cond_dd"]
         assert ratio == pytest.approx(MEASURED_CONDITIONING_RATIO, rel=0.05)
 
@@ -891,8 +908,8 @@ class TestConditioning:
         assert seen == [(ExponentialSystem, IntervalSpec(-5.0, 5.0)), (DividedDifferenceSystem, IntervalSpec(0.0, 10.0))] * 2
 
     def test_floor_reported_as_overflow(self):
-        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-9], window=(0.0, 4.0))
-        assert sweep.results[0]["cond_raw"] == "overflow"
+        rows, _ = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-9], window=(0.0, 4.0))
+        assert rows[0]["cond_raw"] == "overflow"
 
     def test_confluent_limit_of_dd_gram(self):
         I = IntervalSpec(0, TWO_PI)
@@ -937,20 +954,39 @@ class TestDensityChain:
             assert row["implied_length_lower"] <= I.length + 1e-9
 
 
-class TestSweepResult:
-    def test_grid_must_increase(self):
+class TestExperimentRows:
+    @staticmethod
+    def spy_on_assembly(monkeypatch):
+        seen, assemble = [], analysis.assemble_gram
+        monkeypatch.setattr(analysis, "assemble_gram",
+                            lambda system, interval: seen.append(interval) or assemble(system, interval))
+        return seen
+
+    def test_nonincreasing_lengths_raise_before_assembly(self, monkeypatch):
+        fam = generate_family("lattice", spacing=1.0, window=[-40, 40])
+        seen = self.spy_on_assembly(monkeypatch)
         with pytest.raises(ValueError, match="increasing"):
-            SweepResult(grid=[2.0, 1.0], results=[None, None])
+            threshold_sweep(fam, DirectionAssignment.constant(fam, 1), [2.2 * math.pi, 1.8 * math.pi], N_max=16)
+        assert seen == []
 
-    def test_row_results_pass_through(self):
-        # conditioning_comparison keeps one row dict per delta as its result
-        sweep = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-3, 1e-2])
-        rows = sweep.to_rows()
-        assert rows == sweep.results
-        assert [row["delta"] for row in rows] == [1e-3, 1e-2]
+    def test_nonincreasing_deltas_raise_before_assembly(self, monkeypatch):
+        seen = self.spy_on_assembly(monkeypatch)
+        with pytest.raises(ValueError, match="increasing"):
+            conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-2, 1e-3])
+        assert seen == []
+        # an increasing grid gives one row per delta, in grid order
+        rows, summary = conditioning_comparison(IntervalSpec(0, TWO_PI), [1e-3, 1e-2])
+        assert column(rows, "delta") == [1e-3, 1e-2]
+        assert summary == {"normalized_dd": True}
 
-    def test_defect_fit_rows(self):
-        fit = DefectDecayFit(R_grid=np.array([1.0, 2.0]), max_defects=np.array([0.5, 0.3]),
-                             slope=-0.5, intercept=0.0)
-        rows = fit.to_rows()
-        assert rows[1]["defect_squared"] == pytest.approx(0.09)
+    def test_defect_fit_rows_carry_majorant(self):
+        fam = generate_family("explicit", exponents=[k + 0.5 for k in range(-100, 100)])
+        I, Rs = IntervalSpec(0, TWO_PI), [8.0, 16.0, 32.0, 64.0]
+        rows, summary = defect_decay_fit(fam, DirectionAssignment.constant(fam, 1), I, 0.0, 2.0, Rs)
+        assert list(summary) == ["slope", "intercept", "degenerate_zero_defect"]
+        assert column(rows, "R") == Rs
+        for row in rows:
+            assert list(row) == ["R", "max_defect", "defect_squared", "majorant", "below_majorant"]
+            assert row["defect_squared"] == pytest.approx(row["max_defect"] ** 2)
+            assert row["majorant"] == defect_majorant(1, I, row["R"])
+            assert row["below_majorant"] is (row["defect_squared"] <= row["majorant"]) is True

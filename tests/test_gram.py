@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
+from inghamlab.cli import main
 from inghamlab.exponents import (
     ExponentFamily,
     build_sharpness_partition,
@@ -61,6 +63,22 @@ from oracles import (
 
 TWO_PI = 2.0 * math.pi
 
+LATTICE = {"kind": "lattice", "params": {"spacing": 1.0, "window": [-30, 30]}}
+# one small runnable config per command, each of which accepts an interval
+INTERVAL_CONFIGS = {
+    "density": {"command": "density", "family": LATTICE, "grids": {"r": list(range(1, 31))}},
+    "gram": {"command": "gram", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-3, 3]}}},
+    "bounds-sweep": {"command": "bounds-sweep", "family": LATTICE, "grids": {"lengths": [5.0, 8.0]},
+                     "params": {"N_max": 8}},
+    "trace": {"command": "trace", "family": LATTICE, "params": {"y": 0.0, "r": 5.5, "R": 10.0}},
+    "defect-decay": {"command": "defect-decay", "family": LATTICE, "grids": {"R": [8.0, 16.0, 32.0, 64.0]},
+                     "params": {"y": 0.5, "r": 3.0}},
+    "dd-condition": {"command": "dd-condition",
+                     "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0.0, 8.0]}},
+                     "grids": {"delta": [1e-3]}},
+    "sharpness": {"command": "sharpness", "family": LATTICE, "params": {"alpha": 0.5, "d": 2}},
+}
+
 
 class TestIntervalSpec:
     def test_length(self):
@@ -70,6 +88,25 @@ class TestIntervalSpec:
     def test_invalid(self):
         with pytest.raises(ValueError):
             IntervalSpec(2.0, 2.0)
+
+    @pytest.mark.parametrize("a,b", [(-1.7e308, 1.7e308), (-math.inf, 0.0), (0.0, math.inf)])
+    def test_infinite_length_rejected(self, a, b):
+        # finite ends can still overflow b - a, as finite exponents can overflow a family's span
+        with pytest.raises(ValueError, match="length must be finite"):
+            IntervalSpec(a, b)
+
+    @pytest.mark.parametrize("command", sorted(INTERVAL_CONFIGS))
+    def test_infinite_length_is_a_config_error_for_every_command(self, tmp_path, capsys, command):
+        raw = {**INTERVAL_CONFIGS[command], "output": {"path": str(tmp_path / "out.csv")}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "interval": [0.0, TWO_PI]}))
+        assert main(["--config", str(path)]) == 0  # the config is otherwise runnable
+        (tmp_path / "out.csv").unlink()
+        path.write_text(json.dumps({**raw, "interval": [-1.7e308, 1.7e308]}))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: interval must have a finite length b - a"]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_of_length(self):
         I = IntervalSpec.of_length(TWO_PI)
