@@ -47,12 +47,11 @@ class DirectionAssignment:
         return cls(d=d, matrix=U)
 
     @classmethod
-    def from_partition(cls, partition) -> "DirectionAssignment":
-        """U_k = E_j for the positions k of class j (orthonormal coordinate directions)."""
-        classes = partition.class_of
-        U = np.zeros((classes.size, partition.d), dtype=complex)
-        U[np.arange(classes.size), classes - 1] = 1.0
-        return cls(d=partition.d, matrix=U)
+    def from_partition(cls, class_of: np.ndarray, d: int) -> "DirectionAssignment":
+        """U_k = E_j for the positions k of class j in 1..d (orthonormal coordinate directions)."""
+        U = np.zeros((class_of.size, d), dtype=complex)
+        U[np.arange(class_of.size), class_of - 1] = 1.0
+        return cls(d=d, matrix=U)
 
     @classmethod
     def random(cls, family: ExponentFamily, d: int, seed: int = 0) -> "DirectionAssignment":

@@ -30,14 +30,7 @@ from .analysis import (
     threshold_sweep,
 )
 from .basisfuncs import DirectionAssignment
-from .exponents import (
-    DensityEstimate,
-    ExponentFamily,
-    Partition,
-    build_sharpness_partition,
-    estimate_density,
-    generate_family,
-)
+from .exponents import ExponentFamily, build_sharpness_partition, estimate_density, generate_family
 from .gram import (
     ExponentialSystem,
     IntervalSpec,
@@ -107,9 +100,9 @@ class ExperimentConfig:
     # built once by parse_config and read by the runners; derived, so not identity
     exponent_family: ExponentFamily | None = field(default=None, init=False, compare=False, repr=False)
     direction_assignment: DirectionAssignment | None = field(default=None, init=False, compare=False, repr=False)
-    partition: Partition | None = field(default=None, init=False, compare=False, repr=False)
+    partition: tuple[np.ndarray, int] | None = field(default=None, init=False, compare=False, repr=False)
     interval_spec: IntervalSpec | None = field(default=None, init=False, compare=False, repr=False)
-    density_estimate: DensityEstimate | None = field(default=None, init=False, compare=False, repr=False)
+    density_estimate: tuple[list, dict] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __setattr__(self, name, value):
         if name not in self.__dataclass_fields__:
@@ -407,8 +400,9 @@ def _build_family(config: ExperimentConfig):
     return generate_family(kind, **params)
 
 
-def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, Partition | None]:
-    """One direction per family position, and the sharpness partition it comes from, if any."""
+def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, tuple | None]:
+    """One direction per family position, and the sharpness partition (class_of, period
+    exponent count) it comes from, if any."""
     options = config.params if config.command == "sharpness" else config.directions
     rule = "partition" if config.command == "sharpness" else options.get("rule", "constant")
     d = int(options.get("d", 1))
@@ -417,7 +411,7 @@ def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, 
     if rule == "random":
         return DirectionAssignment.random(family, d, seed=int(options.get("seed", config.seed))), None
     partition = build_sharpness_partition(family, d, float(options["alpha"]), options.get("period_count"))
-    return DirectionAssignment.from_partition(partition), partition
+    return DirectionAssignment.from_partition(partition[0], d), partition
 
 
 def _fmt(value) -> str:
@@ -429,19 +423,7 @@ def _fmt(value) -> str:
 
 
 def _run_density(config: ExperimentConfig):
-    family, est = config.exponent_family, config.density_estimate
-    rows = [
-        {"r": float(r), "count": int(c)}
-        for r, c in zip(est.radii, est.counts)
-    ]
-    summary = {
-        "dplus_estimate": est.dplus_estimate,
-        "intercept": est.intercept,
-        "residual": est.residual,
-        "fit_window": list(est.fit_window),
-        "family_size": len(family),
-    }
-    return rows, summary
+    return config.density_estimate
 
 
 def _run_gram(config: ExperimentConfig):
@@ -487,27 +469,25 @@ def _run_dd_condition(config: ExperimentConfig):
 
 
 def _run_sharpness(config: ExperimentConfig):
-    partition, interval = config.partition, config.interval_spec
+    (class_of, period_exponent_count), interval = config.partition, config.interval_spec
     G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), interval)
+    # orthogonal class directions make G the direct sum of the classes' scalar Grams: cross-class entries are 0
+    block_residual = float(np.max(np.abs(G[class_of[:, None] != class_of[None, :]]), initial=0.0))
     rows = []
     max_density = 0.0
-    block_residual = 0.0
-    for j in range(1, partition.d + 1):
-        sub = partition.class_family(j)
-        if sub is None:
+    for j in range(1, config.direction_assignment.d + 1):
+        positions = np.flatnonzero(class_of == j)
+        if positions.size == 0:
             rows.append({"class": j, "size": 0, "density": 0.0, "threshold_length": 0.0,
                          "lambda_min": float("nan"), "lambda_max": float("nan")})
             continue
-        positions = partition.class_indices(j)
-        block = G[np.ix_(positions, positions)]
-        scalar = assemble_gram(
-            ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), interval
-        )
-        block_residual = max(block_residual, float(np.max(np.abs(block - scalar))))
+        sub = config.exponent_family.subfamily(positions)
+        scalar = assemble_gram(ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), interval)
+        block_residual = max(block_residual, float(np.max(np.abs(G[np.ix_(positions, positions)] - scalar))))
         if len(sub) >= 8:
-            span = sub.span
-            r_grid = np.linspace(max(1.0, span / 16), span, 12)
-            density = estimate_density(sub, r_grid).dplus_estimate
+            span = sub.span  # a class spanning at most 1 starts its grid below 1, so the grid still increases
+            r_grid = np.linspace(span / 16 if span <= 1 else max(1.0, span / 16), span, 12)
+            density = estimate_density(sub, r_grid)[1]["dplus_estimate"]
         else:
             density = float("nan")
         lo, hi = extreme_eigenvalues(scalar)
@@ -523,10 +503,10 @@ def _run_sharpness(config: ExperimentConfig):
             }
         )
     summary = {
-        "target_alpha": partition.target_alpha,
+        "target_alpha": float(config.params["alpha"]),
         "block_identity_residual": block_residual,
         "max_class_density": max_density,
-        "period_exponent_count": partition.period_exponent_count,
+        "period_exponent_count": period_exponent_count,
     }
     return rows, summary
 

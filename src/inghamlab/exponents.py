@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "ExponentFamily",
-    "DensityEstimate",
-    "Partition",
     "detect_chains",
     "counting_function",
     "estimate_density",
@@ -104,21 +102,14 @@ def counting_function(family: ExponentFamily, r: float) -> int:
     return int(counts.max())
 
 
-@dataclass
-class DensityEstimate:
-    radii: np.ndarray
-    counts: np.ndarray
-    dplus_estimate: float
-    fit_window: tuple[int, int]  # half-open position range of radii used in the fit
-    residual: float
-    intercept: float = 0.0
-
-
-def estimate_density(family: ExponentFamily, r_grid) -> DensityEstimate:
+def estimate_density(family: ExponentFamily, r_grid) -> tuple[list[dict], dict]:
     """Upper-density estimate: least-squares slope of the counting function.
 
     Fits count(r) ~ slope*r + b over the upper half of the radius grid; the
-    intercept absorbs the O(1) boundary bias of the finite window.
+    intercept absorbs the O(1) boundary bias of the finite window.  Returns
+    (rows, summary): one row {r, count} per radius, and the slope
+    ``dplus_estimate``, ``intercept``, the fit's RMS ``residual``, the
+    half-open ``fit_window`` of grid positions it used and ``family_size``.
     """
     r = np.asarray(r_grid, dtype=float)
     if r.ndim != 1 or r.size == 0:
@@ -129,44 +120,20 @@ def estimate_density(family: ExponentFamily, r_grid) -> DensityEstimate:
         raise ValueError("r_grid values must be positive")
     if family.span > 0 and r[-1] > family.span:
         raise ValueError("r_grid values must not exceed the family's window span")
-    counts = np.array([counting_function(family, ri) for ri in r], dtype=float)
+    counts = np.array([counting_function(family, ri) for ri in r])
     lo = r.size // 2
     if r.size - lo < 3:
         raise ValueError("fewer than 3 grid points in fit window")
     slope, intercept = np.polyfit(r[lo:], counts[lo:], 1)
     resid = counts[lo:] - (slope * r[lo:] + intercept)
-    return DensityEstimate(
-        radii=r,
-        counts=counts.astype(int),
-        dplus_estimate=float(slope),
-        fit_window=(lo, r.size),
-        residual=float(np.sqrt(np.mean(resid**2))),
-        intercept=float(intercept),
-    )
-
-
-@dataclass
-class Partition:
-    """Assignment of every family position to one of d direction classes."""
-
-    class_of: np.ndarray  # the class (1..d) of each position
-    d: int
-    target_alpha: float
-    period_exponent_count: int
-    family: ExponentFamily
-
-    def class_indices(self, j: int) -> np.ndarray:
-        """The positions of class j, increasing."""
-        if not 1 <= j <= self.d:
-            raise ValueError(f"class label must be in 1..{self.d}")
-        return np.flatnonzero(self.class_of == j)
-
-    def class_family(self, j: int) -> ExponentFamily | None:
-        """Subfamily of class j, or None when the class is empty."""
-        positions = self.class_indices(j)
-        if positions.size == 0:
-            return None
-        return self.family.subfamily(positions)
+    summary = {
+        "dplus_estimate": float(slope),
+        "intercept": float(intercept),
+        "residual": float(np.sqrt(np.mean(resid**2))),
+        "fit_window": [lo, r.size],
+        "family_size": len(family),
+    }
+    return [{"r": float(ri), "count": int(c)} for ri, c in zip(r, counts)], summary
 
 
 def _difference_pattern_period(diffs: np.ndarray) -> int | None:
@@ -181,7 +148,7 @@ def _difference_pattern_period(diffs: np.ndarray) -> int | None:
 
 def build_sharpness_partition(
     family: ExponentFamily, d: int, alpha: float, period_count: int | None = None
-) -> Partition:
+) -> tuple[np.ndarray, int]:
     """Periodic block partition whose largest class density equals alpha.
 
     Per period of ``m`` exponents, a run of round(alpha/D * m) consecutive
@@ -189,6 +156,7 @@ def build_sharpness_partition(
     over classes 2..d (restarting each period, so every class is periodic).
     Only defined for families whose consecutive-difference pattern is
     periodic; D is the family's exact density, period count / period length.
+    Returns (class_of, m): the class (1..d) of each family position, and m.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -221,13 +189,7 @@ def build_sharpness_partition(
     offset = np.arange(x.size) % m
     # d == 1 gives run == m, so every position is in class 1 (max() only avoids % 0)
     class_of = np.where(offset < run, 1, 2 + (offset - run) % max(d - 1, 1))
-    return Partition(
-        class_of=class_of,
-        d=d,
-        target_alpha=float(alpha),
-        period_exponent_count=m,
-        family=family,
-    )
+    return class_of, m
 
 
 def _lattice_values(spacing: float, window) -> np.ndarray:

@@ -441,10 +441,18 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     interval centered at 0), is solved in real arithmetic; any other stays
     complex.  The two extreme eigenpairs of ``_extreme_spectrum`` are checked
     against that matrix under the residual contract
-    ||G v - lambda v|| <= EIGEN_RESIDUAL_RTOL ||G||.
+    ||G v - lambda v|| <= EIGEN_RESIDUAL_RTOL ||G||.  When G's largest
+    |diagonal| lies outside [2^-300, 2^300], where squared entries overflow
+    (stebz's bisection fails) or underflow (the contract fails), the read is
+    of 2^k G, the power of two from ``np.frexp`` that brings it to [1/2, 1),
+    and the values are scaled back exactly.
     """
     G = np.asarray(G)
     A = G.real if np.iscomplexobj(G) and not np.tril(G.imag, -1).any() else G
+    top = float(np.max(np.abs(A.diagonal())))
+    k = 0 if top == 0.0 or 2.0**-300 <= top <= 2.0**300 else -int(np.frexp(top)[1])
+    if k:
+        A = A * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)  # two exact factors: 2^k alone can overflow
     vals, vecs = _extreme_spectrum(A, vectors=True)
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
@@ -453,6 +461,7 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
     if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")
+    vals = np.ldexp(vals, -k)
     return float(vals[0]), float(vals[-1])
 
 

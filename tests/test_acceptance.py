@@ -127,18 +127,18 @@ def test_criterion_03_subcritical_degeneration():
 
 def test_criterion_04_vectorial_sharpness_block_identity():
     fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-    part = build_sharpness_partition(fam, d=2, alpha=0.5)
-    dirs = DirectionAssignment.from_partition(part)
+    class_of, _ = build_sharpness_partition(fam, d=2, alpha=0.5)
+    dirs = DirectionAssignment.from_partition(class_of, 2)
     I = IntervalSpec(0, TWO_PI)
     G = assemble_gram(ExponentialSystem(fam, dirs), I)
     residual = 0.0
     for j in (1, 2):
-        pos = part.class_indices(j)
-        sub = part.class_family(j)
+        pos = np.flatnonzero(class_of == j)
+        sub = fam.subfamily(pos)
         scalar = assemble_gram(ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), I)
         residual = max(residual, float(np.max(np.abs(G[np.ix_(pos, pos)] - scalar))))
-    pos1 = part.class_indices(1)
-    pos2 = part.class_indices(2)
+    pos1 = np.flatnonzero(class_of == 1)
+    pos2 = np.flatnonzero(class_of == 2)
     residual = max(residual, float(np.max(np.abs(G[np.ix_(pos1, pos2)]))))
     rows, summary = threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)
     verdicts = [row["verdict"] for row in rows if row["N"] == summary["N_grid"][-1]]  # one per length

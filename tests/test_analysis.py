@@ -275,32 +275,32 @@ class TestThresholdSweep:
 
     def test_even_odd_vector_transition(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        part = build_sharpness_partition(fam, d=2, alpha=0.5)
-        dirs = DirectionAssignment.from_partition(part)
+        class_of, _ = build_sharpness_partition(fam, d=2, alpha=0.5)
+        dirs = DirectionAssignment.from_partition(class_of, 2)
         assert length_verdicts(*threshold_sweep(fam, dirs, [0.8 * math.pi, 1.2 * math.pi], N_max=64)) == [
             "degenerating", "stable",
         ]
 
     def test_single_class_reduces_to_scalar(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        part = build_sharpness_partition(fam, d=2, alpha=1.0)
-        dirs = DirectionAssignment.from_partition(part)
+        class_of, _ = build_sharpness_partition(fam, d=2, alpha=1.0)
+        dirs = DirectionAssignment.from_partition(class_of, 2)
         assert length_verdicts(*threshold_sweep(fam, dirs, [1.8 * math.pi, 2.2 * math.pi], N_max=64)) == [
             "degenerating", "stable",
         ]
 
     def test_eq4_reduction_to_class_extremes(self):
         fam = generate_family("lattice", spacing=1.0, window=[-80, 80])
-        part = build_sharpness_partition(fam, d=2, alpha=0.5)
+        class_of, _ = build_sharpness_partition(fam, d=2, alpha=0.5)
         I = IntervalSpec.of_length(1.3 * math.pi)
         first, last = len(fam) // 2 - 24, len(fam) // 2 + 24
         sub = fam.slice_positions(first, last)
-        rows = DirectionAssignment.from_partition(part).matrix[first : last + 1]
+        rows = DirectionAssignment.from_partition(class_of, 2).matrix[first : last + 1]
         vec = assemble_gram(ExponentialSystem(sub, DirectionAssignment(2, rows)), I)
         lo_v, hi_v = extreme_eigenvalues(vec)
         los, his = [], []
         for j in (1, 2):
-            keep = np.flatnonzero(part.class_of[first : last + 1] == j)
+            keep = np.flatnonzero(class_of[first : last + 1] == j)
             cls = sub.subfamily(keep)
             scal = assemble_gram(ExponentialSystem(cls, DirectionAssignment.constant(cls, 1)), I)
             lo, hi = extreme_eigenvalues(scal)
@@ -435,7 +435,7 @@ class TestTraceExperiment:
         if rule == "constant":
             dirs = DirectionAssignment.constant(fam, 1)
         else:
-            dirs = DirectionAssignment.from_partition(build_sharpness_partition(fam, d=2, alpha=0.5))
+            dirs = DirectionAssignment.from_partition(build_sharpness_partition(fam, d=2, alpha=0.5)[0], 2)
         assert assemble_gram(ExponentialSystem(fam, dirs), I).dtype == np.float64
         rng = np.random.default_rng(16)
         for _ in range(4):
@@ -945,8 +945,8 @@ class TestDensityChain:
 
     def test_vector_case_consistent_bound(self):
         fam = generate_family("lattice", spacing=1.0, window=[-40, 40])
-        part = build_sharpness_partition(fam, d=2, alpha=0.5)
-        dirs = DirectionAssignment.from_partition(part)
+        class_of, _ = build_sharpness_partition(fam, d=2, alpha=0.5)
+        dirs = DirectionAssignment.from_partition(class_of, 2)
         I = IntervalSpec.of_length(1.2 * math.pi)
         report = density_chain_check(fam, 2, I, [6.5, 10.5], 30.0, directions=dirs)
         assert report.all_hold

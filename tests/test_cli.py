@@ -317,6 +317,74 @@ class TestRunArtifacts:
             assert row["density"] == pytest.approx(0.5, abs=0.05)
             assert row["threshold_length"] == pytest.approx(math.pi, abs=0.4)
 
+    def test_density_summary_pinned(self, tmp_path):
+        out = tmp_path / "density.json"
+        raw = density_config(out, fmt="json")
+        raw["family"]["params"]["window"] = [-40, 40]
+        raw["grids"]["r"] = [2, 4, 8, 16, 32, 48, 64]
+        assert run(parse_config(json.dumps(raw))) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["dplus_estimate"] == 1.0000000000000002
+        assert summary["fit_window"] == [3, 7]
+        assert summary["family_size"] == 81
+
+    def test_sharpness_summary_pinned(self, tmp_path):
+        out = tmp_path / "sharp.json"
+        raw = {
+            "command": "sharpness",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
+            "interval": [1, 4],
+            "params": {"alpha": 0.4, "d": 3},
+            "output": {"path": str(out), "format": "json"},
+        }
+        assert run(parse_config(json.dumps(raw))) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["max_class_density"] == 0.4179591836734695
+        assert summary["period_exponent_count"] == 5
+        assert summary["block_identity_residual"] == 0.0
+
+    def test_sharpness_fine_lattice(self, tmp_path):
+        # every class spans at most 1, so its radius grid starts at span / 16, not at 1
+        out = tmp_path / "fine.json"
+        raw = {
+            "command": "sharpness",
+            "family": {"kind": "lattice", "params": {"spacing": 0.05, "window": [0, 1]}},
+            "interval": [0, 100],
+            "params": {"alpha": 10, "d": 2},
+            "output": {"path": str(out), "format": "json"},
+        }
+        cfg_path = tmp_path / "fine.config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["size"] for row in rows] == [11, 10]
+        assert all(row["density"] is not None and math.isfinite(row["density"]) for row in rows)
+
+    def test_sharpness_residual_reads_cross_class_entries(self, tmp_path, monkeypatch):
+        # a nonzero entry between classes breaks the identity although every class block holds
+        assemble = cli.assemble_gram
+
+        def planted(system, interval):
+            G = assemble(system, interval)
+            if system.directions.d > 1:
+                G[1, 0] = G[0, 1] = 1e-3
+            return G
+
+        monkeypatch.setattr(cli, "assemble_gram", planted)
+        out = tmp_path / "sharp.json"
+        raw = {
+            "command": "sharpness",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
+            "interval": [0, 6],
+            "params": {"alpha": 0.5, "d": 2},
+            "output": {"path": str(out), "format": "json"},
+        }
+        config = parse_config(json.dumps(raw))
+        first, second = config.direction_assignment.matrix[:2]
+        assert np.vdot(first, second) == 0  # positions 0 and 1 are in different classes
+        assert run(config) == 0
+        assert json.loads(out.read_text())["summary"]["block_identity_residual"] == 1e-3
+
     @pytest.mark.parametrize("command, params, grids", [
         ("sharpness", {"alpha": 0.5, "d": 3}, {}),
         ("defect-decay", {"y": 0.0, "r": 3.0}, {"R": [8.0, 16.0, 32.0, 64.0]}),
@@ -755,6 +823,20 @@ class TestMainEntry:
         # the shifted Cholesky factorization breaks down, and the extreme eigenvalues refuse the Gram
         assert "near-singular Gram: min eigenvalue" in err
         assert "threshold 1e-10" in err
+
+    def test_bounds_sweep_far_from_unit_scale_exit_zero(self, tmp_path):
+        cfg_path = tmp_path / "far.json"
+        out = tmp_path / "far.json.out"
+        cfg_path.write_text(json.dumps({
+            "command": "bounds-sweep",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
+            "grids": {"lengths": [1e300]},
+            "params": {"N_max": 4},
+            "output": {"path": str(out), "format": "json"},
+        }))
+        assert main(["--config", str(cfg_path)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert all(row["lambda_min"] == pytest.approx(1e300, rel=1e-14) for row in rows)
 
     def test_numerical_failure_names_grid_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "badsweep.json"

@@ -394,21 +394,21 @@ class TestAssembleGram:
 
     def test_block_identity_for_partition_directions(self):
         fam = generate_family("lattice", spacing=1.0, window=[-8, 8])
-        part = build_sharpness_partition(fam, d=2, alpha=0.5)
-        dirs = DirectionAssignment.from_partition(part)
+        class_of, _ = build_sharpness_partition(fam, d=2, alpha=0.5)
+        dirs = DirectionAssignment.from_partition(class_of, 2)
         I = IntervalSpec(0, TWO_PI)
         G = assemble_gram(ExponentialSystem(fam, dirs), I)
         for j in (1, 2):
-            pos = part.class_indices(j)
+            pos = np.flatnonzero(class_of == j)
             block = G[np.ix_(pos, pos)]
-            sub = part.class_family(j)
+            sub = fam.subfamily(pos)
             scalar = assemble_gram(
                 ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), I
             )
             assert np.max(np.abs(block - scalar)) < 1e-12
         # cross-class entries vanish exactly (orthogonal directions)
-        pos1 = part.class_indices(1)
-        pos2 = part.class_indices(2)
+        pos1 = np.flatnonzero(class_of == 1)
+        pos2 = np.flatnonzero(class_of == 2)
         assert np.max(np.abs(G[np.ix_(pos1, pos2)])) == 0.0
 
     def test_hermitian_psd(self):
@@ -1093,6 +1093,21 @@ class TestExtremeSpectrum:
         evals = np.linalg.eigvalsh(A)
         lo, hi = extreme_eigenvalues(A)  # under the residual contract, which raises on a bad eigenpair
         assert np.all(np.abs(np.array([lo, hi]) - evals[[0, -1]]) <= 1e-13 * np.max(np.abs(evals)))
+
+    @pytest.mark.parametrize("length", [1e-300, 1e-160, 1e200, 1e300])
+    def test_lattice_far_from_unit_scale(self, length):
+        # the centered Gram of 9 integer exponents: length * ones(9, 9) up to O(length^3) when
+        # length is tiny, and length * I + O(1) when it is huge; unscaled, stebz fails at 1e200 and
+        # 1e300 (info 4) and the residual contract at 1e-160 (squared entries under the smallest normal)
+        fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
+        G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), IntervalSpec.of_length(length))
+        lo, hi = extreme_eigenvalues(G)
+        if length < 1.0:
+            assert hi == pytest.approx(9.0 * length, rel=1e-14)
+            assert abs(lo) <= 1e-13 * hi
+        else:
+            assert lo == pytest.approx(length, rel=1e-14)
+            assert hi == pytest.approx(length, rel=1e-14)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -113,7 +113,7 @@ def exponential_systems(draw, rule, d):
         start = draw(st.floats(-8.0, 8.0))
         fam = generate_family("lattice", spacing=spacing, window=[start, start + spacing * draw(st.integers(3, 11))])
         alpha = draw(st.floats(1.0 / d, 1.0)) / spacing
-        return ExponentialSystem(fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha)))
+        return ExponentialSystem(fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha)[0], d))
     exps = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
     fam = ExponentFamily(np.sort(exps))
     seed = draw(st.integers(0, 10**6))
@@ -249,7 +249,7 @@ def positioned_systems(draw, rule, d):
     if rule == "partition":  # sharpness partitions need a periodic family
         fam = generate_family("lattice", spacing=spacing, window=window)
         alpha = draw(st.floats(1.0 / d, 1.0)) / spacing
-        return fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha))
+        return fam, DirectionAssignment.from_partition(build_sharpness_partition(fam, d, alpha)[0], d)
     fam = generate_family("perturbed-lattice", spacing=spacing, window=window,
                           max_perturbation=0.2 * spacing, seed=seed)
     if rule == "constant":
