@@ -46,6 +46,7 @@ __all__ = [
 EIGEN_FLOOR_RTOL = 1e-12
 DEFAULT_N_MAX = 128  # largest truncation of a threshold sweep
 DD_SPACING = 2.0  # pair spacing of a conditioning comparison's clustered-pairs families
+DD_WINDOW = (0.0, 8.0)  # and their window
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
 TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of triangular solves in a trace
@@ -389,7 +390,7 @@ def conditioning_comparison(
     interval: IntervalSpec,
     delta_grid,
     spacing: float = DD_SPACING,
-    window=(0.0, 8.0),
+    window=DD_WINDOW,
     gamma_prime: float = 0.5,
     M: int = 2,
     normalize_dd: bool = True,

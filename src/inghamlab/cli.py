@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DD_SPACING,
+    DD_WINDOW,
     DEFAULT_N_MAX,
     conditioning_comparison,
     defect_decay_fit,
@@ -348,8 +349,13 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
     family_errors = _kind_errors(fparams, _FAMILY_PARAMS, "family.params.{}") if isinstance(fparams, dict) else None
     errors.extend(family_errors or [])
     family_ok = family_errors == []  # the params are an object, and each passes its kind
+    span = None  # of the widest set of exponents the run builds
     if command == "dd-condition":
-        errors.extend(_dd_family_errors(family, grids.get("delta") if grids_ok and family_ok else None))
+        deltas = grids.get("delta") if grids_ok and family_ok else None
+        errors.extend(_dd_family_errors(family, deltas))
+        if deltas is not None:  # the widest family spans the window plus the largest delta
+            lo, hi = fparams.get("window", DD_WINDOW)
+            span = hi - lo + max(deltas)
     elif family_ok and family.get("kind") in FAMILY_KINDS:
         try:
             built = config.exponent_family = _build_family(config)
@@ -358,12 +364,15 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             errors.append(f"family.params: {exc}")
         else:
+            span = built.span
             N_max = params.get("N_max", DEFAULT_N_MAX)
             if command == "bounds-sweep" and params_ok and 2 * N_max + 1 > len(built):
                 errors.append(
                     f"parameter 'N_max' = {N_max} needs 2*N_max+1 = {2 * N_max + 1} exponents, "
                     f"the family has {len(built)}"
                 )
+            elif command == "bounds-sweep" and params_ok:  # the sweep builds only the central 2*N_max + 1
+                span = built.slice_positions(len(built) // 2 - N_max, len(built) // 2 + N_max).span
             if command in ("trace", "defect-decay") and params_ok:
                 _, _, _, y, r = _window_args(config)
                 if not np.any(np.abs(built.exponents - y) < r):  # the strict test of analysis._window
@@ -380,13 +389,19 @@ def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
                     config.density_estimate = estimate_density(built, grids["r"])
                 except ValueError as exc:
                     errors.append(f"grid 'r': {exc}")
-            # sharpness partitions by its params, the other commands follow directions
-            where, ready = ("params", params_ok) if command == "sharpness" else ("directions", directions_ok)
-            if row is not None and row.builds_directions and ready:
+            if row is not None and row.builds_directions and directions_ok:
                 try:
                     config.direction_assignment, config.partition = _directions(config, built)
                 except ValueError as exc:
-                    errors.append(f"{where}: {exc}")
+                    errors.append(f"directions: {exc}")
+    # each phase is a difference of exponents times a t the run integrates over: |t| <= reach
+    where, reach = "interval", None
+    if command == "bounds-sweep" and grids_ok:
+        where, reach = "grid 'lengths'", 0.5 * max(grids["lengths"])
+    elif row is not None and row.needs_interval and interval_spec is not None:
+        reach = max(abs(interval_spec.a), abs(interval_spec.b))
+    if span is not None and reach is not None and not math.isfinite(span * reach):
+        errors.append(f"{where}: the phases overflow: the exponents span {span!r} and |t| reaches {reach!r}")
     if errors:
         raise ConfigError(errors)
     return config
@@ -403,8 +418,8 @@ def _build_family(config: ExperimentConfig):
 def _directions(config: ExperimentConfig, family) -> tuple[DirectionAssignment, tuple | None]:
     """One direction per family position, and the sharpness partition (class_of, period
     exponent count) it comes from, if any."""
-    options = config.params if config.command == "sharpness" else config.directions
-    rule = "partition" if config.command == "sharpness" else options.get("rule", "constant")
+    options = config.directions
+    rule = options.get("rule", "constant")
     d = int(options.get("d", 1))
     if rule == "constant":
         return DirectionAssignment.constant(family, d, axis=int(options.get("axis", 0))), None
@@ -442,8 +457,32 @@ def _run_gram(config: ExperimentConfig):
 
 
 def _run_bounds_sweep(config: ExperimentConfig):
-    return threshold_sweep(config.exponent_family, config.direction_assignment, config.grids["lengths"],
-                           N_max=config.params.get("N_max", DEFAULT_N_MAX))
+    family, directions, lengths = config.exponent_family, config.direction_assignment, config.grids["lengths"]
+    N_max = config.params.get("N_max", DEFAULT_N_MAX)
+    rows, summary = threshold_sweep(family, directions, lengths, N_max=N_max)
+    if config.partition is None:
+        return rows, summary
+    # a partition adds the class densities, the length 2*pi*max they predict, and the block identity: orthogonal
+    # class directions make the Gram of the functions the sweep reads the direct sum of the classes' scalar Grams
+    (class_of, period_exponent_count), lo, hi = config.partition, len(family) // 2 - N_max, len(family) // 2 + N_max
+    sliced = DirectionAssignment(directions.d, directions.matrix[lo : hi + 1])
+    read = ExponentialSystem(family.slice_positions(lo, hi), sliced)
+    G = assemble_gram(read, IntervalSpec.of_length(max(lengths), -0.5 * max(lengths)))
+    cut = class_of[lo : hi + 1]  # so its entries between two classes are 0
+    residual = float(np.max(np.abs(G[cut[:, None] != cut[None, :]]), initial=0.0))
+    densities = []
+    for j in range(1, directions.d + 1):
+        positions = np.flatnonzero(class_of == j)
+        if positions.size < 8:  # an empty class has density 0, one too small to fit has none
+            densities.append(float("nan") if positions.size else 0.0)
+            continue
+        sub = family.subfamily(positions)
+        span = sub.span  # a class spanning at most 1 starts its grid below 1, so the grid still increases
+        r_grid = np.linspace(span / 16 if span <= 1 else max(1.0, span / 16), span, 12)
+        densities.append(estimate_density(sub, r_grid)[1]["dplus_estimate"])
+    alpha = max((v for v in densities if v > 0), default=math.nan)  # an empty class (0.0) or a NaN predicts nothing
+    return rows, {**summary, "class_densities": densities, "predicted_critical_length": 2.0 * math.pi * alpha,
+                  "block_identity_residual": residual, "period_exponent_count": period_exponent_count}
 
 
 def _window_args(config: ExperimentConfig):
@@ -468,49 +507,6 @@ def _run_dd_condition(config: ExperimentConfig):
     return conditioning_comparison(config.interval_spec, config.grids["delta"], **options)
 
 
-def _run_sharpness(config: ExperimentConfig):
-    (class_of, period_exponent_count), interval = config.partition, config.interval_spec
-    G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), interval)
-    # orthogonal class directions make G the direct sum of the classes' scalar Grams: cross-class entries are 0
-    block_residual = float(np.max(np.abs(G[class_of[:, None] != class_of[None, :]]), initial=0.0))
-    rows = []
-    max_density = 0.0
-    for j in range(1, config.direction_assignment.d + 1):
-        positions = np.flatnonzero(class_of == j)
-        if positions.size == 0:
-            rows.append({"class": j, "size": 0, "density": 0.0, "threshold_length": 0.0,
-                         "lambda_min": float("nan"), "lambda_max": float("nan")})
-            continue
-        sub = config.exponent_family.subfamily(positions)
-        scalar = assemble_gram(ExponentialSystem(sub, DirectionAssignment.constant(sub, 1)), interval)
-        block_residual = max(block_residual, float(np.max(np.abs(G[np.ix_(positions, positions)] - scalar))))
-        if len(sub) >= 8:
-            span = sub.span  # a class spanning at most 1 starts its grid below 1, so the grid still increases
-            r_grid = np.linspace(span / 16 if span <= 1 else max(1.0, span / 16), span, 12)
-            density = estimate_density(sub, r_grid)[1]["dplus_estimate"]
-        else:
-            density = float("nan")
-        lo, hi = extreme_eigenvalues(scalar)
-        max_density = max(max_density, density if not math.isnan(density) else 0.0)
-        rows.append(
-            {
-                "class": j,
-                "size": len(sub),
-                "density": density,
-                "threshold_length": 2.0 * math.pi * density if not math.isnan(density) else float("nan"),
-                "lambda_min": lo,
-                "lambda_max": hi,
-            }
-        )
-    summary = {
-        "target_alpha": float(config.params["alpha"]),
-        "block_identity_residual": block_residual,
-        "max_class_density": max_density,
-        "period_exponent_count": period_exponent_count,
-    }
-    return rows, summary
-
-
 # runner, the one grid read (and required), the params read and the required ones, needs an interval, builds directions
 _Command = namedtuple("_Command", "run grid params required needs_interval builds_directions")
 _COMMANDS = {
@@ -520,7 +516,6 @@ _COMMANDS = {
     "trace": _Command(_run_trace, None, ("r", "R", "y"), ("r", "R"), True, True),
     "defect-decay": _Command(_run_defect_decay, "R", ("r", "y"), ("r",), True, True),
     "dd-condition": _Command(_run_dd_condition, "delta", ("gamma_prime", "M", "normalize_dd"), (), True, False),
-    "sharpness": _Command(_run_sharpness, None, ("alpha", "d", "period_count"), ("alpha", "d"), True, True),
 }
 
 

@@ -93,13 +93,14 @@ def exp_inner_closed_form(theta, interval: IntervalSpec):
     """Integral of exp(i*theta*t) over the interval, cancellation-free.
 
     Uses the midpoint-phase form exp(i*theta*c) * |I| * sin(x)/x with
-    c = (a+b)/2 and x = theta*|I|/2, exact to machine precision for all phase
-    sizes; for |x| <= SMALL_PHASE the ratio sin(x)/x is 1 to rounding and is
-    set to 1.  On an interval centered at 0 every value is exactly real.
+    c = a/2 + b/2 (halved first, so finite whenever a and b are) and
+    x = theta*|I|/2, exact to machine precision for all phase sizes; for
+    |x| <= SMALL_PHASE the ratio sin(x)/x is 1 to rounding and is set to 1.
+    On an interval centered at 0 every value is exactly real.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     ratio = _sinc(th.copy(), interval.length)  # a copy: _sinc overwrites its argument
-    out = th * (0.5j * (interval.a + interval.b))
+    out = th * (1j * (0.5 * interval.a + 0.5 * interval.b))
     np.exp(out, out=out)
     out *= ratio
     return complex(out[0]) if np.isscalar(theta) else out.reshape(np.shape(theta))
@@ -134,7 +135,7 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
     zero = np.searchsorted(m, 1)  # the order-0 lanes take the closed form
     np.put(out, order[:zero], exp_inner_closed_form(theta[:zero], interval))
     theta, m = theta[zero:], m[zero:]
-    c, h = 0.5 * (interval.a + interval.b), 0.5 * interval.length
+    c, h = 0.5 * interval.a + 0.5 * interval.b, 0.5 * interval.length
     cu, hu = np.array([c, h]) / max(abs(interval.a), abs(interval.b))  # t / tmax = cu + hu*u
     a = np.zeros((m.max(initial=0) + 1,) * 2)  # a[k, n]: Legendre coefficient n of (cu + hu*u)^k
     a[0, 0] = 1.0
@@ -361,7 +362,7 @@ def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.n
     and conj(X) X^T = (conj(rho) rho^T) o (conj(U) U^T) o (C C^T).
     """
     L, a = grid.interval.length, grid.interval.a
-    c, s = 0.5 * (a + grid.interval.b), 2.0 * math.pi / L
+    c, s = 0.5 * a + 0.5 * grid.interval.b, 2.0 * math.pi / L
     m = np.rint(family.exponents / s)
     gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of g = m
     r = family.exponents - gamma_m

@@ -15,7 +15,8 @@ reaches it as a plain exponential system, apart from the lattice closed form
 of the cross matrix, and its exact coefficients come from mpmath.  The
 spectrum of the integer lattice's centered Gram is exact: Slepian's prolate
 concentration ratios, which scipy computes for the DPSS windows, apart from
-any Gram or eigensolver.
+any Gram or eigensolver, and so is that of a partition into the cosets of dZ,
+a direct sum of lattice Grams at d times the length.
 
 The second half holds references that the pipeline does not run but other
 tests compare against: composite panel quadrature, the Newton recurrence and
@@ -158,6 +159,21 @@ def lattice_spectrum(n: int, length: float) -> np.ndarray:
     if W < 0.5:
         return np.sort(2.0 * math.pi * dpss(n, n * W, Kmax=n, return_ratios=True)[1])
     return np.sort(2.0 * math.pi * (1.0 + dpss(n, n * (W - 0.5), Kmax=n, return_ratios=True)[1]))
+
+
+def coset_spectrum(class_of, d: int, length: float) -> np.ndarray:
+    """The eigenvalues, increasing, of the ``partition`` Gram of consecutive integer exponents whose
+    classes 1..d (``class_of``, one label per exponent) are the cosets dZ + (j - 1), on an interval
+    of the given length, 0 < d * length < 4 pi and d * length != 2 pi.
+
+    Class j holds the exponents d k + j - 1, so its Gram, (1/d) times the integral of
+    exp(i (k - k') s) over an interval of length d * length, is (1/d) times the lattice Gram at
+    d * length.  The class directions are orthonormal, so the Gram is the direct sum of the class
+    Grams and its spectrum the union of their spectra.
+    """
+    labels = np.asarray(class_of)
+    return np.sort(np.concatenate(
+        [lattice_spectrum(int(np.count_nonzero(labels == j)), d * length) / d for j in range(1, d + 1)]))
 
 
 def parseval_tail_defect(omega, y, radius, interval_a, interval_b, n_span=200000):

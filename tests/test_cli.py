@@ -299,23 +299,25 @@ class TestRunArtifacts:
             rows.append(json.loads((tmp_path / f"s{k}.json").read_text())["rows"])
         assert rows[0] == rows[1] == rows[2]
 
-    def test_sharpness_block_identity(self, tmp_path):
+    def test_partition_sweep_block_identity(self, tmp_path):
         out = tmp_path / "sharp.json"
         raw = {
-            "command": "sharpness",
+            "command": "bounds-sweep",
             "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
-            "interval": [0.0, TWO_PI],
-            "params": {"alpha": 0.5, "d": 2},
+            "directions": {"rule": "partition", "d": 2, "alpha": 0.5},
+            "grids": {"lengths": [TWO_PI]},
+            "params": {"N_max": 16},
             "output": {"path": str(out), "format": "json"},
         }
         assert run(parse_config(json.dumps(raw))) == 0
-        document = json.loads(out.read_text())
-        assert document["summary"]["block_identity_residual"] <= 1e-12
-        rows = document["rows"]
-        assert len(rows) == 2
-        for row in rows:
-            assert row["density"] == pytest.approx(0.5, abs=0.05)
-            assert row["threshold_length"] == pytest.approx(math.pi, abs=0.4)
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["block_identity_residual"] <= 1e-12
+        densities = summary["class_densities"]
+        assert len(densities) == 2
+        for density in densities:
+            assert density == pytest.approx(0.5, abs=0.05)
+            assert 2.0 * math.pi * density == pytest.approx(math.pi, abs=0.4)
+        assert summary["predicted_critical_length"] == 2.0 * math.pi * max(densities)
 
     def test_density_summary_pinned(self, tmp_path):
         out = tmp_path / "density.json"
@@ -328,39 +330,66 @@ class TestRunArtifacts:
         assert summary["fit_window"] == [3, 7]
         assert summary["family_size"] == 81
 
-    def test_sharpness_summary_pinned(self, tmp_path):
+    def test_partition_sweep_summary_pinned(self, tmp_path):
         out = tmp_path / "sharp.json"
         raw = {
-            "command": "sharpness",
+            "command": "bounds-sweep",
             "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
-            "interval": [1, 4],
-            "params": {"alpha": 0.4, "d": 3},
+            "directions": {"rule": "partition", "d": 3, "alpha": 0.4},
+            "grids": {"lengths": [2.2, 2.8, 3.2]},
+            "params": {"N_max": 32},
             "output": {"path": str(out), "format": "json"},
         }
         assert run(parse_config(json.dumps(raw))) == 0
         summary = json.loads(out.read_text())["summary"]
-        assert summary["max_class_density"] == 0.4179591836734695
+        assert summary["class_densities"] == [0.41066666666666674, 0.4179591836734695, 0.21455238095238102]
+        assert max(summary["class_densities"]) == 0.4179591836734695
         assert summary["period_exponent_count"] == 5
         assert summary["block_identity_residual"] == 0.0
+        # the predicted length 2*pi*alpha lies inside the measured bracket
+        assert summary["transition_bracket"] == [2.2, 2.8]
+        assert summary["predicted_critical_length"] == 2.0 * math.pi * 0.4179591836734695
 
-    def test_sharpness_fine_lattice(self, tmp_path):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_partition_sweep_predicts_the_coset_threshold(self, tmp_path, d):
+        # alpha = 1/d makes the classes the cosets of dZ, whose exact threshold is 2pi/d (TestCosetOracle)
+        out = tmp_path / "coset.json"
+        lengths = [f * TWO_PI / d for f in (0.9, 1.1, 1.5)]
+        raw = {
+            "command": "bounds-sweep",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-200, 200]}},
+            "directions": {"rule": "partition", "d": d, "alpha": 1 / d},
+            "grids": {"lengths": lengths},
+            "params": {"N_max": 128},
+            "output": {"path": str(out), "format": "json"},
+        }
+        assert run(parse_config(json.dumps(raw))) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["transition_bracket"] == lengths[:2]
+        assert lengths[0] < summary["predicted_critical_length"] < lengths[1]
+        assert summary["block_identity_residual"] == 0.0
+        assert summary["period_exponent_count"] == d
+
+    def test_partition_sweep_fine_lattice(self, tmp_path):
         # every class spans at most 1, so its radius grid starts at span / 16, not at 1
         out = tmp_path / "fine.json"
         raw = {
-            "command": "sharpness",
+            "command": "bounds-sweep",
             "family": {"kind": "lattice", "params": {"spacing": 0.05, "window": [0, 1]}},
-            "interval": [0, 100],
-            "params": {"alpha": 10, "d": 2},
+            "directions": {"rule": "partition", "d": 2, "alpha": 10},
+            "grids": {"lengths": [100]},
+            "params": {"N_max": 10},
             "output": {"path": str(out), "format": "json"},
         }
         cfg_path = tmp_path / "fine.config.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path)]) == 0
-        rows = json.loads(out.read_text())["rows"]
-        assert [row["size"] for row in rows] == [11, 10]
-        assert all(row["density"] is not None and math.isfinite(row["density"]) for row in rows)
+        class_of, _ = parse_config(json.dumps(raw)).partition
+        assert np.bincount(class_of)[1:].tolist() == [11, 10]
+        densities = json.loads(out.read_text())["summary"]["class_densities"]
+        assert all(density is not None and math.isfinite(density) for density in densities)
 
-    def test_sharpness_residual_reads_cross_class_entries(self, tmp_path, monkeypatch):
+    def test_partition_sweep_residual_reads_cross_class_entries(self, tmp_path, monkeypatch):
         # a nonzero entry between classes breaks the identity although every class block holds
         assemble = cli.assemble_gram
 
@@ -373,10 +402,11 @@ class TestRunArtifacts:
         monkeypatch.setattr(cli, "assemble_gram", planted)
         out = tmp_path / "sharp.json"
         raw = {
-            "command": "sharpness",
+            "command": "bounds-sweep",
             "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
-            "interval": [0, 6],
-            "params": {"alpha": 0.5, "d": 2},
+            "directions": {"rule": "partition", "d": 2, "alpha": 0.5},
+            "grids": {"lengths": [6]},
+            "params": {"N_max": 16},
             "output": {"path": str(out), "format": "json"},
         }
         config = parse_config(json.dumps(raw))
@@ -386,17 +416,18 @@ class TestRunArtifacts:
         assert json.loads(out.read_text())["summary"]["block_identity_residual"] == 1e-3
 
     @pytest.mark.parametrize("command, params, grids", [
-        ("sharpness", {"alpha": 0.5, "d": 3}, {}),
+        ("bounds-sweep", {"N_max": 4}, {"lengths": [TWO_PI]}),
         ("defect-decay", {"y": 0.0, "r": 3.0}, {"R": [8.0, 16.0, 32.0, 64.0]}),
     ])
     def test_json_artifact_is_strict_json(self, tmp_path, command, params, grids):
-        # a class too small for a density estimate, and an exactly representable
-        # family's decay fit, are undefined: null, never a bare NaN
+        # the density of a partition class too small to estimate, and an exactly
+        # representable family's decay fit, are undefined: null, never a bare NaN
         out = tmp_path / "strict.json"
         raw = {
             "command": command,
             "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-6, 6]}},
-            "directions": {"rule": "constant", "d": 3},
+            "directions": ({"rule": "partition", "d": 3, "alpha": 0.5} if command == "bounds-sweep"
+                           else {"rule": "constant", "d": 3}),
             "interval": [0.0, TWO_PI],
             "params": params,
             "grids": grids,
@@ -410,6 +441,8 @@ class TestRunArtifacts:
         document = json.loads(out.read_text(), parse_constant=reject)
         values = [*document["summary"].values(), *(v for row in document["rows"] for v in row.values())]
         assert None in values
+        if command == "bounds-sweep":
+            assert None in document["summary"]["class_densities"]
 
     def test_dd_condition_rows(self, tmp_path):
         out = tmp_path / "cond.csv"
@@ -560,7 +593,7 @@ class TestMainEntry:
          "parameter 'N_max' = 64 needs 2*N_max+1 = 129 exponents, the family has 41"),
         ({"command": "bounds-sweep", "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-20, 20]}},
           "grids": {"lengths": [5.0]}, "params": {}}, "parameter 'N_max' = 128 needs"),
-        ({"command": "sharpness", "params": {"alpha": 0.5, "d": 2.0}}, "parameter 'd' must be a positive integer"),
+        ({"directions": {"rule": "partition", "d": 2.0, "alpha": 0.5}}, "directions.d must be a positive integer"),
         ({"directions": {"rule": "constant", "d": 2, "axis": 2}}, "directions.axis must be an integer in 0..d-1"),
         ({"command": "dd-condition", "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0, 8]}},
           "grids": {"delta": [1e-3]}, "params": {"normalize_dd": "yes"}},
@@ -699,16 +732,16 @@ class TestMainEntry:
         ({"command": "bounds-sweep", "grids": {"lengths": [5.0]}, "params": {"N_max": 8},
           "directions": {"rule": "partition", "d": 2, "alpha": 3.0}},
          "config error: directions: alpha=3.0 outside [D+/d, D+] = [0.5, 1]"),
-        ({"command": "sharpness", "params": {"alpha": 3.0, "d": 2}},
-         "config error: params: alpha=3.0 outside [D+/d, D+] = [0.5, 1]"),
+        ({"directions": {"rule": "partition", "d": 2, "alpha": 3.0}},
+         "config error: directions: alpha=3.0 outside [D+/d, D+] = [0.5, 1]"),
         # steps 1, 2, 1, 2, ...: pattern period 2
         ({"command": "gram",
           "family": {"kind": "explicit", "params": {"exponents": [3 * k + j for k in range(8) for j in (0, 1)]}},
           "directions": {"rule": "partition", "d": 2, "alpha": 0.5, "period_count": 3}},
          "config error: directions: period_count must be a positive multiple of the pattern period 2"),
-        ({"command": "sharpness", "params": {"alpha": 0.5, "d": 2},
+        ({"directions": {"rule": "partition", "d": 2, "alpha": 0.5},
           "family": {"kind": "perturbed-lattice", "params": {"window": [-30, 30], "max_perturbation": 0.2}}},
-         "config error: params: construction requires periodic family"),
+         "config error: directions: construction requires periodic family"),
     ])
     def test_partition_errors_exit_two(self, tmp_path, capsys, change, message):
         out = tmp_path / "out.csv"
@@ -716,6 +749,26 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps({**trace_config(out), **change}))
         assert main(["--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sharpness_is_an_unknown_command(self, tmp_path, capsys):
+        # its per-class densities are a partition-rule bounds-sweep's summary now, and its params are no names
+        out = tmp_path / "out.csv"
+        raw = {
+            "command": "sharpness",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-40, 40]}},
+            "interval": [0.0, TWO_PI],
+            "params": {"alpha": 0.5, "d": 2},
+            "output": {"path": str(out), "format": "json"},
+        }
+        cfg_path = tmp_path / "sharpness.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("config error: unknown command 'sharpness' "
+                          "(expected one of density, gram, bounds-sweep, trace, defect-decay, dd-condition)")
+        assert [line.split(" (known:")[0] for line in err[1:]] == [
+            "config error: unknown parameter 'alpha'", "config error: unknown parameter 'd'"]
         assert not out.exists()
 
     @pytest.mark.parametrize("r_grid, message", [
@@ -768,7 +821,7 @@ class TestMainEntry:
         assert f"config error: {message} (known: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, extra, reads", [
-        ("trace", {"N_max": 64, "normalize_dd": False, "alpha": 0.7}, "r, R, y"),
+        ("trace", {"N_max": 64, "normalize_dd": False, "gamma_prime": 0.7}, "r, R, y"),
         ("bounds-sweep", {"gamma_prime": 0.5, "M": 2}, "N_max"),
     ], ids=["trace", "bounds-sweep"])
     def test_params_a_command_does_not_read_exit_two(self, tmp_path, capsys, command, extra, reads):
@@ -1078,8 +1131,6 @@ def valid_configs(draw, command):
         {"kind": "perturbed-lattice", "params": {"window": window, "max_perturbation": 0.1, "seed": 3}},
         {"kind": "explicit", "params": {"exponents": [float(k) for k in range(window[0], window[1])]}},
     ]
-    if command == "sharpness":
-        families = families[:1]  # sharpness partitions need a periodic family
     if command == "dd-condition":
         family = {"kind": "clustered-pairs", "params": draw(st.fixed_dictionaries({}, optional={
             "spacing": st.floats(1.0, 3.0), "window": st.just([0.0, 8.0])}))}
@@ -1119,8 +1170,6 @@ def valid_configs(draw, command):
             raw["params"]["R"] = draw(positives)
     elif command == "bounds-sweep":
         raw["params"] = {"N_max": draw(st.integers(1, 6))}  # the smallest family has 13 exponents
-    elif command == "sharpness":
-        raw["params"] = {"d": d, "alpha": draw(alphas(density, d))}
     elif command == "dd-condition":
         raw["params"] = draw(st.fixed_dictionaries({}, optional={
             "M": st.integers(1, 3), "gamma_prime": st.floats(0.1, 1.0), "normalize_dd": st.booleans()}))

@@ -76,7 +76,6 @@ INTERVAL_CONFIGS = {
     "dd-condition": {"command": "dd-condition",
                      "family": {"kind": "clustered-pairs", "params": {"spacing": 2.0, "window": [0.0, 8.0]}},
                      "grids": {"delta": [1e-3]}},
-    "sharpness": {"command": "sharpness", "family": LATTICE, "params": {"alpha": 0.5, "d": 2}},
 }
 
 
@@ -107,6 +106,49 @@ class TestIntervalSpec:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: interval must have a finite length b - a"]
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({**INTERVAL_CONFIGS["gram"], "interval": [0.0, 1.7e308]},
+         "interval: the phases overflow: the exponents span 6.0 and |t| reaches 1.7e+308"),
+        ({**INTERVAL_CONFIGS["bounds-sweep"], "grids": {"lengths": [1.7e308]}},
+         "grid 'lengths': the phases overflow: the exponents span 16.0 and |t| reaches 8.5e+307"),
+        ({**INTERVAL_CONFIGS["gram"], "interval": [1e308, 1.5e308]},
+         "interval: the phases overflow: the exponents span 6.0 and |t| reaches 1.5e+308"),
+        ({**INTERVAL_CONFIGS["dd-condition"], "interval": [0.0, 1e308]},
+         "interval: the phases overflow: the exponents span 8.001 and |t| reaches 1e+308"),
+        # a + b overflows, and 0 * inf used to write null for every value
+        ({"command": "gram", "family": {"kind": "explicit", "params": {"exponents": [0.0]}},
+          "interval": [1e308, 1.7e308]}, None),
+    ], ids=["gram", "bounds-sweep", "gram-offset", "dd-condition", "gram-one-exponent"])
+    def test_huge_interval_exits_zero_or_two(self, tmp_path, capsys, raw, message):
+        # a finite length whose phases overflow used to exit 3 with RuntimeWarnings
+        out = tmp_path / "out.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "output": {"path": str(out), "format": "json"}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main(["--config", str(path)])
+        if message is not None:
+            assert status == 2
+            assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+            assert not out.exists()
+        else:
+            assert status == 0
+            summary, [row] = (json.loads(out.read_text())[key] for key in ("summary", "rows"))
+            assert summary["lambda_min"] == summary["lambda_max"] == row["re"] == 6.999999999999999e307
+
+    def test_sweep_phase_check_reads_only_the_central_block(self, tmp_path):
+        # the sweep builds the central 2*N_max + 1 = 3 exponents, which span 2: the far ones make no phase
+        out = tmp_path / "out.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "command": "bounds-sweep", "family": {"kind": "explicit", "params": {"exponents": [-1e300, -1, 0, 1, 1e300]}},
+            "grids": {"lengths": [1e9]}, "params": {"N_max": 1}, "output": {"path": str(out), "format": "json"},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(path)]) == 0
+        assert json.loads(out.read_text())["summary"]["N_grid"] == [1]
 
     def test_of_length(self):
         I = IntervalSpec.of_length(TWO_PI)
