@@ -10,7 +10,6 @@ degenerating as the truncation grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, get_blas_funcs, get_lapack_funcs
@@ -31,7 +30,6 @@ from .gram import (
 
 __all__ = [
     "DEFAULT_N_MAX",
-    "TraceExperiment",
     "GridPointFailure",
     "frame_bound_sequence",
     "threshold_sweep",
@@ -172,47 +170,6 @@ def threshold_sweep(
     return rows, {"transition_bracket": bracket, "N_grid": N_grid}
 
 
-@dataclass
-class TraceExperiment:
-    """Composition of the exponential-span and grid-span projections on V_r."""
-
-    y: float
-    r: float
-    R: float
-    d: int
-    card_omega_r: int
-    card_gamma: int
-    trace_S: complex
-    trace_decomposed: complex
-    defect_norms: np.ndarray
-    lemma2_bound: float
-
-    @property
-    def lemma2_holds(self) -> bool:
-        return abs(self.trace_S) <= self.lemma2_bound + 1e-6
-
-    @property
-    def trace_agreement(self) -> float:
-        return abs(self.trace_S - self.trace_decomposed)
-
-    def to_row(self) -> dict:
-        return {
-            "y": self.y,
-            "r": self.r,
-            "R": self.R,
-            "d": self.d,
-            "card_omega_r": self.card_omega_r,
-            "card_gamma": self.card_gamma,
-            "trace_re": self.trace_S.real,
-            "trace_im": self.trace_S.imag,
-            "abs_trace": abs(self.trace_S),
-            "lemma2_bound": self.lemma2_bound,
-            "lemma2_pass": self.lemma2_holds,
-            "trace_agreement": self.trace_agreement,
-            "max_defect": float(np.max(self.defect_norms)),
-        }
-
-
 def _window(family: ExponentFamily, directions: DirectionAssignment, y: float, r: float) -> ExponentialSystem:
     """The exponential system of the positions with |w_k - y| < r."""
     inside = np.flatnonzero(np.abs(family.exponents - y) < r)
@@ -236,8 +193,25 @@ def run_trace_experiment(
     y: float,
     r: float,
     R: float,
-) -> TraceExperiment:
-    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways.
+) -> tuple[list[dict], dict]:
+    """Trace of P_r Q_{r+R} restricted to the exponential span, two ways (``_trace_routes``).
+
+    Returns one row, with the trace, its bound d * Card(grid) (``lemma2_pass``
+    within 1e-6), the two routes' ``trace_agreement`` and the worst defect
+    ||(Q_{r+R} - Id) e_k||, and the summary ``card_omega_r``, ``card_gamma``.
+    """
+    trace_direct, trace_decomposed, defect_norms, n, card_gamma = _trace_routes(family, directions, interval, y, r, R)
+    trace_S, bound = complex(trace_direct, 0.0), float(directions.d * card_gamma)
+    row = {"y": float(y), "r": float(r), "R": float(R), "d": directions.d, "card_omega_r": n, "card_gamma": card_gamma,
+           "trace_re": trace_S.real, "trace_im": trace_S.imag, "abs_trace": abs(trace_S), "lemma2_bound": bound,
+           "lemma2_pass": abs(trace_S) <= bound + 1e-6, "trace_agreement": abs(trace_S - complex(trace_decomposed)),
+           "max_defect": float(np.max(defect_norms))}
+    return [row], {"card_omega_r": n, "card_gamma": card_gamma}
+
+
+def _trace_routes(family, directions, interval, y, r, R):
+    """(trace_direct, trace_decomposed, defect_norms, n, card_gamma): the trace of P_r Q_{r+R}
+    on the exponential span of the n functions in V_r, two ways, and the grid's Card.
 
     Translating the interval is a diagonal unitary similarity of the V_r Gram G
     and of P below, so tr(G^-1 P) and the defects depend on ``interval.length``
@@ -311,18 +285,7 @@ def run_trace_experiment(
             trsm(1.0, U, Z, side=0, overwrite_b=1)  # U conj(Y^T) = conj(Z); Y[a, k] = (phi_k, f_a)
             rows += np.einsum("ka,ka->k", X[:, a0 : a0 + TRACE_SOLVE_BLOCK], Z)
         trace_decomposed = n + np.sum(rows - 1.0)
-    return TraceExperiment(
-        y=float(y),
-        r=float(r),
-        R=float(R),
-        d=directions.d,
-        card_omega_r=n,
-        card_gamma=int(grid.n_values.size),
-        trace_S=complex(trace_direct, 0.0),
-        trace_decomposed=complex(trace_decomposed),
-        defect_norms=defect_norms,
-        lemma2_bound=float(directions.d * grid.n_values.size),
-    )
+    return trace_direct, trace_decomposed, defect_norms, n, int(grid.n_values.size)
 
 
 def defect_decay_fit(

@@ -35,7 +35,6 @@ from .exponents import ExponentFamily, build_sharpness_partition, estimate_densi
 from .gram import (
     ExponentialSystem,
     IntervalSpec,
-    NearSingularGramError,
     assemble_gram,
     extreme_eigenvalues,
 )
@@ -50,10 +49,6 @@ class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-class NumericalFailure(RuntimeError):
-    """A downstream numerical error, annotated with the offending grid point."""
 
 
 # fixed once set: parse_config builds what the run reads from them
@@ -493,8 +488,7 @@ def _window_args(config: ExperimentConfig):
 
 
 def _run_trace(config: ExperimentConfig):
-    exp = run_trace_experiment(*_window_args(config), float(config.params["R"]))
-    return [exp.to_row()], {"card_omega_r": exp.card_omega_r, "card_gamma": exp.card_gamma}
+    return run_trace_experiment(*_window_args(config), float(config.params["R"]))
 
 
 def _run_defect_decay(config: ExperimentConfig):
@@ -557,11 +551,9 @@ def _write_json(path: Path, config: ExperimentConfig, rows: list[dict], summary:
 
 
 def run(config: ExperimentConfig, out_path: str | None = None) -> int:
-    """Execute a validated config and write its artifact.  Returns exit status."""
-    try:
-        rows, summary = _COMMANDS[config.command].run(config)
-    except (NearSingularGramError, ArithmeticError, FloatingPointError, MemoryError) as exc:
-        raise NumericalFailure(f"command {config.command!r}: {exc}") from exc
+    """Execute a validated config and write its artifact.  Returns exit status 0; a
+    numerical failure propagates, and ``main`` reports it with exit status 3."""
+    rows, summary = _COMMANDS[config.command].run(config)
     path = Path(out_path if out_path is not None else config.output_path)
     if config.output_format == "csv":
         _write_csv(path, config, rows, summary)
@@ -600,8 +592,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(config, out_path=str(out))
-    except (NumericalFailure, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # NearSingularGramError is a ValueError
+        print(f"numerical failure: command {config.command!r}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: cannot write output file {out}: {exc.strerror or exc}", file=sys.stderr)

@@ -283,6 +283,17 @@ def _terms(system, tmax: float):
     return x, np.ones(x.size, dtype=complex), np.zeros(x.size, dtype=int), np.arange(x.size)
 
 
+def _unit_scaled(coefs: np.ndarray, starts: np.ndarray, length: float) -> np.ndarray:
+    """The coefs, each profile's times the power of two 2^k that brings c^2 |I| near 1 (c its largest
+    |coef|) where c^2 |I| lies outside [2^-300, 2^300], and unchanged elsewhere.  A normalized Gram does
+    not see a profile's scale, and a power of two scales every product of two terms exactly, so such a
+    Gram is bitwise the same where it was in range, and far from it its products and norms neither
+    overflow nor underflow."""
+    size = 2 * np.frexp(np.maximum.reduceat(np.abs(coefs), starts))[1] + np.frexp(length)[1]  # log2(c^2 |I|) + [0, 3)
+    k = np.where(np.abs(size) > 300, -size // 2, 0).repeat(np.diff(starts, append=coefs.size))
+    return coefs * np.ldexp(1.0, k // 2) * np.ldexp(1.0, k - k // 2)  # two exact factors: 2^k alone can overflow
+
+
 def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     """Gram matrix of an exponential or divided-difference system over I, a plain ndarray:
     float64 for exponentials with real directions on an interval centered at 0, complex otherwise.
@@ -296,9 +307,12 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     The rest is their conjugate transpose and the diagonal is real, so G is exactly
     Hermitian; the direction sum keeps one fixed order, so the Gram of a subsystem
     is bitwise the principal submatrix of the Gram it sits in, but for the sign of
-    an exact zero.  Normalized norms come from the diagonal blocks.
+    an exact zero.  Normalized norms come from the diagonal blocks, of profiles that
+    ``_unit_scaled`` brings near unit scale where they lie far from it.
     """
     phases, coefs, orders, starts = _terms(system, max(abs(interval.a), abs(interval.b)))
+    if getattr(system, "normalize", False):
+        coefs = _unit_scaled(coefs, starts, interval.length)
     n, U = starts.size, system.directions.matrix
     single, centered = n == phases.size and not orders.any(), interval.a + interval.b == 0
     real = single and centered and not np.any(U.imag)

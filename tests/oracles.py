@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.signal.windows import dpss
 
-from inghamlab.analysis import GridPointFailure, run_trace_experiment
+from inghamlab.analysis import GridPointFailure, _trace_routes
 from inghamlab.basisfuncs import DirectionAssignment, divided_difference_terms
 from inghamlab.cli import ExperimentConfig, parse_config
 from inghamlab.exponents import ExponentFamily
@@ -750,29 +750,29 @@ def density_chain_check(
     all_hold = True
     for r in [float(v) for v in r_grid]:
         try:
-            exp = run_trace_experiment(family, directions, interval, y, r, R)
+            _, _, defect_norms, card_omega_r, card_gamma = _trace_routes(family, directions, interval, y, r, R)
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at r={r:.6g}: {exc}") from exc
         window = _trace_window(family, directions, y, r)
         C = cho_solve(gated_cho_factor(assemble_gram(window, interval)), np.eye(len(window.family), dtype=complex))
         dual_norms = np.sqrt(np.real(np.diag(C)))
-        correction_bound = float(np.sum(exp.defect_norms * dual_norms))
-        eps_R = correction_bound / exp.card_gamma
-        lhs = exp.card_omega_r
-        rhs = (d + eps_R) * exp.card_gamma
+        correction_bound = float(np.sum(defect_norms * dual_norms))
+        eps_R = correction_bound / card_gamma
+        lhs = card_omega_r
+        rhs = (d + eps_R) * card_gamma
         holds = lhs <= rhs + 1e-9
         all_hold = all_hold and holds
         implied_length = (
-            math.pi * (exp.card_omega_r / (d + eps_R) - 1.0) / (r + R)
+            math.pi * (card_omega_r / (d + eps_R) - 1.0) / (r + R)
         )
         rows.append(
             {
                 "r": r,
-                "card_omega_r": exp.card_omega_r,
-                "card_gamma": exp.card_gamma,
+                "card_omega_r": card_omega_r,
+                "card_gamma": card_gamma,
                 "eps_R": eps_R,
                 "holds": holds,
-                "ratio": lhs / exp.card_gamma,
+                "ratio": lhs / card_gamma,
                 "implied_length_lower": implied_length,
             }
         )

@@ -201,11 +201,11 @@ def test_criterion_06_trace_inequality_sampling():
         y = float(rng.uniform(-5, 5))
         r = float(rng.uniform(3, 12))
         R = float(rng.uniform(5, 50))
-        exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        [row], _ = run_trace_experiment(fam, dirs, I, y, r, R)
         runs += 1
-        if abs(exp.trace_S) > exp.d * exp.card_gamma + 1e-6:
+        if row["abs_trace"] > row["d"] * row["card_gamma"] + 1e-6:
             lemma2_violations += 1
-        if exp.trace_agreement > 1e-6 * exp.card_omega_r:
+        if row["trace_agreement"] > 1e-6 * row["card_omega_r"]:
             agreement_violations += 1
     _report(
         6,

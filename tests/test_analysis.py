@@ -107,6 +107,17 @@ def cho_factor_spy(patch):
     return matrices
 
 
+def trace_run(*args):
+    """The row of ``run_trace_experiment(*args)``, its trace trace_re + i trace_im, and the
+    (trace_direct, trace_decomposed, defect_norms, n, card_gamma) of ``analysis._trace_routes``
+    that the row was built from."""
+    routes, inner = [], analysis._trace_routes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_trace_routes", lambda *a: routes.append(inner(*a)) or routes[-1])
+        [row], _ = run_trace_experiment(*args)
+    return row, complex(row["trace_re"], row["trace_im"]), routes[0]
+
+
 @st.composite
 def trace_cases(draw, r_max=12.0):
     """(family, directions, interval, y, r, R), d = 1..3, r up to r_max; half of them on
@@ -425,24 +436,24 @@ class TestTraceExperiment:
         self.dirs = DirectionAssignment.constant(self.fam, 1)
 
     def test_large_R_trace_approaches_cardinality(self):
-        exp = run_trace_experiment(self.fam, self.dirs, self.I, 0.0, 5.5, 1000.0)
-        assert exp.card_omega_r == 11
-        assert exp.trace_S == pytest.approx(11.0, abs=1e-3)
-        assert float(np.max(exp.defect_norms)) < 0.08
+        [row], _ = run_trace_experiment(self.fam, self.dirs, self.I, 0.0, 5.5, 1000.0)
+        assert row["card_omega_r"] == 11
+        assert complex(row["trace_re"], row["trace_im"]) == pytest.approx(11.0, abs=1e-3)
+        assert row["max_defect"] < 0.08
 
     def test_lemma2_bound(self):
-        exp = run_trace_experiment(self.fam, self.dirs, self.I, 0.0, 5.5, 10.0)
-        assert exp.card_omega_r == 11
-        assert exp.card_gamma == 31
-        assert exp.lemma2_bound == 31.0
-        assert exp.lemma2_holds
+        [row], summary = run_trace_experiment(self.fam, self.dirs, self.I, 0.0, 5.5, 10.0)
+        assert row["card_omega_r"] == summary["card_omega_r"] == 11
+        assert row["card_gamma"] == summary["card_gamma"] == 31
+        assert row["lemma2_bound"] == 31.0
+        assert row["lemma2_pass"]
 
     def test_lemma3_two_routes_agree(self):
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-30, 30], seed=7)
         dirs = DirectionAssignment.random(fam, 2, seed=3)
-        exp = run_trace_experiment(fam, dirs, self.I, 0.0, 8.0, 20.0)
-        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+        [row], _ = run_trace_experiment(fam, dirs, self.I, 0.0, 8.0, 20.0)
+        assert row["trace_agreement"] <= 1e-6 * row["card_omega_r"]
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(19)
@@ -460,10 +471,10 @@ class TestTraceExperiment:
             y = float(rng.uniform(-4, 4))
             r = float(rng.uniform(3, 10))
             R = float(rng.uniform(5, 40))
-            exp = run_trace_experiment(fam, dirs, self.I, y, r, R)
-            assert abs(exp.trace_S) <= exp.d * exp.card_gamma + 1e-6
-            assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
-            assert exp.card_omega_r == int(np.sum(np.abs(fam.exponents - y) < r))
+            [row], _ = run_trace_experiment(fam, dirs, self.I, y, r, R)
+            assert row["abs_trace"] <= row["d"] * row["card_gamma"] + 1e-6
+            assert row["trace_agreement"] <= 1e-6 * row["card_omega_r"]
+            assert row["card_omega_r"] == int(np.sum(np.abs(fam.exponents - y) < r))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_inverse_oracle(self, d):
@@ -475,12 +486,12 @@ class TestTraceExperiment:
                                   window=[-40, 40], seed=int(rng.integers(1000)))
             dirs = DirectionAssignment.random(fam, d, seed=int(rng.integers(1000)))
             y, r, R = float(rng.uniform(-5, 5)), float(rng.uniform(4, 20)), float(rng.uniform(2, 30))
-            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, y, r, R)
             direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
-            assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-            assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-            assert exp.trace_S.imag == 0.0
-            assert exp.trace_S.real >= 0.0
+            assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+            assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+            assert row["trace_im"] == 0.0
+            assert row["trace_re"] >= 0.0
 
     @pytest.mark.parametrize("rule", ["constant", "partition"])
     def test_real_gram_matches_inverse_oracle(self, rule):
@@ -496,11 +507,11 @@ class TestTraceExperiment:
         rng = np.random.default_rng(16)
         for _ in range(4):
             y, r, R = float(rng.uniform(-5, 5)), float(rng.uniform(4, 20)), float(rng.uniform(2, 30))
-            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, y, r, R)
             direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
-            assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-            assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-            assert exp.trace_S.imag == 0.0
+            assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+            assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+            assert row["trace_im"] == 0.0
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(case=trace_cases())
@@ -515,13 +526,13 @@ class TestTraceExperiment:
         window = ExponentialSystem(fam.slice_positions(first, last),
                                    DirectionAssignment(dirs.d, dirs.matrix[first : last + 1]))
         assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
-        exp = run_trace_experiment(fam, dirs, I, y, r, R)
+        row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, y, r, R)
         direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
-        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-        assert exp.trace_S.imag == 0.0
-        assert exp.trace_S.real >= 0.0
-        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+        assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert row["trace_im"] == 0.0
+        assert row["trace_re"] >= 0.0
+        assert row["trace_agreement"] <= 1e-6 * row["card_omega_r"]
 
     @pytest.mark.parametrize("width", [3, 7])
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -539,13 +550,13 @@ class TestTraceExperiment:
         assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(analysis, "TRACE_SOLVE_BLOCK", width)
-            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, y, r, R)
         direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
-        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-        assert exp.trace_S.imag == 0.0
-        assert exp.trace_S.real >= 0.0
-        assert exp.trace_agreement <= 1e-8 * exp.card_omega_r
+        assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert row["trace_im"] == 0.0
+        assert row["trace_re"] >= 0.0
+        assert row["trace_agreement"] <= 1e-8 * row["card_omega_r"]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=constant_direction_cases())
@@ -565,15 +576,15 @@ class TestTraceExperiment:
         assume(np.linalg.cond(assemble_gram(window, I)) <= TRACE_COND_MAX)
         with pytest.MonkeyPatch.context() as patch:
             names, refactored = lapack_spy(patch), cho_factor_spy(patch)
-            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, y, r, R)
         assert names == ["potri"]
         if not refactored:
-            assert exp.trace_agreement <= analysis.INVERSE_AGREEMENT * exp.card_omega_r
+            assert row["trace_agreement"] <= analysis.INVERSE_AGREEMENT * row["card_omega_r"]
         direct, decomposed = trace_by_inverse(fam, dirs, I, y, r, R)
-        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-        assert exp.trace_S.imag == 0.0
-        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+        assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert row["trace_im"] == 0.0
+        assert row["trace_agreement"] <= 1e-6 * row["card_omega_r"]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=ill_conditioned_cases())
@@ -592,13 +603,13 @@ class TestTraceExperiment:
         with pytest.MonkeyPatch.context() as patch:
             names, refactored = lapack_spy(patch), cho_factor_spy(patch)
             try:
-                exp = run_trace_experiment(fam, dirs, I, y, r, R)
+                [row], _ = run_trace_experiment(fam, dirs, I, y, r, R)
             except NearSingularGramError:
                 assume(False)  # the gate's own rejection, beyond cond 1e10
         assert names == ["potri"]
         assert len(refactored) == 1
-        assert exp.trace_S.imag == 0.0
-        assert exp.trace_agreement <= 1e-6 * exp.card_omega_r
+        assert row["trace_im"] == 0.0
+        assert row["trace_agreement"] <= 1e-6 * row["card_omega_r"]
 
     @pytest.mark.parametrize("rule", ["random", "constant"])
     def test_translation_invariant(self, rule):
@@ -607,12 +618,11 @@ class TestTraceExperiment:
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-40, 40], seed=11)
         dirs = DirectionAssignment.random(fam, 2, seed=11) if rule == "random" else DirectionAssignment.constant(fam, 2)
-        runs = [run_trace_experiment(fam, dirs, IntervalSpec(a, b), 0.5, 12.0, 9.0)
+        runs = [analysis._trace_routes(fam, dirs, IntervalSpec(a, b), 0.5, 12.0, 9.0)
                 for a, b in [(0.0, 8.0), (-4.0, 4.0), (1000.5, 1008.5)]]
-        for exp in runs[1:]:
-            assert np.array([exp.trace_S, exp.trace_decomposed]).tobytes() == \
-                np.array([runs[0].trace_S, runs[0].trace_decomposed]).tobytes()
-            assert exp.defect_norms.tobytes() == runs[0].defect_norms.tobytes()
+        for routes in runs[1:]:  # (trace_direct, trace_decomposed, defect_norms, n, card_gamma)
+            assert np.array(routes[:2], dtype=complex).tobytes() == np.array(runs[0][:2], dtype=complex).tobytes()
+            assert routes[2].tobytes() == runs[0][2].tobytes()
 
     def test_constant_directions_stay_real_off_center(self, monkeypatch):
         # on [0, 8] the oracle's Gram and cross matrix are complex; the trace
@@ -628,12 +638,12 @@ class TestTraceExperiment:
                               window=[-40, 40], seed=5)
         dirs = DirectionAssignment.constant(fam, 2)
         I = IntervalSpec(0.0, 8.0)
-        exp = run_trace_experiment(fam, dirs, I, 0.5, 12.0, 9.0)
+        row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, 0.5, 12.0, 9.0)
         direct, decomposed = trace_by_inverse(fam, dirs, I, 0.5, 12.0, 9.0)
         assert dtypes == [np.float64]
-        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-        assert exp.trace_S.imag == 0.0
+        assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert row["trace_im"] == 0.0
 
     @pytest.mark.parametrize(("seed", "rtol"), MPMATH_PINS)
     def test_mpmath_pin_rank_deficient(self, seed, rtol):
@@ -661,12 +671,12 @@ class TestTraceExperiment:
         I = IntervalSpec(0.3, 0.3 + length)
         with pytest.MonkeyPatch.context() as patch:
             names = lapack_spy(patch)
-            exp = run_trace_experiment(fam, dirs, I, y, r, R)
+            [row], _ = run_trace_experiment(fam, dirs, I, y, r, R)
         assert names == []
-        assert exp.d * exp.card_gamma < exp.card_omega_r
+        assert row["d"] * row["card_gamma"] < row["card_omega_r"]
         exact = trace_exact(fam, dirs, I, y, r, R)
-        assert abs(exp.trace_S.real - exact) <= rtol * exact
-        assert exp.trace_S.imag == 0.0
+        assert abs(row["trace_re"] - exact) <= rtol * exact
+        assert row["trace_im"] == 0.0
 
     def test_mpmath_pin_ill_conditioned_full_grid(self):
         # p = 42 >= n = 25 with cond(G) = 5.9e8: the inverse's residual rejects it, and
@@ -678,13 +688,13 @@ class TestTraceExperiment:
         I = IntervalSpec(0.3, 4.8)
         with pytest.MonkeyPatch.context() as patch:
             names, refactored = lapack_spy(patch), cho_factor_spy(patch)
-            exp = run_trace_experiment(fam, dirs, I, 0.0, 12.0, 3.0)
+            [row], _ = run_trace_experiment(fam, dirs, I, 0.0, 12.0, 3.0)
         assert names == ["potri"]
         assert len(refactored) == 1
-        assert (exp.card_omega_r, exp.d * exp.card_gamma) == (25, 42)
+        assert (row["card_omega_r"], row["d"] * row["card_gamma"]) == (25, 42)
         exact = trace_exact(fam, dirs, I, 0.0, 12.0, 3.0)
-        assert abs(exp.trace_S.real - exact) <= 3e-10 * exact
-        assert exp.trace_S.imag == 0.0
+        assert abs(row["trace_re"] - exact) <= 3e-10 * exact
+        assert row["trace_im"] == 0.0
 
     def test_peak_memory_below_one_cross_matrix(self):
         # with p >= 4n the trace holds the real factor C (8 n p/d bytes) and
@@ -698,11 +708,11 @@ class TestTraceExperiment:
         run_trace_experiment(fam, dirs, I, 0.0, 100.0, 60.0)  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            exp = run_trace_experiment(fam, dirs, I, 0.0, 100.0, 60.0)
+            [row], _ = run_trace_experiment(fam, dirs, I, 0.0, 100.0, 60.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        n, p = row["card_omega_r"], row["d"] * row["card_gamma"]
         assert (n, p) == (200, 814)
         assert peak <= 16 * n * p + 2 * 16 * n * n
 
@@ -723,11 +733,11 @@ class TestTraceExperiment:
         run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
+            [row], _ = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        n, p = row["card_omega_r"], row["d"] * row["card_gamma"]
         assert (n, p) == (301, 966)
         x_bytes, g_bytes = 16 * n * p, 16 * n * n
         assert peak <= 2 * x_bytes + 2 * g_bytes
@@ -749,13 +759,13 @@ class TestTraceExperiment:
                             lambda G: entry.append(tracemalloc.get_traced_memory()) or gated_cho_factor(G))
         tracemalloc.start()
         try:
-            exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 0.05)
+            [row], _ = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, p = exp.card_omega_r, exp.d * exp.card_gamma
+        n, p = row["card_omega_r"], row["d"] * row["card_gamma"]
         assert (n, p) == (301, 298)
-        x_bytes, g_bytes, c_bytes = 16 * n * p, 16 * n * n, 8 * n * exp.card_gamma
+        x_bytes, g_bytes, c_bytes = 16 * n * p, 16 * n * n, 8 * n * row["card_gamma"]
         assert entry[0][0] <= g_bytes + x_bytes + g_bytes // 20  # the gate sees at most G and X'
         assert entry[0][1] <= g_bytes + x_bytes + c_bytes + g_bytes // 2
         assert peak <= g_bytes + 2 * x_bytes + c_bytes
@@ -779,15 +789,15 @@ class TestTraceExperiment:
         dirs = DirectionAssignment.random(fam, 2, seed=4) if rule == "random" else DirectionAssignment.constant(fam, 2)
         I = IntervalSpec(0.0, 8.0)
         names, refactored = lapack_spy(monkeypatch), cho_factor_spy(monkeypatch)
-        exp = run_trace_experiment(fam, dirs, I, 0.0, 150.0, 40.0)
+        row, trace_S, (_, trace_decomposed, *_) = trace_run(fam, dirs, I, 0.0, 150.0, 40.0)
         assert names == ["potri"]
         assert refactored == []
-        assert (exp.card_omega_r, exp.d * exp.card_gamma) == (301, 966)
-        assert exp.trace_agreement <= analysis.INVERSE_AGREEMENT * exp.card_omega_r
+        assert (row["card_omega_r"], row["d"] * row["card_gamma"]) == (301, 966)
+        assert row["trace_agreement"] <= analysis.INVERSE_AGREEMENT * row["card_omega_r"]
         direct, decomposed = trace_by_inverse(fam, dirs, I, 0.0, 150.0, 40.0)
-        assert abs(exp.trace_S - direct) <= 1e-12 * abs(direct)
-        assert abs(exp.trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
-        assert exp.trace_S.imag == 0.0
+        assert abs(trace_S - direct) <= 1e-12 * abs(direct)
+        assert abs(trace_decomposed - decomposed) <= 1e-12 * abs(decomposed)
+        assert row["trace_im"] == 0.0
 
     def test_default_geometry(self):
         # window centered on the family, r just short of the second exponent
@@ -795,9 +805,9 @@ class TestTraceExperiment:
         x = self.fam.exponents
         y = 0.5 * (x[0] + x[-1])
         r = min(y - x[1], x[-2] - y) * (1.0 - 1e-12)
-        exp = run_trace_experiment(self.fam, self.dirs, self.I, y, r, 10.0)
+        [row], _ = run_trace_experiment(self.fam, self.dirs, self.I, y, r, 10.0)
         assert y == pytest.approx(0.0)
-        assert exp.card_omega_r == len(self.fam) - 4
+        assert row["card_omega_r"] == len(self.fam) - 4
 
 
 class TestDefectDecay:

@@ -269,6 +269,36 @@ class TestRunArtifacts:
         assert record["card_gamma"] == "31"
         assert record["lemma2_pass"] == "true"
 
+    @pytest.mark.parametrize("case", ["lattice", "random"])
+    def test_trace_artifact_pinned(self, tmp_path, case):
+        # every row and summary value: the lattice's exact trace Card(V_r) = 11 (11 window
+        # exponents, 31 grid frequencies), and a random d = 2 trace off center whose two
+        # routes differ by rounding
+        raw = trace_config(tmp_path / "trace.csv")
+        if case == "random":
+            raw.update(family={"kind": "perturbed-lattice",
+                               "params": {"spacing": 1.0, "max_perturbation": 0.2, "window": [-30, 30], "seed": 7}},
+                       directions={"rule": "random", "d": 2, "seed": 3}, interval=[0.3, 8.3],
+                       params={"y": 0.5, "r": 12.0, "R": 9.0})
+        row, summary = {
+            "lattice": ({"y": 0.0, "r": 5.5, "R": 10.0, "d": 1, "card_omega_r": 11, "card_gamma": 31, "trace_re": 11.0,
+                         "trace_im": 0.0, "abs_trace": 11.0, "lemma2_bound": 31.0, "lemma2_pass": True,
+                         "trace_agreement": 0.0, "max_defect": 0.0},
+                        {"card_omega_r": 11, "card_gamma": 31}),
+            "random": ({"y": 0.5, "r": 12.0, "R": 9.0, "d": 2, "card_omega_r": 24, "card_gamma": 54,
+                        "trace_re": 23.89441278719215, "trace_im": 0.0, "abs_trace": 23.89441278719215,
+                        "lemma2_bound": 108.0, "lemma2_pass": True, "trace_agreement": 7.105427357601002e-15,
+                        "max_defect": 0.2567367476566473},
+                       {"card_omega_r": 24, "card_gamma": 54}),
+        }[case]
+        assert run(parse_config(json.dumps(raw))) == 0
+        assert (tmp_path / "trace.csv").read_text().splitlines()[4] == ",".join(row)  # the keys, in order
+        raw["output"] = {"path": str(tmp_path / "trace.json"), "format": "json"}
+        assert run(parse_config(json.dumps(raw))) == 0
+        artifact = json.loads((tmp_path / "trace.json").read_text())
+        assert artifact["rows"] == [row]
+        assert artifact["summary"] == summary
+
     def test_bounds_sweep_verdicts(self, tmp_path):
         out = tmp_path / "sweep.csv"
         raw = {
@@ -876,6 +906,19 @@ class TestMainEntry:
         # the shifted Cholesky factorization breaks down, and the extreme eigenvalues refuse the Gram
         assert "near-singular Gram: min eigenvalue" in err
         assert "threshold 1e-10" in err
+
+    def test_numerical_failure_has_one_exit_path(self, tmp_path, capsys, monkeypatch):
+        # a plain ValueError from a runner reaches exit 3 with the command named, as every other numerical failure
+        def fail(*args):
+            raise ValueError("x")
+
+        monkeypatch.setattr(cli, "run_trace_experiment", fail)
+        out = tmp_path / "trace.csv"
+        cfg_path = tmp_path / "trace.json"
+        cfg_path.write_text(json.dumps(trace_config(out)))
+        assert main(["--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: command 'trace': x\n"
+        assert not out.exists()
 
     def test_bounds_sweep_far_from_unit_scale_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "far.json"

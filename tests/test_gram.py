@@ -79,6 +79,9 @@ INTERVAL_CONFIGS = {
 }
 
 
+DD_FAR_ENDS = (1e306, 1e307, 1e-150, 1e-160, 1e-200, 1e-300)  # of the interval [0, b] of a far dd-condition
+
+
 class TestIntervalSpec:
     def test_length(self):
         I = IntervalSpec(1.0, 3.5)
@@ -119,9 +122,15 @@ class TestIntervalSpec:
         # a + b overflows, and 0 * inf used to write null for every value
         ({"command": "gram", "family": {"kind": "explicit", "params": {"exponents": [0.0]}},
           "interval": [1e308, 1.7e308]}, None),
-    ], ids=["gram", "bounds-sweep", "gram-offset", "dd-condition", "gram-one-exponent"])
+        # the DD Gram's weights 1/delta times moments of size |I| used to overflow, and its squared
+        # norms of about tmax^2 |I| to underflow to 0
+        *(({**INTERVAL_CONFIGS["dd-condition"], "interval": [0.0, b], "params": {"M": 2, "gamma_prime": 0.5}}, None)
+          for b in DD_FAR_ENDS),
+    ], ids=["gram", "bounds-sweep", "gram-offset", "dd-condition", "gram-one-exponent",
+            *(f"dd-condition-{b:g}" for b in DD_FAR_ENDS)])
     def test_huge_interval_exits_zero_or_two(self, tmp_path, capsys, raw, message):
-        # a finite length whose phases overflow used to exit 3 with RuntimeWarnings
+        # a finite length whose phases overflow used to exit 3 with RuntimeWarnings, and so did
+        # a dd-condition run far from unit scale
         out = tmp_path / "out.json"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**raw, "output": {"path": str(out), "format": "json"}}))
@@ -132,10 +141,20 @@ class TestIntervalSpec:
             assert status == 2
             assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
             assert not out.exists()
-        else:
+        elif raw["command"] == "gram":
             assert status == 0
             summary, [row] = (json.loads(out.read_text())[key] for key in ("summary", "rows"))
             assert summary["lambda_min"] == summary["lambda_max"] == row["re"] == 6.999999999999999e307
+        else:
+            assert status == 0
+            [row] = json.loads(out.read_text())["rows"]
+            if raw["interval"][1] > 1.0:
+                # the exponentials are all but orthogonal, so each pair's normalized DD Gram is
+                # [[1, -1/sqrt(2)], [-1/sqrt(2), 1]], of condition (1 + sqrt(2))^2
+                assert row["cond_raw"] == pytest.approx(1.0, rel=1e-12)
+                assert row["cond_dd"] == pytest.approx(3.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
+            else:  # every exp(i*w*t) is 1 to rounding
+                assert row["cond_raw"] == row["cond_dd"] == "overflow"
 
     def test_sweep_phase_check_reads_only_the_central_block(self, tmp_path):
         # the sweep builds the central 2*N_max + 1 = 3 exponents, which span 2: the far ones make no phase
@@ -661,6 +680,22 @@ class TestDividedDifferenceGram:
     def test_normalized_diagonal(self):
         G = assemble_gram(DividedDifferenceSystem(self.fam, self.chains, self.dirs, normalize=True), self.I)
         assert np.allclose(np.diag(G).real, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 100, 250])
+    def test_normalized_gram_blind_to_profile_scale(self, monkeypatch, k):
+        # profile p times 2^(+-k), alternating: every product of two terms scales exactly, so
+        # the normalized Gram is bitwise the same, and so it is where _unit_scaled prescales
+        from inghamlab import gram
+
+        system = DividedDifferenceSystem(self.fam, self.chains, self.dirs, normalize=True)
+        G = assemble_gram(system, self.I)
+
+        def scaled(coefs, starts, length):
+            signs = np.resize([1, -1], starts.size).repeat(np.diff(starts, append=coefs.size))
+            return coefs * np.ldexp(1.0, k * signs)
+
+        monkeypatch.setattr(gram, "_unit_scaled", scaled)
+        assert assemble_gram(system, self.I).tobytes() == G.tobytes()
 
 
 def pairs_dd_system(window, delta):

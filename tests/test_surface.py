@@ -127,3 +127,13 @@ def test_readme_command_table_matches_cli_rows():
                                      tuple(name.strip("*`") for name in names if name.startswith("**")),
                                      interval == "yes", directions == "yes")
     assert table == {command: row[1:] for command, row in cli._COMMANDS.items()}  # all but the runner
+
+
+def test_readme_config_examples_run(tmp_path):
+    # every fenced json block of the README is a config the CLI runs as written
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"example{k}.json"
+        path.write_text(block)
+        assert main(["--config", str(path), "--out", str(tmp_path / f"example{k}.out")]) == 0
