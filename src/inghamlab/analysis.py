@@ -47,7 +47,7 @@ DD_SPACING = 2.0  # pair spacing of a conditioning comparison's clustered-pairs 
 DD_WINDOW = (0.0, 8.0)  # and their window
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
-TRACE_SOLVE_BLOCK = 256  # columns of X' per pair of triangular solves in a trace
+TRACE_SOLVE_BLOCK = 256  # columns per block of a trace: of P's upper triangle, of X' per pair of solves
 INVERSE_AGREEMENT = 1e-13  # per function: the largest |n - tr(G^-1 G)| / n at which a trace keeps G^-1
 
 
@@ -104,10 +104,13 @@ def frame_bound_sequence(
     and the length's stability ``verdict``.  ``directions`` assigns one
     vector per family position.  The Gram is assembled once at the largest
     N; each smaller truncation is its centered principal submatrix, so the
-    sections interlace.  Only spectra are read, and translating the interval
-    is a diagonal unitary similarity, so only ``interval.length`` is used:
-    the Gram is assembled on the interval of that length centered at 0,
-    where it is real symmetric whenever the directions are real.
+    sections interlace.  Each read is handed its block to reduce in place
+    (``overwrite``): each smaller one as one F-ordered copy, the full one, G
+    itself, last, so a length holds one n x n array.  Only spectra are read,
+    and translating the interval is a diagonal unitary similarity, so only
+    ``interval.length`` is used: the Gram is assembled on the interval of that
+    length centered at 0, where it is real symmetric whenever the directions
+    are real.
     """
     sizes = [int(N) for N in N_grid]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -121,7 +124,7 @@ def frame_bound_sequence(
     for N in sizes:
         block = slice(N_max - N, N_max + N + 1)
         try:
-            spectra.append(extreme_eigenvalues(G[block, block]))
+            spectra.append(extreme_eigenvalues(np.asfortranarray(G[block, block]), overwrite=True))
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at N={N}: {exc}") from exc
     verdict = _stability_verdict(sizes, *zip(*spectra))
@@ -246,8 +249,12 @@ def _trace_routes(family, directions, interval, y, r, R):
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
     if grid.size >= n:
         rV = V * rho.real[:, None]
-        P = np.einsum("kd,ld->lk", rV.conj(), rV).T  # F-ordered; einsum, not numpy's @ (see gram)
-        P *= CC
+        P = np.zeros((n, n), dtype=V.dtype, order="F")  # its upper triangle, formed by column blocks
+        for j0 in range(0, n, TRACE_SOLVE_BLOCK):
+            j1 = min(j0 + TRACE_SOLVE_BLOCK, n)
+            block = P[:j1, j0:j1]
+            np.einsum("kd,ld->lk", rV[:j1].conj(), rV[j0:j1], out=block.T)  # einsum, not numpy's @ (see gram)
+            block *= CC[:j1, j0:j1]
         del CC
     U, _ = gated_cho_factor(G)  # G = U^H U
     inverse = grid.size >= n
@@ -376,9 +383,11 @@ def conditioning_comparison(
         try:
             fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=list(window))
             dirs = DirectionAssignment.constant(fam, 1)
-            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered))
+            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered), overwrite=True)
             dd_system = DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime, M), dirs, normalize=normalize_dd)
-            lo_dd, hi_dd = extreme_eigenvalues(assemble_gram(dd_system, interval))
+            with np.errstate(over="raise"):  # a raw DD Gram, about |I| / delta^2, can exceed the doubles
+                G_dd = assemble_gram(dd_system, interval)
+            lo_dd, hi_dd = extreme_eigenvalues(G_dd, overwrite=True)
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
         cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo

@@ -51,7 +51,7 @@ __all__ = [
 SMALL_PHASE = 1e-8  # |theta| * |I| / 2 at or below this takes sin(x)/x = 1 (error x^2/6)
 NEAR_SINGULAR_RTOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-8
-TERM_PRODUCTS_PER_BLOCK = 2**18  # term pairs in one row block of a Gram: 14 MB (order 0) to 29 MB of temporaries
+TERM_PRODUCTS_PER_BLOCK = 2**16  # term pairs in a Gram's row block: 1.7 MB (real, n = 1025) to 5.5 MB of temporaries
 MIN_ROW_BLOCKS = 4  # one block forms every pair of the diagonal block twice; four form 5/8 of all pairs
 
 
@@ -146,7 +146,7 @@ def exp_moments(theta, m, interval: IntervalSpec) -> np.ndarray:
         a[k, 1:] += up[:-1] * a[k - 1, :-1]
         a[k, :-1] += down[1:] * a[k - 1, 1:]
     x, total = theta * h, np.zeros(theta.shape, dtype=complex)
-    step = max(1, TERM_PRODUCTS_PER_BLOCK // a.shape[0])  # lanes per pass: 2 MB of _spherical_jn's ratios
+    step = max(1, TERM_PRODUCTS_PER_BLOCK // a.shape[0])  # lanes per pass: 0.5 MB of _spherical_jn's ratios
     for lo in range(0, m.size, step):
         lanes, counts = slice(lo, lo + step), np.bincount(m[lo : lo + step], minlength=a.shape[0])
         parts = (total[lanes].real, total[lanes].imag)  # 2 * i^n is +-2, real for even n and imaginary for odd n
@@ -406,11 +406,13 @@ def projection_defect_norms(C2: np.ndarray, directions: np.ndarray, interval: In
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
 
 
-def _extreme_spectrum(A: np.ndarray, vectors: bool):
+def _extreme_spectrum(A: np.ndarray, vectors: bool, overwrite: bool = False):
     """(lambda_0, lambda_{n-1}) of a real symmetric or complex Hermitian matrix, and their eigenvectors.
 
     Reads the lower triangle.  One blocked Householder reduction A = Q T Q^H
-    (``sytrd``/``hetrd``) gives a real tridiagonal T.  Bisection (``stebz``) takes index 1
+    (``sytrd``/``hetrd``; with ``overwrite`` in A's own buffer when f2py can use it, whose
+    diagonal and lower triangle then hold T and the reflectors) gives a real tridiagonal
+    T.  Bisection (``stebz``) takes index 1
     of T and of -T: on index n of T a top cluster of rounding width, as in the Parseval
     Gram 2*pi*I, fails (info 2).  When ``vectors`` is true one inverse iteration (``stein``)
     gives both tridiagonal eigenvectors, which are taken back through the reflectors: with
@@ -427,7 +429,7 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool):
     else:
         trd, trd_lwork, mqr = lapack.dsytrd, lapack.dsytrd_lwork, lapack.dormqr
     lwork, _ = trd_lwork(n, lower=1)  # the default lwork runs the unblocked reduction, about 1.5x slower
-    c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)))
+    c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)), overwrite_a=overwrite)
     (_, low, block, split, info), (_, high, top, _, info_top) = (
         lapack.dstebz(sign * d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B") for sign in (1.0, -1.0))
     if info or info_top:
@@ -446,7 +448,7 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool):
     return values, V
 
 
-def extreme_eigenvalues(G) -> tuple[float, float]:
+def extreme_eigenvalues(G, overwrite: bool = False) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the Hermitian matrix stored in G's lower triangle, residual-verified.
 
     The strict upper triangle is never read, as in ``_extreme_spectrum``:
@@ -461,6 +463,13 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     (stebz's bisection fails) or underflow (the contract fails), the read is
     of 2^k G, the power of two from ``np.frexp`` that brings it to [1/2, 1),
     and the values are scaled back exactly.
+
+    With ``overwrite`` the caller hands G over, holding the Hermitian matrix in
+    both triangles as every ``assemble_gram`` Gram does: the reduction runs in
+    G's buffer when it is F-contiguous in the solved dtype (else in one F-ordered
+    copy), so a read holds no second n x n array, and the contract is read from
+    the strict upper triangle, which the reduction leaves as it was, and the
+    diagonal saved before it.  The values are the same either way.
     """
     G = np.asarray(G)
     A = G.real if np.iscomplexobj(G) and not np.tril(G.imag, -1).any() else G
@@ -468,11 +477,17 @@ def extreme_eigenvalues(G) -> tuple[float, float]:
     k = 0 if top == 0.0 or 2.0**-300 <= top <= 2.0**300 else -int(np.frexp(top)[1])
     if k:
         A = A * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)  # two exact factors: 2^k alone can overflow
-    vals, vecs = _extreme_spectrum(A, vectors=True)
+    if overwrite:
+        A = np.asfortranarray(A)  # no copy when G is F-ordered in the solved dtype
+        diagonal = A.diagonal().copy()
+    vals, vecs = _extreme_spectrum(A, vectors=True, overwrite=overwrite)
+    if overwrite:
+        np.fill_diagonal(A, diagonal)  # the reduction wrote T's diagonal there
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
     # keep spinning after a call and slow the next LAPACK solve about 2x
-    GV = blas.get_blas_funcs("hemm" if np.iscomplexobj(A) else "symm", (A, vecs))(1.0, A, vecs, lower=1)
+    mm = blas.get_blas_funcs("hemm" if np.iscomplexobj(A) else "symm", (A, vecs))
+    GV = mm(1.0, A, vecs, lower=int(not overwrite))
     residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
     if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")

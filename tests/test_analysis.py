@@ -25,6 +25,7 @@ from inghamlab.exponents import (
     generate_family,
 )
 from inghamlab.gram import (
+    TERM_PRODUCTS_PER_BLOCK,
     DividedDifferenceSystem,
     ExponentialSystem,
     FourierGrid,
@@ -189,8 +190,9 @@ class TestExtremeEigenvalues:
         assert lo == pytest.approx(olo, rel=1e-8)
         assert hi == pytest.approx(ohi, rel=1e-8)
 
-    @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
-    def test_reads_only_the_lower_triangle(self, kind):
+    @staticmethod
+    def kind_gram(kind):
+        """A centered Gram of clustered pairs: float64, complex, or complex with a zero imaginary part."""
         fam = generate_family("clustered-pairs", spacing=1.0, delta=1e-3, window=[0.0, 8.0])
         centered = IntervalSpec(-3.0, 3.0)
         if kind == "real-valued complex":  # solved in real arithmetic, decided on the lower triangle too
@@ -201,6 +203,11 @@ class TestExtremeEigenvalues:
         G = assemble_gram(system, centered)
         assert G.dtype == (np.float64 if kind == "float64" else np.complex128)
         assert np.any(G.imag) == (kind == "complex")
+        return G
+
+    @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
+    def test_reads_only_the_lower_triangle(self, kind):
+        G = self.kind_gram(kind)
         clean = extreme_eigenvalues(G)
         upper = np.triu_indices(G.shape[0], 1)
         finite = 1e3 * np.random.default_rng(0).normal(size=(2, upper[0].size))
@@ -209,6 +216,26 @@ class TestExtremeEigenvalues:
             H = G.copy()
             H[upper] = value
             assert extreme_eigenvalues(H) == clean
+
+    @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
+    def test_overwrite_reads_the_same_values(self, kind):
+        # a Gram handed over is reduced in its own buffer when that is F-ordered in the solved
+        # dtype (the real-valued complex one is solved through a strided G.real, so in a copy),
+        # and the contract is read from its strict upper triangle and saved diagonal
+        G = self.kind_gram(kind)
+        n = G.shape[0]
+        kept = G.copy(order="F")
+        for block in (slice(0, n), slice(1, n - 1), slice(3, n // 2)):
+            section = G[block, block]  # strided but for the full block
+            clean = extreme_eigenvalues(section)
+            assert extreme_eigenvalues(section.copy(), overwrite=True) == clean
+            H = np.array(section, order="F")
+            assert extreme_eigenvalues(H, overwrite=True) == clean
+            assert np.array_equal(np.triu(H), np.triu(section))  # the upper triangle and diagonal as they were
+            assert np.array_equal(H, section) == (kind == "real-valued complex")  # else T and reflectors below
+            if block != slice(0, n):  # a strided view is reduced in a copy
+                assert extreme_eigenvalues(section, overwrite=True) == clean
+        assert np.array_equal(G, kept)
 
 
 class TestFrameBoundSequence:
@@ -258,6 +285,25 @@ class TestFrameBoundSequence:
         tol = 1e-12 * max(lmaxs)
         assert all(b <= a + tol for a, b in zip(lmins, lmins[1:]))
         assert all(b >= a - tol for a, b in zip(lmaxs, lmaxs[1:]))
+
+    def test_peak_memory_one_gram_per_length(self):
+        # each read reduces the block it is handed in place, the full one last, so a length holds
+        # one n x n array: measured at n = 1025, 10.7 MB against the Gram's 8.4 MB; reads that
+        # copy their block, as f2py does without ``overwrite``, peaked at 17.1 MB
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
+        n = len(fam)
+        assert n == 1025
+        dirs, interval, N_grid = DirectionAssignment.constant(fam, 1), IntervalSpec.of_length(5.0), [128, 256, 512]
+        frame_bound_sequence(fam, dirs, interval, N_grid)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            frame_bound_sequence(fam, dirs, interval, N_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram_bytes, row_block = 8 * n * n, 56 * TERM_PRODUCTS_PER_BLOCK  # the assembly's bound on a row block
+        assert row_block < gram_bytes // 2  # so that a second n x n array cannot hide in the bound
+        assert peak <= gram_bytes + 64 * n * 8 + row_block  # the blocked reduction's workspace is n x 32
 
     def test_short_family_names_grid_point(self):
         fam = generate_family("lattice", spacing=1.0, window=[-20, 20])

@@ -156,6 +156,22 @@ class TestIntervalSpec:
             else:  # every exp(i*w*t) is 1 to rounding
                 assert row["cond_raw"] == row["cond_dd"] == "overflow"
 
+    @pytest.mark.parametrize("b", [1e306, 1e307])
+    def test_raw_dd_gram_out_of_range_names_delta(self, tmp_path, capsys, b):
+        # unnormalized, the DD Gram's own entries, about |I| / delta^2, exceed the double range:
+        # the run stops at its delta instead of going on with RuntimeWarnings and an Inf Gram
+        raw = {**INTERVAL_CONFIGS["dd-condition"], "interval": [0.0, b],
+               "params": {"M": 2, "gamma_prime": 0.5, "normalize_dd": False}}
+        out = tmp_path / "out.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "output": {"path": str(out), "format": "json"}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: command 'dd-condition': at delta=0.001: overflow encountered in multiply"]
+        assert not out.exists()
+
     def test_sweep_phase_check_reads_only_the_central_block(self, tmp_path):
         # the sweep builds the central 2*N_max + 1 = 3 exponents, which span 2: the far ones make no phase
         out = tmp_path / "out.json"
@@ -590,8 +606,9 @@ class TestGramTriangle:
         assert np.allclose(np.diag(G), 1.0, rtol=0.0, atol=1e-15)
 
     def test_peak_memory_one_gram_and_one_row_block(self):
-        # measured at n = 1025: 17.3 MB (float64) and 29.5 MB (complex) against
-        # bounds of 23.1 and 31.5 MB; all n^2 entries at once take 34.8 MB, over both
+        # measured at n = 1025: 10.1 MB (float64) and 20.1 MB (complex) against bounds of
+        # 12.1 and 20.5 MB (17.3 and 29.5 MB with 2^18 term products a block, against 23.1
+        # and 31.5 MB); all n^2 entries at once take 34.8 MB, over both
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
         n = len(fam)
         assert n == 1025
@@ -609,8 +626,9 @@ class TestGramTriangle:
 
     def test_peak_memory_taylor_term_dd_gram(self):
         # eight 8-node tight chains on [0, 10]: moment orders up to 50, and most lanes
-        # below their order, where the j_n take ratios; measured 16.8 MB (20.7 MB with the
-        # per-order scipy calls, 53.2 MB with one ratio table for a whole row block)
+        # below their order, where the j_n take ratios; measured 5.5 MB (16.8 MB with 2^18 term
+        # products a block, 20.7 MB with the per-order scipy calls, 53.2 MB with one ratio table
+        # for a whole row block)
         x = (np.arange(8)[:, None] + 0.03 * np.arange(8)[None, :]).ravel()
         fam, interval = ExponentFamily(x), IntervalSpec(0.0, 10.0)
         system = DividedDifferenceSystem(fam, detect_chains(fam, 0.5, 8), DirectionAssignment.constant(fam, 1))
@@ -621,7 +639,7 @@ class TestGramTriangle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= G.nbytes + 112 * TERM_PRODUCTS_PER_BLOCK  # the 29 MB of temporaries of a row block
+        assert peak <= G.nbytes + 112 * TERM_PRODUCTS_PER_BLOCK  # the 7.3 MB of temporaries of a row block
 
 
 class TestDividedDifferenceGram:

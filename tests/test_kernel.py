@@ -153,8 +153,8 @@ def test_centered_gram_with_real_directions_is_real(data, rule, interval, d):
 def recording_spectrum(solves):
     """``gram._extreme_spectrum`` that appends (A, vectors, values, V) of every call to ``solves``."""
 
-    def record(A, vectors):
-        vals, vecs = _extreme_spectrum(A, vectors)
+    def record(A, vectors, overwrite=False):
+        vals, vecs = _extreme_spectrum(A, vectors, overwrite)
         solves.append((A, vectors, vals, vecs))
         return vals, vecs
 
@@ -218,13 +218,14 @@ def test_corrupted_eigenvector_breaks_residual_contract():
     interval = IntervalSpec(-2.5, 2.5)
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), interval)
 
-    def swapped_vectors(A, vectors):
-        vals, vecs = _extreme_spectrum(A, vectors)
+    def swapped_vectors(A, vectors, overwrite=False):
+        vals, vecs = _extreme_spectrum(A, vectors, overwrite)
         return vals, vecs[:, ::-1]
 
-    with (mock.patch.object(gram, "_extreme_spectrum", swapped_vectors),
-          pytest.raises(ArithmeticError, match="residual")):
-        extreme_eigenvalues(G)
+    for overwrite in (False, True):  # the contract read from the lower triangle, and from the upper one
+        with (mock.patch.object(gram, "_extreme_spectrum", swapped_vectors),
+              pytest.raises(ArithmeticError, match="residual")):
+            extreme_eigenvalues(G, overwrite=overwrite)
 
 
 @SETTINGS
@@ -273,7 +274,8 @@ def test_subsystems_keep_positions(data, rule, interval, d):
 
     sections = []
 
-    def recording_extremes(G):
+    def recording_extremes(G, overwrite=False):
+        assert overwrite and G.flags.f_contiguous  # each section handed over as its own F-ordered block
         sections.append(G)
         return 1.0, 1.0
 
