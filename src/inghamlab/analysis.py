@@ -25,7 +25,7 @@ from .gram import (
     extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
-    projection_defect_norms,
+    grid_cauchy_sums,
 )
 
 __all__ = [
@@ -48,7 +48,8 @@ DD_WINDOW = (0.0, 8.0)  # and their window
 STABLE_RATIO = 0.95  # lambda_min retention over the trailing doublings
 DEGENERATING_RATIO = 0.80
 TRACE_SOLVE_BLOCK = 256  # columns per block of a trace: of P's upper triangle, of X' per pair of solves
-INVERSE_AGREEMENT = 1e-13  # per function: the largest |n - tr(G^-1 G)| / n at which a trace keeps G^-1
+CLOSE_PAIR = 1.0  # lattice steps s = 2 pi/|I|: closer pairs sum C C^T directly (the quotient loses digits)
+INVERSE_AGREEMENT = 1e-13  # per function: the largest |n - tr(G^-1 G)| / n, or rounding, at which a trace keeps G^-1
 
 
 class GridPointFailure(ArithmeticError):
@@ -224,15 +225,19 @@ def _trace_routes(family, directions, interval, y, r, R):
     for the cross matrix X (rows e_k, columns the grid functions) and directions V;
     route two, Card + sum of ((Q - Id) e_k, phi_k) over the dual coefficients
     Y = X^T G^-1, is n + sum_jk (G^-1)_jk (P - G)_kj.  With p = d * Card(grid) >= n,
-    P is formed in its upper triangle before the gate, and ``potri`` turns the gate's
-    G = U^H U into G^-1 in place: both routes are dot sums over upper triangles, and
-    differ by n - tr(G^-1 G), the inverse's own residual.  Such sums lose about
-    cond(G) * eps, so G^-1 is kept only while that residual is at most
+    ``potri`` turns the gate's G = U^H U into G^-1 in place, and P is formed after it
+    in column blocks of TRACE_SOLVE_BLOCK (``_cross_gram_block``: C C^T in closed form
+    from ``grid_cauchy_sums``), each block added to both routes' dot sums over upper
+    triangles, so neither C nor an n x n P is formed.  The routes differ by
+    n - tr(G^-1 G), the inverse's own residual.  Such sums lose about cond(G) * eps, so
+    G^-1 is kept only while that difference, and 2^-53 ||G^-1||_F ||G||_F, which bounds
+    the rounding eps * sum |G^-1| |G| the two sums may share, are at most
     INVERSE_AGREEMENT * n.  Else, and always when p < n, U = ``cho_factor(G)`` solves
     against the n x p cross factor X' = diag(rho) W, W[k, (g, j)] = C[k, g] V[k, j]
     (conj(X') X'^T = P), in blocks of TRACE_SOLVE_BLOCK columns: route one is the sum
     of squares ||U^-T X'||_F^2, route two solves U conj(Y^T) = conj(U^-T X').  Either
-    way ``trace_im`` is exactly 0.  Measured: |trace| <= d * Card(grid).
+    way ``trace_im`` is exactly 0, and the defects are ``_defect_norms`` of the
+    out-of-grid energies.  Measured: |trace| <= d * Card(grid).
     """
     if r <= 0 or R <= 0:
         raise ValueError("r and R must be positive")
@@ -240,43 +245,45 @@ def _trace_routes(family, directions, interval, y, r, R):
     n, V = len(window.family), window.directions.matrix
     centered = IntervalSpec.of_length(interval.length, -0.5 * interval.length)
     grid = _grid(centered, directions.d, y, r, R)
-    G = assemble_gram(window, centered)  # before P, whose n x n buffer would outlive the assembly
-    rho, C = grid_cauchy_factors(window.family, grid)  # rho exactly real on the centered interval
-    if grid.size >= n:  # P may have rank n
-        CC = get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=0)  # C C^T in the upper triangle, 0 below
-    defect_norms = projection_defect_norms(np.square(C, out=C), V, centered)
-    del C
+    G = assemble_gram(window, centered)
+    rho, *sums = grid_cauchy_sums(window.family, grid)  # rho exactly real on the centered interval
+    defect_norms = _defect_norms(sums[-1], V, centered.length)
     V = V.real if not np.any(V.imag) else V  # real directions factor in real arithmetic
-    if grid.size >= n:
-        rV = V * rho.real[:, None]
-        P = np.zeros((n, n), dtype=V.dtype, order="F")  # its upper triangle, formed by column blocks
-        for j0 in range(0, n, TRACE_SOLVE_BLOCK):
-            j1 = min(j0 + TRACE_SOLVE_BLOCK, n)
-            block = P[:j1, j0:j1]
-            np.einsum("kd,ld->lk", rV[:j1].conj(), rV[j0:j1], out=block.T)  # einsum, not numpy's @ (see gram)
-            block *= CC[:j1, j0:j1]
-        del CC
     U, _ = gated_cho_factor(G)  # G = U^H U
-    inverse = grid.size >= n
+    inverse = grid.size >= n  # P may have rank n
     if inverse:
         U, info = get_lapack_funcs("potri", (U,))(U, lower=0, overwrite_c=1)  # G^-1 in U's upper triangle
-        np.copyto(U, 0.0, where=~np.tri(n, dtype=bool).T)  # the strict lower triangle still holds G's
+        inverse = info == 0
+    if inverse:
+        rV, pairs, width = V * rho.real[:, None], _close_pairs(window.family, grid), U.itemsize // 8
         flat = U.reshape(-1, order="F").view(np.float64)  # float views: one dot gives sum Re(a conj(b))
+        dot = get_blas_funcs("dot", (flat,))
 
-        def upper_sum(B):  # sum_jk (G^-1)_jk B_kj for a Hermitian B read in its upper triangle
-            total = get_blas_funcs("dot", (flat,))(flat, B.reshape(-1, order="F").view(np.float64))
-            return 2.0 * total - U.diagonal().real @ B.diagonal().real
+        def upper_sum(B, j0, j1):  # sum_jk (G^-1)_jk B_kj over columns j0:j1 of a Hermitian B, upper triangle
+            b = B.reshape(-1, order="F").view(np.float64)  # B's rows j1: are 0, as are G^-1's below its diagonal
+            return 2.0 * dot(flat[width * n * j0 :][: b.size], b) - U.diagonal()[j0:j1].real @ B.diagonal(-j0).real
 
-        trace_direct = upper_sum(P)
-        P -= G
-        trace_decomposed = n + upper_sum(P)
+        P = np.zeros((n, min(n, TRACE_SOLVE_BLOCK)), dtype=V.dtype, order="F")  # one column block of P
+        trace_direct, trace_decomposed, frobenius = 0.0, float(n), np.zeros(2)  # ||G^-1||_F^2, ||G||_F^2
+        for j0 in range(0, n, TRACE_SOLVE_BLOCK):
+            j1 = min(j0 + TRACE_SOLVE_BLOCK, n)
+            U[j1:, j0:j1] = 0.0  # the strict lower triangle still holds G's
+            U[j0:j1, j0:j1][np.tri(j1 - j0, k=-1, dtype=bool)] = 0.0
+            block = P[:, : j1 - j0]  # rows at and below j1 were never written, so they hold 0
+            _cross_gram_block(rV, sums, pairs, centered.length, j0, j1, out=block[:j1])
+            trace_direct += upper_sum(block, j0, j1)
+            block[:j1] -= G[:j1, j0:j1]
+            trace_decomposed += upper_sum(block, j0, j1)
+            u, g = flat[width * n * j0 : width * n * j1], G[:, j0:j1].reshape(-1, order="F").view(np.float64)
+            frobenius += 2.0 * dot(u, u) - np.sum(np.abs(U.diagonal()[j0:j1]) ** 2), dot(g, g)
         del P, U
-        inverse = info == 0 and abs(trace_direct - trace_decomposed) <= INVERSE_AGREEMENT * n
-        if not inverse:
-            U, _ = cho_factor(G, overwrite_a=True, check_finite=False)  # the gate's factor again, in G's buffer
+        condition = math.sqrt(frobenius[0] * frobenius[1])  # ||G^-1||_F ||G||_F >= sum_jk |G^-1_jk| |G_kj| >= n
+        inverse = max(abs(trace_direct - trace_decomposed), 2.0**-53 * condition) <= INVERSE_AGREEMENT * n
+    if not inverse and grid.size >= n:
+        U, _ = cho_factor(G, overwrite_a=True, check_finite=False)  # the gate's factor again, in G's buffer
     del G
     if not inverse:  # the cross factor itself: X'[k, (g, j)] = rho[k] C[k, g] V[k, j]
-        _, C = grid_cauchy_factors(window.family, grid)  # bitwise the C squared above
+        _, C = grid_cauchy_factors(window.family, grid)
         X = np.empty((n, grid.size), dtype=V.dtype, order="F")
         np.multiply(C[:, None, :], V[:, :, None], out=X.reshape(n, directions.d, -1, order="F"))
         del C
@@ -295,6 +302,68 @@ def _trace_routes(family, directions, interval, y, r, R):
     return trace_direct, trace_decomposed, defect_norms, n, int(grid.n_values.size)
 
 
+def _defect_norms(Q: np.ndarray, V: np.ndarray, length: float) -> np.ndarray:
+    """||(Q_{r+R} - Id) e_k|| from the out-of-grid energies Q of ``grid_cauchy_sums``: of
+    ||e_k||^2 = |I| ||U_k||^2 (Parseval) the grid captures (4/|I|) ||U_k||^2 ((|I|/2)^2 - Q_k),
+    so the squared defect is the tail sum |I| (1 - ||U_k||^2) + (4/|I|) ||U_k||^2 Q_k."""
+    norms = np.sum(V.real**2 + V.imag**2, axis=1)
+    return np.sqrt(np.clip(length * (1.0 - norms) + (4.0 / length) * norms * Q, 0.0, None))
+
+
+def _close_pairs(family: ExponentFamily, grid: FourierGrid):
+    """(k, l, S): the pairs k < l with w_l - w_k < CLOSE_PAIR * s, in order of l, and their direct
+    sums S = sum_g C[k, g] C[l, g] over ``grid_cauchy_factors``' C, built for those rows only, in blocks
+    of TRACE_SOLVE_BLOCK pairs and grid frequencies.  Sorted exponents put them next to the diagonal."""
+    w = family.exponents
+    first = np.searchsorted(w, w - CLOSE_PAIR * 2.0 * math.pi / grid.interval.length, side="right")
+    counts = np.arange(w.size) - np.minimum(first, np.arange(w.size))  # w - CLOSE_PAIR * s may round to w
+    l = np.repeat(np.arange(w.size), counts)
+    k = np.arange(l.size) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    S = np.zeros(l.size)
+    for p0 in range(0, l.size, TRACE_SOLVE_BLOCK):
+        kk, ll = k[p0 : p0 + TRACE_SOLVE_BLOCK], l[p0 : p0 + TRACE_SOLVE_BLOCK]
+        rows = np.union1d(kk, ll)
+        ik, il = np.searchsorted(rows, kk), np.searchsorted(rows, ll)
+        for g0 in range(0, grid.n_values.size, TRACE_SOLVE_BLOCK):
+            cols = FourierGrid(grid.interval, grid.d, grid.n_values[g0 : g0 + TRACE_SOLVE_BLOCK])
+            _, C = grid_cauchy_factors(ExponentFamily(w[rows]), cols)
+            S[p0 : p0 + TRACE_SOLVE_BLOCK] += np.einsum("pg,pg->p", C[ik], C[il])
+    return k, l, S
+
+
+def _cross_gram_block(rV, sums, pairs, length, j0, j1, out):
+    """P[:j1, j0:j1] = (conj(rho V) (rho V)^T) o (C C^T) of ``_trace_routes`` into ``out``, 0 below the
+    diagonal, with C C^T from the ``sums`` (m, r, sigma, T, Q) of ``grid_cauchy_sums``:
+    (sigma_l T_k - sigma_k T_l) / (w_l - w_k) off the diagonal, (|I|/2)^2 - Q_k on it, and the direct
+    sums of ``_close_pairs`` where w_l - w_k < CLOSE_PAIR * s, whose quotient loses digits.  Each
+    quotient is one real ``gemm`` of inner dimension 2 over an outer product: the numerator, and
+    w_k - w_l as s*(m_k - m_l) + (r_k - r_l), the difference in the rounded lattice that every D_kg is
+    in, with s = s_hi + s_lo and s_hi of 24 bits, so s_hi*(m_k - m_l) is exact for |m| < 2^29."""
+    m, r, sigma, T, Q = sums
+    gemm, s = get_blas_funcs("gemm", (sigma,)), 2.0 * math.pi / length
+    mantissa, exponent = math.frexp(s)
+    s_hi = math.ldexp(math.floor(mantissa * 2.0**24), exponent - 24)
+
+    def difference(u, c=None):  # u_k - u_l over rows :j1 and columns j0:j1, plus c: two exact products summed
+        a, b = np.stack([u[:j1], np.ones(j1)], axis=1), np.stack([np.ones(j1 - j0), -u[j0:j1]])
+        return gemm(1.0, a, b) if c is None else gemm(1.0, a, b, beta=1.0, c=c, overwrite_c=1)
+
+    w = difference((s - s_hi) * m + r, difference(s_hi * m))  # w_k - w_l
+    CC = gemm(1.0, np.stack([sigma[:j1], T[:j1]], axis=1), np.stack([T[j0:j1], -sigma[j0:j1]]))
+    with np.errstate(divide="ignore", invalid="ignore"):  # at k = l and between equal exponents, set below
+        CC /= w
+    del w
+    D = CC[j0:j1]
+    D[np.tri(j1 - j0, k=-1, dtype=bool)] = 0.0
+    np.fill_diagonal(D, (0.5 * length) ** 2 - Q[j0:j1])
+    k, l, S = pairs
+    close = slice(np.searchsorted(l, j0), np.searchsorted(l, j1))
+    CC[k[close], l[close] - j0] = S[close]
+    np.einsum("kd,ld->lk", rV[:j1].conj(), rV[j0:j1], out=out.T)  # einsum, not numpy's @ (see gram)
+    out *= CC
+    return out
+
+
 def defect_decay_fit(
     family: ExponentFamily,
     directions: DirectionAssignment,
@@ -308,9 +377,9 @@ def defect_decay_fit(
     The fitted quantity is max over k in the window of ||(Q_{r+R} - Id) e_k||.
     One row per R: ``R``, ``max_defect``, ``defect_squared``, its ``majorant``
     (``defect_majorant``) and ``below_majorant``; the summary is the fit.
-    The grids for increasing R are nested and centered on y, so the real
-    factor C of ``grid_cauchy_factors`` at r + max(R), squared once, serves
-    every R through a contiguous column block of ``projection_defect_norms``.
+    The grids for increasing R are nested and centered on y: each is a
+    contiguous block of the grid at r + max(R), whose out-of-grid energies
+    ``grid_cauchy_sums`` gives in O(n), so no factor C is built.
     Exactly representable families (defect at rounding level) short-circuit
     to the degenerate-zero-defect flag instead of fitting noise.
     """
@@ -324,13 +393,11 @@ def defect_decay_fit(
     window = _window(family, directions, y, r)
     _grid(interval, directions.d, y, r, Rs[0])  # names the least R if its grid is empty; the grids are nested
     grid = _grid(interval, directions.d, y, r, Rs[-1])
-    _, C = grid_cauchy_factors(window.family, grid)
-    energy = np.square(C, out=C)  # once for every R
     maxima = np.empty(Rs.size)
     for i, R in enumerate(Rs):
         cols = np.flatnonzero(np.abs(grid.frequencies - y) < r + R)  # FourierGrid.centered's test: not empty at Rs[0]
-        block = energy[:, cols[0] : cols[-1] + 1]
-        maxima[i] = projection_defect_norms(block, window.directions.matrix, interval).max()
+        *_, Q = grid_cauchy_sums(window.family, FourierGrid(interval, grid.d, grid.n_values[cols[0] : cols[-1] + 1]))
+        maxima[i] = _defect_norms(Q, window.directions.matrix, interval.length).max()
     rows = []
     for R, v in zip(Rs, maxima):
         square, majorant = float(v**2), defect_majorant(directions.d, interval, float(R))

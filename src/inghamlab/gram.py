@@ -11,8 +11,16 @@ exp(i*theta*t) over the interval in the same units.  An exponential Gram is
 float64 where it is real (centered, real U_k).  Inner products with the
 orthonormal Fourier grid on I, whose frequencies form an exact lattice, are
 a scaled Cauchy matrix; ``grid_cauchy_factors`` returns its real Cauchy
-factor and a row phase, never the complex n x p matrix itself, and
-``projection_defect_norms`` reads the defects off that real factor.
+factor C and a row phase, never the complex n x p matrix itself, and
+``grid_cauchy_sums`` its sums over the grid in closed form, O(n) per grid
+of consecutive frequencies: with C[k, g] = (sigma_k/s) / (u_k + m_k - g),
+the row sums T_k are differences of the digamma function and the
+out-of-grid energies Q_k trigamma tails, so a defect is the tail sum
+(4/|I|) ||U_k||^2 Q_k, and by partial fractions
+(C C^T)[k, l] = (sigma_l T_k - sigma_k T_l) / (w_l - w_k) off the diagonal
+and (|I|/2)^2 - Q_k on it.  Only the trace's cross-factor route builds C;
+for close pairs, where that quotient loses digits, the trace sums the rows
+of C it builds for them alone.
 ``extreme_eigenvalues`` reads the Hermitian matrix stored in a Gram's lower
 triangle, as its tridiagonal reduction does.
 
@@ -43,7 +51,7 @@ __all__ = [
     "exp_moments",
     "assemble_gram",
     "grid_cauchy_factors",
-    "projection_defect_norms",
+    "grid_cauchy_sums",
     "extreme_eigenvalues",
     "gated_cho_factor",
 ]
@@ -352,6 +360,18 @@ def assemble_gram(system, interval: IntervalSpec) -> np.ndarray:
     return K.T
 
 
+def _lattice_split(exponents: np.ndarray, interval: IntervalSpec):
+    """(m, r, rho) of ``grid_cauchy_factors``: w_k = gamma_{m_k} + r_k, gamma_m rounded as
+    ``FourierGrid.frequencies`` rounds it, and the row phase rho_k."""
+    L = interval.length
+    m = np.rint(exponents / (2.0 * math.pi / L))
+    gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of g = m
+    r = exponents - gamma_m
+    c = 0.5 * interval.a + 0.5 * interval.b
+    rho = (1.0 - 2.0 * (m % 2)) * (2.0 / math.sqrt(L)) * np.exp(1j * (r + gamma_m) * c)  # (-1)^m_k, floored
+    return m, r, rho
+
+
 def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.ndarray, np.ndarray]:
     """(rho, C), the factors of the cross matrix against the grid: no n x p array is formed.
 
@@ -375,14 +395,10 @@ def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.n
     energy sum_{g,j} |X[k, (g, j)]|^2 = (4/|I|) ||U_k||^2 sum_g C[k, g]^2,
     and conj(X) X^T = (conj(rho) rho^T) o (conj(U) U^T) o (C C^T).
     """
-    L, a = grid.interval.length, grid.interval.a
-    c, s = 0.5 * a + 0.5 * grid.interval.b, 2.0 * math.pi / L
-    m = np.rint(family.exponents / s)
-    gamma_m = 2.0 * math.pi * m / L  # FourierGrid.frequencies of g = m
-    r = family.exponents - gamma_m
-    rho = (1.0 - 2.0 * (m % 2)) * (2.0 / math.sqrt(L)) * np.exp(1j * (r + gamma_m) * c)  # (-1)^m_k, floored
+    L = grid.interval.length
+    m, r, rho = _lattice_split(family.exponents, grid.interval)
     C = np.subtract.outer(m, grid.n_values.astype(float))  # m_k - g, exact
-    C *= s
+    C *= 2.0 * math.pi / L
     C += r[:, None]
     near = np.flatnonzero(np.abs(r) * (0.5 * L) <= SMALL_PHASE)  # off g = m_k, |D_kg| >= s/2
     rows, cols = np.nonzero(grid.n_values == m[near, None])
@@ -393,17 +409,48 @@ def grid_cauchy_factors(family: ExponentFamily, grid: FourierGrid) -> tuple[np.n
     return rho, C
 
 
-def projection_defect_norms(C2: np.ndarray, directions: np.ndarray, interval: IntervalSpec) -> np.ndarray:
-    """Per-function norm of (Q - Id) e_k for Q the projection onto a Fourier grid.
+def grid_cauchy_sums(family: ExponentFamily, grid: FourierGrid):
+    """(rho, m, r, sigma, T, Q), the sums over g of ``grid_cauchy_factors``' C in closed form, O(n) for a
+    grid of consecutive frequencies g0..g1: per exponent the row phase rho_k, the split w_k = gamma_{m_k} + r_k,
+    the numerator sigma_k = sin(r_k*|I|/2), the row sum T_k = sum_g C[k, g] and the out-of-grid energy Q_k,
+    the sum of C[k, g]^2 over the lattice frequencies g off the grid.
 
-    ``C2`` holds the squares of the C of ``grid_cauchy_factors`` on the grid's
-    frequencies (a column block of them for a nested grid) and ``directions``
-    the unit rows U_k, so the captured coefficient energy is
-    (4/|I|) ||U_k||^2 sum_g C[k, g]^2.  Parseval on the full grid gives
-    ||e_k||^2 = |I|, so the defect is the complement of that energy.
+    With u_k = r_k/s and j = m_k - g over [a_k, b_k] = [m_k - g1, m_k - g0], C[k, g] = (sigma_k/s) / (u_k + j)
+    but at j = 0, the pole term C[k, m_k].  Each side of j = 0 sums to a difference of the digamma psi at
+    arguments >= 1/2, and each tail to a trigamma value psi_1(x) = zeta(2, x) (DLMF 5.7.6, 5.15.1):
+
+        T_k = (sigma_k/s) * (sum_{j=1..b} 1/(u+j) - sum_{i=1..-a} 1/(i-u)) + C[k, m_k],
+        Q_k = (sigma_k/s)^2 * (psi_1(b+1+u) + psi_1(1-a-u))
+
+    while m_k lies on the grid (a <= 0 <= b).  Off it (R < s/2 puts m_k one step outside a trace's grid)
+    the pole term leaves T and its square joins Q, with the terms between the grid and j = 0.  Over every
+    g the squares sum to (|I|/2)^2 (Parseval), so sum_g C[k, g]^2 = (|I|/2)^2 - Q_k, and the partial
+    fractions 1/(D_kg D_lg) = (1/D_kg - 1/D_lg) / (D_lg - D_kg) give
+    (C C^T)[k, l] = (sigma_l T_k - sigma_k T_l) / (w_l - w_k) for w_l != w_k, with
+    w_l - w_k = s*(m_l - m_k) + (r_l - r_k), the difference in the rounded lattice that every D_kg is in.
     """
-    captured = np.sum(C2, axis=1) * (4.0 / interval.length) * np.sum(directions.real**2 + directions.imag**2, axis=1)
-    return np.sqrt(np.clip(interval.length - captured, 0.0, None))
+    from scipy.special import psi, zeta  # deferred, as in ``analysis.defect_majorant``
+
+    g = grid.n_values
+    if np.any(np.diff(g) != 1):
+        raise ValueError("grid frequencies must be consecutive")
+    L = grid.interval.length
+    s = 2.0 * math.pi / L
+    m, r, rho = _lattice_split(family.exponents, grid.interval)
+    sigma, u = np.sin(r * (0.5 * L)), r / s
+    a, b = m - g[-1], m - g[0]
+    pole = np.full(r.shape, 0.5 * L)
+    np.divide(sigma, r, out=pole, where=np.abs(r) * (0.5 * L) > SMALL_PHASE)
+    on = (a <= 0) & (b >= 0)
+    up, down = np.maximum(a, 1), np.maximum(-b, 1)  # the least j >= 1 and the least -j >= 1 on the grid
+    sums = psi(np.maximum(b, up - 1) + 1 + u) - psi(up + u)  # j = up..b, 0 when empty
+    sums -= psi(np.maximum(-a, down - 1) + 1 - u) - psi(down - u)  # j = a..-down
+    T = sums * (sigma / s) + np.where(on, pole, 0.0)
+    tails = zeta(2, np.maximum(b, 0) + 1 + u) + zeta(2, 1 - np.minimum(a, 0) - u)  # j > max(b, 0), j < min(a, 0)
+    for gap, sign in ((a > 1, 1.0), (b < -1, -1.0)):  # j = 1..a-1 or b+1..-1: between the grid and j = 0
+        tails[gap] += zeta(2, 1 + sign * u[gap]) - zeta(2, np.where(gap, up, down)[gap] + sign * u[gap])
+    Q = tails * (sigma / s) ** 2 + np.where(on, 0.0, pole**2)
+    return rho, m, r, sigma, T, Q
 
 
 def _extreme_spectrum(A: np.ndarray, vectors: bool, overwrite: bool = False):
@@ -448,6 +495,17 @@ def _extreme_spectrum(A: np.ndarray, vectors: bool, overwrite: bool = False):
     return values, V
 
 
+def _real_lower(G: np.ndarray) -> bool:
+    """Whether the strict lower triangle of a complex G is exactly real, scanned by column blocks of 128
+    (an n x 128 boolean at a time, no n x n one), stopping at the first block with an imaginary part."""
+    n, imag = G.shape[0], G.imag  # a strided view
+    for j0 in range(0, n, 128):
+        j1 = min(j0 + 128, n)
+        if np.tril(imag[j0:j1, j0:j1], -1).any() or imag[j1:, j0:j1].any():
+            return False
+    return True
+
+
 def extreme_eigenvalues(G, overwrite: bool = False) -> tuple[float, float]:
     """(lambda_min, lambda_max) of the Hermitian matrix stored in G's lower triangle, residual-verified.
 
@@ -472,7 +530,7 @@ def extreme_eigenvalues(G, overwrite: bool = False) -> tuple[float, float]:
     diagonal saved before it.  The values are the same either way.
     """
     G = np.asarray(G)
-    A = G.real if np.iscomplexobj(G) and not np.tril(G.imag, -1).any() else G
+    A = G.real if np.iscomplexobj(G) and _real_lower(G) else G
     top = float(np.max(np.abs(A.diagonal())))
     k = 0 if top == 0.0 or 2.0**-300 <= top <= 2.0**300 else -int(np.frexp(top)[1])
     if k:

@@ -28,7 +28,8 @@ one with its sin(x)/x by a masked division, and the DD moments with every
 Legendre order summed on every element (the kernel's own formulas, without
 its triangle, real dtype, in-place sinc or skipped zero orders), the
 decay-constant check, the complex cross matrix built from the lattice factors
-with its defect norms, both trace routes through the explicit inverse of that
+with its defect norms, the sums over the explicit Cauchy factor (its row sums,
+out-of-grid energies, ``syrk`` cross Gram and defect norms), both trace routes through the explicit inverse of that
 complex Gram and route one in mpmath, the counting-inequality check, and the
 re-parse of an artifact's config echo.
 """
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scipy.linalg import cho_solve
+from scipy.linalg import blas, cho_solve
 from scipy.signal.windows import dpss
 
 from inghamlab.analysis import GridPointFailure, _trace_routes
@@ -235,6 +236,24 @@ def grid_coefficient_exact(w, n, interval, digits: int = 40) -> complex:
         theta = mpmath.mpf(float(w)) - 2 * mpmath.pi * int(n) / (b - a)
         integral = b - a if theta == 0 else (mpmath.expj(theta * b) - mpmath.expj(theta * a)) / (1j * theta)
         return complex(integral / mpmath.sqrt(b - a))
+
+
+def defect_norms_exact(family, directions, grid, digits: int = 30) -> np.ndarray:
+    """||(Q - Id) e_k|| in mpmath on the exact lattice, from the float exponents, directions and |I| taken
+    as exact: sqrt(|I| - (4/|I|) ||U_k||^2 sum_g sin(D_kg |I|/2)^2 / D_kg^2), D_kg = w_k - 2*pi*g/|I|,
+    with |I| = ||e_k||^2 for unit U_k, as the pipeline takes it."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        L = mpmath.mpf(float(grid.interval.length))
+        gamma = [2 * mpmath.pi * int(g) / L for g in grid.n_values]
+        out = []
+        for w, U in zip(family.exponents, directions.matrix):
+            norm2 = mpmath.fsum(mpmath.mpf(float(z.real)) ** 2 + mpmath.mpf(float(z.imag)) ** 2 for z in U)
+            D = [mpmath.mpf(float(w)) - g for g in gamma]
+            energy = mpmath.fsum(L**2 / 4 if x == 0 else mpmath.sin(x * L / 2) ** 2 / x**2 for x in D)
+            out.append(float(mpmath.sqrt(max(L - 4 / L * norm2 * energy, 0))))
+        return np.array(out)
 
 
 def grid_system(grid: FourierGrid) -> ExponentialSystem:
@@ -648,6 +667,37 @@ def cross_defect_norms(X, interval) -> np.ndarray:
     """Per-row norm of (Q - Id) e_k from a complex cross matrix X: sqrt(|I| - sum_a |X[k, a]|^2)."""
     captured = np.sum(np.abs(X) ** 2, axis=1)
     return np.sqrt(np.clip(interval.length - captured, 0.0, None))
+
+
+def projection_defect_norms(C2: np.ndarray, directions: np.ndarray, interval: IntervalSpec) -> np.ndarray:
+    """Per-function norm of (Q - Id) e_k for Q the projection onto a Fourier grid, from the explicit factor.
+
+    ``C2`` holds the squares of the C of ``grid_cauchy_factors`` on the grid's
+    frequencies and ``directions`` the unit rows U_k, so the captured coefficient
+    energy is (4/|I|) ||U_k||^2 sum_g C[k, g]^2; Parseval on the full grid gives
+    ||e_k||^2 = |I|, so the defect is the complement of that energy, apart from
+    the closed-form tail sum of ``grid_cauchy_sums``.
+    """
+    captured = np.sum(C2, axis=1) * (4.0 / interval.length) * np.sum(directions.real**2 + directions.imag**2, axis=1)
+    return np.sqrt(np.clip(interval.length - captured, 0.0, None))
+
+
+def explicit_cauchy_sums(family, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, Q, CC) from the explicit n x card(grid) factor C of ``grid_cauchy_factors``: the row sums
+    T = sum_g C, the out-of-grid energies Q = (|I|/2)^2 - sum_g C^2 and C C^T from one BLAS ``syrk`` in
+    the upper triangle (0 below), apart from the closed forms of ``grid_cauchy_sums``."""
+    _, C = grid_cauchy_factors(family, grid)
+    CC = blas.get_blas_funcs("syrk", (C,))(1.0, C.T, trans=1, lower=0)
+    return np.sum(C, axis=1), (0.5 * grid.interval.length) ** 2 - np.sum(C**2, axis=1), CC
+
+
+def cross_gram_upper(family, directions, grid) -> np.ndarray:
+    """The upper triangle of P = conj(X) X^T = (conj(rho) rho^T) o (conj(U) U^T) o (C C^T), 0 below, with
+    C C^T from ``explicit_cauchy_sums``' ``syrk``: the cross Gram as the trace formed it from the
+    explicit factor, before its closed form."""
+    rho, _ = grid_cauchy_factors(family, grid)
+    rU = directions.matrix * rho[:, None]
+    return np.einsum("kd,ld->kl", rU.conj(), rU) * explicit_cauchy_sums(family, grid)[2]
 
 
 def _trace_window(family, directions, y, r) -> ExponentialSystem:

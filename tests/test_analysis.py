@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack as scipy_lapack
 
 from inghamlab import analysis
 from inghamlab.analysis import (
@@ -36,19 +37,23 @@ from inghamlab.gram import (
     extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
-    projection_defect_norms,
+    grid_cauchy_sums,
 )
 
 from oracles import (
     coset_spectrum,
     cross_defect_norms,
+    cross_gram_upper,
     cross_inner_matrix,
     dd_threshold_check,
     defect_majorant_series,
+    defect_norms_exact,
     density_chain_check,
+    explicit_cauchy_sums,
     hermitian_2x2_eigs,
     lattice_spectrum,
     power_extremes,
+    projection_defect_norms,
     trace_by_inverse,
     trace_exact,
 )
@@ -236,6 +241,25 @@ class TestExtremeEigenvalues:
             if block != slice(0, n):  # a strided view is reduced in a copy
                 assert extreme_eigenvalues(section, overwrite=True) == clean
         assert np.array_equal(G, kept)
+
+    def test_complex_read_holds_no_second_array(self):
+        # a complex Gram handed over is reduced in its own buffer, and whether it is real-valued
+        # is read by column blocks of its strict lower triangle: measured at n = 1025 (random
+        # d = 2), a peak of 0.57 MB against hetrd's 0.52 MB workspace, where the n x n test
+        # np.tril(G.imag, -1) took 9.5 MB
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
+        G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=3)), IntervalSpec(-2.5, 2.5))
+        n = G.shape[0]
+        assert (n, G.dtype, G.flags.f_contiguous) == (1025, np.complex128, True)
+        extreme_eigenvalues(G.copy(order="F"), overwrite=True)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            extreme_eigenvalues(G, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lwork, _ = scipy_lapack.zhetrd_lwork(n, lower=1)
+        assert peak <= 16 * int(np.real(lwork)) + 2 * 2**20
 
 
 class TestFrameBoundSequence:
@@ -743,10 +767,10 @@ class TestTraceExperiment:
         assert row["trace_im"] == 0.0
 
     def test_peak_memory_below_one_cross_matrix(self):
-        # with p >= 4n the trace holds the real factor C (8 n p/d bytes) and
-        # n x n buffers, never a complex n x p one: measured peak 3.4 G =
-        # 16 n p - 0.6 G (G = 16 n^2 bytes; the gate sets it), where the complex
-        # cross matrix X and its Fortran copy took 16 n p + 5.1 G (n = 200, p = 814)
+        # with p >= 4n the trace holds n x n buffers and one column block of P (all n
+        # columns here, n < TRACE_SOLVE_BLOCK), never a complex n x p one: measured peak
+        # 4.1 G = 16 n p + 0.0 G (G = 16 n^2 bytes), where the complex cross matrix X
+        # and its Fortran copy took 16 n p + 5.1 G (n = 200, p = 814)
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -763,15 +787,15 @@ class TestTraceExperiment:
         assert peak <= 16 * n * p + 2 * 16 * n * n
 
     def test_peak_memory_two_cross_matrices(self):
-        # the dense work holds about three n x n buffers at a time. Up to the
-        # gate: the V_r Gram, C C^T and P = (conj(rho V) (rho V)^T) o (C C^T),
-        # C C^T freed before the gate (p >= n here). The gate: the Gram, P and
-        # the gate's Fortran copy, which becomes U, with one column block of |U|
-        # for the bound (a fallback adds a fresh copy for the shifted
-        # certificate). The sums: G, P - G in P's buffer and G^-1 in U's, with
-        # an n x n boolean mask. Measured (n = 301, p = 966): 2.6, 3.2 and 3.1 G
-        # per stage, a peak of 3.2 G at the gate; a complex n x p cross matrix X
-        # and one copy of it (16 n p bytes each) on top of that work break the bound
+        # the dense work holds two n x n buffers and one column block of P. Up to
+        # the gate: the V_r Gram (1.5 G at the assembly's row blocks). The gate:
+        # the Gram and the gate's Fortran copy, which becomes U, with one column
+        # block of |U| for the bound (a fallback adds a fresh copy for the shifted
+        # certificate). The sums: G, G^-1 in U's buffer, and a column block of
+        # P = (conj(rho V) (rho V)^T) o (C C^T), then P - G in place, with its closed-form
+        # C C^T. Measured (n = 301, p = 966): a peak of 3.6 G in the sums, where the
+        # 256-column block is all of P; a complex n x p cross matrix X and one copy
+        # of it (16 n p bytes each) on top of that work break the bound
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -790,11 +814,11 @@ class TestTraceExperiment:
 
     def test_peak_memory_cross_factor(self, monkeypatch):
         # p < n: X' is the cross factor W itself, built after the gate, once G is
-        # freed, in one F-ordered n x p buffer from a regenerated C and scaled in
-        # place. The trace holds G and C (8 n p/d bytes) up to the gate, and U, W and
-        # one column block of W after it, never a second n x p array beside them:
-        # measured (n = 301, p = 298, complex) G + 0.53 G up to the gate's entry and
-        # a peak of U + 2 W + 0.02 G, where a copy of W adds 16 n p bytes
+        # freed, in one F-ordered n x p buffer from C and scaled in place. The trace
+        # holds G up to the gate, and U, W and one column block of W after it, never
+        # a second n x p array beside them: measured (n = 301, p = 298, complex)
+        # G + 0.53 G up to the gate's entry and a peak of U + 2 W + 0.05 G, where a
+        # copy of W adds 16 n p bytes
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-200, 200], seed=4)
         dirs = DirectionAssignment.random(fam, 2, seed=4)
@@ -815,6 +839,36 @@ class TestTraceExperiment:
         assert entry[0][0] <= g_bytes + x_bytes + g_bytes // 20  # the gate sees at most G and X'
         assert entry[0][1] <= g_bytes + x_bytes + c_bytes + g_bytes // 2
         assert peak <= g_bytes + 2 * x_bytes + c_bytes
+
+    @pytest.mark.parametrize("rule", ["random", "constant"])
+    def test_peak_memory_independent_of_grid(self, rule, monkeypatch):
+        # p >= n: the inverse route holds G, the gate's factor (then G^-1 in place) and one column
+        # block of P with its closed-form C C^T, never the factor C nor an n x n P. At block width
+        # 32 (n = 301) the peak is 2 G + 4.3 (complex) or 2.1 (real) units of 16 n 32 bytes at
+        # p = 966, and p = 8402 adds 26-30 kB of vectors as long as the grid, where the explicit
+        # factor C took 2.4 kB per grid frequency (peaks of 3.2 G and 8.5 G, complex)
+        monkeypatch.setattr(analysis, "TRACE_SOLVE_BLOCK", 32)
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs = DirectionAssignment.random(fam, 2, seed=4) if rule == "random" else DirectionAssignment.constant(fam, 2)
+        I = IntervalSpec(0.0, 8.0)
+        names, refactored = lapack_spy(monkeypatch), cho_factor_spy(monkeypatch)
+        peaks, cards = [], []
+        for R in (40.0, 1500.0):
+            run_trace_experiment(fam, dirs, I, 0.0, 150.0, R)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                [row], _ = run_trace_experiment(fam, dirs, I, 0.0, 150.0, R)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            cards.append(row["card_gamma"])
+        assert names == ["potri"] * 4 and refactored == []  # the inverse route throughout
+        n = row["card_omega_r"]
+        assert (n, *cards) == (301, 483, 4201)
+        g_bytes = n * n * (16 if rule == "random" else 8)
+        assert max(peaks) <= 2 * g_bytes + 8 * 16 * n * 32
+        assert peaks[1] - peaks[0] <= 64 * (cards[1] - cards[0])
 
     def test_degenerate_span_rejected(self, monkeypatch):
         # p = 23 >= n = 3, but G is singular: the gate rejects it before potri
@@ -856,6 +910,90 @@ class TestTraceExperiment:
         assert row["card_omega_r"] == len(self.fam) - 4
 
 
+@st.composite
+def cauchy_cases(draw):
+    """(window family, directions, grid) on a centered interval, d = 1..3, with real or complex directions:
+    perturbed lattices, the exact lattice (every r_k = 0) and clustered pairs with delta in [1e-8, 1e-2],
+    near 0 or near 600, and half of the radii R below s/2, where m_k may lie one step off the grid."""
+    d, length, offset = draw(st.integers(1, 3)), draw(st.floats(1.0, 10.0)), draw(st.sampled_from([0.0, 600.0]))
+    s = TWO_PI / length
+    kind = draw(st.sampled_from(["perturbed", "lattice", "pairs"]))
+    if kind == "lattice":  # gamma_m as FourierGrid.frequencies rounds it
+        m0 = round(offset / s)
+        x = 2.0 * math.pi * np.arange(m0 - 60, m0 + 61) / length
+    elif kind == "pairs":
+        base = offset + np.arange(-20, 21) * draw(st.floats(1.0, 3.0))
+        x = np.sort(np.concatenate([base, base + 10.0 ** draw(st.floats(-8.0, -2.0))]))
+    else:
+        x = offset + generate_family("perturbed-lattice", spacing=draw(st.floats(0.3, 2.0)), max_perturbation=0.2,
+                                     window=[-40, 40], seed=draw(st.integers(0, 999))).exponents
+    y, r = offset + draw(st.floats(-3.0, 3.0)), draw(st.floats(3.0, 15.0))
+    R = draw(st.floats(0.01, 0.49)) * s if draw(st.booleans()) else draw(st.floats(0.05, 30.0))
+    inside = np.flatnonzero(np.abs(x - y) < r)
+    assume(inside.size >= 2)
+    fam = ExponentFamily(x[inside])
+    Z = np.random.default_rng(draw(st.integers(0, 999))).normal(size=(len(fam), d, 2))
+    U = Z[..., 0] + 1j * Z[..., 1] if draw(st.booleans()) else Z[..., 0]
+    dirs = DirectionAssignment(d, U / np.linalg.norm(U, axis=1, keepdims=True))
+    return fam, dirs, FourierGrid.centered(IntervalSpec.of_length(length, -0.5 * length), d, y, r + R)
+
+
+# largest error of the closed forms against the explicit factor C, in units of 2^-52 times each
+# quantity's scale: sum_g |C[k, g]| for T, (|I|/2)^2 for Q, |I| for squared defects and P;
+# measured over the 300 draws of ``cauchy_cases`` (see its test)
+CAUCHY_ULPS = {"T": 4.0, "Q": 8.0, "defect": 8.0, "P": 8.0}
+
+
+def cauchy_errors(fam, dirs, grid) -> dict:
+    """The errors of ``grid_cauchy_sums``' T and Q, the trace's squared defects and the upper triangle of
+    its cross Gram P, formed in column blocks of 7, against the explicit factor C, in ``CAUCHY_ULPS``' units."""
+    L, n, eps = grid.interval.length, len(fam), 2.0**-52
+    rho, *sums = grid_cauchy_sums(fam, grid)
+    T, Q = sums[3], sums[4]
+    T0, Q0, _ = explicit_cauchy_sums(fam, grid)
+    _, C = grid_cauchy_factors(fam, grid)
+    V = dirs.matrix if np.any(dirs.matrix.imag) else dirs.matrix.real
+    P, pairs = np.zeros((n, n), dtype=V.dtype, order="F"), analysis._close_pairs(fam, grid)
+    for j0 in range(0, n, 7):
+        j1 = min(j0 + 7, n)
+        analysis._cross_gram_block(V * rho.real[:, None], sums, pairs, L, j0, j1, out=P[:j1, j0:j1])
+    defects = analysis._defect_norms(Q, dirs.matrix, L)
+    defects0 = projection_defect_norms(C**2, dirs.matrix, grid.interval)
+    return {"T": np.max(np.abs(T - T0) / np.sum(np.abs(C), axis=1)) / eps,
+            "Q": np.max(np.abs(Q - Q0)) / (eps * (L / 2) ** 2),
+            "defect": np.max(np.abs(defects**2 - defects0**2)) / (eps * L),
+            "P": np.max(np.abs(np.triu(P - cross_gram_upper(fam, dirs, grid)))) / (eps * L)}
+
+
+class TestGridCauchySums:
+    """The closed forms of ``grid_cauchy_sums`` and the trace's cross Gram P against the explicit
+    factor C of ``grid_cauchy_factors``: its row sums, squares and ``syrk`` C C^T."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=cauchy_cases())
+    def test_closed_forms_match_explicit_factor(self, case):
+        # measured on these 300 draws (42 with an exponent off the grid, 90 on the exact lattice,
+        # 236 with close pairs, 60 with a pair closer than 1e-6): at most 1.9 units for T, 2.9
+        # for Q, 3.3 for the squared defects and 4.5 for P
+        errors = cauchy_errors(*case)
+        assert all(errors[key] <= bound for key, bound in CAUCHY_ULPS.items()), errors
+
+    def test_off_grid_energy_matches_mpmath(self):
+        # R = 0.1 < s/2 on |I| = 8: w = +-5.2 lies inside r = 5.3, but its nearest lattice
+        # frequency gamma_7 = 5.50 lies outside the grid |gamma| < 5.4, so Q takes the pole term
+        # and the terms between the grid and j = 0 (measured: 1.7 units of 2^-52 from mpmath, relative)
+        fam = ExponentFamily(np.array([-5.2, -1.0, 0.7, 5.2]))
+        dirs = DirectionAssignment.constant(fam, 1)
+        grid = FourierGrid.centered(IntervalSpec(-4.0, 4.0), 1, 0.0, 5.4)
+        _, m, _, _, T, Q = grid_cauchy_sums(fam, grid)
+        assert list(m[[0, -1]]) == [-7, 7] and grid.n_values[[0, -1]].tolist() == [-6, 6]
+        T0, Q0, _ = explicit_cauchy_sums(fam, grid)
+        assert np.max(np.abs(T - T0)) <= 4 * 2.0**-52 * 4.0**2
+        assert np.max(np.abs(Q - Q0)) <= 8 * 2.0**-52 * 4.0**2
+        exact = defect_norms_exact(fam, dirs, grid)
+        assert np.max(np.abs(analysis._defect_norms(Q, dirs.matrix, 8.0) - exact) / exact) <= 4 * 2.0**-52
+
+
 class TestDefectDecay:
     def setup_method(self):
         self.I = IntervalSpec(0, TWO_PI)
@@ -877,10 +1015,11 @@ class TestDefectDecay:
             assert row["max_defect"] ** 2 <= defect_majorant(1, self.I, row["R"])
 
     def test_maxima_match_per_R_cross_matrices(self):
-        # the column blocks of the one factor C at r + max(R) reproduce, bit
-        # for bit, the defects of a factor built on FourierGrid.centered per R;
-        # the complex cross matrix's defects sqrt(|I| - sum |X|^2) agree to
-        # rounding in the squared defect (measured: 4.0 units of 2^-52 |I|)
+        # each R's closed-form defects match those of an explicit factor C built on
+        # FourierGrid.centered per R to rounding in the squared defect, as the complex
+        # cross matrix's defects sqrt(|I| - sum |X|^2) do (measured: 4.0 units of
+        # 2^-52 |I|), and they sit within 7.4e-16 of mpmath, where the explicit
+        # factor's |I| - captured read up to 7.7e-15 off
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
                               window=[-60, 60], seed=2)
         dirs = DirectionAssignment.random(fam, 2, seed=1)
@@ -895,9 +1034,31 @@ class TestDefectDecay:
             grid = FourierGrid.centered(I, 2, y, r + R)
             _, C = grid_cauchy_factors(sub, grid)
             defects = projection_defect_norms(C**2, sdirs.matrix, I)
-            assert got == defects.max()
+            assert abs(got**2 - defects.max() ** 2) <= 8 * 2.0**-52 * I.length
             oracle = cross_defect_norms(cross_inner_matrix(sub, sdirs, grid), I)
             assert np.max(np.abs(defects**2 - oracle**2)) <= 8 * 2.0**-52 * I.length
+            assert abs(got - defect_norms_exact(sub, sdirs, grid).max()) <= 2e-15
+
+    def test_peak_memory_independent_of_grid(self):
+        # each R reads O(n) closed-form out-of-grid energies, never an n x card factor: measured
+        # (n = 301) 75 kB at max(R) = 40 and 138 kB at max(R) = 1500, where the explicit factor
+        # C at r + max(R) took 1.3 and 10.2 MB
+        fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2,
+                              window=[-200, 200], seed=4)
+        dirs, I = DirectionAssignment.random(fam, 2, seed=4), IntervalSpec(0.0, 8.0)
+        peaks = []
+        for top in (40.0, 1500.0):
+            Rs = [5.0, 10.0, 20.0, top]
+            defect_decay_fit(fam, dirs, I, 0.0, 150.0, Rs)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                defect_decay_fit(fam, dirs, I, 0.0, 150.0, Rs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cards = [FourierGrid.centered(I, 2, 0.0, 150.0 + top).n_values.size for top in (40.0, 1500.0)]
+        assert cards == [483, 4201]
+        assert peaks[1] - peaks[0] <= 64 * (cards[1] - cards[0])
 
     @pytest.mark.parametrize("Rs", [[1.0, 2.0, 3.0, 4.0], [0.25, 0.5, 1.0, 2.0]])
     def test_empty_grid_names_first_R(self, Rs):

@@ -34,7 +34,6 @@ from inghamlab.gram import (
     extreme_eigenvalues,
     gated_cho_factor,
     grid_cauchy_factors,
-    projection_defect_norms,
 )
 
 from oracles import (
@@ -58,6 +57,7 @@ from oracles import (
     nodes as node_sets,
     pair_switches,
     profile_terms,
+    projection_defect_norms,
     vector_inner,
 )
 
