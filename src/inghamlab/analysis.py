@@ -105,9 +105,9 @@ def frame_bound_sequence(
     and the length's stability ``verdict``.  ``directions`` assigns one
     vector per family position.  The Gram is assembled once at the largest
     N; each smaller truncation is its centered principal submatrix, so the
-    sections interlace.  Each read is handed its block to reduce in place
-    (``overwrite``): each smaller one as one F-ordered copy, the full one, G
-    itself, last, so a length holds one n x n array.  Only spectra are read,
+    sections interlace.  Each read takes its block over: each smaller one, a
+    strided view, as one F-ordered copy, the full one, G itself, last and in
+    place, so a length holds one n x n array.  Only spectra are read,
     and translating the interval is a diagonal unitary similarity, so only
     ``interval.length`` is used: the Gram is assembled on the interval of that
     length centered at 0, where it is real symmetric whenever the directions
@@ -125,7 +125,7 @@ def frame_bound_sequence(
     for N in sizes:
         block = slice(N_max - N, N_max + N + 1)
         try:
-            spectra.append(extreme_eigenvalues(np.asfortranarray(G[block, block]), overwrite=True))
+            spectra.append(extreme_eigenvalues(G[block, block]))
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at N={N}: {exc}") from exc
     verdict = _stability_verdict(sizes, *zip(*spectra))
@@ -450,11 +450,11 @@ def conditioning_comparison(
         try:
             fam = generate_family("clustered-pairs", spacing=spacing, delta=delta, window=list(window))
             dirs = DirectionAssignment.constant(fam, 1)
-            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered), overwrite=True)
+            lo, hi = extreme_eigenvalues(assemble_gram(ExponentialSystem(fam, dirs), centered))
             dd_system = DividedDifferenceSystem(fam, detect_chains(fam, gamma_prime, M), dirs, normalize=normalize_dd)
             with np.errstate(over="raise"):  # a raw DD Gram, about |I| / delta^2, can exceed the doubles
                 G_dd = assemble_gram(dd_system, interval)
-            lo_dd, hi_dd = extreme_eigenvalues(G_dd, overwrite=True)
+            lo_dd, hi_dd = extreme_eigenvalues(G_dd)
         except (ValueError, ArithmeticError) as exc:
             raise GridPointFailure(f"at delta={delta:.6g}: {exc}") from exc
         cond_raw = "overflow" if lo <= EIGEN_FLOOR_RTOL * hi else hi / lo

@@ -438,7 +438,6 @@ def _run_density(config: ExperimentConfig):
 
 def _run_gram(config: ExperimentConfig):
     G = assemble_gram(ExponentialSystem(config.exponent_family, config.direction_assignment), config.interval_spec)
-    lo, hi = extreme_eigenvalues(G)
     n = G.shape[0]
     # "+ 0.0" writes an exact zero as 0.0: the sign of a zero tells only how the entry was formed
     rows = [
@@ -447,6 +446,7 @@ def _run_gram(config: ExperimentConfig):
         for k in range(n)
     ]
     residual = float(np.max(np.abs(G - G.conj().T)))
+    lo, hi = extreme_eigenvalues(G)  # last: the read takes G over
     summary = {"n": n, "lambda_min": lo, "lambda_max": hi, "hermiticity_residual": residual}
     return rows, summary
 

@@ -21,8 +21,8 @@ out-of-grid energies Q_k trigamma tails, so a defect is the tail sum
 and (|I|/2)^2 - Q_k on it.  Only the trace's cross-factor route builds C;
 for close pairs, where that quotient loses digits, the trace sums the rows
 of C it builds for them alone.
-``extreme_eigenvalues`` reads the Hermitian matrix stored in a Gram's lower
-triangle, as its tridiagonal reduction does.
+``extreme_eigenvalues`` takes over the Gram it reads: its tridiagonal
+reduction runs in the lower triangle, and its residual check reads the upper.
 
 Gram entries follow the quadratic-form convention
 ``G[j, k] = (f_k, f_j)`` (second argument conjugated), so
@@ -453,37 +453,33 @@ def grid_cauchy_sums(family: ExponentFamily, grid: FourierGrid):
     return rho, m, r, sigma, T, Q
 
 
-def _extreme_spectrum(A: np.ndarray, vectors: bool, overwrite: bool = False):
-    """(lambda_0, lambda_{n-1}) of a real symmetric or complex Hermitian matrix, and their eigenvectors.
+def _extreme_spectrum(A: np.ndarray):
+    """(lambda_0, lambda_{n-1}) and their eigenvectors of the Hermitian matrix in A's lower triangle.
 
-    Reads the lower triangle.  One blocked Householder reduction A = Q T Q^H
-    (``sytrd``/``hetrd``; with ``overwrite`` in A's own buffer when f2py can use it, whose
-    diagonal and lower triangle then hold T and the reflectors) gives a real tridiagonal
-    T.  Bisection (``stebz``) takes index 1
-    of T and of -T: on index n of T a top cluster of rounding width, as in the Parseval
-    Gram 2*pi*I, fails (info 2).  When ``vectors`` is true one inverse iteration (``stein``)
-    gives both tridiagonal eigenvectors, which are taken back through the reflectors: with
-    the lower storage Q acts as I (+) the QR factor stored below the subdiagonal, so
-    ``ormqr``/``unmqr`` on an F-contiguous alias of it (no copy: no n x n array but the
-    reduction's) does what LAPACK's ``ormtr`` would.  Returns ``(values, V)``, V of
-    shape (n, 2) in the dtype of A, or None when ``vectors`` is false.
+    One blocked Householder reduction A = Q T Q^H (``sytrd``/``hetrd``, in A's own buffer when f2py
+    can use it, whose diagonal and lower triangle then hold T and the reflectors) gives a real
+    tridiagonal T.  Bisection (``stebz``) takes index 1 of T and of -T: on index n of T a top
+    cluster of rounding width, as in the Parseval Gram 2*pi*I, fails (info 2).  One inverse
+    iteration (``stein``) gives both tridiagonal eigenvectors, which are taken back through the
+    reflectors: with the lower storage Q acts as I (+) the QR factor stored below the subdiagonal,
+    so ``ormqr``/``unmqr`` on an F-contiguous alias of it (no copy: no n x n array but the
+    reduction's) does what LAPACK's ``ormtr`` would.  Returns ``(values, V)``, V of shape (n, 2)
+    in the dtype of A.
     """
     n = A.shape[0]
     if n == 1:
-        return np.full(2, A[0, 0].real), np.ones((1, 2), dtype=A.dtype) if vectors else None
+        return np.full(2, A[0, 0].real), np.ones((1, 2), dtype=A.dtype)
     if np.iscomplexobj(A):
         trd, trd_lwork, mqr = lapack.zhetrd, lapack.zhetrd_lwork, lapack.zunmqr
     else:
         trd, trd_lwork, mqr = lapack.dsytrd, lapack.dsytrd_lwork, lapack.dormqr
     lwork, _ = trd_lwork(n, lower=1)  # the default lwork runs the unblocked reduction, about 1.5x slower
-    c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)), overwrite_a=overwrite)
+    c, d, e, tau, _ = trd(A, lower=1, lwork=int(np.real(lwork)), overwrite_a=1)
     (_, low, block, split, info), (_, high, top, _, info_top) = (
         lapack.dstebz(sign * d, e, 2, 0.0, 0.0, 1, 1, 0.0, "B") for sign in (1.0, -1.0))
     if info or info_top:
         raise ArithmeticError(f"tridiagonal bisection failed (info {info}, {info_top})")
     values = np.array([low[0], -high[0]])
-    if not vectors:
-        return values, None
     order = [0, 1] if block[0] <= top[0] else [1, 0]  # stein's values run block by block
     block[:2] = np.array([block[0], top[0]])[order]
     z, info = lapack.dstein(d, e, values[order], block, split)
@@ -506,48 +502,44 @@ def _real_lower(G: np.ndarray) -> bool:
     return True
 
 
-def extreme_eigenvalues(G, overwrite: bool = False) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of the Hermitian matrix stored in G's lower triangle, residual-verified.
+def extreme_eigenvalues(G) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a Hermitian G, residual-verified; the read takes G over.
 
-    The strict upper triangle is never read, as in ``_extreme_spectrum``:
-    ``assemble_gram`` mirrors it from the lower one, so every Gram is exactly
-    Hermitian.  A float64 matrix, or a complex one whose strict
-    lower triangle is exactly real (a DD Gram with real directions on an
-    interval centered at 0), is solved in real arithmetic; any other stays
-    complex.  The two extreme eigenpairs of ``_extreme_spectrum`` are checked
-    against that matrix under the residual contract
-    ||G v - lambda v|| <= EIGEN_RESIDUAL_RTOL ||G||.  When G's largest
-    |diagonal| lies outside [2^-300, 2^300], where squared entries overflow
-    (stebz's bisection fails) or underflow (the contract fails), the read is
-    of 2^k G, the power of two from ``np.frexp`` that brings it to [1/2, 1),
-    and the values are scaled back exactly.
-
-    With ``overwrite`` the caller hands G over, holding the Hermitian matrix in
-    both triangles as every ``assemble_gram`` Gram does: the reduction runs in
-    G's buffer when it is F-contiguous in the solved dtype (else in one F-ordered
-    copy), so a read holds no second n x n array, and the contract is read from
-    the strict upper triangle, which the reduction leaves as it was, and the
-    diagonal saved before it.  The values are the same either way.
+    G holds the Hermitian matrix in both triangles, as every ``assemble_gram``
+    Gram does.  A float64 matrix, or a complex one whose strict lower triangle
+    is exactly real (a DD Gram with real directions on an interval centered
+    at 0), is solved in real arithmetic; any other stays complex.  The
+    reduction of ``_extreme_spectrum`` runs in G's buffer when it is
+    F-contiguous in the solved dtype (else in one F-ordered copy), so a read
+    holds no second n x n array, and leaves T and its reflectors in G's lower
+    triangle.  The two extreme eigenpairs are checked against the strict
+    upper triangle, which the reduction leaves as it was, and the diagonal
+    saved before it, under the residual contract
+    ||G v - lambda v|| <= EIGEN_RESIDUAL_RTOL ||G||, which a NaN fails.  When
+    G's largest |diagonal| lies outside [2^-300, 2^300], where squared
+    entries overflow (stebz's bisection fails) or underflow (the contract
+    fails), the read is of 2^k G, scaled in the same buffer by the power of
+    two from ``np.frexp`` that brings it to [1/2, 1), and the values are
+    scaled back exactly.
     """
     G = np.asarray(G)
     A = G.real if np.iscomplexobj(G) and _real_lower(G) else G
+    A = np.asfortranarray(A)  # no copy when G is F-ordered in the solved dtype
     top = float(np.max(np.abs(A.diagonal())))
     k = 0 if top == 0.0 or 2.0**-300 <= top <= 2.0**300 else -int(np.frexp(top)[1])
     if k:
-        A = A * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)  # two exact factors: 2^k alone can overflow
-    if overwrite:
-        A = np.asfortranarray(A)  # no copy when G is F-ordered in the solved dtype
-        diagonal = A.diagonal().copy()
-    vals, vecs = _extreme_spectrum(A, vectors=True, overwrite=overwrite)
-    if overwrite:
-        np.fill_diagonal(A, diagonal)  # the reduction wrote T's diagonal there
+        A *= 2.0 ** (k // 2)  # two exact factors: 2^k alone can overflow
+        A *= 2.0 ** (k - k // 2)
+    diagonal = A.diagonal().copy()
+    vals, vecs = _extreme_spectrum(A)
+    np.fill_diagonal(A, diagonal)  # the reduction wrote T's diagonal there
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     # scipy's BLAS, not numpy's (@): numpy ships its own OpenBLAS, whose threads
     # keep spinning after a call and slow the next LAPACK solve about 2x
     mm = blas.get_blas_funcs("hemm" if np.iscomplexobj(A) else "symm", (A, vecs))
-    GV = mm(1.0, A, vecs, lower=int(not overwrite))
+    GV = mm(1.0, A, vecs, lower=0)
     residual = float(np.max(np.linalg.norm(GV - vecs * vals, axis=0)))
-    if residual > EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
+    if not residual <= EIGEN_RESIDUAL_RTOL * max(gnorm, 1e-300):
         raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds contract {EIGEN_RESIDUAL_RTOL:.0e}*||G||")
     vals = np.ldexp(vals, -k)
     return float(vals[0]), float(vals[-1])
@@ -590,8 +582,8 @@ def gated_cho_factor(G: np.ndarray):
     1 / (max(M^-T e) max(M^-1 e)) - gamma tr(G) / (1 - gamma) by |U^-1| <= M(U)^-1 and
     |U^H U - G| <= gamma |U^H| |U|, exceeds tau = 1e-10 * ||G||_F >= 1e-10 * ||G||_2.  Else, on a
     fresh copy, Cholesky of G - tau*I succeeds only when lambda_min > tau up to its rounding
-    (Sylvester's law of inertia), and passes; when it breaks down, the extreme eigenvalues of one
-    tridiagonal reduction decide.  A non-finite entry raises ValueError first."""
+    (Sylvester's law of inertia), and passes; when it breaks down, ``extreme_eigenvalues`` of G,
+    refilled into that copy, decide.  A non-finite entry raises ValueError first."""
     G = np.asarray(G)
     c = np.array(G, order="F")
     if not np.isfinite(c).all():  # before the shift turns Inf into NaN; nrm2 and potrf may pass NaN
@@ -606,8 +598,9 @@ def gated_cho_factor(G: np.ndarray):
     c = np.array(G, order="F")
     c.flat[:: c.shape[0] + 1] -= tau
     if lapack.get_lapack_funcs("potrf", (c,))(c, lower=0, clean=0, overwrite_a=1)[1] != 0:
-        evals, _ = _extreme_spectrum(G, vectors=False)
-        emin, gnorm = float(evals[0]), float(np.max(np.abs(evals)))
+        np.copyto(c, G)  # G again, in the broken-down factorization's buffer, handed over to the read
+        emin, emax = extreme_eigenvalues(c)
+        gnorm = max(abs(emin), abs(emax))
         if emin <= NEAR_SINGULAR_RTOL * gnorm:
             raise NearSingularGramError(min_eigenvalue=emin, norm=gnorm)
     return factor or cho_factor(np.array(G, order="F"), lower=False, overwrite_a=True)  # raises its LinAlgError

@@ -190,8 +190,8 @@ class TestExtremeEigenvalues:
                               window=[-6, 6], seed=5)
         dirs = DirectionAssignment.constant(fam, 1)
         G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(0, TWO_PI))
+        olo, ohi = power_extremes(G)  # before the read, which reduces G in its own buffer
         lo, hi = extreme_eigenvalues(G)
-        olo, ohi = power_extremes(G)
         assert lo == pytest.approx(olo, rel=1e-8)
         assert hi == pytest.approx(ohi, rel=1e-8)
 
@@ -211,35 +211,40 @@ class TestExtremeEigenvalues:
         return G
 
     @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
-    def test_reads_only_the_lower_triangle(self, kind):
+    def test_upper_triangle_breaks_residual_contract(self, kind):
+        # the contract reads the strict upper triangle, so finite garbage there, or a NaN that
+        # a plain ``residual > bound`` would let through, raises instead of returning the clean values
         G = self.kind_gram(kind)
-        clean = extreme_eigenvalues(G)
         upper = np.triu_indices(G.shape[0], 1)
         finite = 1e3 * np.random.default_rng(0).normal(size=(2, upper[0].size))
         garbage = (np.nan, finite[0]) if kind == "float64" else (complex(np.nan, np.nan), finite[0] + 1j * finite[1])
         for value in garbage:
             H = G.copy()
             H[upper] = value
-            assert extreme_eigenvalues(H) == clean
+            with pytest.raises(ArithmeticError, match="residual"):
+                extreme_eigenvalues(H)
+        H = G.copy()
+        H[0, 5] = np.nan  # one NaN suffices
+        with pytest.raises(ArithmeticError, match="residual"):
+            extreme_eigenvalues(H)
 
     @pytest.mark.parametrize("kind", ["float64", "complex", "real-valued complex"])
     def test_overwrite_reads_the_same_values(self, kind):
-        # a Gram handed over is reduced in its own buffer when that is F-ordered in the solved
-        # dtype (the real-valued complex one is solved through a strided G.real, so in a copy),
-        # and the contract is read from its strict upper triangle and saved diagonal
+        # a Gram is reduced in its own buffer when that is F-ordered in the solved dtype (the
+        # real-valued complex one is solved through a strided G.real, so in a copy), and the
+        # contract is read from its strict upper triangle and saved diagonal
         G = self.kind_gram(kind)
         n = G.shape[0]
         kept = G.copy(order="F")
         for block in (slice(0, n), slice(1, n - 1), slice(3, n // 2)):
             section = G[block, block]  # strided but for the full block
-            clean = extreme_eigenvalues(section)
-            assert extreme_eigenvalues(section.copy(), overwrite=True) == clean
+            clean = extreme_eigenvalues(section.copy())  # C-ordered: reduced in an F-ordered copy
             H = np.array(section, order="F")
-            assert extreme_eigenvalues(H, overwrite=True) == clean
+            assert extreme_eigenvalues(H) == clean
             assert np.array_equal(np.triu(H), np.triu(section))  # the upper triangle and diagonal as they were
             assert np.array_equal(H, section) == (kind == "real-valued complex")  # else T and reflectors below
             if block != slice(0, n):  # a strided view is reduced in a copy
-                assert extreme_eigenvalues(section, overwrite=True) == clean
+                assert extreme_eigenvalues(section) == clean
         assert np.array_equal(G, kept)
 
     def test_complex_read_holds_no_second_array(self):
@@ -251,10 +256,10 @@ class TestExtremeEigenvalues:
         G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=3)), IntervalSpec(-2.5, 2.5))
         n = G.shape[0]
         assert (n, G.dtype, G.flags.f_contiguous) == (1025, np.complex128, True)
-        extreme_eigenvalues(G.copy(order="F"), overwrite=True)  # warm caches outside the measurement
+        extreme_eigenvalues(G.copy(order="F"))  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            extreme_eigenvalues(G, overwrite=True)
+            extreme_eigenvalues(G)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,7 +318,7 @@ class TestFrameBoundSequence:
     def test_peak_memory_one_gram_per_length(self):
         # each read reduces the block it is handed in place, the full one last, so a length holds
         # one n x n array: measured at n = 1025, 10.7 MB against the Gram's 8.4 MB; reads that
-        # copy their block, as f2py does without ``overwrite``, peaked at 17.1 MB
+        # copied their block, as f2py did before a read took its Gram over, peaked at 17.1 MB
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-512, 512], seed=3)
         n = len(fam)
         assert n == 1025

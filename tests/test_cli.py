@@ -908,6 +908,23 @@ class TestMainEntry:
         assert "near-singular Gram: min eigenvalue" in err
         assert "threshold 1e-10" in err
 
+    def test_tiny_interval_near_singular_payload_is_scaled(self, tmp_path, capsys):
+        # the window's Gram is about |I| * ones(5), norm 5|I|: the gate's fallback reads it scaled to
+        # unit size, where the unscaled read reported a norm of 4.000e-181
+        cfg_path, out = tmp_path / "tiny.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps({
+            "command": "trace",
+            "family": {"kind": "lattice", "params": {"spacing": 1.0, "window": [-5, 5]}},
+            "interval": [0.0, 1e-181],
+            "params": {"y": 0.0, "r": 3.0, "R": 1.0},
+            "output": {"path": str(out), "format": "csv"},
+        }))
+        assert main(["--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: command 'trace': near-singular Gram: min eigenvalue")
+        assert err.endswith("(threshold 1e-10 * norm 5.000e-181)\n")
+        assert not out.exists()
+
     def test_numerical_failure_has_one_exit_path(self, tmp_path, capsys, monkeypatch):
         # a plain ValueError from a runner reaches exit 3 with the command named, as every other numerical failure
         def fail(*args):

@@ -1117,15 +1117,11 @@ class TestExtremeSpectrum:
     def check(A):
         evals = np.linalg.eigvalsh(A)
         gnorm = float(np.max(np.abs(evals)))
-        for vectors in (False, True):
-            vals, V = _extreme_spectrum(A, vectors)
-            assert np.all(np.abs(vals - evals[[0, -1]]) <= 1e-13 * gnorm)
-            if vectors:
-                assert V.shape == (A.shape[0], 2) and V.dtype == A.dtype
-                assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=1e-13)
-                assert np.max(np.linalg.norm(A @ V - V * vals, axis=0)) <= 1e-12 * gnorm
-            else:
-                assert V is None
+        vals, V = _extreme_spectrum(np.array(A, order="F"))  # a copy: the reduction runs in its buffer
+        assert np.all(np.abs(vals - evals[[0, -1]]) <= 1e-13 * gnorm)
+        assert V.shape == (A.shape[0], 2) and V.dtype == A.dtype
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0.0, atol=1e-13)
+        assert np.max(np.linalg.norm(A @ V - V * vals, axis=0)) <= 1e-12 * gnorm
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @example(n=1, complex_=False, gram=False, seed=0)
@@ -1210,28 +1206,32 @@ class TestExtremeSpectrum:
         # a non-finite lower triangle leaves T non-finite, and bisection reports it (info 4)
         A = hermitian_matrix(6, complex_, np.random.default_rng(2), spectrum=np.arange(1.0, 7.0))
         A[4, 1] = value
-        for vectors in (False, True):
-            with pytest.raises(ArithmeticError, match="bisection"):
-                _extreme_spectrum(A, vectors)
+        with pytest.raises(ArithmeticError, match="bisection"):
+            _extreme_spectrum(A)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_peak_memory_one_read(self, complex_):
-        # the reduction's n x n output is the only n x n array of a read: measured at n = 513,
-        # 1.07 x A.nbytes; two n x n stemr workspaces and a copy of the reflectors made it 3-4 x
+        # the read takes A over: it reduces A, and scales it first when far from unit size, in A's own
+        # buffer, so it holds no n x n array; measured at n = 513, reads that copied A peaked at
+        # 1.07 x A.nbytes (a far read copied it even when handed over), and two n x n stemr
+        # workspaces and a copy of the reflectors made it 3-4 x
         fam = generate_family("perturbed-lattice", spacing=1.0, max_perturbation=0.2, window=[-256, 256], seed=3)
         n = len(fam)
         assert n == 513
         dirs = DirectionAssignment.random(fam, 2, seed=0) if complex_ else DirectionAssignment.constant(fam, 1)
-        A = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-2.5, 2.5))
-        assert A.dtype == (np.complex128 if complex_ else np.float64)
-        extreme_eigenvalues(A)  # warm caches outside the measurement
-        tracemalloc.start()
-        try:
-            extreme_eigenvalues(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= A.nbytes + 64 * n * A.itemsize  # the blocked reduction's workspace is n x 32
+        G = assemble_gram(ExponentialSystem(fam, dirs), IntervalSpec(-2.5, 2.5))
+        assert G.dtype == (np.complex128 if complex_ else np.float64)
+        extreme_eigenvalues(G.copy(order="F"))  # warm caches outside the measurement
+        for k in (0, -1000, 1000):
+            A = 2.0**k * G
+            assert A.flags.f_contiguous
+            tracemalloc.start()
+            try:
+                extreme_eigenvalues(A)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * n * A.itemsize + 2**16  # the blocked reduction's n x 32 workspace and a few vectors
 
 
 class TestGatedCholesky:
@@ -1241,7 +1241,7 @@ class TestGatedCholesky:
     def test_well_conditioned_gram_skips_reduction(self, directions, monkeypatch):
         from inghamlab import gram
 
-        def no_reduction(A, vectors):
+        def no_reduction(A):
             raise AssertionError("the shifted factorization should have passed the gate")
 
         monkeypatch.setattr(gram, "_extreme_spectrum", no_reduction)
@@ -1261,7 +1261,7 @@ class TestGatedCholesky:
         from inghamlab import gram
 
         calls, spectrum = [], gram._extreme_spectrum
-        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A, vectors: calls.append(A) or spectrum(A, vectors))
+        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A: calls.append(A) or spectrum(A))
         G = hermitian_matrix(50, complex_, np.random.default_rng(11), spectrum=np.r_[3e-10, np.ones(49)])
         assert 1e-10 * np.linalg.norm(G, 2) < np.linalg.eigvalsh(G)[0] <= 1e-10 * np.linalg.norm(G)
         U, _ = gated_cho_factor(G)
@@ -1289,7 +1289,7 @@ class TestGatedCholesky:
         from inghamlab import gram
 
         calls = []
-        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A, vectors: calls.append(A))
+        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A: calls.append(A))
         monkeypatch.setattr(gram, "cho_factor", lambda *args, **kwargs: calls.append("cho_factor"))
         monkeypatch.setattr(gram, "lapack", type("Spy", (), {"__getattr__": lambda _, name: calls.append(name)})())
         G = hermitian_matrix(6, complex_, np.random.default_rng(2), spectrum=np.arange(1.0, 7.0))
@@ -1366,7 +1366,7 @@ class TestGatedCholesky:
                                    DirectionAssignment(3, dirs.matrix[inside[0] : inside[-1] + 1]))
         G = assemble_gram(window, IntervalSpec(-0.995, 0.995))
         assert G.shape == (680, 680)
-        evals, _ = _extreme_spectrum(G, vectors=False)
+        evals, _ = _extreme_spectrum(np.array(G, order="F"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             U = cho_factor(G, lower=False)[0]
@@ -1391,7 +1391,7 @@ class TestGatedCholesky:
 
         bounds, calls, bound = [], [], gram._lambda_min_bound
         monkeypatch.setattr(gram, "_lambda_min_bound", lambda U, trace: bounds.append(bound(U, trace)) or bounds[-1])
-        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A, vectors: calls.append(A))
+        monkeypatch.setattr(gram, "_extreme_spectrum", lambda A: calls.append(A))
         G = self.graded_gram(50, complex_, 3, 10.0)
         tau = NEAR_SINGULAR_RTOL * np.linalg.norm(G)
         assert np.linalg.eigvalsh(G)[0] == pytest.approx(10 * tau, rel=1e-3)
@@ -1406,11 +1406,26 @@ class TestGatedCholesky:
         # shifted factorization breaks down, and the tridiagonal extremes are the payload
         G = self.graded_gram(50, complex_, 4, 0.1)
         cho_factor(G, lower=False)
-        evals, _ = _extreme_spectrum(G, vectors=False)
+        evals, _ = _extreme_spectrum(np.array(G, order="F"))
         with pytest.raises(NearSingularGramError) as info:
             gated_cho_factor(G)
         assert info.value.min_eigenvalue == float(evals[0])
         assert info.value.norm == float(np.max(np.abs(evals)))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("k", [-900, -600, 600, 900])
+    def test_far_from_unit_scale_raises_the_scaled_payload(self, complex_, k):
+        # 2^k G is refused with exactly 2^k times G's payload: the fallback reads through
+        # extreme_eigenvalues, scaled to unit size; unscaled, 2^-600 G and 2^-900 G passed the
+        # gate (the real one read 2^k times 3.1e-8 and 0.708 where its extremes are 1.4e-11
+        # and 1.0) and 2^600 G failed the bisection (info 4)
+        G = self.graded_gram(50, complex_, 4, 0.1)
+        with pytest.raises(NearSingularGramError) as unit:
+            gated_cho_factor(G)
+        with pytest.raises(NearSingularGramError) as far:
+            gated_cho_factor(2.0**k * G)
+        assert far.value.min_eigenvalue == math.ldexp(unit.value.min_eigenvalue, k)
+        assert far.value.norm == math.ldexp(unit.value.norm, k)
 
 
 class TestProjections:

@@ -151,11 +151,11 @@ def test_centered_gram_with_real_directions_is_real(data, rule, interval, d):
 
 
 def recording_spectrum(solves):
-    """``gram._extreme_spectrum`` that appends (A, vectors, values, V) of every call to ``solves``."""
+    """``gram._extreme_spectrum`` that appends (A, values, V) of every call to ``solves``."""
 
-    def record(A, vectors, overwrite=False):
-        vals, vecs = _extreme_spectrum(A, vectors, overwrite)
-        solves.append((A, vectors, vals, vecs))
+    def record(A):
+        vals, vecs = _extreme_spectrum(A)
+        solves.append((A, vals, vecs))
         return vals, vecs
 
     return record
@@ -171,8 +171,8 @@ def test_real_valued_gram_is_solved_in_float64(data, rule, interval, d):
     solves = []
     with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
-    [(A, vectors, vals, vecs)] = solves
-    assert A.dtype == np.float64 and vectors
+    [(A, vals, vecs)] = solves
+    assert A.dtype == np.float64 and vecs.dtype == np.float64
     assert (lo, hi) == (vals[0], vals[-1])
     gnorm = max(abs(vals[0]), abs(vals[-1]))
     complex_G = full_kernel_gram(system, centered(interval))
@@ -194,7 +194,7 @@ def test_real_valued_complex_dd_gram_is_solved_in_float64(normalize):
     solves = []
     with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
-    [(A, vectors, vals, vecs)] = solves
+    [(A, vals, vecs)] = solves
     assert A.dtype == np.float64 and vecs.dtype == np.float64
     assert (lo, hi) == (vals[0], vals[-1])
     assert np.allclose([lo, hi], np.linalg.eigvalsh(G)[[0, -1]], rtol=0.0, atol=1e-13 * hi)
@@ -204,13 +204,14 @@ def test_complex_gram_stays_complex():
     fam = generate_family("lattice", spacing=1.0, window=[-4, 4])
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.random(fam, 2, seed=1)), IntervalSpec(-2.5, 2.5))
     assert np.any(G.imag)
+    evals = np.linalg.eigvalsh(G)  # before the read, which reduces G in its own buffer
     solves = []
     with mock.patch.object(gram, "_extreme_spectrum", recording_spectrum(solves)):
         lo, hi = extreme_eigenvalues(G)
-    [(A, vectors, vals, vecs)] = solves
+    [(A, vals, vecs)] = solves
     assert A.dtype == np.complex128 and vecs.dtype == np.complex128
     assert (lo, hi) == (vals[0], vals[-1])
-    assert np.allclose([lo, hi], np.linalg.eigvalsh(G)[[0, -1]], rtol=0.0, atol=1e-13 * hi)
+    assert np.allclose([lo, hi], evals[[0, -1]], rtol=0.0, atol=1e-13 * hi)
 
 
 def test_corrupted_eigenvector_breaks_residual_contract():
@@ -218,14 +219,13 @@ def test_corrupted_eigenvector_breaks_residual_contract():
     interval = IntervalSpec(-2.5, 2.5)
     G = assemble_gram(ExponentialSystem(fam, DirectionAssignment.constant(fam, 1)), interval)
 
-    def swapped_vectors(A, vectors, overwrite=False):
-        vals, vecs = _extreme_spectrum(A, vectors, overwrite)
+    def swapped_vectors(A):
+        vals, vecs = _extreme_spectrum(A)
         return vals, vecs[:, ::-1]
 
-    for overwrite in (False, True):  # the contract read from the lower triangle, and from the upper one
-        with (mock.patch.object(gram, "_extreme_spectrum", swapped_vectors),
-              pytest.raises(ArithmeticError, match="residual")):
-            extreme_eigenvalues(G, overwrite=overwrite)
+    with (mock.patch.object(gram, "_extreme_spectrum", swapped_vectors),
+          pytest.raises(ArithmeticError, match="residual")):
+        extreme_eigenvalues(G)
 
 
 @SETTINGS
@@ -274,8 +274,7 @@ def test_subsystems_keep_positions(data, rule, interval, d):
 
     sections = []
 
-    def recording_extremes(G, overwrite=False):
-        assert overwrite and G.flags.f_contiguous  # each section handed over as its own F-ordered block
+    def recording_extremes(G):
         sections.append(G)
         return 1.0, 1.0
 
@@ -284,6 +283,8 @@ def test_subsystems_keep_positions(data, rule, interval, d):
         analysis.frame_bound_sequence(fam, dirs, interval, N_grid)
     full = assemble_gram(ExponentialSystem(fam, dirs), centered(interval))
     assert len(sections) == len(N_grid)
+    # each section handed over as a block of the one Gram, the full F-ordered one last, read in its own buffer
+    assert sections[-1].flags.f_contiguous and all(np.shares_memory(section, sections[-1]) for section in sections)
     for N, section in zip(N_grid, sections):
         block = slice(n // 2 - N, n // 2 + N + 1)
         assert np.array_equal(section, full[block, block])

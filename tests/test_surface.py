@@ -81,6 +81,23 @@ def test_no_module_imports_another_modules_private_name():
     assert not imported, f"private names imported across modules: {imported}"
 
 
+def test_one_spectral_read():
+    # every spectral read goes through gram.extreme_eigenvalues, the one reader of _extreme_spectrum, and
+    # neither takes anything but its matrix: no option skips the handover, the residual check or the scaling
+    readers, parameters = set(), {}
+    for module in MODULES:
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            name = getattr(node, "name", type(node).__name__)
+            if name in ("extreme_eigenvalues", "_extreme_spectrum"):
+                args = node.args
+                parameters[name] = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                                    args.vararg, args.kwarg] if a]
+            if any(getattr(sub, "id", getattr(sub, "attr", None)) == "_extreme_spectrum" for sub in ast.walk(node)):
+                readers.add(f"{module}.{name}")
+    assert readers == {"gram.extreme_eigenvalues"}
+    assert parameters == {"extreme_eigenvalues": ["G"], "_extreme_spectrum": ["A"]}
+
+
 def test_readme_usage_line_matches_cli_options(capsys):
     usage = next(line for line in README.read_text().splitlines() if line.startswith("inghamlab --config"))
     with pytest.raises(SystemExit):
